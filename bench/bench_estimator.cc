@@ -1,21 +1,20 @@
-// Estimator hot-path benchmark: quantifies the two wins of the flat plan
-// layer and writes BENCH_estimator.json ({benchmark, entries, metrics} —
-// the shape scripts/check_metrics_schema.py validates).
+// Estimator hot-path benchmark: measures the serving estimation path
+// and writes BENCH_estimator.json ({benchmark, entries, metrics} — the
+// shape scripts/check_metrics_schema.py validates).
 //
 //   1. Plan cache, cold vs warm: per-query service latency when every
 //      query must be parsed + compiled (plan cache disabled) versus when
 //      every query hits a compiled plan. Reach caches are pre-warmed in
 //      both configurations so the delta isolates parse/compile cost.
-//   2. Flat vs legacy estimation: wall time to estimate the workload from
-//      precompiled plans over the FlatSynopsis versus parsed TwigQuery
-//      objects over the pointer-based GraphSynopsis — after verifying the
-//      two paths return bit-identical doubles for every query (the bench
-//      aborts on any mismatch).
+//   2. Batch bit identity, then a batch-size sweep: one EstimateBatch over
+//      the whole workload must equal per-slot EstimateOne bit for bit
+//      (the bench aborts on any mismatch); then the workload runs through
+//      EstimateBatch at several batch sizes.
 //
-//   bench_estimator [--queries N] [--scale S] [--rounds R]
+//   bench_estimator [--queries N] [--scale S]
 //
 // Defaults: 5000 queries (the 250-query workload cycled), XMark scale
-// 0.1, 3 timed rounds (best-of reported).
+// 0.1.
 
 #include <algorithm>
 #include <chrono>
@@ -29,10 +28,6 @@
 #include "common/json.h"
 #include "common/telemetry/metrics.h"
 #include "data/xmark.h"
-#include "estimate/compiled_twig.h"
-#include "estimate/estimator.h"
-#include "estimate/flat_estimator.h"
-#include "estimate/flat_synopsis.h"
 #include "service/service.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
@@ -43,7 +38,6 @@ namespace {
 struct BenchConfig {
   size_t queries = 5000;
   double scale = 0.1;
-  size_t rounds = 3;
 };
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -131,7 +125,7 @@ JsonValue ServiceEntry(const std::string& name, const ServiceRun& run) {
 }
 
 /// Batch-size sweep: drives the workload through EstimateBatch in batches
-/// of `batch_size` (vectorized path, inline executor) and reports the
+/// of `batch_size` (inline executor) and reports the
 /// amortization curve — qps plus the average group/lane shape per batch.
 /// `plan_capacity` 0 = cold plans (every batch re-parses, re-compiles,
 /// re-groups); 4096 = warm (grouping runs over cached plan pointers).
@@ -193,17 +187,13 @@ int Main(int argc, char** argv) {
           static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
       config.scale = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      config.rounds =
-          static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else {
       std::fprintf(stderr,
-                   "usage: bench_estimator [--queries N] [--scale S] "
-                   "[--rounds R]\n");
+                   "usage: bench_estimator [--queries N] [--scale S]\n");
       return 1;
     }
   }
-  if (config.queries == 0 || config.rounds == 0) {
+  if (config.queries == 0) {
     std::fprintf(stderr, "bench_estimator: nothing to run\n");
     return 1;
   }
@@ -225,14 +215,10 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<std::string> query_strings;
-  std::vector<TwigQuery> twigs;
   query_strings.reserve(config.queries);
-  twigs.reserve(config.queries);
   for (size_t i = 0; i < config.queries; ++i) {
-    const TwigQuery& query =
-        workload.queries[i % workload.queries.size()].query;
-    twigs.push_back(query);
-    query_strings.push_back(query.ToString());
+    query_strings.push_back(
+        workload.queries[i % workload.queries.size()].query.ToString());
   }
 
   JsonValue entries = JsonValue::Array();
@@ -256,103 +242,33 @@ int Main(int argc, char** argv) {
   entries.items().push_back(ServiceEntry("plan_cache/cold", cold));
   entries.items().push_back(ServiceEntry("plan_cache/warm", warm));
 
-  // --- 2. Flat vs legacy estimation ------------------------------------
-  XClusterEstimator legacy(reference);
-  FlatSynopsis flat(reference);
-  FlatEstimator flat_estimator(flat);
-  std::vector<CompiledTwig> plans;
-  plans.reserve(twigs.size());
-  for (const TwigQuery& twig : twigs) {
-    plans.push_back(CompiledTwig::Compile(twig, flat));
-  }
-
-  // Bit-identity gate: the speedup numbers are meaningless if the fast
-  // path computes something different.
-  size_t mismatches = 0;
-  for (size_t i = 0; i < twigs.size(); ++i) {
-    if (flat_estimator.Estimate(plans[i]) != legacy.Estimate(twigs[i])) {
-      ++mismatches;
-    }
-  }
-  if (mismatches > 0) {
-    std::fprintf(stderr,
-                 "bench_estimator: FAIL: %zu flat-vs-legacy mismatches\n",
-                 mismatches);
-    return 1;
-  }
-
-  double flat_best = 0.0, legacy_best = 0.0;
-  double sink = 0.0;  // keeps the timed loops from being optimized away
-  for (size_t round = 0; round < config.rounds; ++round) {
-    auto start = std::chrono::steady_clock::now();
-    for (const CompiledTwig& plan : plans) {
-      sink += flat_estimator.Estimate(plan);
-    }
-    const double flat_qps =
-        static_cast<double>(plans.size()) / SecondsSince(start);
-    start = std::chrono::steady_clock::now();
-    for (const TwigQuery& twig : twigs) {
-      sink += legacy.Estimate(twig);
-    }
-    const double legacy_qps =
-        static_cast<double>(twigs.size()) / SecondsSince(start);
-    flat_best = std::max(flat_best, flat_qps);
-    legacy_best = std::max(legacy_best, legacy_qps);
-  }
-  if (sink < 0.0) std::fprintf(stderr, "sink=%g\n", sink);
-  const double speedup = legacy_best > 0.0 ? flat_best / legacy_best : 0.0;
-  std::fprintf(stderr,
-               "bench_estimator: flat=%.0f qps legacy=%.0f qps (%.2fx), "
-               "bit-identical on %zu estimates\n",
-               flat_best, legacy_best, speedup, twigs.size());
-
-  JsonValue flat_entry = JsonValue::Object();
-  flat_entry.members()["name"] = JsonValue::String("estimate/flat");
-  flat_entry.members()["qps"] = JsonValue::Number(flat_best);
-  entries.items().push_back(std::move(flat_entry));
-  JsonValue legacy_entry = JsonValue::Object();
-  legacy_entry.members()["name"] = JsonValue::String("estimate/legacy");
-  legacy_entry.members()["qps"] = JsonValue::Number(legacy_best);
-  entries.items().push_back(std::move(legacy_entry));
-  JsonValue compare = JsonValue::Object();
-  compare.members()["name"] = JsonValue::String("speedup/flat_vs_legacy");
-  compare.members()["speedup"] = JsonValue::Number(speedup);
-  compare.members()["bit_identical"] = JsonValue::Number(1.0);
-  compare.members()["warm_p50_below_cold_p50"] =
-      JsonValue::Number(warm.p50_ns < cold.p50_ns ? 1.0 : 0.0);
-  entries.items().push_back(std::move(compare));
-
-  // --- 3. Batch-mode bit identity + batch-size sweep -------------------
-  // Hard gate first: one vectorized EstimateBatch over the whole query
-  // vector must match the scalar-mode batch slot for slot, bit for bit.
+  // --- 2. Batch bit identity + batch-size sweep -----------------------
+  // Hard gate first: one EstimateBatch over the whole query vector must
+  // match per-slot EstimateOne, bit for bit.
   {
     ServiceOptions service_options;
     service_options.executor.num_threads = 0;
     EstimationService service(service_options);
     service.store().Install("xmark", XCluster(synopsis));
-    BatchOptions vectorized;
-    BatchOptions scalar_mode;
-    scalar_mode.vectorize = false;
-    BatchResult batched =
-        service.EstimateBatch("xmark", query_strings, vectorized);
-    BatchResult scalar =
-        service.EstimateBatch("xmark", query_strings, scalar_mode);
+    BatchResult batched = service.EstimateBatch("xmark", query_strings);
     size_t batch_mismatches = 0;
     for (size_t i = 0; i < query_strings.size(); ++i) {
-      if (batched.results[i].estimate != scalar.results[i].estimate ||
-          batched.results[i].status.ok() != scalar.results[i].status.ok()) {
+      const QueryResult one = service.EstimateOne("xmark", query_strings[i]);
+      if (batched.results[i].estimate != one.estimate ||
+          batched.results[i].status.ok() != one.status.ok()) {
         ++batch_mismatches;
       }
     }
     if (batch_mismatches > 0) {
       std::fprintf(stderr,
-                   "bench_estimator: FAIL: %zu batch-vs-scalar mismatches\n",
+                   "bench_estimator: FAIL: %zu batch-vs-EstimateOne "
+                   "mismatches\n",
                    batch_mismatches);
       return 1;
     }
     std::fprintf(stderr,
-                 "bench_estimator: batch mode bit-identical on %zu slots "
-                 "(%zu groups, %zu lanes)\n",
+                 "bench_estimator: batch bit-identical to EstimateOne on "
+                 "%zu slots (%zu groups, %zu lanes)\n",
                  query_strings.size(), batched.stats.batch_groups,
                  batched.stats.vector_lanes);
   }

@@ -4,7 +4,8 @@
 // batch, and drives EstimateBatch through worker pools of increasing
 // size. Writes BENCH_service.json ({benchmark, entries, metrics} — the
 // shape scripts/check_metrics_schema.py validates) with per-pool
-// throughput and the 8-vs-1-worker speedup.
+// throughput and the 8-vs-1-worker speedup. Every pool's slots must equal
+// EstimateOne's answers bit for bit, or the bench exits nonzero.
 //
 //   bench_service [--queries N] [--scale S] [--workers W1,W2,...]
 //
@@ -61,17 +62,40 @@ std::vector<size_t> ParseWorkerList(const char* arg) {
 struct PoolRun {
   size_t workers = 0;
   size_t queries = 0;
-  bool vectorize = true;
   BatchStats stats;
   double qps = 0.0;
-  /// Per-slot estimates (0.0 for failed slots), kept so scalar and batch
-  /// runs over the same query vector can be compared bit for bit.
+  /// Per-slot estimates (0.0 for failed slots), kept so every run over the
+  /// same query vector can be compared bit for bit with EstimateOne.
   std::vector<double> estimates;
 };
 
+/// Per-slot answers of EstimateOne (0.0 for failed slots) on a fresh
+/// inline service: the reference every batch run must match bit for bit.
+std::vector<double> EstimateOneAll(const XCluster& synopsis,
+                                   const std::vector<std::string>& queries) {
+  EstimationService service;
+  service.store().Install("xmark", XCluster(synopsis));
+  std::vector<double> estimates;
+  estimates.reserve(queries.size());
+  for (const std::string& query : queries) {
+    const QueryResult one = service.EstimateOne("xmark", query);
+    estimates.push_back(one.status.ok() ? one.estimate : 0.0);
+  }
+  return estimates;
+}
+
+size_t CountMismatches(const std::vector<double>& got,
+                       const std::vector<double>& expected) {
+  size_t mismatches = 0;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (got[i] != expected[i]) ++mismatches;
+  }
+  return mismatches;
+}
+
 PoolRun RunPool(const XCluster& synopsis,
                 const std::vector<std::string>& queries, size_t workers,
-                bool vectorize = true, bool traced = false) {
+                bool traced = false) {
   ServiceOptions options;
   options.executor.num_threads = workers;
   options.executor.queue_capacity = 4096;
@@ -79,7 +103,6 @@ PoolRun RunPool(const XCluster& synopsis,
   service.store().Install("xmark", XCluster(synopsis));
 
   BatchOptions batch_options;
-  batch_options.vectorize = vectorize;
   if (traced) {
     batch_options.trace.trace_id = telemetry::GenerateTraceId();
     batch_options.trace.sampled = true;
@@ -96,7 +119,6 @@ PoolRun RunPool(const XCluster& synopsis,
   PoolRun run;
   run.workers = workers;
   run.queries = queries.size();
-  run.vectorize = vectorize;
   BatchResult batch = service.EstimateBatch("xmark", queries, batch_options);
   run.stats = batch.stats;
   if (batch.stats.wall_ns > 0) {
@@ -114,11 +136,10 @@ PoolRun RunPool(const XCluster& synopsis,
   return run;
 }
 
-JsonValue PoolEntry(const PoolRun& run) {
+JsonValue PoolEntry(const PoolRun& run, size_t mismatches) {
   JsonValue entry = JsonValue::Object();
   entry.members()["name"] = JsonValue::String(
-      std::string(run.vectorize ? "estimate_batch" : "estimate_scalar") +
-      "/workers:" + std::to_string(run.workers));
+      "estimate_batch/workers:" + std::to_string(run.workers));
   entry.members()["workers"] =
       JsonValue::Number(static_cast<double>(run.workers));
   entry.members()["queries"] =
@@ -133,15 +154,15 @@ JsonValue PoolEntry(const PoolRun& run) {
       static_cast<double>(run.stats.p50_latency_ns) / 1e3);
   entry.members()["p95_latency_us"] = JsonValue::Number(
       static_cast<double>(run.stats.p95_latency_ns) / 1e3);
-  if (run.vectorize) {
-    entry.members()["batch_groups"] =
-        JsonValue::Number(static_cast<double>(run.stats.batch_groups));
-    entry.members()["lanes_per_group"] = JsonValue::Number(
-        run.stats.batch_groups == 0
-            ? 0.0
-            : static_cast<double>(run.stats.vector_lanes) /
-                  static_cast<double>(run.stats.batch_groups));
-  }
+  entry.members()["batch_groups"] =
+      JsonValue::Number(static_cast<double>(run.stats.batch_groups));
+  entry.members()["lanes_per_group"] = JsonValue::Number(
+      run.stats.batch_groups == 0
+          ? 0.0
+          : static_cast<double>(run.stats.vector_lanes) /
+                static_cast<double>(run.stats.batch_groups));
+  entry.members()["bit_identical"] =
+      JsonValue::Number(mismatches == 0 ? 1.0 : 0.0);
   return entry;
 }
 
@@ -217,66 +238,37 @@ int Main(int argc, char** argv) {
   }
   const XCluster synopsis{GraphSynopsis(reference)};
 
+  const std::vector<double> expected = EstimateOneAll(synopsis, queries);
+
   int rc = 0;
   JsonValue entries = JsonValue::Array();
   std::vector<PoolRun> runs;
   for (size_t workers : config.workers) {
     std::fprintf(stderr, "bench_service: %zu queries, workers=%zu ...\n",
                  queries.size(), workers);
-    // Same-run scalar-vs-vectorized comparison: identical query vector,
-    // fresh service each, so the two runs are directly comparable and the
-    // per-slot estimates must match bit for bit.
-    PoolRun scalar =
-        RunPool(synopsis, queries, workers, /*vectorize=*/false);
-    PoolRun batch = RunPool(synopsis, queries, workers, /*vectorize=*/true);
+    PoolRun batch = RunPool(synopsis, queries, workers);
+    // Hard bit-identity gate: every slot of the batch must succeed (the
+    // workload holds only valid queries) and equal the EstimateOne double
+    // exactly.
+    const size_t mismatches = CountMismatches(batch.estimates, expected);
     std::fprintf(stderr,
-                 "  scalar qps=%.0f | batch qps=%.0f groups=%zu lanes=%zu "
-                 "(%.2fx) ok=%zu failed=%zu p95_us=%llu\n",
-                 scalar.qps, batch.qps, batch.stats.batch_groups,
-                 batch.stats.vector_lanes,
-                 scalar.qps > 0.0 ? batch.qps / scalar.qps : 0.0,
-                 batch.stats.ok, batch.stats.failed,
+                 "  batch qps=%.0f groups=%zu lanes=%zu ok=%zu failed=%zu "
+                 "p95_us=%llu mismatches=%zu\n",
+                 batch.qps, batch.stats.batch_groups,
+                 batch.stats.vector_lanes, batch.stats.ok,
+                 batch.stats.failed,
                  static_cast<unsigned long long>(
-                     batch.stats.p95_latency_ns / 1000));
-
-    // Hard bit-identity gate: every slot of the vectorized run must equal
-    // the scalar run's double exactly.
-    size_t mismatches = 0;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (batch.estimates[i] != scalar.estimates[i]) ++mismatches;
-    }
-    if (mismatches > 0 || batch.stats.ok != scalar.stats.ok) {
+                     batch.stats.p95_latency_ns / 1000),
+                 mismatches);
+    if (mismatches > 0 || batch.stats.failed > 0) {
       std::fprintf(stderr,
-                   "bench_service: BIT-IDENTITY FAIL workers=%zu: %zu slot "
-                   "mismatches (ok %zu vs %zu)\n",
-                   workers, mismatches, batch.stats.ok, scalar.stats.ok);
+                   "bench_service: BIT-IDENTITY FAIL workers=%zu: %zu slots "
+                   "differ from EstimateOne, %zu failed\n",
+                   workers, mismatches, batch.stats.failed);
       rc = 1;
     }
-
-    entries.items().push_back(PoolEntry(scalar));
-    entries.items().push_back(PoolEntry(batch));
-
-    JsonValue speedup_entry = JsonValue::Object();
-    speedup_entry.members()["name"] = JsonValue::String(
-        "vectorize_speedup/workers:" + std::to_string(workers));
-    speedup_entry.members()["scalar_qps"] = JsonValue::Number(scalar.qps);
-    speedup_entry.members()["batch_qps"] = JsonValue::Number(batch.qps);
-    speedup_entry.members()["speedup"] = JsonValue::Number(
-        scalar.qps > 0.0 ? batch.qps / scalar.qps : 0.0);
-    speedup_entry.members()["bit_identical"] =
-        JsonValue::Number(mismatches == 0 ? 1.0 : 0.0);
-    entries.items().push_back(std::move(speedup_entry));
-
-    // Regression gate at the widest pool: the vectorized path must not be
-    // slower than the scalar path it replaced, measured in the same run.
-    if (workers == config.workers.back() && batch.qps < scalar.qps) {
-      std::fprintf(stderr,
-                   "bench_service: VECTORIZE REGRESSION workers=%zu: batch "
-                   "%.0f qps < scalar %.0f qps\n",
-                   workers, batch.qps, scalar.qps);
-      rc = 1;
-    }
-    runs.push_back(batch);
+    entries.items().push_back(PoolEntry(batch, mismatches));
+    runs.push_back(std::move(batch));
   }
 
   // Speedup of the widest pool over the narrowest, as measured: no
@@ -308,8 +300,7 @@ int Main(int argc, char** argv) {
     telemetry::TraceRecorder ring(65536);
     telemetry::TraceRecorder* previous = telemetry::GlobalTraceRecorder();
     telemetry::InstallGlobalTraceRecorder(&ring);
-    PoolRun traced = RunPool(synopsis, queries, workers, /*vectorize=*/true,
-                             /*traced=*/true);
+    PoolRun traced = RunPool(synopsis, queries, workers, /*traced=*/true);
     telemetry::InstallGlobalTraceRecorder(previous);
     PoolRun baseline_b = RunPool(synopsis, queries, workers);
 
@@ -363,8 +354,8 @@ int Main(int argc, char** argv) {
                    saved.ToString().c_str());
       return 1;
     }
-    FlatSynopsis flat(synopsis.synopsis());
-    saved = storage::XcsfWriter::Write(flat, xcsf_path, /*sync=*/false);
+    saved = storage::XcsfWriter::Write(*synopsis.flat(), xcsf_path,
+                                       /*sync=*/false);
     if (!saved.ok()) {
       std::fprintf(stderr, "bench_service: write %s: %s\n",
                    xcsf_path.c_str(), saved.ToString().c_str());
@@ -385,7 +376,7 @@ int Main(int argc, char** argv) {
         xcsf_ns > 0 ? static_cast<double>(xcs_ns) /xcsf_ns : 0.0;
 
     // Slot-for-slot bit-identity of the mapped image over the whole
-    // workload, against the compiled-in-RAM estimates measured above.
+    // workload, against EstimateOne over the compiled-in-RAM snapshot.
     size_t mismatches = 0;
     {
       ServiceOptions options;
@@ -399,11 +390,10 @@ int Main(int argc, char** argv) {
         return 1;
       }
       BatchResult batch = service.EstimateBatch("xmark", queries);
-      const std::vector<double>& compiled = runs.back().estimates;
       for (size_t i = 0; i < queries.size(); ++i) {
         const double estimate =
             batch.results[i].status.ok() ? batch.results[i].estimate : 0.0;
-        if (estimate != compiled[i]) ++mismatches;
+        if (estimate != expected[i]) ++mismatches;
       }
     }
     if (mismatches > 0 || xcs_estimate != xcsf_estimate) {

@@ -10,7 +10,9 @@
 #include "data/imdb.h"
 #include "data/treebank.h"
 #include "data/xmark.h"
-#include "estimate/estimator.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
 #include "workload/metrics.h"
@@ -59,14 +61,17 @@ inline Experiment Setup(const std::string& name, double scale = 1.0,
   return experiment;
 }
 
-/// Estimates every workload query against `synopsis`.
+/// Estimates every workload query against `synopsis` (compiled once into
+/// a FlatSynopsis, then one plan per query).
 inline std::vector<double> EstimateAll(const GraphSynopsis& synopsis,
                                        const Workload& workload) {
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   std::vector<double> estimates;
   estimates.reserve(workload.queries.size());
   for (const WorkloadQuery& q : workload.queries) {
-    estimates.push_back(estimator.Estimate(q.query));
+    estimates.push_back(
+        estimator.Estimate(CompiledTwig::Compile(q.query, flat)));
   }
   return estimates;
 }

@@ -7,7 +7,9 @@
 #include "bench_json.h"
 #include "build/builder.h"
 #include "data/imdb.h"
-#include "estimate/estimator.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "eval/evaluator.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
@@ -81,11 +83,13 @@ void BM_SynopsisEstimation(benchmark::State& state) {
   options.structural_budget = 8 * 1024;
   options.value_budget = Reference().ValueBytes() / 2;
   GraphSynopsis synopsis = XClusterBuild(Reference(), options, nullptr);
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   size_t i = 0;
   for (auto _ : state) {
     const WorkloadQuery& q = Queries().queries[i++ % Queries().queries.size()];
-    benchmark::DoNotOptimize(estimator.Estimate(q.query));
+    benchmark::DoNotOptimize(
+        estimator.Estimate(CompiledTwig::Compile(q.query, flat)));
   }
 }
 BENCHMARK(BM_SynopsisEstimation)->Unit(benchmark::kMicrosecond);

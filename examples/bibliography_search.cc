@@ -12,7 +12,8 @@
 
 #include "core/xcluster.h"
 #include "data/imdb.h"
-#include "estimate/estimator.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
 #include "eval/evaluator.h"
 #include "query/parser.h"
 
@@ -78,8 +79,10 @@ int main() {
   // choosing a join order).
   const char* explained = "//movie[/year[range(1990,2005)]]/rating[range(75,100)]";
   Result<TwigQuery> query = ParseTwig(explained);
-  XClusterEstimator estimator(synopsis.synopsis());
+  const FlatSynopsis& flat = *synopsis.flat();
+  const FlatEstimator estimator(flat);
+  const CompiledTwig plan = CompiledTwig::Compile(query.value(), flat);
   std::printf("\nexplain %s\n%s", explained,
-              estimator.Explain(query.value()).ToString().c_str());
+              estimator.Explain(plan).ToString().c_str());
   return 0;
 }

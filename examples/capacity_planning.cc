@@ -9,7 +9,9 @@
 
 #include "build/auto_budget.h"
 #include "data/xmark.h"
-#include "estimate/estimator.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
 #include "workload/metrics.h"
@@ -45,10 +47,12 @@ int main() {
     AutoBudgetResult result =
         AutoBudgetBuild(dataset.doc, reference, options);
 
-    XClusterEstimator estimator(result.synopsis);
+    const FlatSynopsis flat(result.synopsis);
+    const FlatEstimator estimator(flat);
     std::vector<double> estimates;
     for (const WorkloadQuery& q : workload.queries) {
-      estimates.push_back(estimator.Estimate(q.query));
+      estimates.push_back(
+          estimator.Estimate(CompiledTwig::Compile(q.query, flat)));
     }
     double error =
         EvaluateErrors(workload, estimates).overall.avg_rel_error;

@@ -2,8 +2,10 @@
 # End-to-end smoke test for `xclusterctl serve --stdin`: builds a synopsis
 # from the bundled example document, feeds a scripted request stream
 # through the serve protocol, and validates the responses (including the
-# batch framing: header + exactly k item lines). Also exercises the
-# multi-query estimate path through the synopsis store.
+# batch framing: header + exactly k item lines, and batch items equal to
+# the `estimate` command's answers). Also exercises the single- and
+# multi-query estimate paths through the synopsis store, on both the
+# .xcs and the compiled .xcsf form.
 #
 # Usage: scripts/service_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -20,6 +22,9 @@ fail() {
 
 [ -x "$XCLUSTERCTL" ] || fail "$XCLUSTERCTL not built"
 
+# A value-predicate query (the session below spells it out literally).
+RANGE_QUERY='//book[/year[range(1990,2005)]]'
+
 # 1. Build a synopsis to serve.
 "$XCLUSTERCTL" build --in examples/books.xml --bstr 0 \
   --out "$WORKDIR/books.xcs" >/dev/null
@@ -35,14 +40,13 @@ estimate books ][not-a-query
 estimate missing //book
 batch books 3
 //book
-//book[/price]
+//book[/year[range(1990,2005)]]
 ][broken
-batch books 2 mode=scalar
+estimate books //book[/year[range(1990,2005)]]
+batch books 2 explain
 //book
-//book[/price]
-batch books 2 mode=batch
-//book
-//book[/price]
+//book[/year[range(1990,2005)]]
+batch books 0 mode=scalar
 stats
 drop books
 quit
@@ -71,29 +75,40 @@ expect_line 8 '^ok batch n=3 ok=2 err=1 us=[0-9]+'
 expect_line 9 '^0 ok [0-9.eE+-]+ us=[0-9]+'
 expect_line 10 '^1 ok [0-9.eE+-]+ us=[0-9]+'
 expect_line 11 '^2 err InvalidArgument'
-expect_line 12 '^ok batch n=2 ok=2 err=0 us=[0-9]+'
-expect_line 13 '^0 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 14 '^1 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 15 '^ok batch n=2 ok=2 err=0 us=[0-9]+'
-expect_line 16 '^0 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 17 '^1 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 18 '^ok stats synopses=1 workers=2 '
-expect_line 19 '^ok drop books$'
-expect_line 20 '^ok bye$'
-[ "$(wc -l < "$WORKDIR/out.txt")" -eq 20 ] \
-  || fail "expected exactly 20 response lines"
+expect_line 12 '^ok estimate [0-9.eE+-]+ us=[0-9]+'
+expect_line 13 '^ok batch n=2 ok=2 err=0 us=[0-9]+'
+expect_line 14 '^0 ok [0-9.eE+-]+ us=[0-9]+'
+expect_line 15 '^# estimate: [0-9.eE+-]+$'
+expect_line 16 '^#   var +expected +sigma$'
+expect_line 17 '^#   q0 \(root\) '
+expect_line 18 '^#   q1 //book '
+expect_line 19 '^1 ok [0-9.eE+-]+ us=[0-9]+'
+expect_line 20 '^# estimate: [0-9.eE+-]+$'
+expect_line 23 '^#   q1 //book '
+expect_line 24 '^#   q2 /year '
+expect_line 25 "^err unknown batch option 'mode=scalar'$"
+expect_line 26 '^ok stats synopses=1 workers=2 '
+expect_line 27 '^ok drop books$'
+expect_line 28 '^ok bye$'
+[ "$(wc -l < "$WORKDIR/out.txt")" -eq 28 ] \
+  || fail "expected exactly 28 response lines"
 
-# mode=scalar and mode=batch must report the identical estimate strings
-# (the vectorized engine is gated to be bit-identical to the scalar DP).
-for item in 0 1; do
-  scalar_est="$(sed -n "$((13 + item))p" "$WORKDIR/out.txt" | awk '{print $3}')"
-  batch_est="$(sed -n "$((16 + item))p" "$WORKDIR/out.txt" | awk '{print $3}')"
-  [ "$scalar_est" = "$batch_est" ] \
-    || fail "scalar/batch estimate mismatch on item $item: $scalar_est vs $batch_est"
-done
+# Every batch item must carry the `estimate` command's answer for the same
+# query (the lane-group engine is gated to be bit-identical to
+# EstimateOne): items 0/1 of the first batch against the estimates on
+# lines 5 (//book) and 12 ($RANGE_QUERY), and the explain batch's items
+# against the same two answers.
+field() { sed -n "${1}p" "$WORKDIR/out.txt" | awk "{print \$$2}"; }
+[ "$(field 9 3)" = "$(field 5 3)" ] || fail "batch item 0 != estimate //book"
+[ "$(field 10 3)" = "$(field 12 3)" ] \
+  || fail "batch item 1 != estimate $RANGE_QUERY"
+[ "$(field 14 3)" = "$(field 5 3)" ] \
+  || fail "explain item 0 != estimate //book"
+[ "$(field 19 3)" = "$(field 12 3)" ] \
+  || fail "explain item 1 != estimate $RANGE_QUERY"
 
 # 3. Multi-query estimate through the synopsis store.
-printf '//book\n//book[/price]\n' > "$WORKDIR/queries.txt"
+printf '//book\n%s\n' "$RANGE_QUERY" > "$WORKDIR/queries.txt"
 "$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.xcs" \
   --queries "$WORKDIR/queries.txt" --workers 2 > "$WORKDIR/multi.txt"
 echo "--- multi-query estimate ---"
@@ -122,5 +137,26 @@ awk '/^[^#]/ {print $1, $3}' "$WORKDIR/multi.txt" > "$WORKDIR/est_xcs.txt"
 awk '/^[^#]/ {print $1, $3}' "$WORKDIR/multi_xcsf.txt" > "$WORKDIR/est_xcsf.txt"
 diff -u "$WORKDIR/est_xcs.txt" "$WORKDIR/est_xcsf.txt" \
   || fail ".xcs and .xcsf estimates differ"
+
+# 5. Single-query estimate and explain take the same load path for both
+# formats: the .xcs and .xcsf answers must be byte-identical.
+for format in xcs xcsf; do
+  "$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.$format" \
+    --query "$RANGE_QUERY" > "$WORKDIR/one_$format.txt" \
+    || fail "estimate --query on .$format failed"
+  "$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.$format" \
+    --query "$RANGE_QUERY" --explain > "$WORKDIR/explain_$format.txt" \
+    || fail "estimate --explain on .$format failed"
+done
+echo "--- explain (.xcs) ---"
+cat "$WORKDIR/explain_xcs.txt"
+grep -Eq '^estimate: [0-9.eE+-]+$' "$WORKDIR/explain_xcs.txt" \
+  || fail "explain output does not lead with the estimate"
+[ "$(cat "$WORKDIR/one_xcs.txt")" = "$(field 12 3)" ] \
+  || fail "estimate --query disagrees with the serve estimate"
+diff -u "$WORKDIR/one_xcs.txt" "$WORKDIR/one_xcsf.txt" \
+  || fail ".xcs and .xcsf single-query estimates differ"
+diff -u "$WORKDIR/explain_xcs.txt" "$WORKDIR/explain_xcsf.txt" \
+  || fail ".xcs and .xcsf explanations differ"
 
 echo "service_smoke: OK"

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "estimate/estimator.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "workload/metrics.h"
 
 namespace xcluster {
@@ -11,11 +13,13 @@ namespace xcluster {
 namespace {
 
 double ScoreSynopsis(const GraphSynopsis& synopsis, const Workload& workload) {
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   std::vector<double> estimates;
   estimates.reserve(workload.queries.size());
   for (const WorkloadQuery& query : workload.queries) {
-    estimates.push_back(estimator.Estimate(query.query));
+    estimates.push_back(
+        estimator.Estimate(CompiledTwig::Compile(query.query, flat)));
   }
   return EvaluateErrors(workload, estimates).overall.avg_rel_error;
 }

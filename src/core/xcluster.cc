@@ -1,6 +1,7 @@
 #include "core/xcluster.h"
 
 #include "common/telemetry/telemetry.h"
+#include "estimate/compiled_twig.h"
 #include "query/parser.h"
 
 namespace xcluster {
@@ -16,11 +17,12 @@ XCluster XCluster::Build(const XmlDocument& doc, const Options& options) {
 }
 
 XCluster::XCluster(GraphSynopsis synopsis, EstimateOptions estimate)
-    : synopsis_(std::move(synopsis)), estimate_options_(estimate) {}
+    : synopsis_(std::move(synopsis)),
+      flat_(std::make_shared<const FlatSynopsis>(synopsis_)),
+      estimator_(std::make_shared<const FlatEstimator>(*flat_, estimate)) {}
 
 double XCluster::EstimateSelectivity(const TwigQuery& query) const {
-  XClusterEstimator estimator(synopsis_, estimate_options_);
-  return estimator.Estimate(query);
+  return estimator_->Estimate(CompiledTwig::Compile(query, *flat_));
 }
 
 Result<double> XCluster::EstimateSelectivity(std::string_view twig) const {

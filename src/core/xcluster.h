@@ -8,6 +8,8 @@
 #include "build/builder.h"
 #include "common/status.h"
 #include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "query/twig.h"
 #include "synopsis/graph.h"
 #include "synopsis/reference.h"
@@ -36,11 +38,12 @@ class XCluster {
   /// Builds the synopsis for `doc` (reference construction + XCLUSTERBUILD).
   static XCluster Build(const XmlDocument& doc, const Options& options);
 
-  /// Wraps an already-constructed synopsis.
+  /// Wraps an already-constructed synopsis and compiles its FlatSynopsis.
   explicit XCluster(GraphSynopsis synopsis,
                     EstimateOptions estimate = EstimateOptions());
 
-  /// Estimated selectivity of a parsed query.
+  /// Estimated selectivity of a parsed query (compiled against flat() and
+  /// estimated by FlatEstimator).
   double EstimateSelectivity(const TwigQuery& query) const;
 
   /// Parses `twig` (see query/parser.h for the syntax) and estimates it.
@@ -48,6 +51,11 @@ class XCluster {
 
   const GraphSynopsis& synopsis() const { return synopsis_; }
   const BuildStats& build_stats() const { return stats_; }
+
+  /// The compiled, self-contained serving form of synopsis(). Shared, not
+  /// copied, by copies of this XCluster and by the snapshots a
+  /// SynopsisStore installs from it.
+  const std::shared_ptr<const FlatSynopsis>& flat() const { return flat_; }
 
   /// Total size (structural + value bytes) under the synopsis size model.
   size_t SizeBytes() const {
@@ -65,7 +73,8 @@ class XCluster {
  private:
   GraphSynopsis synopsis_;
   BuildStats stats_;
-  EstimateOptions estimate_options_;
+  std::shared_ptr<const FlatSynopsis> flat_;
+  std::shared_ptr<const FlatEstimator> estimator_;  // over *flat_
 };
 
 }  // namespace xcluster

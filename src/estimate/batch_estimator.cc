@@ -133,7 +133,7 @@ void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
       const FlatNodeId node = nodes[i];
       double* result = table.data() + static_cast<size_t>(i) * L;
       // Per-lane predicate selectivity: the only per-lane scalar work,
-      // via the exact routine the scalar path uses.
+      // via the exact routine FlatEstimator::Estimate uses.
       for (size_t l = 0; l < L; ++l) {
         result[l] = estimator.PredicateSelectivity(*group.plans[l], v, node);
       }
@@ -145,8 +145,8 @@ void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
         std::fill(sums.begin(), sums.end(), 0.0);
         // The lane kernel: one shared edge walk; per target, a flat
         // multiply-accumulate over contiguous lanes — no gather, no
-        // branches. Targets are consumed in exactly the scalar path's
-        // reach order, so each lane's sum accumulates identically.
+        // branches. Targets are consumed in exactly Estimate's reach
+        // order, so each lane's sum accumulates identically.
         auto accumulate = [&](FlatNodeId target, double count) {
           const double* child_row =
               child_table + static_cast<size_t>(child_slots[target]) * L;
@@ -177,7 +177,7 @@ void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
             }
           }
         }
-        // The scalar path breaks out once result hits 0.0; multiplying
+        // Estimate breaks out once result hits 0.0; multiplying
         // the exact 0.0 through the remaining finite non-negative sums
         // yields the same 0.0, so the lane kernel stays branch-free.
         for (size_t l = 0; l < L; ++l) {
@@ -192,7 +192,7 @@ void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
       tables[0].data() + static_cast<size_t>(slot_of[root]) * L;
   for (size_t l = 0; l < L; ++l) {
     // Lanes whose plan names a term absent from the dictionary return
-    // exactly the scalar path's early 0.0.
+    // exactly Estimate's early 0.0.
     (*lane_estimates)[l] = group.plans[l]->has_unknown_terms()
                                ? 0.0
                                : root_count * root_row[l];

@@ -75,8 +75,8 @@ class BatchPlan {
 /// Bit-identity: within a lane the adds and multiplies happen on the same
 /// values in the same order as FlatEstimator::Estimate (targets in reach
 /// order, children in skeleton order, predicates in plan order), so every
-/// lane estimate equals the scalar double exactly. The scalar path's
-/// zero short-circuits are dropped, not reordered: multiplying an exact
+/// lane estimate equals Estimate's double exactly. Estimate's zero
+/// short-circuits are dropped, not reordered: multiplying an exact
 /// 0.0 through the remaining finite non-negative sums reproduces the
 /// short-circuited 0.0 bit for bit. Enforced by EXPECT_EQ in
 /// tests/batch_estimator_test.cc and hard gates in bench_estimator /

@@ -3,17 +3,15 @@
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/string_pool.h"
-#include "estimate/reach_cache.h"
+#include "query/predicate.h"
 #include "query/twig.h"
 #include "synopsis/graph.h"
 
 namespace xcluster {
 
-/// Options for the XCluster estimation algorithm.
+/// Options for the XCluster estimation algorithm (FlatEstimator).
 struct EstimateOptions {
   /// Maximum number of hops explored for the descendant axis over the
   /// synopsis graph. Synopses of recursive schemas (XMark's parlist) are
@@ -33,19 +31,17 @@ struct EstimateOptions {
   /// instead. Type-incompatible predicates always estimate 0.
   double default_selectivity = 0.0;
 
-  /// Entry bound for the descendant reach cache (see ReachCache). The
-  /// memo used to grow without limit over an estimator's lifetime; it is
-  /// now a sharded LRU with this capacity. 0 disables caching.
+  /// Entry bound for the descendant reach cache (see ReachCache). 0
+  /// disables caching.
   size_t reach_cache_capacity = 1 << 16;
   size_t reach_cache_shards = 8;
 };
 
 /// True if a predicate of this kind can hold on values of `type` at all
-/// (a range predicate can never hold on a TEXT element). Shared by the
-/// legacy and flat estimation paths.
+/// (a range predicate can never hold on a TEXT element).
 bool PredicateKindMatchesType(ValuePredicate::Kind kind, ValueType type);
 
-/// Per-variable breakdown of an estimate (see XClusterEstimator::Explain).
+/// Per-variable breakdown of an estimate (see FlatEstimator::Explain).
 struct EstimateExplanation {
   struct VarStats {
     QueryVarId var = 0;
@@ -58,79 +54,6 @@ struct EstimateExplanation {
 
   /// Multi-line human-readable rendering.
   std::string ToString() const;
-};
-
-/// Selectivity estimation over an XCluster synopsis (Sec. 5).
-///
-/// Implements the query-embedding framework under the generalized
-/// Path-Value Independence assumption: the expected number of elements of
-/// synopsis node c reached per element of node u through path u[p]/c is
-/// sigma_p(u) * count(u, c). The total estimate sums, over all embeddings
-/// of the query into the synopsis graph, the product of edge reach-counts
-/// and predicate selectivities — computed in factored form by dynamic
-/// programming over query variables.
-///
-/// Thread safety: one estimator instance may serve Estimate/Explain calls
-/// from any number of threads concurrently (the descendant reach cache is
-/// guarded internally; everything else is read-only). Estimates are
-/// deterministic regardless of thread interleaving — the cache only ever
-/// stores the deterministic result of a pure computation.
-class XClusterEstimator {
- public:
-  /// `synopsis` must outlive the estimator.
-  explicit XClusterEstimator(const GraphSynopsis& synopsis,
-                             EstimateOptions options = EstimateOptions());
-
-  /// Estimated selectivity of `query`. ftcontains terms are resolved
-  /// against the synopsis' term dictionary internally.
-  double Estimate(const TwigQuery& query) const;
-
-  /// Estimate plus an EXPLAIN-style per-variable breakdown: the expected
-  /// number of elements bound to each query variable (after predicates)
-  /// and the average predicate selectivity applied there. Useful when
-  /// integrating the synopsis into an optimizer. Deterministic: nodes are
-  /// walked in ascending id order, so per-variable sums are exactly equal
-  /// to FlatEstimator::Explain's.
-  EstimateExplanation Explain(const TwigQuery& query) const;
-
- private:
-  /// Expected binding tuples of the sub-twig rooted at `var`, per element
-  /// of synopsis node `node` bound to `var` (before var's predicates).
-  double TuplesPerElement(const TwigQuery& query, QueryVarId var,
-                          SynNodeId node,
-                          std::vector<std::unordered_map<SynNodeId, double>>*
-                              memo) const;
-
-  /// sigma of all predicates attached to `var` evaluated at `node`.
-  double PredicateSelectivity(const TwigQuery& query, QueryVarId var,
-                              SynNodeId node) const;
-
-  /// Expected number of elements of each target node reached per element of
-  /// `source` via `step`; appends (target, count) pairs.
-  void Reach(SynNodeId source, const TwigStep& step,
-             std::vector<std::pair<SynNodeId, double>>* out) const;
-
-  bool LabelMatches(SynNodeId node, const TwigStep& step) const;
-
- public:
-  /// The descendant reach cache, exposed for tests and capacity
-  /// introspection (hit/miss/eviction counts work even with telemetry
-  /// compiled out).
-  const ReachCache& reach_cache() const { return reach_cache_; }
-
- private:
-  const GraphSynopsis& synopsis_;
-  EstimateOptions options_;
-
-  /// Descendant-axis reach counts are label-independent per source node up
-  /// to the final label filter, and queries repeatedly traverse the same
-  /// synopsis, so the per-(source, label-or-wildcard) results are memoized
-  /// in a bounded sharded LRU (keys mixed with SplitMix64 — the previous
-  /// inline ReachKeyHash xor-folded small dense ids into colliding
-  /// buckets). The synopsis must not change while an estimator exists.
-  /// First-writer-wins inserts of pure values keep estimates
-  /// deterministic under any thread interleaving or eviction schedule.
-  mutable ReachCache reach_cache_;
 };
 
 }  // namespace xcluster

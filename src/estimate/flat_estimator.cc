@@ -57,8 +57,8 @@ void FlatEstimator::ComputeDescendantReach(FlatNodeId source,
                                            ReachCache::Value* result) const {
   // Bounded-hop dense DP over the CSR adjacency. Sources are drained in
   // ascending flat id and children in stored order — the same summation
-  // order as the legacy std::map-based DP, which keeps every accumulated
-  // double bit-identical.
+  // order as an ordered-map DP over the source graph, which keeps every
+  // accumulated double bit-identical to the reference estimator.
   const uint32_t n = synopsis_.num_nodes();
   std::vector<double> frontier_mass(n, 0.0);
   std::vector<double> next_mass(n, 0.0);

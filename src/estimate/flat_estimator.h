@@ -12,25 +12,29 @@
 namespace xcluster {
 
 /// Selectivity estimation over a FlatSynopsis from precompiled plans: the
-/// serving hot path. Implements exactly the query-embedding DP of
-/// XClusterEstimator (Sec. 5), with the per-call `unordered_map` memos
-/// replaced by dense `double` tables indexed by (variable, flat node id)
-/// and the descendant reach memo replaced by a shared bounded LRU
-/// (ReachCache).
+/// library's one estimation engine (Sec. 5). Implements the
+/// query-embedding framework under the generalized Path-Value
+/// Independence assumption: the expected number of elements of synopsis
+/// node c reached per element of node u through path u[p]/c is
+/// sigma_p(u) * count(u, c). The estimate sums, over all embeddings of
+/// the query into the synopsis graph, the product of edge reach-counts
+/// and predicate selectivities — computed in factored form by dynamic
+/// programming over query variables, with dense `double` memo tables
+/// indexed by (variable, flat node id) and the descendant reach memo in a
+/// shared bounded LRU (ReachCache).
 ///
-/// Bit-identity: for any query, Estimate(Compile(q)) returns the same
-/// double as XClusterEstimator::Estimate(q) over the source synopsis —
-/// both paths add and multiply the identical values in the identical
-/// order (flat ids preserve arena order; the per-label child index is
-/// stable-sorted; the descendant DP sums sources ascending and children
-/// in stored order, exactly like the legacy std::map DP).
-/// tests/flat_estimator_test.cc enforces this with EXPECT_EQ on doubles
-/// across the fig8/table2 workload generators.
+/// Bit-identity: every sum accumulates in a fixed order (flat ids preserve
+/// arena order; the per-label child index is stable-sorted; the
+/// descendant DP drains sources ascending and children in stored order),
+/// so Estimate(Compile(q)) equals the reference graph-walking estimator
+/// in tests/oracle bit for bit. tests/flat_estimator_test.cc enforces
+/// this with EXPECT_EQ on doubles across the fig8/table2 workload
+/// generators, and BatchEstimator lanes are held equal to Estimate.
 ///
-/// Thread safety: same contract as XClusterEstimator — any number of
-/// concurrent Estimate/Explain calls; the reach cache stores pure values
-/// first-writer-wins, and eviction only ever forces recomputation of an
-/// identical value, so results are deterministic under any interleaving.
+/// Thread safety: any number of concurrent Estimate/Explain calls; the
+/// reach cache stores pure values first-writer-wins, and eviction only
+/// ever forces recomputation of an identical value, so results are
+/// deterministic under any interleaving.
 class FlatEstimator {
  public:
   /// `synopsis` must outlive the estimator.
@@ -41,11 +45,10 @@ class FlatEstimator {
   /// synopsis).
   double Estimate(const CompiledTwig& plan) const;
 
-  /// Estimate plus the EXPLAIN-style per-variable breakdown.
-  /// Deterministic, and exactly equal to XClusterEstimator::Explain:
-  /// both walk per-variable masses in ascending node order (flat ids
-  /// preserve arena order), so every per-variable sum accumulates in the
-  /// same order and the doubles match bit for bit.
+  /// Estimate plus the EXPLAIN-style per-variable breakdown: the expected
+  /// number of elements bound to each query variable (after predicates)
+  /// and the average predicate selectivity applied there. Deterministic:
+  /// per-variable masses are walked in ascending node order.
   EstimateExplanation Explain(const CompiledTwig& plan) const;
 
   /// Combined selectivity of `plan.var(var)`'s predicates at `node` —

@@ -78,8 +78,8 @@ FlatSynopsis::FlatSynopsis(const GraphSynopsis& synopsis)
   }
 
   // Per-label index: each node's edge range stable-sorted by child label,
-  // so one label's children stay in original order (the summation order
-  // the legacy path uses).
+  // so one label's children stay in original order (the graph's child
+  // order, which fixes the summation order).
   owned_.sorted_edge_labels.resize(m);
   owned_.sorted_edge_targets.resize(m);
   owned_.sorted_edge_counts.resize(m);

@@ -49,8 +49,8 @@ class FlatStringTable final : public TermResolver {
 /// Dense id of a node in a FlatSynopsis. Flat ids number the *alive*
 /// nodes of the source GraphSynopsis in arena order, so ascending flat id
 /// order equals ascending SynNodeId order — the property that keeps flat
-/// and legacy estimates bit-identical (both sum reach contributions in
-/// the same node order).
+/// estimates bit-identical to the graph-walking reference estimator (both
+/// sum reach contributions in the same node order).
 using FlatNodeId = uint32_t;
 inline constexpr FlatNodeId kNoFlatNode = static_cast<FlatNodeId>(-1);
 

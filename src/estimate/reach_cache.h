@@ -17,10 +17,11 @@ namespace xcluster {
 ///
 /// Keys pack a (source node id, label symbol) pair into one uint64; values
 /// are the (target, expected count) vectors produced by the bounded-hop
-/// reachability DP. The cache replaces the estimators' previously
-/// *unbounded* per-instance memo: capacity is a hard entry bound enforced
-/// by per-shard LRU eviction, so serving a very large synopsis can no
-/// longer grow the memo without limit (ROADMAP "Estimator cache sizing").
+/// reachability DP. Each FlatEstimator owns one (so one per served
+/// snapshot); BatchEstimator lane groups reach it through a batch-scoped
+/// BatchReachTier. Capacity is a hard entry bound enforced by per-shard
+/// LRU eviction, so serving a very large synopsis cannot grow the memo
+/// without limit.
 ///
 /// Determinism: a reach vector is a pure function of its key (for a fixed
 /// synopsis and options), so eviction and recomputation always restore the

@@ -17,7 +17,7 @@ constexpr char kHelp[] =
     "ok help commands: load <name> <path> | drop <name> | list | "
     "estimate <name> <query> | "
     "batch <name> <k> [deadline_us=N] [priority=interactive|bulk] "
-    "[mode=scalar|batch] [explain] "
+    "[explain] "
     "| quota <name> <rate_qps> <burst>|off | stats | flight [n] | help | "
     "quit";
 
@@ -375,15 +375,6 @@ std::string ServiceHarness::ParseBatchHeader(const std::string& line,
       if (!ParseLane(extra.substr(9), &options->lane)) {
         return "err bad priority '" + extra.substr(9) +
                "' (interactive|bulk)\n";
-      }
-    } else if (extra.rfind("mode=", 0) == 0) {
-      const std::string mode = extra.substr(5);
-      if (mode == "batch") {
-        options->vectorize = true;
-      } else if (mode == "scalar") {
-        options->vectorize = false;
-      } else {
-        return "err bad mode '" + mode + "' (scalar|batch)\n";
       }
     } else {
       return "err unknown batch option '" + extra + "'\n";

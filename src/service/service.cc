@@ -50,39 +50,15 @@ std::shared_ptr<const CompiledTwig> ResolvePlan(const StoredSynopsis& snapshot,
   return plan;
 }
 
-/// Estimates one query against a snapshot through the compiled-plan path,
-/// writing the outcome into `result`. `deadline_ns` is absolute monotonic
-/// (0 = none); it is re-checked here so a query that reached a worker just
-/// under the wire still fails fast instead of burning the budget further.
-void ProcessQuery(const StoredSynopsis& snapshot, const PlanCache& plans,
-                  const std::string& query, bool explain,
-                  uint64_t deadline_ns,
-                  telemetry::LatencyHistogram* lane_latency,
-                  QueryResult* result) {
-  XCLUSTER_TRACE_SPAN("service.query");
-  const uint64_t start_ns = telemetry::MonotonicNowNs();
-  if (deadline_ns != 0 && start_ns > deadline_ns) {
-    result->status = Status::DeadlineExceeded("batch deadline expired");
-    XCLUSTER_COUNTER_INC("service.requests.deadline_exceeded");
-    return;
+/// Fails every slot of `group` with `status` (the group never estimated).
+void FailGroup(const BatchPlan::Group& group, const Status& status,
+               uint64_t queue_ns, std::vector<QueryResult>* results) {
+  for (const std::vector<uint32_t>& slots : group.lane_slots) {
+    for (const uint32_t slot : slots) {
+      (*results)[slot].status = status;
+      (*results)[slot].queue_ns = queue_ns;
+    }
   }
-  std::shared_ptr<const CompiledTwig> plan =
-      ResolvePlan(snapshot, plans, query, &result->status);
-  if (plan == nullptr) return;
-  if (explain) {
-    EstimateExplanation explanation =
-        snapshot.flat_estimator().Explain(*plan);
-    result->estimate = explanation.selectivity;
-    result->explanation = explanation.ToString();
-  } else {
-    result->estimate = snapshot.flat_estimator().Estimate(*plan);
-  }
-  result->status = Status::OK();
-  result->latency_ns = telemetry::MonotonicNowNs() - start_ns;
-  if (lane_latency != nullptr) lane_latency->Record(result->latency_ns);
-  XCLUSTER_COUNTER_INC("service.requests.ok");
-  XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
-                               result->latency_ns);
 }
 
 uint64_t LatencyQuantile(std::vector<uint64_t>& sorted_latencies, double q) {
@@ -171,9 +147,26 @@ QueryResult EstimationService::EstimateOne(const std::string& collection,
         Status::NotFound("no synopsis named '" + collection + "'");
     return result;
   }
-  ProcessQuery(*snapshot, plan_cache_, query, explain, /*deadline_ns=*/0,
-               lane_latency_[static_cast<size_t>(Lane::kInteractive)],
-               &result);
+  XCLUSTER_TRACE_SPAN("service.query");
+  const uint64_t start_ns = telemetry::MonotonicNowNs();
+  std::shared_ptr<const CompiledTwig> plan =
+      ResolvePlan(*snapshot, plan_cache_, query, &result.status);
+  if (plan == nullptr) return result;
+  const FlatEstimator& estimator = snapshot->flat_estimator();
+  if (explain) {
+    EstimateExplanation explanation = estimator.Explain(*plan);
+    result.estimate = explanation.selectivity;
+    result.explanation = explanation.ToString();
+  } else {
+    result.estimate = estimator.Estimate(*plan);
+  }
+  result.status = Status::OK();
+  result.latency_ns = telemetry::MonotonicNowNs() - start_ns;
+  lane_latency_[static_cast<size_t>(Lane::kInteractive)]->Record(
+      result.latency_ns);
+  XCLUSTER_COUNTER_INC("service.requests.ok");
+  XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
+                               result.latency_ns);
   return result;
 }
 
@@ -307,21 +300,111 @@ BatchResult EstimationService::EstimateBatch(
   telemetry::LatencyHistogram* lane_latency =
       lane_latency_[static_cast<size_t>(options.lane)];
 
-  // Slot-per-query completion tracking: tasks write disjoint slots, so
-  // only the done-counter needs the lock. On the vectorized path one task
-  // covers a whole lane group and advances `done` by the group's slot
-  // count; the batch is finished when every *slot* is accounted for.
+  // Slot-level completion tracking: each task covers one lane group,
+  // writes only that group's slots, and advances `done` by the group's
+  // slot count under the lock; the batch is finished when every *slot*
+  // is accounted for.
   std::mutex mu;
   std::condition_variable all_done;
   size_t done = 0;
 
-  // Flow-control submit shared by both paths: when the bounded executor
-  // queue is full, wait for one of our own completions to free a slot,
-  // then resubmit. The wait is bounded — the queue may be full of a
-  // *different* batch's tasks while none of ours are in flight, in which
-  // case only retrying can make progress. Raw Executor::Submit callers
-  // keep the hard ResourceExhausted; only the batch API absorbs it.
-  // Returns OK or the shutdown status (the task never ran).
+  // Resolve every query to a plan on the calling thread and partition the
+  // plans into lane groups. Parse failures complete here (no task has
+  // been submitted yet, so no lock); their slots appear in no group.
+  std::vector<std::shared_ptr<const CompiledTwig>> plans(queries.size());
+  BatchPlan partition;
+  {
+    XCLUSTER_TRACE_SPAN("plan.batch_partition");
+    std::vector<const CompiledTwig*> raw_plans(queries.size(), nullptr);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      plans[i] = ResolvePlan(*snapshot, plan_cache_, queries[i],
+                             &batch.results[i].status);
+      if (plans[i] == nullptr) {
+        ++done;
+      } else {
+        raw_plans[i] = plans[i].get();
+      }
+    }
+    partition = BatchPlan::Build(raw_plans);
+    batch.stats.batch_groups = partition.num_groups();
+    batch.stats.vector_lanes = partition.num_lanes();
+  }
+  const FlatEstimator& estimator = snapshot->flat_estimator();
+  BatchReachTier reach_tier(&estimator.reach_cache());
+
+  auto make_group_task = [&](size_t group_index) {
+    return [&, group_index](const Executor::TaskContext& ctx) {
+      // Worker threads carry no context of their own; adopt the request's
+      // for the duration of this task so spans attribute correctly.
+      telemetry::ScopedTraceContext task_scope(options.trace);
+      const BatchPlan::Group& group = partition.groups()[group_index];
+      const size_t num_slots = group.num_slots();
+#if XCLUSTER_TELEMETRY_ENABLED
+      EmitQueueWaitEvent(ctx.queue_ns);
+#endif
+      const uint64_t task_start_ns = telemetry::MonotonicNowNs();
+      if (ctx.cancelled) {
+        FailGroup(group, Status::Unsupported("executor shut down mid-batch"),
+                  ctx.queue_ns, &batch.results);
+      } else if (ctx.deadline_expired ||
+                 (deadline_ns != 0 && task_start_ns > deadline_ns)) {
+        FailGroup(group, Status::DeadlineExceeded("batch deadline expired"),
+                  ctx.queue_ns, &batch.results);
+        XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded",
+                             num_slots);
+      } else {
+        XCLUSTER_TRACE_SPAN("executor.task");
+        std::vector<double> lane_estimates;
+        std::vector<std::string> lane_explanations;
+        if (options.explain) {
+          // EXPLAIN's forward pass is per query: each lane is filled from
+          // FlatEstimator::Explain, exactly as EstimateOne does.
+          lane_estimates.resize(group.num_lanes());
+          lane_explanations.resize(group.num_lanes());
+          for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
+            const EstimateExplanation explanation =
+                estimator.Explain(*group.plans[lane]);
+            lane_estimates[lane] = explanation.selectivity;
+            lane_explanations[lane] = explanation.ToString();
+          }
+        } else {
+          BatchEstimator::EstimateGroup(estimator, group, &reach_tier,
+                                        &lane_estimates);
+        }
+        // The group runs as one unit, so each slot is charged the group
+        // wall time divided by the group's slot count.
+        const uint64_t slot_ns =
+            (telemetry::MonotonicNowNs() - task_start_ns) / num_slots;
+        for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
+          for (const uint32_t slot : group.lane_slots[lane]) {
+            QueryResult& result = batch.results[slot];
+            result.status = Status::OK();
+            result.estimate = lane_estimates[lane];
+            if (options.explain) {
+              result.explanation = lane_explanations[lane];
+            }
+            result.latency_ns = slot_ns;
+            result.queue_ns = ctx.queue_ns;
+            lane_latency->Record(slot_ns);
+            XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
+                                         slot_ns);
+          }
+        }
+        XCLUSTER_COUNTER_ADD("service.requests.ok", num_slots);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      done += num_slots;
+      all_done.notify_all();
+    };
+  };
+
+  // Flow-control submit: when the bounded executor queue is full, wait for
+  // one of our own completions to free a slot, then resubmit. The wait is
+  // bounded — the queue may be full of a *different* batch's tasks while
+  // none of ours are in flight, in which case only retrying can make
+  // progress. Raw Executor::Submit callers keep the hard
+  // ResourceExhausted; only the batch API absorbs it. Returns OK or the
+  // shutdown status (the task never ran).
   auto submit_with_flow_control = [&](Executor::Task task) {
     for (;;) {
       Status submitted = admission_->Submit(batch_id, task, deadline_ns);
@@ -336,190 +419,30 @@ BatchResult EstimationService::EstimateBatch(
     }
   };
 
-  // Vectorized-path state; declared at function scope because group tasks
-  // reference it until the completion wait below.
-  std::vector<std::shared_ptr<const CompiledTwig>> batch_plans;
-  BatchPlan partition;
-  std::unique_ptr<BatchReachTier> reach_tier;
-
-  const bool vectorize = options.vectorize && !options.explain;
-  if (vectorize) {
-    // --- Vectorized path: compile on the calling thread, partition into
-    // lane groups, one executor task per group. ---------------------------
-    {
-      XCLUSTER_TRACE_SPAN("plan.batch_partition");
-      batch_plans.resize(queries.size());
-      std::vector<const CompiledTwig*> raw_plans(queries.size(), nullptr);
-      size_t invalid = 0;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        batch_plans[i] =
-            ResolvePlan(*snapshot, plan_cache_, queries[i],
-                        &batch.results[i].status);
-        if (batch_plans[i] == nullptr) {
-          // Parse failures complete immediately on the calling thread;
-          // their slots appear in no lane group.
-          ++invalid;
-        } else {
-          raw_plans[i] = batch_plans[i].get();
-        }
+  for (size_t g = 0; g < partition.num_groups(); ++g) {
+    // Fail fast once the batch deadline has passed: every remaining group
+    // is failed here, without paying dispatch overhead or invoking the
+    // estimator.
+    if (deadline_ns != 0 && telemetry::MonotonicNowNs() > deadline_ns) {
+      size_t expired = 0;
+      for (size_t j = g; j < partition.num_groups(); ++j) {
+        FailGroup(partition.groups()[j],
+                  Status::DeadlineExceeded("batch deadline expired"),
+                  /*queue_ns=*/0, &batch.results);
+        expired += partition.groups()[j].num_slots();
       }
-      partition = BatchPlan::Build(raw_plans);
-      batch.stats.batch_groups = partition.num_groups();
-      batch.stats.vector_lanes = partition.num_lanes();
-      if (invalid > 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        done += invalid;
-      }
+      XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", expired);
+      std::lock_guard<std::mutex> lock(mu);
+      done += expired;
+      break;
     }
-    reach_tier =
-        std::make_unique<BatchReachTier>(&snapshot->flat_estimator().reach_cache());
-
-    auto make_group_task = [&](size_t group_index) {
-      return [&, group_index](const Executor::TaskContext& ctx) {
-        telemetry::ScopedTraceContext task_scope(options.trace);
-        const BatchPlan::Group& group = partition.groups()[group_index];
-        const size_t num_slots = group.num_slots();
-#if XCLUSTER_TELEMETRY_ENABLED
-        EmitQueueWaitEvent(ctx.queue_ns);
-#endif
-        const uint64_t task_start_ns = telemetry::MonotonicNowNs();
-        Status failure;
-        if (ctx.cancelled) {
-          failure = Status::Unsupported("executor shut down mid-batch");
-        } else if (ctx.deadline_expired ||
-                   (deadline_ns != 0 && task_start_ns > deadline_ns)) {
-          failure = Status::DeadlineExceeded("batch deadline expired");
-          XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded",
-                               num_slots);
-        }
-        if (!failure.ok()) {
-          for (const std::vector<uint32_t>& slots : group.lane_slots) {
-            for (const uint32_t slot : slots) {
-              batch.results[slot].status = failure;
-              batch.results[slot].queue_ns = ctx.queue_ns;
-            }
-          }
-        } else {
-          XCLUSTER_TRACE_SPAN("executor.task");
-          std::vector<double> lane_estimates;
-          BatchEstimator::EstimateGroup(snapshot->flat_estimator(), group,
-                                        reach_tier.get(), &lane_estimates);
-          // The group runs as one unit: per-slot latency is the group wall
-          // time amortized over its slots, so batch-level quantiles stay
-          // comparable with the scalar path.
-          const uint64_t wall_ns =
-              telemetry::MonotonicNowNs() - task_start_ns;
-          const uint64_t slot_ns =
-              num_slots == 0 ? 0 : wall_ns / num_slots;
-          for (size_t lane = 0; lane < group.lane_slots.size(); ++lane) {
-            for (const uint32_t slot : group.lane_slots[lane]) {
-              QueryResult& result = batch.results[slot];
-              result.status = Status::OK();
-              result.estimate = lane_estimates[lane];
-              result.latency_ns = slot_ns;
-              result.queue_ns = ctx.queue_ns;
-              lane_latency->Record(slot_ns);
-              XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
-                                           slot_ns);
-            }
-          }
-          XCLUSTER_COUNTER_ADD("service.requests.ok", num_slots);
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        done += num_slots;
-        all_done.notify_all();
-      };
-    };
-
-    for (size_t g = 0; g < partition.num_groups(); ++g) {
-      const size_t group_slots = partition.groups()[g].num_slots();
-      // Fail fast once the batch deadline has passed: every remaining
-      // group is failed here, without paying dispatch overhead or
-      // invoking the estimator.
-      if (deadline_ns != 0 && telemetry::MonotonicNowNs() > deadline_ns) {
-        size_t expired = 0;
-        for (size_t j = g; j < partition.num_groups(); ++j) {
-          for (const std::vector<uint32_t>& slots :
-               partition.groups()[j].lane_slots) {
-            for (const uint32_t slot : slots) {
-              batch.results[slot].status =
-                  Status::DeadlineExceeded("batch deadline expired");
-              ++expired;
-            }
-          }
-        }
-        XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", expired);
-        std::lock_guard<std::mutex> lock(mu);
-        done += expired;
-        break;
-      }
-      Status submitted = submit_with_flow_control(make_group_task(g));
-      if (!submitted.ok()) {
-        // Shut down: fail the group's slots ourselves; the task never ran.
-        for (const std::vector<uint32_t>& slots :
-             partition.groups()[g].lane_slots) {
-          for (const uint32_t slot : slots) {
-            batch.results[slot].status = submitted;
-          }
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        done += group_slots;
-      }
-    }
-  } else {
-    // --- Scalar path: one executor task per query. -----------------------
-    auto make_task = [&](QueryResult* slot, const std::string* query) {
-      return [&, slot, query](const Executor::TaskContext& ctx) {
-        // Worker threads carry no context of their own; adopt the
-        // request's for the duration of this task so spans attribute
-        // correctly.
-        telemetry::ScopedTraceContext task_scope(options.trace);
-        slot->queue_ns = ctx.queue_ns;
-#if XCLUSTER_TELEMETRY_ENABLED
-        EmitQueueWaitEvent(ctx.queue_ns);
-#endif
-        if (ctx.cancelled) {
-          slot->status = Status::Unsupported("executor shut down mid-batch");
-        } else if (ctx.deadline_expired) {
-          slot->status =
-              Status::DeadlineExceeded("batch deadline expired in queue");
-          XCLUSTER_COUNTER_INC("service.requests.deadline_exceeded");
-        } else {
-          XCLUSTER_TRACE_SPAN("executor.task");
-          ProcessQuery(*snapshot, plan_cache_, *query, options.explain,
-                       deadline_ns, lane_latency, slot);
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        ++done;
-        all_done.notify_all();
-      };
-    };
-
-    for (size_t i = 0; i < queries.size(); ++i) {
-      QueryResult* slot = &batch.results[i];
-      const std::string* query = &queries[i];
-      // Fail fast once the batch deadline has passed: every remaining
-      // queued query is marked deadline_expired here, without paying
-      // per-task dispatch overhead or invoking the estimator.
-      if (deadline_ns != 0 && telemetry::MonotonicNowNs() > deadline_ns) {
-        size_t expired = 0;
-        for (size_t j = i; j < queries.size(); ++j) {
-          batch.results[j].status =
-              Status::DeadlineExceeded("batch deadline expired");
-          ++expired;
-        }
-        XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", expired);
-        std::lock_guard<std::mutex> lock(mu);
-        done += expired;
-        break;
-      }
-      Status submitted = submit_with_flow_control(make_task(slot, query));
-      if (!submitted.ok()) {
-        // Shut down: fail the slot ourselves; the task never ran.
-        slot->status = std::move(submitted);
-        std::lock_guard<std::mutex> lock(mu);
-        ++done;
-      }
+    Status submitted = submit_with_flow_control(make_group_task(g));
+    if (!submitted.ok()) {
+      // Shut down: fail the group's slots ourselves; the task never ran.
+      FailGroup(partition.groups()[g], submitted, /*queue_ns=*/0,
+                &batch.results);
+      std::lock_guard<std::mutex> lock(mu);
+      done += partition.groups()[g].num_slots();
     }
   }
 

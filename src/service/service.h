@@ -63,22 +63,15 @@ struct BatchOptions {
   uint64_t deadline_ns = 0;
 
   /// Attach the EXPLAIN-style per-variable breakdown to each successful
-  /// result (EstimateExplanation::ToString rendering).
+  /// result (EstimateExplanation::ToString rendering). Explain batches are
+  /// partitioned into the same lane groups; each lane is filled from
+  /// FlatEstimator::Explain.
   bool explain = false;
 
   /// Priority lane for the fair-queueing scheduler. Interactive (the
   /// default) gets the high WFQ weight; large offline batches should tag
   /// themselves bulk so they never starve point queries.
   Lane lane = Lane::kInteractive;
-
-  /// Evaluate the batch through the vectorized lane-group engine
-  /// (BatchPlan/BatchEstimator): queries are compiled up front, grouped
-  /// by plan skeleton, and each group runs the embedding DP once with
-  /// queries as lanes — bit-identical to the scalar path (enforced by
-  /// tests and bench gates), just faster. false forces the legacy one
-  /// task-per-query scalar path; explain batches always take the scalar
-  /// path (the EXPLAIN DP is per-query by nature).
-  bool vectorize = true;
 
   /// Request trace context. A zero trace id records a flight entry with no
   /// trace identity; a nonzero id is carried through admission, executor,
@@ -93,7 +86,10 @@ struct BatchOptions {
 struct QueryResult {
   Status status;              ///< parse/validate/deadline/estimate outcome
   double estimate = 0.0;      ///< valid when status.ok()
-  uint64_t latency_ns = 0;    ///< parse+estimate time on the worker
+  /// EstimateOne: measured parse+estimate time. EstimateBatch: the wall
+  /// time of the slot's lane-group task divided by the group's slot count
+  /// (an attribution, not a measured per-query duration).
+  uint64_t latency_ns = 0;
   uint64_t queue_ns = 0;      ///< time spent in the executor queue
   std::string explanation;    ///< filled when BatchOptions::explain
 };
@@ -103,13 +99,12 @@ struct BatchStats {
   uint64_t wall_ns = 0;   ///< submission to last completion
   size_t ok = 0;          ///< queries that produced an estimate
   size_t failed = 0;      ///< everything else (parse errors, deadline, ...)
-  uint64_t p50_latency_ns = 0;  ///< per-query worker latency percentiles
+  uint64_t p50_latency_ns = 0;  ///< percentiles of QueryResult::latency_ns
   uint64_t p95_latency_ns = 0;
   uint64_t max_latency_ns = 0;
 
-  /// Vectorized-path shape: lane groups the batch partitioned into and
-  /// distinct lanes evaluated (duplicate queries share a lane). Both 0
-  /// when the batch ran the scalar path.
+  /// Partition shape: lane groups the batch ran as (one executor task
+  /// each) and distinct lanes evaluated (duplicate queries share a lane).
   size_t batch_groups = 0;
   size_t vector_lanes = 0;
 };
@@ -129,13 +124,16 @@ struct BatchResult {
 /// In-process estimation service: the serving layer over the library.
 ///
 /// Holds a SynopsisStore (named, hot-swappable synopsis snapshots) and an
-/// Executor (bounded thread pool). EstimateBatch parses, validates, and
-/// fans a vector of twig-query strings across the workers, returning
-/// per-query results in request order plus aggregate latency stats.
+/// Executor (bounded thread pool). EstimateBatch resolves every query to a
+/// compiled plan on the calling thread, partitions the plans into lane
+/// groups (BatchPlan), and runs one executor task per group
+/// (BatchEstimator), returning per-query results in request order plus
+/// aggregate latency stats.
 ///
 /// Determinism: a batch estimated with 0, 1, or N worker threads produces
-/// bit-identical estimates and identical explanations — per-query work
-/// shares only the snapshot's estimator, whose cache stores pure results.
+/// bit-identical estimates and identical explanations, slot for slot
+/// equal to EstimateOne — groups share only the snapshot's estimator,
+/// whose caches store pure results.
 ///
 /// Thread safety: all public methods may be called from any thread.
 /// Batches hold the synopsis snapshot they resolved at submission, so a
@@ -182,11 +180,11 @@ class EstimationService {
                           const std::string& query,
                           bool explain = false) const;
 
-  /// Fans `queries` across the worker pool against the current snapshot
-  /// of `collection`. Applies flow control on top of the executor's
-  /// backpressure: when the bounded queue is full, submission waits for
-  /// completions rather than failing the remainder of the batch (raw
-  /// Executor::Submit users still get ResourceExhausted). An unknown
+  /// Estimates `queries` as lane groups across the worker pool against the
+  /// current snapshot of `collection`. Applies flow control on top of the
+  /// executor's backpressure: when the bounded queue is full, submission
+  /// waits for completions rather than failing the remainder of the batch
+  /// (raw Executor::Submit users still get ResourceExhausted). An unknown
   /// collection fails every query with NotFound.
   BatchResult EstimateBatch(const std::string& collection,
                             const std::vector<std::string>& queries,

@@ -9,6 +9,7 @@
 #include "common/telemetry/telemetry.h"
 #include "core/serialize.h"
 #include "storage/xcsf_format.h"
+#include "storage/xcsf_mmap_view.h"
 
 namespace xcluster {
 
@@ -29,57 +30,25 @@ std::string SpoolFileName(const std::string& name) {
 
 }  // namespace
 
-StoredSynopsis::StoredSynopsis(std::string name, XCluster synopsis,
-                               uint64_t generation, EstimateOptions options,
-                               std::string source)
+StoredSynopsis::StoredSynopsis(std::string name,
+                               std::shared_ptr<const FlatSynopsis> flat,
+                               size_t size_bytes, uint64_t generation,
+                               EstimateOptions options, std::string source)
     : name_(std::move(name)),
-      xcluster_(std::make_unique<XCluster>(std::move(synopsis))),
+      flat_(std::move(flat)),
+      flat_estimator_(*flat_, options),
+      size_bytes_(size_bytes),
       generation_(generation),
       source_(std::move(source)),
-      installed_ns_(telemetry::MonotonicNowNs()) {
-  // Constructed after xcluster_ has reached its final address: the
-  // estimators and the flat compilation all hold references into it.
-  estimator_ =
-      std::make_unique<XClusterEstimator>(xcluster_->synopsis(), options);
-  flat_ = std::make_unique<FlatSynopsis>(xcluster_->synopsis());
-  flat_ptr_ = flat_.get();
-  flat_estimator_ = std::make_unique<FlatEstimator>(*flat_ptr_, options);
-}
-
-StoredSynopsis::StoredSynopsis(std::string name, storage::XcsfMmapView view,
-                               uint64_t generation, EstimateOptions options,
-                               std::string source)
-    : name_(std::move(name)),
-      view_(std::move(view)),
-      generation_(generation),
-      source_(std::move(source)),
-      installed_ns_(telemetry::MonotonicNowNs()) {
-  // No graph, no compile: the view's FlatSynopsis serves directly. Its
-  // address is stable across the view_ move above (held by unique_ptr
-  // inside the view).
-  flat_ptr_ = &view_->flat();
-  flat_estimator_ = std::make_unique<FlatEstimator>(*flat_ptr_, options);
-}
+      installed_ns_(telemetry::MonotonicNowNs()) {}
 
 std::shared_ptr<const StoredSynopsis> StoredSynopsis::Make(
-    std::string name, XCluster synopsis, uint64_t generation,
-    EstimateOptions options, std::string source) {
+    std::string name, std::shared_ptr<const FlatSynopsis> flat,
+    size_t size_bytes, uint64_t generation, EstimateOptions options,
+    std::string source) {
   return std::shared_ptr<const StoredSynopsis>(
-      new StoredSynopsis(std::move(name), std::move(synopsis), generation,
-                         options, std::move(source)));
-}
-
-std::shared_ptr<const StoredSynopsis> StoredSynopsis::MakeMapped(
-    std::string name, storage::XcsfMmapView view, uint64_t generation,
-    EstimateOptions options, std::string source) {
-  return std::shared_ptr<const StoredSynopsis>(
-      new StoredSynopsis(std::move(name), std::move(view), generation,
-                         options, std::move(source)));
-}
-
-size_t StoredSynopsis::size_bytes() const {
-  if (mapped()) return view_->image_bytes();
-  return xcluster_->SizeBytes();
+      new StoredSynopsis(std::move(name), std::move(flat), size_bytes,
+                         generation, options, std::move(source)));
 }
 
 SynopsisStore::SynopsisStore(size_t num_shards,
@@ -146,9 +115,11 @@ std::shared_ptr<const StoredSynopsis> SynopsisStore::Install(
     std::string source) {
   const bool pinned = generation != 0;
   generation = AssignGeneration(generation);
-  // Build the snapshot (estimator construction included) before touching
-  // the shard, so the lock covers only the pointer swap.
-  auto snapshot = StoredSynopsis::Make(name, std::move(synopsis), generation,
+  // Build the snapshot before touching the shard, so the lock covers only
+  // the pointer swap. It keeps the compiled FlatSynopsis; the graph goes
+  // away with `synopsis` when this returns.
+  auto snapshot = StoredSynopsis::Make(name, synopsis.flat(),
+                                       synopsis.SizeBytes(), generation,
                                        estimator_options_, std::move(source));
   return Publish(name, std::move(snapshot), pinned);
 }
@@ -165,9 +136,10 @@ Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::LoadFile(
       return Status::WithContext(view.status(),
                                  "load requested by " + source);
     }
-    auto snapshot = StoredSynopsis::MakeMapped(
-        name, std::move(view).value(), AssignGeneration(0),
-        estimator_options_, source.empty() ? path : source);
+    auto snapshot = StoredSynopsis::Make(
+        name, view.value().shared_flat(), view.value().image_bytes(),
+        AssignGeneration(0), estimator_options_,
+        source.empty() ? path : source);
     XCLUSTER_COUNTER_INC("service.store.mmap_loads");
     return Publish(name, std::move(snapshot), /*pinned=*/false);
   }
@@ -205,9 +177,9 @@ SynopsisStore::InstallXcsfFromWire(const std::string& name,
     return Status::WithContext(view.status(), "install from " + source);
   }
   const bool pinned = generation != 0;
-  auto snapshot = StoredSynopsis::MakeMapped(
-      name, std::move(view).value(), AssignGeneration(generation),
-      estimator_options_, "wire:" + source);
+  auto snapshot = StoredSynopsis::Make(
+      name, view.value().shared_flat(), view.value().image_bytes(),
+      AssignGeneration(generation), estimator_options_, "wire:" + source);
   return Publish(name, std::move(snapshot), pinned);
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -15,26 +14,17 @@
 #include "estimate/estimator.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
-#include "storage/xcsf_mmap_view.h"
 
 namespace xcluster {
 
-/// One immutable synopsis snapshot served by a SynopsisStore, in one of
-/// two backings behind the same serving surface:
+/// One immutable synopsis snapshot served by a SynopsisStore: a name, one
+/// FlatSynopsis, the FlatEstimator over it, and metadata.
 ///
-///  * graph-backed — a loaded/decoded XCluster plus its FlatSynopsis
-///    compilation (compiled once here, at install time);
-///  * mapped — a validated XCSF image (storage::XcsfMmapView) whose
-///    columns are served straight from the mapping; no XCluster, no
-///    graph, no compile step.
-///
-/// The serving hot path only ever touches flat()/flat_estimator(), which
-/// both backings provide — estimates from a mapped snapshot are
-/// bit-identical to the compiled form because the image *is* the compiled
-/// form's bytes. The graph-only accessors (xcluster(), synopsis(),
-/// estimator()) must not be called on a mapped snapshot; check mapped()
-/// first. Format-agnostic introspection goes through num_clusters() /
-/// size_bytes().
+/// The FlatSynopsis is either compiled in RAM (graph installs compile it
+/// and drop the graph) or mapped from a validated XCSF image, in which
+/// case it pins the mapping itself; flat().mapped() tells the two apart.
+/// Estimates are bit-identical either way, because the image *is* the
+/// compiled form's bytes.
 ///
 /// Snapshots are shared out as `shared_ptr<const StoredSynopsis>`; a
 /// snapshot stays alive for as long as any in-flight request holds it,
@@ -43,45 +33,29 @@ namespace xcluster {
 /// last holder lets go (hot-swap unmaps via shared_ptr release).
 class StoredSynopsis {
  public:
-  /// Wraps `synopsis`; heap-allocates so the estimators' references into
-  /// the synopsis graph stay stable for the snapshot's lifetime.
+  /// Wraps `flat`. `size_bytes` is the resident size reported by
+  /// size_bytes(): the synopsis size model for compiled snapshots, the
+  /// image byte count for mapped ones.
   static std::shared_ptr<const StoredSynopsis> Make(
-      std::string name, XCluster synopsis, uint64_t generation,
-      EstimateOptions options = EstimateOptions(), std::string source = "");
-
-  /// Wraps an already validated XCSF view (zero-copy install path).
-  static std::shared_ptr<const StoredSynopsis> MakeMapped(
-      std::string name, storage::XcsfMmapView view, uint64_t generation,
+      std::string name, std::shared_ptr<const FlatSynopsis> flat,
+      size_t size_bytes, uint64_t generation,
       EstimateOptions options = EstimateOptions(), std::string source = "");
 
   const std::string& name() const { return name_; }
 
-  /// True when this snapshot serves from a mapped XCSF image and has no
-  /// synopsis graph (the graph-only accessors below are unusable).
-  bool mapped() const { return xcluster_ == nullptr; }
-
-  /// Graph-backed snapshots only.
-  const XCluster& xcluster() const { return *xcluster_; }
-  const GraphSynopsis& synopsis() const { return xcluster_->synopsis(); }
-
   /// The read-optimized flat form — compiled in RAM or mapped from disk —
   /// pinned for the snapshot's lifetime.
-  const FlatSynopsis& flat() const { return *flat_ptr_; }
+  const FlatSynopsis& flat() const { return *flat_; }
 
   /// The serving hot path: estimates CompiledTwig plans over flat().
   /// Thread-safe; shared across all requests that hold this snapshot.
-  const FlatEstimator& flat_estimator() const { return *flat_estimator_; }
+  const FlatEstimator& flat_estimator() const { return flat_estimator_; }
 
-  /// Legacy tree-walking estimator (reference path; the flat estimator is
-  /// bit-identical to it). Thread-safe. Graph-backed snapshots only.
-  const XClusterEstimator& estimator() const { return *estimator_; }
+  /// Cluster count (harness/stats surface).
+  uint32_t num_clusters() const { return flat_->num_nodes(); }
 
-  /// Cluster count, whichever backing (harness/stats surface).
-  uint32_t num_clusters() const { return flat_ptr_->num_nodes(); }
-
-  /// Resident size, whichever backing: the synopsis size model for
-  /// graph-backed snapshots, the image byte count for mapped ones.
-  size_t size_bytes() const;
+  /// Resident size recorded at install (see Make).
+  size_t size_bytes() const { return size_bytes_; }
 
   /// Monotonically increasing across the owning store; a reload of the
   /// same name yields a snapshot with a larger generation. Replication
@@ -100,19 +74,14 @@ class StoredSynopsis {
   uint64_t installed_ns() const { return installed_ns_; }
 
  private:
-  StoredSynopsis(std::string name, XCluster synopsis, uint64_t generation,
+  StoredSynopsis(std::string name, std::shared_ptr<const FlatSynopsis> flat,
+                 size_t size_bytes, uint64_t generation,
                  EstimateOptions options, std::string source);
-  StoredSynopsis(std::string name, storage::XcsfMmapView view,
-                 uint64_t generation, EstimateOptions options,
-                 std::string source);
 
   std::string name_;
-  std::unique_ptr<XCluster> xcluster_;             // null when mapped
-  std::optional<storage::XcsfMmapView> view_;      // engaged when mapped
-  std::unique_ptr<XClusterEstimator> estimator_;   // references *xcluster_
-  std::unique_ptr<FlatSynopsis> flat_;             // compiled form only
-  const FlatSynopsis* flat_ptr_ = nullptr;         // -> flat_ or view_'s
-  std::unique_ptr<FlatEstimator> flat_estimator_;  // references *flat_ptr_
+  std::shared_ptr<const FlatSynopsis> flat_;
+  FlatEstimator flat_estimator_;  // references *flat_
+  size_t size_bytes_ = 0;
   uint64_t generation_ = 0;
   std::string source_;
   uint64_t installed_ns_ = 0;
@@ -148,7 +117,8 @@ class SynopsisStore {
 
   /// Publishes `synopsis` under `name`, replacing any previous snapshot
   /// (which stays alive until its last in-flight reader drops it).
-  /// Returns the installed snapshot.
+  /// Returns the installed snapshot, which keeps synopsis.flat() and not
+  /// the graph.
   ///
   /// `generation` 0 (the default) auto-assigns the store's next
   /// generation; a nonzero value pins it — replication pushes carry the
@@ -223,8 +193,8 @@ class SynopsisStore {
       const std::string& name, std::shared_ptr<const StoredSynopsis> snapshot,
       bool pinned);
 
-  /// Builds the mapped snapshot for an XCSF wire payload: spool + mmap
-  /// when a spool dir is configured, adopt-in-place otherwise.
+  /// Maps an XCSF wire payload: spool + mmap when a spool dir is
+  /// configured, adopt-in-place otherwise.
   Result<std::shared_ptr<const StoredSynopsis>> InstallXcsfFromWire(
       const std::string& name, std::string_view bytes,
       const std::string& source, uint64_t generation);

@@ -484,7 +484,7 @@ Result<XcsfMmapView> XcsfMmapView::Attach(std::shared_ptr<const void> holder,
   view.file_backed_ = file_backed;
   view.header_ = validated.header;
   view.sections_ = std::move(validated.sections);
-  view.flat_ = std::make_unique<FlatSynopsis>(
+  view.flat_ = std::make_shared<const FlatSynopsis>(
       validated.cols, validated.summaries, validated.labels,
       std::move(validated.terms), view.holder_);
   XCLUSTER_COUNTER_INC("storage.xcsf.maps");

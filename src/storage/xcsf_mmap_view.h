@@ -54,6 +54,13 @@ class XcsfMmapView {
   /// the view; alive until the view is destroyed.
   const FlatSynopsis& flat() const { return *flat_; }
 
+  /// The same FlatSynopsis as a shared handle. It pins the mapping (or
+  /// adopted buffer) by itself, so it may outlive the view — this is how
+  /// a served snapshot keeps only the FlatSynopsis.
+  const std::shared_ptr<const FlatSynopsis>& shared_flat() const {
+    return flat_;
+  }
+
   const XcsfHeader& header() const { return header_; }
   const std::vector<XcsfSection>& sections() const { return sections_; }
   /// Total mapped (or adopted) bytes.
@@ -73,7 +80,7 @@ class XcsfMmapView {
   bool file_backed_ = false;
   XcsfHeader header_;
   std::vector<XcsfSection> sections_;
-  std::unique_ptr<FlatSynopsis> flat_;
+  std::shared_ptr<const FlatSynopsis> flat_;
 };
 
 /// Full integrity check of an XCSF image without installing it: header,

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/imdb.h"
-#include "estimate/estimator.h"
+#include "oracle/xcluster_estimator.h"
 #include "synopsis/reference.h"
 #include "workload/metrics.h"
 

@@ -1,10 +1,10 @@
-// Tests for the vectorized batch estimation engine: lane grouping
-// (BatchPlan) and the structure-of-arrays DP (BatchEstimator), plus the
-// service-level EstimateBatch vectorized path. The load-bearing property
-// throughout is *bit identity*: every lane-evaluated estimate must EXPECT_EQ
-// the double the scalar FlatEstimator produces for the same query — across
-// shuffled batches, duplicate queries, parse errors interleaved, and any
-// worker count.
+// Tests for the batch estimation engine: lane grouping (BatchPlan) and
+// the structure-of-arrays DP (BatchEstimator), plus the service-level
+// EstimateBatch path built on them. The load-bearing property throughout
+// is *bit identity*: every lane-evaluated estimate must EXPECT_EQ the
+// double FlatEstimator::Estimate (and so EstimateOne) produces for the
+// same query — across shuffled batches, duplicate queries, parse errors
+// interleaved, explain batches, and any worker count.
 #include "estimate/batch_estimator.h"
 
 #include <gtest/gtest.h>
@@ -181,8 +181,8 @@ TEST(BatchEstimatorTest, CyclicLanesBitIdenticalToScalar) {
 
 TEST(BatchEstimatorTest, UnknownTermLanesEstimateExactlyZero) {
   // contains() with a term absent from the dictionary short-circuits to
-  // 0.0 in the scalar path; lanes must reproduce that exactly even when
-  // grouped with lanes that estimate nonzero.
+  // 0.0 in FlatEstimator::Estimate; lanes must reproduce that exactly even
+  // when grouped with lanes that estimate nonzero.
   ExpectLanesMatchScalar(MakeFig7(),
                          {"/A/B/C[contains(nosuchterm)]", "/A/B/C[range(0,4)]",
                           "/A/B/C[contains(alsomissing)]"});
@@ -286,33 +286,19 @@ void RunShuffledBatchSuite(size_t workers) {
       }
       queries.push_back(queries[0]);
 
-      BatchOptions vectorized;  // default: vectorize = true
-      BatchResult batch =
-          service->EstimateBatch(target.collection, queries, vectorized);
+      BatchResult batch = service->EstimateBatch(target.collection, queries);
       ASSERT_TRUE(batch.admission.ok());
       ASSERT_EQ(batch.results.size(), queries.size());
-
-      BatchOptions scalar_mode;
-      scalar_mode.vectorize = false;
-      BatchResult scalar =
-          service->EstimateBatch(target.collection, queries, scalar_mode);
-      ASSERT_TRUE(scalar.admission.ok());
-      EXPECT_EQ(scalar.stats.batch_groups, 0u);
-      EXPECT_EQ(scalar.stats.vector_lanes, 0u);
       EXPECT_GT(batch.stats.batch_groups, 0u);
       EXPECT_GE(batch.stats.vector_lanes, batch.stats.batch_groups);
 
       for (size_t i = 0; i < queries.size(); ++i) {
-        // Slot-for-slot: same status code, bit-identical estimate, and
-        // both must equal the inline scalar EstimateOne result.
+        // Slot-for-slot: same status code and bit-identical estimate as
+        // the inline EstimateOne result.
         const QueryResult& v = batch.results[i];
-        const QueryResult& s = scalar.results[i];
-        EXPECT_EQ(v.status.code(), s.status.code())
-            << target.collection << " '" << queries[i] << "'";
-        EXPECT_EQ(v.estimate, s.estimate)
-            << target.collection << " '" << queries[i] << "'";
         QueryResult one = service->EstimateOne(target.collection, queries[i]);
-        EXPECT_EQ(v.status.code(), one.status.code());
+        EXPECT_EQ(v.status.code(), one.status.code())
+            << target.collection << " '" << queries[i] << "'";
         EXPECT_EQ(v.estimate, one.estimate)
             << target.collection << " '" << queries[i] << "'";
       }
@@ -328,19 +314,46 @@ TEST(BatchEstimatorServiceTest, ShuffledBatchesBitIdenticalWorkers8) {
   RunShuffledBatchSuite(8);
 }
 
-TEST(BatchEstimatorServiceTest, ExplainBatchesFallBackToScalarPath) {
+/// Explain batches run the same lane groups; each slot must match
+/// EstimateOne(..., /*explain=*/true): status code, estimate bits, and
+/// explanation text.
+void RunExplainBatch(size_t workers) {
   ServiceOptions options;
-  options.executor.num_threads = 2;
+  options.executor.num_threads = workers;
   auto service = std::make_unique<EstimationService>(options);
   service->store().Install("fig7", MakeFixtureCluster(MakeFig7()));
+  // Duplicates (slots 0/4, 1/5) collapse onto one lane each; /A/B/C with
+  // two predicates shares a group; slot 3 does not parse.
+  const std::vector<std::string> queries = {
+      "/A/B/C[range(0,4)]", "//E", "/A/B/C[range(2,7)]", "][broken",
+      "/A/B/C[range(0,4)]", "//E", "/A[/B]/D",
+  };
   BatchOptions explain;
-  explain.explain = true;  // vectorize stays true but explain wins
-  BatchResult batch =
-      service->EstimateBatch("fig7", {"/A/B/C[range(0,4)]", "//E"}, explain);
+  explain.explain = true;
+  BatchResult batch = service->EstimateBatch("fig7", queries, explain);
   ASSERT_TRUE(batch.admission.ok());
-  EXPECT_EQ(batch.stats.batch_groups, 0u);  // scalar path ran
-  ASSERT_TRUE(batch.results[0].status.ok());
-  EXPECT_FALSE(batch.results[0].explanation.empty());
+  ASSERT_EQ(batch.results.size(), queries.size());
+  EXPECT_EQ(batch.stats.ok, queries.size() - 1);
+  EXPECT_EQ(batch.stats.batch_groups, 3u);
+  EXPECT_EQ(batch.stats.vector_lanes, 4u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryResult one =
+        service->EstimateOne("fig7", queries[i], /*explain=*/true);
+    const QueryResult& slot = batch.results[i];
+    EXPECT_EQ(slot.status.code(), one.status.code()) << queries[i];
+    EXPECT_EQ(slot.estimate, one.estimate) << queries[i];
+    EXPECT_EQ(slot.explanation, one.explanation) << queries[i];
+  }
+  EXPECT_EQ(batch.results[3].status.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(batch.results[0].explanation.find("q3 /C"), std::string::npos);
+}
+
+TEST(BatchEstimatorServiceTest, ExplainBatchMatchesEstimateOneInline) {
+  RunExplainBatch(0);
+}
+
+TEST(BatchEstimatorServiceTest, ExplainBatchMatchesEstimateOneWorkers4) {
+  RunExplainBatch(4);
 }
 
 }  // namespace

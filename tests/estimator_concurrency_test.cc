@@ -1,9 +1,10 @@
-// Regression tests for concurrent use of one XClusterEstimator. The
-// descendant-reachability memo (descendant_cache_) used to be an
-// unsynchronized mutable map — racing Estimate() calls from two threads
-// was undefined behavior. These tests drive descendant-heavy queries from
-// many threads at once and are part of the TSan suite in CI.
-#include "estimate/estimator.h"
+// Regression tests for concurrent use of one FlatEstimator, the engine
+// every served snapshot shares across request threads. The descendant
+// reach memo is shared mutable state; these tests drive descendant-heavy
+// queries from many threads at once, hold every answer bit-identical to
+// the graph-walking oracle in tests/oracle, and are part of the TSan
+// suite in CI.
+#include "estimate/flat_estimator.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_synopsis.h"
+#include "oracle/xcluster_estimator.h"
 #include "query/parser.h"
 #include "synopsis/graph.h"
 
@@ -52,18 +56,21 @@ const std::vector<std::string> kDescendantQueries = {
 TEST(EstimatorConcurrencyTest, ParallelDescendantQueriesMatchSerial) {
   GraphSynopsis synopsis = MakeDeepSynopsis();
 
-  // Serial baseline on a fresh estimator (cold cache).
+  // Serial baseline from the oracle (cold cache).
   std::vector<double> expected;
   {
-    XClusterEstimator baseline(synopsis);
+    XClusterEstimator oracle(synopsis);
     for (const std::string& query : kDescendantQueries) {
-      expected.push_back(baseline.Estimate(MustParse(query)));
+      expected.push_back(oracle.Estimate(MustParse(query)));
     }
   }
+  // //E: the product of the chain's edge counts.
+  EXPECT_EQ(expected[0], 4.0 * 8 * 16 * 32 * 64);
 
   // One shared estimator, many threads, repeated passes: the first pass
   // races cache fills, later passes race reads against late writers.
-  XClusterEstimator shared(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator shared(flat);
   constexpr int kThreads = 8;
   constexpr int kPasses = 25;
   std::vector<std::vector<double>> got(kThreads);
@@ -76,8 +83,8 @@ TEST(EstimatorConcurrencyTest, ParallelDescendantQueriesMatchSerial) {
         for (size_t i = 0; i < kDescendantQueries.size(); ++i) {
           const size_t index = (i + static_cast<size_t>(t)) %
                                kDescendantQueries.size();
-          const double estimate =
-              shared.Estimate(MustParse(kDescendantQueries[index]));
+          const double estimate = shared.Estimate(CompiledTwig::Compile(
+              MustParse(kDescendantQueries[index]), flat));
           if (pass == 0) continue;  // warm-up
           got[t].push_back(estimate - expected[index]);
         }
@@ -88,7 +95,7 @@ TEST(EstimatorConcurrencyTest, ParallelDescendantQueriesMatchSerial) {
 
   for (int t = 0; t < kThreads; ++t) {
     for (double delta : got[t]) {
-      // Bit-identical to the cold-cache serial answer.
+      // Bit-identical to the oracle's cold-cache serial answer.
       EXPECT_EQ(delta, 0.0) << "thread " << t;
     }
   }
@@ -96,11 +103,15 @@ TEST(EstimatorConcurrencyTest, ParallelDescendantQueriesMatchSerial) {
 
 TEST(EstimatorConcurrencyTest, ExplainIsSafeAlongsideEstimate) {
   GraphSynopsis synopsis = MakeDeepSynopsis();
-  XClusterEstimator shared(synopsis);
-  const TwigQuery probe = MustParse("//C//E");
-  const double expected = shared.Estimate(probe);
-  const std::string expected_explanation =
-      shared.Explain(probe).ToString();
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator shared(flat);
+  const TwigQuery query = MustParse("//C//E");
+  const CompiledTwig probe = CompiledTwig::Compile(query, flat);
+  const XClusterEstimator oracle(synopsis);
+  const double expected = oracle.Estimate(query);
+  const std::string expected_explanation = oracle.Explain(query).ToString();
+  // 4*8*16 C elements under the root, each with 32*64 E descendants.
+  EXPECT_EQ(expected, 4.0 * 8 * 16 * 32 * 64);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {

@@ -1,7 +1,14 @@
-#include "estimate/estimator.h"
+// Tests for the estimation engine (Sec. 5): every case runs the serving
+// path — FlatEstimator over a compiled FlatSynopsis — asserts the paper's
+// expected value, and asserts the double is bit-identical to the
+// graph-walking reference estimator in tests/oracle.
+#include "estimate/flat_estimator.h"
 
 #include <gtest/gtest.h>
 
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_synopsis.h"
+#include "oracle/xcluster_estimator.h"
 #include "query/parser.h"
 
 namespace xcluster {
@@ -11,6 +18,39 @@ TwigQuery MustParse(std::string_view input) {
   Result<TwigQuery> result = ParseTwig(input);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// Estimates `query` with FlatEstimator and checks it equals the oracle's
+/// double exactly.
+double Estimate(const GraphSynopsis& synopsis, const TwigQuery& query,
+                EstimateOptions options = EstimateOptions()) {
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat, options);
+  const double estimate =
+      estimator.Estimate(CompiledTwig::Compile(query, flat));
+  EXPECT_EQ(estimate, XClusterEstimator(synopsis, options).Estimate(query))
+      << query.ToString();
+  return estimate;
+}
+
+double Estimate(const GraphSynopsis& synopsis, std::string_view twig,
+                EstimateOptions options = EstimateOptions()) {
+  return Estimate(synopsis, MustParse(twig), options);
+}
+
+/// FlatEstimator::Explain, checked against the oracle's breakdown: the
+/// same doubles and the same rendering.
+EstimateExplanation Explain(const GraphSynopsis& synopsis,
+                            std::string_view twig) {
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
+  const TwigQuery query = MustParse(twig);
+  EstimateExplanation explanation =
+      estimator.Explain(CompiledTwig::Compile(query, flat));
+  const EstimateExplanation oracle = XClusterEstimator(synopsis).Explain(query);
+  EXPECT_EQ(explanation.selectivity, oracle.selectivity) << twig;
+  EXPECT_EQ(explanation.ToString(), oracle.ToString()) << twig;
+  return explanation;
 }
 
 /// The synopsis of Figure 7(a): R -10-> A; A -10-> B -5-> C (C carries a
@@ -39,8 +79,7 @@ struct Fig7 {
   }
 
   double Estimate(std::string_view twig) {
-    XClusterEstimator estimator(synopsis);
-    return estimator.Estimate(MustParse(twig));
+    return xcluster::Estimate(synopsis, twig);
   }
 };
 
@@ -105,10 +144,9 @@ TEST(EstimatorTest, DefaultSelectivityFallbackOnUnsummarizedCluster) {
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
   EstimateOptions options;
   options.default_selectivity = 0.25;
-  XClusterEstimator estimator(synopsis, options);
-  EXPECT_NEAR(estimator.Estimate(MustParse("/Y[range(0,10)]")), 10.0, 1e-9);
+  EXPECT_NEAR(Estimate(synopsis, "/Y[range(0,10)]", options), 10.0, 1e-9);
   // Kind-incompatible predicates still estimate zero.
-  EXPECT_EQ(estimator.Estimate(MustParse("/Y[contains(x)]")), 0.0);
+  EXPECT_EQ(Estimate(synopsis, "/Y[contains(x)]", options), 0.0);
 }
 
 TEST(EstimatorTest, FtAnyUsesInclusionExclusion) {
@@ -122,13 +160,10 @@ TEST(EstimatorTest, FtAnyUsesInclusionExclusion) {
   synopsis.node(t).vsumm =
       ValueSummary::FromTexts({{love}, {love}, {war}, {}});
   synopsis.set_term_dictionary(dict);
-  XClusterEstimator estimator(synopsis);
   // w[love] = 0.5, w[war] = 0.25 -> 4 * (1 - 0.5*0.75) = 2.5.
-  EXPECT_NEAR(estimator.Estimate(MustParse("/T[ftany(love,war)]")), 2.5,
-              1e-9);
+  EXPECT_NEAR(Estimate(synopsis, "/T[ftany(love,war)]"), 2.5, 1e-9);
   // Unknown terms drop out of a disjunction.
-  EXPECT_NEAR(estimator.Estimate(MustParse("/T[ftany(love,unseen)]")), 2.0,
-              1e-9);
+  EXPECT_NEAR(Estimate(synopsis, "/T[ftany(love,unseen)]"), 2.0, 1e-9);
 }
 
 TEST(EstimatorTest, FtSimilarUsesPoissonBinomial) {
@@ -142,15 +177,11 @@ TEST(EstimatorTest, FtSimilarUsesPoissonBinomial) {
   synopsis.node(t).vsumm = ValueSummary::FromTexts(
       {{a, b}, {a, b}, {a}, {a}, {b}, {b}, {}, {}});  // w[a]=w[b]=0.5
   synopsis.set_term_dictionary(dict);
-  XClusterEstimator estimator(synopsis);
   // >= 50% of {alpha, beta} = at least 1 match: 8 * 0.75 = 6.
-  EXPECT_NEAR(
-      estimator.Estimate(MustParse("/T[ftsimilar(50,alpha,beta)]")), 6.0,
-      1e-9);
+  EXPECT_NEAR(Estimate(synopsis, "/T[ftsimilar(50,alpha,beta)]"), 6.0, 1e-9);
   // 100%: both terms: 8 * 0.25 = 2.
-  EXPECT_NEAR(
-      estimator.Estimate(MustParse("/T[ftsimilar(100,alpha,beta)]")), 2.0,
-      1e-9);
+  EXPECT_NEAR(Estimate(synopsis, "/T[ftsimilar(100,alpha,beta)]"), 2.0,
+              1e-9);
 }
 
 TEST(EstimatorTest, UnknownFtTermIsZero) {
@@ -160,8 +191,8 @@ TEST(EstimatorTest, UnknownFtTermIsZero) {
 
 TEST(EstimatorTest, EmptySynopsis) {
   GraphSynopsis synopsis;
-  XClusterEstimator estimator(synopsis);
-  EXPECT_EQ(estimator.Estimate(TwigQuery()), 0.0);
+  EXPECT_EQ(Estimate(synopsis, TwigQuery()), 0.0);
+  EXPECT_EQ(Estimate(synopsis, "//A"), 0.0);
 }
 
 TEST(EstimatorTest, CycleSafeDescendant) {
@@ -176,9 +207,8 @@ TEST(EstimatorTest, CycleSafeDescendant) {
   synopsis.AddEdge(parlist, parlist, 0.5);
   synopsis.AddEdge(parlist, text, 1.0);
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
-  XClusterEstimator estimator(synopsis);
   // //text: sum over depths: 10 * (1 + 0.5 + 0.25 + ...) * 1 = 20.
-  EXPECT_NEAR(estimator.Estimate(MustParse("//text")), 20.0, 1e-3);
+  EXPECT_NEAR(Estimate(synopsis, "//text"), 20.0, 1e-3);
 }
 
 TEST(EstimatorTest, HopLimitBoundsDivergentCycles) {
@@ -192,9 +222,8 @@ TEST(EstimatorTest, HopLimitBoundsDivergentCycles) {
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
   EstimateOptions options;
   options.max_descendant_hops = 8;
-  XClusterEstimator estimator(synopsis, options);
-  double estimate = estimator.Estimate(MustParse("//L"));
-  EXPECT_NEAR(estimate, 8.0, 1e-9);  // one unit per hop, capped at 8
+  EXPECT_NEAR(Estimate(synopsis, "//L", options), 8.0,
+              1e-9);  // one unit per hop, capped at 8
 }
 
 TEST(EstimatorTest, BranchesMultiply) {
@@ -205,9 +234,7 @@ TEST(EstimatorTest, BranchesMultiply) {
 
 TEST(EstimatorTest, ExplainReportsPerVariableCardinalities) {
   Fig7 f;
-  XClusterEstimator estimator(f.synopsis);
-  EstimateExplanation explanation =
-      estimator.Explain(MustParse("/A/B/C[range(0,4)]"));
+  EstimateExplanation explanation = Explain(f.synopsis, "/A/B/C[range(0,4)]");
   EXPECT_NEAR(explanation.selectivity, 250.0, 1e-9);
   ASSERT_EQ(explanation.vars.size(), 4u);
   EXPECT_NEAR(explanation.vars[0].expected_bindings, 1.0, 1e-9);   // root
@@ -222,9 +249,7 @@ TEST(EstimatorTest, ExplainReportsPerVariableCardinalities) {
 
 TEST(EstimatorTest, ExplainBranchesDoNotMultiplySiblings) {
   Fig7 f;
-  XClusterEstimator estimator(f.synopsis);
-  EstimateExplanation explanation =
-      estimator.Explain(MustParse("/A[/B]/D"));
+  EstimateExplanation explanation = Explain(f.synopsis, "/A[/B]/D");
   // Per-variable counts: B = 100 reached, D = 50 reached — independent of
   // the tuple count (500).
   ASSERT_EQ(explanation.vars.size(), 4u);
@@ -240,8 +265,7 @@ TEST(EstimatorTest, SelfLoopChildStep) {
   synopsis.AddEdge(root, p, 10.0);
   synopsis.AddEdge(p, p, 2.0);
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
-  XClusterEstimator estimator(synopsis);
-  EXPECT_NEAR(estimator.Estimate(MustParse("/p/p")), 20.0, 1e-9);
+  EXPECT_NEAR(Estimate(synopsis, "/p/p"), 20.0, 1e-9);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Bit-identity tests for the flat estimation path: for every query,
+// Bit-identity tests for the estimation engine: for every query,
 // FlatEstimator::Estimate over the compiled plan must return the *same
-// double* (EXPECT_EQ, not EXPECT_NEAR) as XClusterEstimator::Estimate over
-// the source synopsis. Exercised on hand-built fixtures, on merged
-// (budget-built) synopses with dead arena nodes, and across the fig8-style
-// generated workload suites for both XMark and IMDB.
+// double* (EXPECT_EQ, not EXPECT_NEAR) as the graph-walking reference
+// estimator (tests/oracle, XClusterEstimator) over the source synopsis.
+// Exercised on hand-built fixtures, on merged (budget-built) synopses with
+// dead arena nodes, and across the fig8-style generated workload suites
+// for both XMark and IMDB.
 #include "estimate/flat_estimator.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include "data/imdb.h"
 #include "data/xmark.h"
 #include "estimate/compiled_twig.h"
-#include "estimate/estimator.h"
+#include "oracle/xcluster_estimator.h"
 #include "estimate/flat_synopsis.h"
 #include "query/parser.h"
 #include "synopsis/graph.h"

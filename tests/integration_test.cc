@@ -3,7 +3,7 @@
 #include "build/builder.h"
 #include "data/imdb.h"
 #include "data/xmark.h"
-#include "estimate/estimator.h"
+#include "oracle/xcluster_estimator.h"
 #include "eval/evaluator.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"

@@ -11,7 +11,7 @@
 #include "build/delta.h"
 #include "common/rng.h"
 #include "core/xcluster.h"
-#include "estimate/estimator.h"
+#include "oracle/xcluster_estimator.h"
 #include "eval/evaluator.h"
 #include "synopsis/reference.h"
 #include "xml/document.h"

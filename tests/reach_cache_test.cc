@@ -1,8 +1,9 @@
 // Tests for the bounded, sharded descendant-reach LRU (ReachCache) and for
-// the estimator that now sits on top of it: capacity is a hard bound,
+// the FlatEstimator that sits on top of it: capacity is a hard bound,
 // eviction follows LRU order, racing writers keep the first value, and —
 // the property everything else depends on — estimates stay bit-identical
-// under concurrency even when the cache is small enough to thrash.
+// to the oracle under concurrency even when the cache is small enough to
+// thrash.
 #include "estimate/reach_cache.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,10 @@
 #include <thread>
 #include <vector>
 
-#include "estimate/estimator.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
+#include "oracle/xcluster_estimator.h"
 #include "query/parser.h"
 #include "synopsis/graph.h"
 
@@ -169,10 +173,15 @@ TEST(ReachCacheTest, EstimatorCacheStaysBoundedAndCounts) {
   EstimateOptions options;
   options.reach_cache_capacity = 4;
   options.reach_cache_shards = 2;
-  XClusterEstimator estimator(synopsis, options);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat, options);
+  const XClusterEstimator oracle(synopsis);
   for (int pass = 0; pass < 3; ++pass) {
     for (const std::string& query : kDescendantQueries) {
-      estimator.Estimate(MustParse(query));
+      const TwigQuery twig = MustParse(query);
+      EXPECT_EQ(estimator.Estimate(CompiledTwig::Compile(twig, flat)),
+                oracle.Estimate(twig))
+          << query;
     }
   }
   const ReachCache& cache = estimator.reach_cache();
@@ -184,21 +193,24 @@ TEST(ReachCacheTest, EstimatorCacheStaysBoundedAndCounts) {
 TEST(ReachCacheTest, ConcurrentEstimatesDeterministicUnderEviction) {
   // A capacity small enough that the working set cannot fit forces
   // continuous evict/recompute churn; estimates must still be
-  // bit-identical to the cold serial baseline from every thread.
+  // bit-identical to the oracle's cold serial answers from every thread.
   GraphSynopsis synopsis = MakeDeepSynopsis();
 
   std::vector<double> expected;
   {
-    XClusterEstimator baseline(synopsis);
+    XClusterEstimator oracle(synopsis);
     for (const std::string& query : kDescendantQueries) {
-      expected.push_back(baseline.Estimate(MustParse(query)));
+      expected.push_back(oracle.Estimate(MustParse(query)));
     }
   }
+  // //E: the product of the chain's edge counts.
+  EXPECT_EQ(expected[0], 4.0 * 8 * 16 * 32 * 64);
 
   EstimateOptions options;
   options.reach_cache_capacity = 3;
   options.reach_cache_shards = 1;
-  XClusterEstimator shared(synopsis, options);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator shared(flat, options);
   constexpr int kThreads = 8;
   constexpr int kPasses = 20;
   std::vector<int> mismatches(kThreads, 0);
@@ -210,8 +222,8 @@ TEST(ReachCacheTest, ConcurrentEstimatesDeterministicUnderEviction) {
         for (size_t i = 0; i < kDescendantQueries.size(); ++i) {
           const size_t index =
               (i + static_cast<size_t>(t)) % kDescendantQueries.size();
-          const double estimate =
-              shared.Estimate(MustParse(kDescendantQueries[index]));
+          const double estimate = shared.Estimate(CompiledTwig::Compile(
+              MustParse(kDescendantQueries[index]), flat));
           if (estimate != expected[index]) ++mismatches[t];
         }
       }

@@ -33,6 +33,14 @@ XCluster MakeSynopsis(double count) {
   return XCluster(std::move(synopsis));
 }
 
+/// Estimate through the serving hot path: the snapshot's FlatEstimator
+/// over a plan compiled against its FlatSynopsis.
+double FlatEstimate(const StoredSynopsis& snapshot, const std::string& query) {
+  const CompiledTwig plan =
+      CompiledTwig::Compile(MustParse(query), snapshot.flat());
+  return snapshot.flat_estimator().Estimate(plan);
+}
+
 TEST(SynopsisStoreTest, InstallGetRemove) {
   SynopsisStore store;
   EXPECT_EQ(store.Get("movies"), nullptr);
@@ -103,12 +111,11 @@ TEST(SynopsisStoreTest, SnapshotSurvivesReplaceAndRemove) {
   store.Install("c", MakeSynopsis(9.0));  // hot swap
   EXPECT_NE(store.Get("c").get(), held.get());
   // The old snapshot still answers queries with its own data.
-  EXPECT_NEAR(held->estimator().Estimate(MustParse("/A")), 5.0, 1e-9);
-  EXPECT_NEAR(store.Get("c")->estimator().Estimate(MustParse("/A")), 9.0,
-              1e-9);
+  EXPECT_NEAR(FlatEstimate(*held, "/A"), 5.0, 1e-9);
+  EXPECT_NEAR(FlatEstimate(*store.Get("c"), "/A"), 9.0, 1e-9);
 
   store.Remove("c");
-  EXPECT_NEAR(held->estimator().Estimate(MustParse("/A")), 5.0, 1e-9);
+  EXPECT_NEAR(FlatEstimate(*held, "/A"), 5.0, 1e-9);
 }
 
 TEST(SynopsisStoreTest, LoadFileFailureLeavesCatalogUntouched) {
@@ -130,13 +137,12 @@ TEST(SynopsisStoreTest, ConcurrentHotSwapNeverTearsReaders) {
   std::atomic<bool> stop{false};
   std::atomic<int> reads{0};
   std::vector<std::thread> readers;
-  const TwigQuery query = MustParse("/A");
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         auto snapshot = store.Get("c");
         if (snapshot == nullptr) continue;  // momentarily removed
-        const double estimate = snapshot->estimator().Estimate(query);
+        const double estimate = FlatEstimate(*snapshot, "/A");
         // Writers only ever install counts 100 or 200.
         EXPECT_TRUE(estimate == 100.0 || estimate == 200.0) << estimate;
         ++reads;
@@ -162,14 +168,6 @@ TEST(SynopsisStoreTest, ConcurrentHotSwapNeverTearsReaders) {
 
 // --- XCSF (mapped) snapshots ---------------------------------------------
 
-/// Estimate through the serving hot path (flat estimator over a compiled
-/// plan) — the only estimation surface mapped snapshots provide.
-double FlatEstimate(const StoredSynopsis& snapshot, const std::string& query) {
-  const CompiledTwig plan =
-      CompiledTwig::Compile(MustParse(query), snapshot.flat());
-  return snapshot.flat_estimator().Estimate(plan);
-}
-
 /// Writes MakeSynopsis(count) as an XCSF image and returns its path.
 std::string WriteXcsf(const std::string& file, double count) {
   const std::string path = testing::TempDir() + "/" + file;
@@ -185,14 +183,14 @@ TEST(SynopsisStoreTest, LoadFileAutoDetectsXcsf) {
   auto loaded = store.LoadFile("movies", path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto& snapshot = *loaded.value();
-  EXPECT_TRUE(snapshot.mapped());
+  EXPECT_TRUE(snapshot.flat().mapped());
   EXPECT_EQ(snapshot.num_clusters(), 2u);
   EXPECT_GT(snapshot.size_bytes(), 0u);
   EXPECT_EQ(snapshot.source(), path);
   EXPECT_NEAR(FlatEstimate(snapshot, "/A"), 7.0, 1e-9);
   // The same store also still takes graph installs under other names.
   auto graph = store.Install("graph", MakeSynopsis(3.0));
-  EXPECT_FALSE(graph->mapped());
+  EXPECT_FALSE(graph->flat().mapped());
   EXPECT_NEAR(FlatEstimate(*graph, "/A"), 3.0, 1e-9);
 }
 
@@ -255,7 +253,7 @@ TEST(SynopsisStoreTest, WireXcsfInstallAdoptsBufferAndRespectsGenerations) {
   SynopsisStore store;
   auto installed = store.InstallFromWire("c", image, "peer-1", 5);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
-  EXPECT_TRUE(installed.value()->mapped());
+  EXPECT_TRUE(installed.value()->flat().mapped());
   EXPECT_EQ(installed.value()->generation(), 5u);
   EXPECT_EQ(installed.value()->source(), "wire:peer-1");
   EXPECT_NEAR(FlatEstimate(*installed.value(), "/A"), 8.0, 1e-9);
@@ -277,7 +275,7 @@ TEST(SynopsisStoreTest, WireXcsfInstallSpoolsToDisk) {
   store.SetSpoolDir(testing::TempDir());
   auto installed = store.InstallFromWire("c/with:odd chars", image, "peer", 0);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
-  EXPECT_TRUE(installed.value()->mapped());
+  EXPECT_TRUE(installed.value()->flat().mapped());
   // The spooled image is a complete, loadable XCSF file: a restarted
   // replica can cold-start straight from it.
   const std::string spooled =

@@ -7,7 +7,7 @@
 
 #include "build/builder.h"
 #include "eval/evaluator.h"
-#include "estimate/estimator.h"
+#include "oracle/xcluster_estimator.h"
 #include "query/parser.h"
 #include "synopsis/reference.h"
 

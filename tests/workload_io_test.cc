@@ -5,7 +5,7 @@
 #include <fstream>
 
 #include "data/xmark.h"
-#include "estimate/estimator.h"
+#include "oracle/xcluster_estimator.h"
 #include "synopsis/reference.h"
 #include "workload/metrics.h"
 

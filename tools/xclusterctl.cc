@@ -13,11 +13,12 @@
 //
 //   xclusterctl estimate --synopsis synopsis.xcs --query "//a[range(1,9)]/b"
 //   xclusterctl estimate --synopsis synopsis.xcs --queries queries.txt
-//       Loads a synopsis and prints the estimated selectivity of a twig
-//       query (see query/parser.h for the syntax). With --queries, the
-//       synopsis is loaded once into a SynopsisStore and every line of the
-//       file is estimated against the shared snapshot, reporting per-query
-//       latency; --workers N fans the batch across a thread pool.
+//       Loads a synopsis (.xcs or .xcsf) into a SynopsisStore and prints
+//       the estimated selectivity of a twig query (see query/parser.h for
+//       the syntax); --explain prints the per-variable breakdown instead.
+//       With --queries, every line of the file is estimated as one batch
+//       against the shared snapshot, reporting per-query latency;
+//       --workers N fans the batch across a thread pool.
 //
 //   xclusterctl serve --stdin [--workers N] [--queue N]
 //               [--preload name=f.xcs ...] [--reach-cache-capacity N]
@@ -124,13 +125,9 @@
 #include "core/xcluster.h"
 #include "data/imdb.h"
 #include "data/xmark.h"
-#include "estimate/estimator.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
-#include "query/parser.h"
-#include "estimate/compiled_twig.h"
-#include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
 #include "service/harness.h"
 #include "service/service.h"
@@ -349,8 +346,8 @@ int EstimateFile(const std::string& synopsis_path,
     }
   }
   // Per-query latency summary straight from the telemetry histogram the
-  // service records into on both the scalar and vectorized batch paths
-  // (the estimator's own estimate.latency_ns only counts scalar DP runs).
+  // service records every batch slot into (the estimator's own
+  // estimate.latency_ns only counts FlatEstimator::Estimate runs).
   telemetry::MetricsSnapshot snapshot =
       telemetry::MetricsRegistry::Global().Snapshot();
   for (const auto& histogram : snapshot.histograms) {
@@ -378,38 +375,22 @@ int Estimate(const Args& args) {
                         static_cast<size_t>(args.GetInt("workers", 0)),
                         args.Has("explain"));
   }
-  if (storage::SniffXcsfFile(path)) {
-    // Mapped image: estimate through the flat path (the only path a
-    // mapped synopsis has — and it is bit-identical to the graph one).
-    Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(path);
-    if (!view.ok()) return Fail("load: " + view.status().ToString());
-    if (args.Has("explain")) {
-      return Fail(
-          "explain needs the synopsis graph; run it against the .xcs");
-    }
-    Result<TwigQuery> parsed = ParseTwig(query);
-    if (!parsed.ok()) return Fail("query: " + parsed.status().ToString());
-    const FlatSynopsis& flat = view.value().flat();
-    const CompiledTwig plan = CompiledTwig::Compile(parsed.value(), flat);
-    FlatEstimator estimator(flat);
-    std::printf("%.6g\n", estimator.Estimate(plan));
-    return 0;
+  // One query takes the same load path as --queries (either format,
+  // sniffed by SynopsisStore::LoadFile), then one inline EstimateOne.
+  EstimationService service;
+  auto loaded = service.store().LoadFile("default", path);
+  if (!loaded.ok()) return Fail("load: " + loaded.status().ToString());
+  const bool explain = args.Has("explain");
+  const QueryResult result = service.EstimateOne("default", query, explain);
+  if (!result.status.ok()) {
+    return Fail("query: " + result.status.ToString());
   }
-  Result<XCluster> synopsis = XCluster::Load(path);
-  if (!synopsis.ok()) return Fail("load: " + synopsis.status().ToString());
-  Result<double> estimate = synopsis.value().EstimateSelectivity(query);
-  if (!estimate.ok()) {
-    return Fail("query: " + estimate.status().ToString());
-  }
-  if (args.Has("explain")) {
+  if (explain) {
     // The EXPLAIN rendering leads with the estimate, then the per-variable
     // VarStats table (expected bindings and predicate selectivity).
-    Result<TwigQuery> parsed = ParseTwig(query);
-    if (!parsed.ok()) return Fail("query: " + parsed.status().ToString());
-    XClusterEstimator estimator(synopsis.value().synopsis());
-    std::printf("%s", estimator.Explain(parsed.value()).ToString().c_str());
+    std::printf("%s", result.explanation.c_str());
   } else {
-    std::printf("%.6g\n", estimate.value());
+    std::printf("%.6g\n", result.estimate);
   }
   return 0;
 }
@@ -993,8 +974,7 @@ int Compile(const Args& args) {
   }
   Result<XCluster> loaded = XCluster::Load(in);
   if (!loaded.ok()) return Fail("load: " + loaded.status().ToString());
-  FlatSynopsis flat(loaded.value().synopsis());
-  Status status = storage::XcsfWriter::Write(flat, out);
+  Status status = storage::XcsfWriter::Write(*loaded.value().flat(), out);
   if (!status.ok()) return Fail(status.ToString());
   // Re-open through the real mmap path: proves the image round-trips
   // before anyone serves from it, and reports the on-disk size.
@@ -1122,11 +1102,10 @@ int Evaluate(const Args& args) {
   Result<Workload> workload = LoadWorkload(workload_path);
   if (!workload.ok()) return Fail("workload: " + workload.status().ToString());
 
-  XClusterEstimator estimator(synopsis.value().synopsis());
   std::vector<double> estimates;
   estimates.reserve(workload.value().queries.size());
   for (const WorkloadQuery& query : workload.value().queries) {
-    estimates.push_back(estimator.Estimate(query.query));
+    estimates.push_back(synopsis.value().EstimateSelectivity(query.query));
   }
   ErrorReport report = EvaluateErrors(workload.value(), estimates);
   std::printf("queries:  %zu (sanity bound %.1f)\n", report.overall.count,
