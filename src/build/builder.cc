@@ -26,26 +26,20 @@ using CandidateHeap =
     std::priority_queue<MergeCandidate, std::vector<MergeCandidate>,
                         CandidateOrder>;
 
-/// Alive nodes compatible with `w` (same label and type), excluding w.
-std::vector<SynNodeId> CompatiblePeers(const GraphSynopsis& synopsis,
-                                       SynNodeId w) {
-  std::vector<SynNodeId> peers;
-  const SynNode& node = synopsis.node(w);
-  for (SynNodeId id : synopsis.AliveNodes()) {
-    if (id == w) continue;
-    const SynNode& peer = synopsis.node(id);
-    if (peer.label == node.label && peer.type == node.type) {
-      peers.push_back(id);
-    }
-  }
-  return peers;
-}
-
 /// Phase 1 under the localized-delta (or count-only) policy: a marginal-loss
 /// min-heap with per-node version staleness checks and level-scheduled pool
 /// rebuilds.
 void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
                       const DeltaOptions& delta_options, BuildStats* stats) {
+  // Alive node ids by (label, type), each group ascending. Kept current
+  // across merges, so a merged node's compatible peers are read off its
+  // group instead of a scan of the arena.
+  std::map<std::pair<SymbolId, ValueType>, std::vector<SynNodeId>>
+      peer_groups;
+  for (SynNodeId id : synopsis->AliveNodes()) {
+    const SynNode& node = synopsis->node(id);
+    peer_groups[{node.label, node.type}].push_back(id);
+  }
   uint32_t level_cap = 0;
   while (synopsis->StructuralBytes() > options.structural_budget) {
     std::vector<MergeCandidate> pool;
@@ -105,13 +99,18 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       if (stats != nullptr) ++stats->merges_applied;
 
       // Recompute losses in the new node's neighborhood: pair w against its
-      // compatible peers.
-      std::vector<SynNodeId> peers = CompatiblePeers(*synopsis, w);
+      // compatible peers, in ascending id order.
+      const SynNode& merged = synopsis->node(w);
+      std::vector<SynNodeId>& peers = peer_groups[{merged.label, merged.type}];
+      for (SynNodeId gone : {candidate.u, candidate.v}) {
+        peers.erase(std::lower_bound(peers.begin(), peers.end(), gone));
+      }
       XCLUSTER_COUNTER_ADD("build.candidates_evaluated", peers.size());
       for (SynNodeId peer : peers) {
         heap.push(EvaluateCandidate(*synopsis, peer, w, delta_options));
         if (stats != nullptr) ++stats->candidates_evaluated;
       }
+      peers.push_back(w);  // the newest arena id: the group stays ascending
       if (heap.size() < low_water) break;  // replenish the pool
     }
     if (synopsis->StructuralBytes() <= options.structural_budget) return;

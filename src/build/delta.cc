@@ -1,7 +1,7 @@
 #include "build/delta.h"
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
 #include "synopsis/size_model.h"
 
@@ -10,15 +10,49 @@ namespace xcluster {
 namespace {
 
 /// Sentinel target id for the implicit count-1 self target that charges
-/// value drift on childless nodes.
+/// value drift on childless nodes. It sorts after every real target.
 constexpr SynNodeId kImplicitSelf = kNoSynNode;
 
-/// Per-target child counts of the two merge inputs, with u/v folded onto
-/// the future merged node (represented by `folded`).
-struct TargetCounts {
+/// One child target of the merge inputs, with u/v folded onto the future
+/// merged node (represented by u), and each input's count to it.
+struct FoldedTarget {
+  SynNodeId target = kNoSynNode;
   double from_u = 0.0;
   double from_v = 0.0;
 };
+
+/// The distinct folded child targets of u and v in ascending target id.
+/// A target's counts are summed over u's edges in edge order, then v's:
+/// the summation order MergeDelta's doubles are defined by, which the
+/// merge order and so the built synopsis depend on bit for bit.
+std::vector<FoldedTarget> FoldTargets(const SynNode& nu, const SynNode& nv,
+                                      SynNodeId u, SynNodeId v) {
+  std::vector<FoldedTarget> targets;
+  targets.reserve(nu.children.size() + nv.children.size() + 1);
+  auto fold = [&](SynNodeId t) { return (t == u || t == v) ? u : t; };
+  for (const SynEdge& edge : nu.children) {
+    targets.push_back({fold(edge.target), edge.avg_count, 0.0});
+  }
+  for (const SynEdge& edge : nv.children) {
+    targets.push_back({fold(edge.target), 0.0, edge.avg_count});
+  }
+  std::stable_sort(targets.begin(), targets.end(),
+                   [](const FoldedTarget& a, const FoldedTarget& b) {
+                     return a.target < b.target;
+                   });
+  size_t distinct = 0;
+  for (const FoldedTarget& entry : targets) {
+    if (distinct > 0 && targets[distinct - 1].target == entry.target) {
+      // Adding the other side's +0.0 leaves a sum unchanged.
+      targets[distinct - 1].from_u += entry.from_u;
+      targets[distinct - 1].from_v += entry.from_v;
+    } else {
+      targets[distinct++] = entry;
+    }
+  }
+  targets.resize(distinct);
+  return targets;
+}
 
 /// Enumerates atomic predicates for the pair: the trivial predicate is
 /// represented by an entry with type kNone (selectivity 1 everywhere), then
@@ -59,18 +93,10 @@ double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
   if (cw <= 0.0) return 0.0;
 
   // Child targets with u/v folded onto the merged node.
-  std::map<SynNodeId, TargetCounts> targets;
-  for (const SynEdge& edge : nu.children) {
-    SynNodeId t = (edge.target == u || edge.target == v) ? u : edge.target;
-    targets[t].from_u += edge.avg_count;
-  }
-  for (const SynEdge& edge : nv.children) {
-    SynNodeId t = (edge.target == u || edge.target == v) ? u : edge.target;
-    targets[t].from_v += edge.avg_count;
-  }
+  std::vector<FoldedTarget> targets = FoldTargets(nu, nv, u, v);
   // Implicit self target: one "element" per extent member, charging value
   // divergence even for leaves.
-  targets[kImplicitSelf] = {1.0, 1.0};
+  targets.push_back({kImplicitSelf, 1.0, 1.0});
 
   std::vector<AtomicPredicate> preds =
       PairPredicates(nu.vsumm, nv.vsumm, options);
@@ -85,7 +111,7 @@ double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
     const double sv = SelectivityOf(nv.vsumm, p);
     const double sw =
         (p.type == ValueType::kNone) ? 1.0 : SelectivityOf(merged, p);
-    for (const auto& [target, counts] : targets) {
+    for (const FoldedTarget& counts : targets) {
       const double aw = (cu * counts.from_u + cv * counts.from_v) / cw;
       const double du = su * counts.from_u - sw * aw;
       const double dv = sv * counts.from_v - sw * aw;
@@ -101,38 +127,23 @@ size_t MergeSavings(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v) {
 
   // Outgoing side: duplicate mapped targets collapse into one edge each.
   size_t child_edges_before = nu.children.size() + nv.children.size();
-  std::map<SynNodeId, int> mapped_targets;
-  for (const SynNode* node : {&nu, &nv}) {
-    for (const SynEdge& edge : node->children) {
-      SynNodeId t = (edge.target == u || edge.target == v) ? u : edge.target;
-      ++mapped_targets[t];
-    }
-  }
-  size_t child_edges_after = mapped_targets.size();
+  size_t child_edges_after = FoldTargets(nu, nv, u, v).size();
 
   // Incoming side: every outside parent's edges to {u, v} are replaced by a
-  // single edge to the merged node. Edges among u/v were already counted on
-  // the outgoing side.
-  std::vector<SynNodeId> parent_ids;
-  for (const SynNode* node : {&nu, &nv}) {
-    for (SynNodeId p : node->parents) {
-      if (p == u || p == v) continue;
-      if (std::find(parent_ids.begin(), parent_ids.end(), p) ==
-          parent_ids.end()) {
-        parent_ids.push_back(p);
-      }
+  // single edge to the merged node. A parent link stands for exactly one
+  // edge, so only a parent of both u and v loses one. Edges among u/v were
+  // already counted on the outgoing side.
+  size_t shared_parents = 0;
+  for (SynNodeId p : nu.parents) {
+    if (p == u || p == v) continue;
+    if (std::find(nv.parents.begin(), nv.parents.end(), p) !=
+        nv.parents.end()) {
+      ++shared_parents;
     }
   }
-  size_t parent_edges_before = 0;
-  for (SynNodeId p : parent_ids) {
-    for (const SynEdge& edge : synopsis.node(p).children) {
-      if (edge.target == u || edge.target == v) ++parent_edges_before;
-    }
-  }
-  size_t parent_edges_after = parent_ids.size();
 
-  size_t edges_saved = (child_edges_before - child_edges_after) +
-                       (parent_edges_before - parent_edges_after);
+  size_t edges_saved =
+      (child_edges_before - child_edges_after) + shared_parents;
   return SizeModel::kNodeBytes + edges_saved * SizeModel::kEdgeBytes;
 }
 

@@ -10,7 +10,7 @@
 namespace xcluster {
 
 size_t PlanCache::KeyHash::operator()(const CacheKey& key) const {
-  return static_cast<size_t>(ReachCache::Mix(key.generation)) ^
+  return static_cast<size_t>(ReachCache::Mix(key.snapshot_id)) ^
          std::hash<std::string>()(key.text);
 }
 
@@ -63,13 +63,13 @@ const std::string& PlanCache::NormalizeQuery(const std::string& raw,
 }
 
 std::shared_ptr<const CompiledTwig> PlanCache::Get(
-    uint64_t generation, const std::string& normalized) const {
+    uint64_t snapshot_id, const std::string& normalized) const {
   if (capacity_ == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     XCLUSTER_COUNTER_INC("estimator.plan_cache.misses");
     return nullptr;
   }
-  const CacheKey key{generation, normalized};
+  const CacheKey key{snapshot_id, normalized};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -84,16 +84,16 @@ std::shared_ptr<const CompiledTwig> PlanCache::Get(
   return it->second->plan;
 }
 
-void PlanCache::Put(uint64_t generation, const std::string& normalized,
+void PlanCache::Put(uint64_t snapshot_id, const std::string& normalized,
                     std::shared_ptr<const CompiledTwig> plan) const {
   if (capacity_ == 0) return;
-  CacheKey key{generation, normalized};
+  CacheKey key{snapshot_id, normalized};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // First writer wins: racing compiles of the same text against the
-    // same generation produce equivalent plans; keep the incumbent.
+    // same snapshot produce equivalent plans; keep the incumbent.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }

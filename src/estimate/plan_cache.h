@@ -17,13 +17,15 @@
 namespace xcluster {
 
 /// A sharded, bounded LRU cache of CompiledTwig plans, keyed by
-/// (collection generation, normalized query text).
+/// (snapshot id, normalized query text).
 ///
-/// The generation in the key is what makes hot swap safe: installing a
-/// new snapshot under an existing collection name bumps the generation,
-/// so every plan compiled against the old synopsis misses naturally — no
-/// explicit invalidation, no epoch scan. Stale generations age out of the
-/// LRU as the new generation's plans displace them.
+/// The snapshot id in the key is what makes hot swap safe: every installed
+/// snapshot gets a process-unique id (StoredSynopsis::snapshot_id), so a
+/// plan compiled against one synopsis is never handed to another — not
+/// after a hot swap, and not between snapshots that share a wire
+/// generation — with no explicit invalidation and no epoch scan. Plans of
+/// replaced snapshots age out of the LRU as the new snapshot's displace
+/// them.
 ///
 /// Plans are handed out as shared_ptr<const CompiledTwig>: an in-flight
 /// estimate keeps its plan alive even if the entry is evicted mid-query.
@@ -57,13 +59,13 @@ class PlanCache {
   static const std::string& NormalizeQuery(const std::string& raw,
                                            std::string* storage);
 
-  /// Cached plan for (generation, normalized), or nullptr on miss.
-  std::shared_ptr<const CompiledTwig> Get(uint64_t generation,
+  /// Cached plan for (snapshot_id, normalized), or nullptr on miss.
+  std::shared_ptr<const CompiledTwig> Get(uint64_t snapshot_id,
                                           const std::string& normalized) const;
 
   /// Inserts `plan` (first writer wins), evicting the shard's LRU entry
   /// when over capacity.
-  void Put(uint64_t generation, const std::string& normalized,
+  void Put(uint64_t snapshot_id, const std::string& normalized,
            std::shared_ptr<const CompiledTwig> plan) const;
 
   size_t size() const;
@@ -79,10 +81,10 @@ class PlanCache {
 
  private:
   struct CacheKey {
-    uint64_t generation = 0;
+    uint64_t snapshot_id = 0;
     std::string text;
     bool operator==(const CacheKey& other) const {
-      return generation == other.generation && text == other.text;
+      return snapshot_id == other.snapshot_id && text == other.text;
     }
   };
   struct KeyHash {

@@ -18,7 +18,7 @@ namespace xcluster {
 namespace {
 
 /// Resolves `query` to a compiled plan through the shared plan cache. The
-/// cache is consulted under (snapshot generation, normalized text); on a
+/// cache is consulted under (snapshot id, normalized text); on a
 /// miss the query is parsed and compiled against the snapshot's
 /// FlatSynopsis, then published for every later repeat — warm queries skip
 /// parse, label resolution, and term resolution entirely. Returns nullptr
@@ -31,7 +31,7 @@ std::shared_ptr<const CompiledTwig> ResolvePlan(const StoredSynopsis& snapshot,
   const std::string& normalized =
       PlanCache::NormalizeQuery(query, &trim_storage);
   std::shared_ptr<const CompiledTwig> plan =
-      plans.Get(snapshot.generation(), normalized);
+      plans.Get(snapshot.snapshot_id(), normalized);
   if (plan != nullptr) return plan;
   // A plan-cache miss shows up in a sampled trace as this compile span;
   // hits go straight to estimation with no span between.
@@ -46,7 +46,7 @@ std::shared_ptr<const CompiledTwig> ResolvePlan(const StoredSynopsis& snapshot,
   }
   plan = std::make_shared<const CompiledTwig>(
       CompiledTwig::Compile(parsed.value(), snapshot.flat()));
-  plans.Put(snapshot.generation(), normalized, plan);
+  plans.Put(snapshot.snapshot_id(), normalized, plan);
   return plan;
 }
 

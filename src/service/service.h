@@ -28,7 +28,8 @@ struct ServiceOptions {
   EstimateOptions estimator;
 
   /// Bound on the compiled-plan cache shared by all collections (keys
-  /// carry the snapshot generation, so entries never cross snapshots).
+  /// carry the process-unique snapshot id, not the generation, so entries
+  /// never cross snapshots — even two that share a pinned generation).
   /// 0 disables plan caching: every query re-parses and re-compiles.
   size_t plan_cache_capacity = 4096;
 

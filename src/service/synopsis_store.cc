@@ -32,12 +32,14 @@ std::string SpoolFileName(const std::string& name) {
 
 StoredSynopsis::StoredSynopsis(std::string name,
                                std::shared_ptr<const FlatSynopsis> flat,
-                               size_t size_bytes, uint64_t generation,
-                               EstimateOptions options, std::string source)
+                               size_t size_bytes, uint64_t snapshot_id,
+                               uint64_t generation, EstimateOptions options,
+                               std::string source)
     : name_(std::move(name)),
       flat_(std::move(flat)),
       flat_estimator_(*flat_, options),
       size_bytes_(size_bytes),
+      snapshot_id_(snapshot_id),
       generation_(generation),
       source_(std::move(source)),
       installed_ns_(telemetry::MonotonicNowNs()) {}
@@ -46,9 +48,12 @@ std::shared_ptr<const StoredSynopsis> StoredSynopsis::Make(
     std::string name, std::shared_ptr<const FlatSynopsis> flat,
     size_t size_bytes, uint64_t generation, EstimateOptions options,
     std::string source) {
+  static std::atomic<uint64_t> next_snapshot_id{1};
+  const uint64_t snapshot_id =
+      next_snapshot_id.fetch_add(1, std::memory_order_relaxed);
   return std::shared_ptr<const StoredSynopsis>(
       new StoredSynopsis(std::move(name), std::move(flat), size_bytes,
-                         generation, options, std::move(source)));
+                         snapshot_id, generation, options, std::move(source)));
 }
 
 SynopsisStore::SynopsisStore(size_t num_shards,

@@ -57,6 +57,12 @@ class StoredSynopsis {
   /// Resident size recorded at install (see Make).
   size_t size_bytes() const { return size_bytes_; }
 
+  /// Unique within the process, drawn by Make: no two snapshots share one,
+  /// even when they share a generation (two collections given the same
+  /// pinned generation, or a dropped name re-pushed at its old one). The
+  /// service keys its plan cache by it.
+  uint64_t snapshot_id() const { return snapshot_id_; }
+
   /// Monotonically increasing across the owning store; a reload of the
   /// same name yields a snapshot with a larger generation. Replication
   /// installs (InstallFromWire with a nonzero generation) pin the
@@ -75,13 +81,14 @@ class StoredSynopsis {
 
  private:
   StoredSynopsis(std::string name, std::shared_ptr<const FlatSynopsis> flat,
-                 size_t size_bytes, uint64_t generation,
+                 size_t size_bytes, uint64_t snapshot_id, uint64_t generation,
                  EstimateOptions options, std::string source);
 
   std::string name_;
   std::shared_ptr<const FlatSynopsis> flat_;
   FlatEstimator flat_estimator_;  // references *flat_
   size_t size_bytes_ = 0;
+  uint64_t snapshot_id_ = 0;
   uint64_t generation_ = 0;
   std::string source_;
   uint64_t installed_ns_ = 0;

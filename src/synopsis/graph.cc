@@ -17,11 +17,13 @@ SynNodeId GraphSynopsis::AddNode(std::string_view label, ValueType type,
   node.count = count;
   SynNodeId id = static_cast<SynNodeId>(nodes_.size());
   nodes_.push_back(std::move(node));
+  ++live_nodes_;
   return id;
 }
 
 void GraphSynopsis::AddEdge(SynNodeId u, SynNodeId v, double avg_count) {
   nodes_[u].children.push_back({v, avg_count});
+  ++live_edges_;
   auto& parents = nodes_[v].parents;
   if (std::find(parents.begin(), parents.end(), u) == parents.end()) {
     parents.push_back(u);
@@ -89,6 +91,7 @@ SynNodeId GraphSynopsis::MergeNodes(SynNodeId u, SynNodeId v) {
       }
     }
   }
+  size_t edges_removed = 0;
   for (SynNodeId p : parent_ids) {
     double sum = 0.0;
     auto& edges = nodes_[p].children;
@@ -96,6 +99,7 @@ SynNodeId GraphSynopsis::MergeNodes(SynNodeId u, SynNodeId v) {
       if (it->target == u || it->target == v) {
         sum += it->avg_count;
         it = edges.erase(it);
+        ++edges_removed;
       } else {
         ++it;
       }
@@ -110,6 +114,7 @@ SynNodeId GraphSynopsis::MergeNodes(SynNodeId u, SynNodeId v) {
       if (edge.target == u || edge.target == v) continue;
       ReplaceParentLink(edge.target, src, kNoSynNode);
     }
+    edges_removed += nodes_[src].children.size();
     nodes_[src].alive = false;
     nodes_[src].children.clear();
     nodes_[src].parents.clear();
@@ -117,27 +122,15 @@ SynNodeId GraphSynopsis::MergeNodes(SynNodeId u, SynNodeId v) {
   }
 
   if (u == root_ || v == root_) root_ = w;
+  // w replaces u and v; its edges (out and in) replace theirs.
+  --live_nodes_;
+  live_edges_ = live_edges_ + child_mass.size() + parent_ids.size() -
+                edges_removed;
 
   // Invalidate stale pool candidates around the merge site.
   for (const SynEdge& edge : nodes_[w].children) ++nodes_[edge.target].version;
   for (SynNodeId p : nodes_[w].parents) ++nodes_[p].version;
   return w;
-}
-
-size_t GraphSynopsis::NodeCount() const {
-  size_t count = 0;
-  for (const SynNode& node : nodes_) {
-    if (node.alive) ++count;
-  }
-  return count;
-}
-
-size_t GraphSynopsis::EdgeCount() const {
-  size_t count = 0;
-  for (const SynNode& node : nodes_) {
-    if (node.alive) count += node.children.size();
-  }
-  return count;
 }
 
 std::vector<SynNodeId> GraphSynopsis::AliveNodes() const {

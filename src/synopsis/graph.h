@@ -28,6 +28,11 @@ struct SynEdge {
 /// One structure-value cluster: a set of identically-labeled, identically-
 /// typed document elements summarized by its element count, its structural
 /// centroid (the tuple of outgoing edge counts), and its value summary.
+///
+/// `children`, `parents` and `alive` may change only through
+/// GraphSynopsis::AddEdge, MergeNodes and Compact, because the synopsis'
+/// live node and edge counters depend on them. Other fields (count, type,
+/// vsumm) may be edited in place.
 struct SynNode {
   SymbolId label = kInvalidSymbol;
   ValueType type = ValueType::kNone;
@@ -85,14 +90,16 @@ class GraphSynopsis {
     dict_ = std::move(dict);
   }
 
-  /// Number of alive nodes / edges.
-  size_t NodeCount() const;
-  size_t EdgeCount() const;
+  /// Number of alive nodes / edges. O(1): live counters kept by AddNode,
+  /// AddEdge and MergeNodes.
+  size_t NodeCount() const { return live_nodes_; }
+  size_t EdgeCount() const { return live_edges_; }
 
   /// Alive node ids in arena order.
   std::vector<SynNodeId> AliveNodes() const;
 
-  /// Structural storage per the size model (alive nodes + edges).
+  /// Structural storage per the size model (alive nodes + edges). O(1):
+  /// computed from the live counters.
   size_t StructuralBytes() const;
 
   /// Total value-summary storage (alive nodes).
@@ -107,7 +114,7 @@ class GraphSynopsis {
   std::vector<uint32_t> ComputeLevels() const;
 
   /// Drops dead nodes and remaps ids; returns old-id -> new-id map (dead
-  /// nodes map to kNoSynNode).
+  /// nodes map to kNoSynNode). Live node and edge counts are unchanged.
   std::vector<SynNodeId> Compact();
 
   /// Human-readable multi-line dump (for debugging / examples).
@@ -118,6 +125,8 @@ class GraphSynopsis {
                          SynNodeId new_parent);
 
   std::vector<SynNode> nodes_;
+  size_t live_nodes_ = 0;
+  size_t live_edges_ = 0;
   SynNodeId root_ = 0;
   StringPool labels_;
   std::shared_ptr<TermDictionary> dict_;

@@ -206,6 +206,73 @@ TEST(GraphTest, CompactRemapsIds) {
   EXPECT_EQ(d.synopsis.root(), remap[d.root]);
 }
 
+/// The live counters agree with a recount over the alive nodes.
+void ExpectCountersMatchRecount(const GraphSynopsis& synopsis) {
+  const std::vector<SynNodeId> alive = synopsis.AliveNodes();
+  size_t edges = 0;
+  for (SynNodeId id : alive) edges += synopsis.node(id).children.size();
+  EXPECT_EQ(synopsis.NodeCount(), alive.size());
+  EXPECT_EQ(synopsis.EdgeCount(), edges);
+  EXPECT_EQ(synopsis.StructuralBytes(),
+            SizeModel::StructuralBytes(alive.size(), edges));
+}
+
+TEST(GraphTest, LiveCountersFollowSelfLoopsSharedParentsAndCompact) {
+  // R -> P1, R -> P2 (shared parent); P1 -> P3 (recursive label);
+  // P1, P2 and P3 all -> L (shared child).
+  GraphSynopsis synopsis;
+  SynNodeId root = synopsis.AddNode("R", ValueType::kNone, 1.0);
+  SynNodeId p1 = synopsis.AddNode("P", ValueType::kNone, 2.0);
+  SynNodeId p2 = synopsis.AddNode("P", ValueType::kNone, 3.0);
+  SynNodeId p3 = synopsis.AddNode("P", ValueType::kNone, 4.0);
+  SynNodeId leaf = synopsis.AddNode("L", ValueType::kNone, 9.0);
+  synopsis.AddEdge(root, p1, 2.0);
+  synopsis.AddEdge(root, p2, 3.0);
+  synopsis.AddEdge(p1, p3, 2.0);
+  synopsis.AddEdge(p1, leaf, 1.0);
+  synopsis.AddEdge(p2, leaf, 1.0);
+  synopsis.AddEdge(p3, leaf, 1.0);
+  EXPECT_EQ(synopsis.NodeCount(), 5u);
+  EXPECT_EQ(synopsis.EdgeCount(), 6u);
+  ExpectCountersMatchRecount(synopsis);
+
+  // Adjacent pair: P1 -> P3 folds into a self loop, the two edges to L
+  // into one. Left: R -> w1, R -> P2, w1 -> w1, w1 -> L, P2 -> L.
+  SynNodeId w1 = synopsis.MergeNodes(p1, p3);
+  EXPECT_GT(synopsis.EdgeCount(w1, w1), 0.0);
+  EXPECT_EQ(synopsis.NodeCount(), 4u);
+  EXPECT_EQ(synopsis.EdgeCount(), 5u);
+  ExpectCountersMatchRecount(synopsis);
+
+  // Shared parent R, shared child L, and a self loop on one input.
+  // Left: R -> w2, w2 -> w2, w2 -> L.
+  SynNodeId w2 = synopsis.MergeNodes(w1, p2);
+  EXPECT_GT(synopsis.EdgeCount(w2, w2), 0.0);
+  EXPECT_EQ(synopsis.node(root).children.size(), 1u);
+  EXPECT_EQ(synopsis.NodeCount(), 3u);
+  EXPECT_EQ(synopsis.EdgeCount(), 3u);
+  ExpectCountersMatchRecount(synopsis);
+
+  // Compact drops the dead nodes but not a live node or edge.
+  std::vector<SynNodeId> remap = synopsis.Compact();
+  EXPECT_EQ(synopsis.arena_size(), 3u);
+  EXPECT_EQ(synopsis.NodeCount(), 3u);
+  EXPECT_EQ(synopsis.EdgeCount(), 3u);
+  ExpectCountersMatchRecount(synopsis);
+
+  // Growth after Compact counts from the compacted state.
+  SynNodeId extra = synopsis.AddNode("X", ValueType::kNone, 1.0);
+  synopsis.AddEdge(remap[w2], extra, 1.0);
+  synopsis.AddEdge(extra, extra, 0.5);
+  EXPECT_EQ(synopsis.NodeCount(), 4u);
+  EXPECT_EQ(synopsis.EdgeCount(), 5u);
+  ExpectCountersMatchRecount(synopsis);
+
+  // A copy carries the counters.
+  GraphSynopsis copy = synopsis;
+  ExpectCountersMatchRecount(copy);
+}
+
 TEST(GraphTest, AliveNodesSkipsDead) {
   Diamond d = MakeDiamond(1.0, 1.0, 1.0, 1.0);
   d.synopsis.MergeNodes(d.u, d.v);

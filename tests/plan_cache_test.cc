@@ -1,7 +1,7 @@
 // Tests for the compiled-plan cache: unit-level LRU behavior plus the
-// serving-layer property it exists for — plans are keyed by snapshot
-// generation, so hot-swapping a collection invalidates its cached plans
-// naturally and estimates immediately reflect the new synopsis.
+// serving-layer property it exists for — plans are keyed by snapshot id,
+// so hot-swapping a collection invalidates its cached plans naturally and
+// estimates immediately reflect the new synopsis.
 #include "estimate/plan_cache.h"
 
 #include <gtest/gtest.h>
@@ -40,7 +40,7 @@ TEST(PlanCacheTest, GetPutHitMissCounters) {
   EXPECT_EQ(cache.Get(1, "//a"), plan);
   EXPECT_EQ(cache.hits(), 1u);
 
-  // Different generation, same text: distinct key.
+  // Different snapshot, same text: distinct key.
   EXPECT_EQ(cache.Get(2, "//a"), nullptr);
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -100,6 +100,24 @@ TEST(PlanCacheServiceTest, RepeatedQueriesHitThePlanCache) {
   EXPECT_EQ(service.plan_cache().hits(), 5u);
 }
 
+TEST(PlanCacheServiceTest, SnapshotIdsAreUniqueWhereGenerationsRepeat) {
+  // The plan-cache key: unique per snapshot even across stores, names and
+  // pinned generations.
+  SynopsisStore first;
+  SynopsisStore second;
+  auto a = first.Install("col", MakeFixture(1.0), /*generation=*/7);
+  auto b = second.Install("col", MakeFixture(1.0), /*generation=*/7);
+  auto c = first.Install("other", MakeFixture(1.0), /*generation=*/7);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(a->generation(), b->generation());
+  EXPECT_EQ(a->generation(), c->generation());
+  EXPECT_NE(a->snapshot_id(), b->snapshot_id());
+  EXPECT_NE(a->snapshot_id(), c->snapshot_id());
+  EXPECT_NE(b->snapshot_id(), c->snapshot_id());
+}
+
 TEST(PlanCacheServiceTest, HotSwapInvalidatesCachedPlans) {
   ServiceOptions options;
   options.executor.num_threads = 0;
@@ -111,15 +129,15 @@ TEST(PlanCacheServiceTest, HotSwapInvalidatesCachedPlans) {
   EXPECT_EQ(before.estimate, 10.0);
   EXPECT_EQ(service.plan_cache().misses(), 1u);
 
-  // Hot swap: same name, new synopsis, new generation. The cached plan
-  // must not be reused (its key carries the old generation).
+  // Hot swap: same name, new synopsis, new snapshot. The cached plan
+  // must not be reused (its key carries the old snapshot id).
   service.store().Install("col", MakeFixture(25.0));
   QueryResult after = service.EstimateOne("col", "/A");
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.estimate, 25.0);
   EXPECT_EQ(service.plan_cache().misses(), 2u);
 
-  // Both generations' plans coexist until the old one ages out.
+  // Both snapshots' plans coexist until the old one ages out.
   EXPECT_EQ(service.plan_cache().size(), 2u);
 }
 

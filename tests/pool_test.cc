@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "data/imdb.h"
+#include "data/treebank.h"
+#include "data/xmark.h"
+#include "oracle/merge_score.h"
+#include "synopsis/reference.h"
+
 namespace xcluster {
 namespace {
 
@@ -142,6 +151,60 @@ TEST(PoolTest, IdenticalNodesRankFirst) {
   EXPECT_TRUE((best->u == a1 && best->v == a2) ||
               (best->u == a2 && best->v == a1));
   EXPECT_NEAR(best->delta, 0.0, 1e-12);
+}
+
+/// Every pair BuildPool scores over `reference`, at every level cap, is
+/// scored bit-identically to the map-based oracle: the same delta double
+/// and the same byte savings. Sampling is capped as the builder caps it.
+void ExpectPoolMatchesOracle(const GraphSynopsis& reference) {
+  std::vector<uint32_t> levels = reference.ComputeLevels();
+  uint32_t max_level = 0;
+  for (SynNodeId id : reference.AliveNodes()) {
+    max_level = std::max(max_level, levels[id]);
+  }
+  for (const bool use_values : {true, false}) {
+    DeltaOptions options;
+    options.use_value_summaries = use_values;
+    for (uint32_t level_cap = 0; level_cap <= max_level; ++level_cap) {
+      std::vector<MergeCandidate> pool =
+          BuildPool(reference, std::numeric_limits<size_t>::max(), level_cap,
+                    options, /*pair_sample_cap=*/20000);
+      for (const MergeCandidate& candidate : pool) {
+        ASSERT_EQ(candidate.delta, OracleMergeDelta(reference, candidate.u,
+                                                    candidate.v, options))
+            << "level " << level_cap << " pair " << candidate.u << ","
+            << candidate.v;
+        ASSERT_EQ(candidate.savings,
+                  OracleMergeSavings(reference, candidate.u, candidate.v))
+            << "level " << level_cap << " pair " << candidate.u << ","
+            << candidate.v;
+      }
+    }
+  }
+}
+
+GraphSynopsis ReferenceOf(const GeneratedDataset& dataset) {
+  ReferenceOptions ref_options;
+  ref_options.value_paths = dataset.value_paths;
+  return BuildReferenceSynopsis(dataset.doc, ref_options);
+}
+
+TEST(PoolTest, XMarkScoresMatchOracle) {
+  XMarkOptions options;
+  options.scale = 0.05;
+  ExpectPoolMatchesOracle(ReferenceOf(GenerateXMark(options)));
+}
+
+TEST(PoolTest, ImdbScoresMatchOracle) {
+  ImdbOptions options;
+  options.scale = 0.05;
+  ExpectPoolMatchesOracle(ReferenceOf(GenerateImdb(options)));
+}
+
+TEST(PoolTest, TreebankScoresMatchOracle) {
+  TreebankOptions options;
+  options.scale = 0.05;
+  ExpectPoolMatchesOracle(ReferenceOf(GenerateTreebank(options)));
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 #include "build/delta.h"
 #include "common/rng.h"
 #include "core/xcluster.h"
-#include "oracle/xcluster_estimator.h"
 #include "eval/evaluator.h"
+#include "oracle/merge_score.h"
+#include "oracle/xcluster_estimator.h"
 #include "synopsis/reference.h"
 #include "xml/document.h"
 
@@ -111,6 +112,17 @@ TEST_P(RandomizedTest, MergeSequencePreservesInvariants) {
       }
     }
     if (compatible.empty()) break;
+
+    // Every compatible pair scores bit-identically to the map-based oracle.
+    for (const auto& [a, b] : compatible) {
+      EXPECT_EQ(MergeDelta(synopsis, a, b, DeltaOptions()),
+                OracleMergeDelta(synopsis, a, b, DeltaOptions()))
+          << "step " << step << " pair " << a << "," << b;
+      EXPECT_EQ(MergeSavings(synopsis, a, b),
+                OracleMergeSavings(synopsis, a, b))
+          << "step " << step << " pair " << a << "," << b;
+    }
+
     auto [u, v] = compatible[rng.Uniform(compatible.size())];
 
     // Invariant inputs before the merge.
@@ -121,6 +133,14 @@ TEST_P(RandomizedTest, MergeSequencePreservesInvariants) {
     EXPECT_NEAR(synopsis.node(w).count, mass_uv, 1e-9);
     // The candidate evaluator's byte model matches reality.
     EXPECT_EQ(bytes_before - synopsis.StructuralBytes(), predicted_savings);
+
+    // The live counters behind StructuralBytes() match a recount.
+    size_t recounted_edges = 0;
+    for (SynNodeId id : synopsis.AliveNodes()) {
+      recounted_edges += synopsis.node(id).children.size();
+    }
+    EXPECT_EQ(synopsis.NodeCount(), synopsis.AliveNodes().size());
+    EXPECT_EQ(synopsis.EdgeCount(), recounted_edges);
 
     // Total extent mass conserved.
     double total = 0.0;

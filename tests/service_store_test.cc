@@ -10,6 +10,7 @@
 
 #include "estimate/compiled_twig.h"
 #include "query/parser.h"
+#include "service/service.h"
 #include "storage/xcsf_writer.h"
 
 namespace xcluster {
@@ -39,6 +40,56 @@ double FlatEstimate(const StoredSynopsis& snapshot, const std::string& query) {
   const CompiledTwig plan =
       CompiledTwig::Compile(MustParse(query), snapshot.flat());
   return snapshot.flat_estimator().Estimate(plan);
+}
+
+/// R -> A -> B with /A/B estimating 10 * a_count. `a_first` picks the
+/// label interning order, so two chains compile A and B to swapped label
+/// ids and a plan compiled against one answers 0 on the other.
+XCluster MakeChain(bool a_first, double a_count) {
+  GraphSynopsis synopsis;
+  SynNodeId root = synopsis.AddNode("R", ValueType::kNone, 1.0);
+  SynNodeId a = kNoSynNode;
+  if (a_first) a = synopsis.AddNode("A", ValueType::kNone, a_count);
+  SynNodeId b = synopsis.AddNode("B", ValueType::kNone, 10.0 * a_count);
+  if (!a_first) a = synopsis.AddNode("A", ValueType::kNone, a_count);
+  synopsis.AddEdge(root, a, a_count);
+  synopsis.AddEdge(a, b, 10.0);
+  synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
+  return XCluster(std::move(synopsis));
+}
+
+/// EstimateOne and a one-query batch agree on `expected` for /A/B.
+void ExpectChainEstimate(EstimationService* service,
+                         const std::string& collection, double expected) {
+  QueryResult one = service->EstimateOne(collection, "/A/B");
+  ASSERT_TRUE(one.status.ok()) << one.status.ToString();
+  EXPECT_EQ(one.estimate, expected) << collection << " via EstimateOne";
+  BatchResult batch = service->EstimateBatch(collection, {"/A/B"});
+  ASSERT_EQ(batch.results.size(), 1u);
+  ASSERT_TRUE(batch.results[0].status.ok());
+  EXPECT_EQ(batch.results[0].estimate, expected) << collection << " via batch";
+}
+
+TEST(SynopsisStoreTest, PlansNeverCrossSnapshotsThatShareAGeneration) {
+  ServiceOptions options;
+  options.executor.num_threads = 0;  // inline
+  EstimationService service(options);
+
+  // Two collections pinned to one generation, as replication can do.
+  auto one = service.store().Install("one", MakeChain(true, 3.0), 7);
+  auto two = service.store().Install("two", MakeChain(false, 9.0), 7);
+  ASSERT_NE(one, nullptr);
+  ASSERT_NE(two, nullptr);
+  ASSERT_EQ(one->generation(), two->generation());
+  ExpectChainEstimate(&service, "one", 30.0);
+  ExpectChainEstimate(&service, "two", 90.0);
+
+  // Drop and re-push a name at its old generation, with other contents.
+  ASSERT_TRUE(service.store().Remove("one"));
+  auto again = service.store().Install("one", MakeChain(false, 5.0), 7);
+  ASSERT_NE(again, nullptr);
+  ASSERT_EQ(again->generation(), 7u);
+  ExpectChainEstimate(&service, "one", 50.0);
 }
 
 TEST(SynopsisStoreTest, InstallGetRemove) {
