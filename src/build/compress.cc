@@ -10,24 +10,27 @@ namespace xcluster {
 
 namespace {
 
-/// One pending compression candidate: the node, the already-compressed
+/// A node's pending compression candidate: the already-compressed
 /// replacement summary, its marginal loss, and the bytes it frees.
-struct CompressCandidate {
-  SynNodeId node = kNoSynNode;
+struct PendingCompression {
   ValueSummary replacement;
   double delta = 0.0;
   size_t saved = 0;
-  size_t size_at_eval = 0;  ///< node's summary size when scored (staleness)
 
   double ratio() const {
     return delta / static_cast<double>(saved == 0 ? 1 : saved);
   }
 };
 
+/// Heap key of a pending candidate: its ratio and node.
+struct CandidateKey {
+  double ratio = 0.0;
+  SynNodeId node = kNoSynNode;
+};
+
 struct CandidateOrder {
-  bool operator()(const CompressCandidate& a,
-                  const CompressCandidate& b) const {
-    if (a.ratio() != b.ratio()) return a.ratio() > b.ratio();  // min-heap
+  bool operator()(const CandidateKey& a, const CandidateKey& b) const {
+    if (a.ratio != b.ratio) return a.ratio > b.ratio;  // min-heap
     return a.node > b.node;
   }
 };
@@ -36,7 +39,7 @@ struct CandidateOrder {
 /// summary cannot shrink further).
 bool MakeCandidate(const GraphSynopsis& synopsis, SynNodeId node, size_t step,
                    const CompressOptions& options,
-                   CompressCandidate* candidate) {
+                   PendingCompression* candidate) {
   const ValueSummary& vsumm = synopsis.node(node).vsumm;
   if (vsumm.empty() || !vsumm.CanCompress()) return false;
 
@@ -54,12 +57,10 @@ bool MakeCandidate(const GraphSynopsis& synopsis, SynNodeId node, size_t step,
   }
   if (saved == 0) return false;
 
-  candidate->node = node;
   candidate->delta =
       CompressionDelta(synopsis, node, replacement, options.delta);
   candidate->replacement = std::move(replacement);
   candidate->saved = saved;
-  candidate->size_at_eval = vsumm.SizeBytes();
   return true;
 }
 
@@ -79,37 +80,28 @@ size_t CompressValueSummaries(GraphSynopsis* synopsis, size_t value_budget,
     step = std::max<size_t>(1, excess / (256 * 8));
   }
 
-  std::priority_queue<CompressCandidate, std::vector<CompressCandidate>,
-                      CandidateOrder>
+  // Each node has at most one candidate, scored against its current
+  // summary: a summary changes only when its own candidate is applied, and
+  // the node is rescored right then. So no heap entry is ever stale.
+  std::vector<PendingCompression> pending(synopsis->arena_size());
+  std::priority_queue<CandidateKey, std::vector<CandidateKey>, CandidateOrder>
       heap;
-  for (SynNodeId id : synopsis->AliveNodes()) {
-    CompressCandidate candidate;
-    if (MakeCandidate(*synopsis, id, step, options, &candidate)) {
-      heap.push(std::move(candidate));
+  auto score = [&](SynNodeId id) {
+    if (MakeCandidate(*synopsis, id, step, options, &pending[id])) {
+      heap.push({pending[id].ratio(), id});
     }
-  }
+  };
+  for (SynNodeId id : synopsis->AliveNodes()) score(id);
 
   while (bytes > value_budget && !heap.empty()) {
-    CompressCandidate best = heap.top();
+    const SynNodeId id = heap.top().node;
     heap.pop();
-    SynNode& node = synopsis->node(best.node);
-    if (node.vsumm.SizeBytes() != best.size_at_eval) {
-      // Stale (already compressed since scoring): rescore lazily.
-      XCLUSTER_COUNTER_INC("compress.rescored");
-      CompressCandidate fresh;
-      if (MakeCandidate(*synopsis, best.node, step, options, &fresh)) {
-        heap.push(std::move(fresh));
-      }
-      continue;
-    }
-    node.vsumm = std::move(best.replacement);
+    PendingCompression& best = pending[id];
+    synopsis->node(id).vsumm = std::move(best.replacement);
     XCLUSTER_COUNTER_INC("compress.applications");
     XCLUSTER_COUNTER_ADD("compress.bytes_saved", best.saved);
     bytes -= best.saved;
-    CompressCandidate next;
-    if (MakeCandidate(*synopsis, best.node, step, options, &next)) {
-      heap.push(std::move(next));
-    }
+    score(id);
   }
   return synopsis->ValueBytes();
 }

@@ -9,10 +9,6 @@ namespace xcluster {
 
 namespace {
 
-/// Sentinel target id for the implicit count-1 self target that charges
-/// value drift on childless nodes. It sorts after every real target.
-constexpr SynNodeId kImplicitSelf = kNoSynNode;
-
 /// One child target of the merge inputs, with u/v folded onto the future
 /// merged node (represented by u), and each input's count to it.
 struct FoldedTarget {
@@ -28,7 +24,7 @@ struct FoldedTarget {
 std::vector<FoldedTarget> FoldTargets(const SynNode& nu, const SynNode& nv,
                                       SynNodeId u, SynNodeId v) {
   std::vector<FoldedTarget> targets;
-  targets.reserve(nu.children.size() + nv.children.size() + 1);
+  targets.reserve(nu.children.size() + nv.children.size() + 1);  // + self
   auto fold = [&](SynNodeId t) { return (t == u || t == v) ? u : t; };
   for (const SynEdge& edge : nu.children) {
     targets.push_back({fold(edge.target), edge.avg_count, 0.0});
@@ -54,80 +50,28 @@ std::vector<FoldedTarget> FoldTargets(const SynNode& nu, const SynNode& nv,
   return targets;
 }
 
-/// Enumerates atomic predicates for the pair: the trivial predicate is
-/// represented by an entry with type kNone (selectivity 1 everywhere), then
-/// up to `cap` predicates drawn alternately from both summaries.
+/// Enumerates the pair's atomic predicates after the trivial one: up to
+/// `cap` predicates drawn from both summaries.
 std::vector<AtomicPredicate> PairPredicates(const ValueSummary& a,
                                             const ValueSummary& b,
                                             const DeltaOptions& options) {
   std::vector<AtomicPredicate> preds;
-  preds.emplace_back();  // trivial: type kNone
-  if (!options.use_value_summaries || options.atomic_pred_cap == 0) {
-    return preds;
-  }
+  if (options.atomic_pred_cap == 0) return preds;
   const size_t half = (options.atomic_pred_cap + 1) / 2;
-  std::vector<AtomicPredicate> from_a = a.AtomicPredicates(half);
+  preds = a.AtomicPredicates(half);
   std::vector<AtomicPredicate> from_b = b.AtomicPredicates(half);
-  for (const AtomicPredicate& p : from_a) preds.push_back(p);
-  for (const AtomicPredicate& p : from_b) preds.push_back(p);
-  if (preds.size() > options.atomic_pred_cap + 1) {
-    preds.resize(options.atomic_pred_cap + 1);
+  for (AtomicPredicate& p : from_b) preds.push_back(std::move(p));
+  if (preds.size() > options.atomic_pred_cap) {
+    preds.resize(options.atomic_pred_cap);
   }
   return preds;
 }
 
-double SelectivityOf(const ValueSummary& summary, const AtomicPredicate& p) {
-  if (p.type == ValueType::kNone) return 1.0;  // trivial predicate
-  return summary.AtomicSelectivity(p);
-}
-
-}  // namespace
-
-double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
-                  const DeltaOptions& options) {
-  const SynNode& nu = synopsis.node(u);
-  const SynNode& nv = synopsis.node(v);
-  const double cu = nu.count;
-  const double cv = nv.count;
-  const double cw = cu + cv;
-  if (cw <= 0.0) return 0.0;
-
-  // Child targets with u/v folded onto the merged node.
-  std::vector<FoldedTarget> targets = FoldTargets(nu, nv, u, v);
-  // Implicit self target: one "element" per extent member, charging value
-  // divergence even for leaves.
-  targets.push_back({kImplicitSelf, 1.0, 1.0});
-
-  std::vector<AtomicPredicate> preds =
-      PairPredicates(nu.vsumm, nv.vsumm, options);
-  const bool value_laden =
-      options.use_value_summaries && (!nu.vsumm.empty() || !nv.vsumm.empty());
-  ValueSummary merged;
-  if (value_laden) merged = ValueSummary::Merge(nu.vsumm, cu, nv.vsumm, cv);
-
-  double delta = 0.0;
-  for (const AtomicPredicate& p : preds) {
-    const double su = SelectivityOf(nu.vsumm, p);
-    const double sv = SelectivityOf(nv.vsumm, p);
-    const double sw =
-        (p.type == ValueType::kNone) ? 1.0 : SelectivityOf(merged, p);
-    for (const FoldedTarget& counts : targets) {
-      const double aw = (cu * counts.from_u + cv * counts.from_v) / cw;
-      const double du = su * counts.from_u - sw * aw;
-      const double dv = sv * counts.from_v - sw * aw;
-      delta += cu * du * du + cv * dv * dv;
-    }
-  }
-  return delta;
-}
-
-size_t MergeSavings(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v) {
-  const SynNode& nu = synopsis.node(u);
-  const SynNode& nv = synopsis.node(v);
-
+/// MergeSavings given the number of distinct folded child targets.
+size_t PairSavings(const SynNode& nu, const SynNode& nv, SynNodeId u,
+                   SynNodeId v, size_t folded_targets) {
   // Outgoing side: duplicate mapped targets collapse into one edge each.
-  size_t child_edges_before = nu.children.size() + nv.children.size();
-  size_t child_edges_after = FoldTargets(nu, nv, u, v).size();
+  const size_t child_edges_before = nu.children.size() + nv.children.size();
 
   // Incoming side: every outside parent's edges to {u, v} are replaced by a
   // single edge to the merged node. A parent link stands for exactly one
@@ -142,9 +86,63 @@ size_t MergeSavings(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v) {
     }
   }
 
-  size_t edges_saved =
-      (child_edges_before - child_edges_after) + shared_parents;
+  size_t edges_saved = (child_edges_before - folded_targets) + shared_parents;
   return SizeModel::kNodeBytes + edges_saved * SizeModel::kEdgeBytes;
+}
+
+}  // namespace
+
+double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
+                  const DeltaOptions& options) {
+  return ScoreMerge(synopsis, u, v, options).delta;
+}
+
+size_t MergeSavings(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v) {
+  const SynNode& nu = synopsis.node(u);
+  const SynNode& nv = synopsis.node(v);
+  return PairSavings(nu, nv, u, v, FoldTargets(nu, nv, u, v).size());
+}
+
+MergeScore ScoreMerge(const GraphSynopsis& synopsis, SynNodeId u,
+                      SynNodeId v, const DeltaOptions& options) {
+  const SynNode& nu = synopsis.node(u);
+  const SynNode& nv = synopsis.node(v);
+  std::vector<FoldedTarget> targets = FoldTargets(nu, nv, u, v);
+  MergeScore score;
+  score.savings = PairSavings(nu, nv, u, v, targets.size());
+
+  const double cu = nu.count;
+  const double cv = nv.count;
+  const double cw = cu + cv;
+  if (cw <= 0.0) return score;
+  // Implicit self target: one "element" per extent member, charging value
+  // divergence even for leaves.
+  targets.push_back({kNoSynNode, 1.0, 1.0});
+
+  // Charges one predicate with selectivities su, sv and sw (merged).
+  auto charge = [&](double su, double sv, double sw) {
+    for (const FoldedTarget& counts : targets) {
+      const double aw = (cu * counts.from_u + cv * counts.from_v) / cw;
+      const double du = su * counts.from_u - sw * aw;
+      const double dv = sv * counts.from_v - sw * aw;
+      score.delta += cu * du * du + cv * dv * dv;
+    }
+  };
+  charge(1.0, 1.0, 1.0);  // the trivial predicate
+  // Value-less pairs have no other predicate, so only value-laden pairs
+  // build the merged summary.
+  if (!options.use_value_summaries || (nu.vsumm.empty() && nv.vsumm.empty())) {
+    return score;
+  }
+  const std::vector<AtomicPredicate> preds =
+      PairPredicates(nu.vsumm, nv.vsumm, options);
+  if (preds.empty()) return score;
+  const ValueSummary merged = ValueSummary::Merge(nu.vsumm, cu, nv.vsumm, cv);
+  for (const AtomicPredicate& p : preds) {
+    charge(nu.vsumm.AtomicSelectivity(p), nv.vsumm.AtomicSelectivity(p),
+           merged.AtomicSelectivity(p));
+  }
+  return score;
 }
 
 double CompressionDelta(const GraphSynopsis& synopsis, SynNodeId u,
@@ -162,16 +160,15 @@ double CompressionDelta(const GraphSynopsis& synopsis, SynNodeId u,
     preds.insert(preds.end(), own.begin(), own.end());
   }
 
+  // Child targets plus the implicit self target (count 1).
+  double weight = 1.0;
+  for (const SynEdge& edge : nu.children) {
+    weight += edge.avg_count * edge.avg_count;
+  }
   double delta = 0.0;
   for (const AtomicPredicate& p : preds) {
-    const double before = SelectivityOf(nu.vsumm, p);
-    const double after = SelectivityOf(compressed, p);
-    const double diff = before - after;
-    // Child targets plus the implicit self target.
-    double weight = 1.0;  // implicit self: count 1
-    for (const SynEdge& edge : nu.children) {
-      weight += edge.avg_count * edge.avg_count;
-    }
+    const double diff =
+        nu.vsumm.AtomicSelectivity(p) - compressed.AtomicSelectivity(p);
     delta += cu * diff * diff * weight;
   }
   return delta;

@@ -35,6 +35,15 @@ double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
 /// StructuralBytes() delta exactly (tested).
 size_t MergeSavings(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v);
 
+/// MergeDelta and MergeSavings of one pair, from a single fold of its child
+/// targets: the phase-1 candidate score.
+struct MergeScore {
+  double delta = 0.0;
+  size_t savings = 0;
+};
+MergeScore ScoreMerge(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
+                      const DeltaOptions& options);
+
 /// Marginal error of replacing u's value summary with `compressed` (phase-2
 /// candidate scoring): same formula with the node's own extent and targets.
 double CompressionDelta(const GraphSynopsis& synopsis, SynNodeId u,

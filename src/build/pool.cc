@@ -10,8 +10,9 @@ MergeCandidate EvaluateCandidate(const GraphSynopsis& synopsis, SynNodeId u,
   MergeCandidate candidate;
   candidate.u = u;
   candidate.v = v;
-  candidate.delta = MergeDelta(synopsis, u, v, options);
-  candidate.savings = MergeSavings(synopsis, u, v);
+  const MergeScore score = ScoreMerge(synopsis, u, v, options);
+  candidate.delta = score.delta;
+  candidate.savings = score.savings;
   candidate.version_u = synopsis.node(u).version;
   candidate.version_v = synopsis.node(v).version;
   return candidate;

@@ -1,5 +1,6 @@
 #include "core/serialize.h"
 
+#include <bitset>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -49,6 +50,36 @@ constexpr size_t kMinCoeffRecord = 9;     // index(1) value(8)
 constexpr size_t kMinSampleRecord = 8;    // value(8)
 constexpr size_t kMinPstRecord = 13;      // parent(4) symbol(1) count(8)
 constexpr size_t kMinIndexedRecord = 9;   // term(1) freq(8)
+
+/// Checks Pst::FromDump's precondition on a decoded PST dump: each entry's
+/// parent precedes it (or is the root, -1), and no two children of one
+/// parent share a symbol. FromDump turns entry i into node i + 1; a
+/// repeated sibling symbol would reuse a node and shift every later id.
+Status CheckPstDump(const std::vector<Pst::DumpNode>& dump) {
+  // Children of each parent as linked lists: first[parent + 1], next[child].
+  std::vector<int32_t> first(dump.size() + 1, -1);
+  std::vector<int32_t> next(dump.size(), -1);
+  for (size_t i = 0; i < dump.size(); ++i) {
+    const int32_t parent = dump[i].parent;
+    if (parent < -1 || parent >= static_cast<int64_t>(i)) {
+      return Status::Corruption("pst dump parent out of order");
+    }
+    next[i] = first[parent + 1];
+    first[parent + 1] = static_cast<int32_t>(i);
+  }
+  for (int32_t head : first) {
+    if (head < 0) continue;
+    std::bitset<256> seen;
+    for (int32_t child = head; child >= 0; child = next[child]) {
+      const auto symbol = static_cast<unsigned char>(dump[child].symbol);
+      if (seen.test(symbol)) {
+        return Status::Corruption("pst dump repeats a sibling symbol");
+      }
+      seen.set(symbol);
+    }
+  }
+  return Status::OK();
+}
 
 void EncodeSummary(const ValueSummary& vsumm, ByteSink* sink) {
   switch (vsumm.type()) {
@@ -216,13 +247,8 @@ Status DecodeSummary(ByteSource* src, ValueSummary* vsumm) {
         XCLUSTER_RETURN_IF_ERROR(GetDouble(src, &node.count));
         node.parent = static_cast<int32_t>(parent);
         node.symbol = static_cast<char>(symbol);
-        // Dump order is preorder: a parent must precede its children (or be
-        // the implicit root, -1).
-        if (node.parent != -1 &&
-            (node.parent < 0 || static_cast<size_t>(node.parent) >= i)) {
-          return Status::Corruption("pst dump parent out of order");
-        }
       }
+      XCLUSTER_RETURN_IF_ERROR(CheckPstDump(dump));
       vsumm->set_type(ValueType::kString);
       *vsumm->mutable_pst() =
           Pst::FromDump(dump, total, static_cast<size_t>(max_depth));
@@ -539,12 +565,9 @@ Status ReadLegacySummary(std::istream& in, ValueSummary* vsumm) {
       int symbol = 0;
       in >> dump[i].parent >> symbol >> dump[i].count;
       dump[i].symbol = static_cast<char>(static_cast<unsigned char>(symbol));
-      if (in && dump[i].parent != -1 &&
-          (dump[i].parent < 0 || static_cast<size_t>(dump[i].parent) >= i)) {
-        return Status::Corruption("pst dump parent out of order");
-      }
     }
     if (!in) return Status::Corruption("bad pst record");
+    XCLUSTER_RETURN_IF_ERROR(CheckPstDump(dump));
     vsumm->set_type(ValueType::kString);
     *vsumm->mutable_pst() = Pst::FromDump(dump, total, max_depth);
     return Status::OK();

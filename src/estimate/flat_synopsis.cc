@@ -150,9 +150,10 @@ const ValueSummary* FlatSynopsis::DecodeLazySummary(uint32_t index) const {
   auto decoded = std::make_unique<ValueSummary>();
   const Status status = DecodeValueSummary(&src, decoded.get());
   if (!status.ok() || src.Remaining() != 0) {
-    // Unreachable behind the pool section's CRC (validated at load); keep
-    // the serve path crash-free anyway: an empty summary estimates like a
-    // summary-less node.
+    // The pool section's CRC only proves the bytes are the sender's: a
+    // mapped or wire-installed image can carry a malformed record. Keep the
+    // serve path crash-free: an empty summary estimates like a summary-less
+    // node.
     XCLUSTER_COUNTER_INC("estimate.flat.lazy_decode_failures");
     *decoded = ValueSummary();
   }

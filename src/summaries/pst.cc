@@ -7,6 +7,14 @@
 
 namespace xcluster {
 
+namespace {
+
+/// PruneCache::error entry of a node whose error is not cached. Pruning
+/// errors are absolute values, so no computed error equals it.
+constexpr double kUncached = -1.0;
+
+}  // namespace
+
 uint32_t Pst::FindChild(uint32_t node, char symbol) const {
   for (uint32_t child : nodes_[node].children) {
     if (nodes_[child].alive && nodes_[child].symbol == symbol) return child;
@@ -181,18 +189,51 @@ std::string Pst::StringOf(uint32_t node) const {
   return out;
 }
 
-double Pst::PruningError(uint32_t node) const {
+double Pst::PruningError(uint32_t node) {
   const double before = nodes_[node].count;
-  // Estimate for the node's string once the node is gone. The walk is
-  // const-unsafe to do by temporarily killing the node, so emulate: the
-  // estimate after pruning matches the Markov extension of the parent's
-  // string by the leaf symbol.
-  std::string s = StringOf(node);
-  Pst* self = const_cast<Pst*>(this);
-  self->nodes_[node].alive = false;
-  double after = EstimateCount(s);
-  self->nodes_[node].alive = true;
+  nodes_[node].alive = false;
+  const double after = EstimateCount(StringOf(node));
+  nodes_[node].alive = true;
   return std::abs(before - after);
+}
+
+void Pst::MakePruneCache() {
+  cache_.error.assign(nodes_.size(), kUncached);
+  cache_.key.assign(nodes_.size(), 0);
+  cache_.depth.assign(nodes_.size(), 0);
+  cache_.deepest = 0;
+  // A node is always added after its parent, so parents come first.
+  for (uint32_t id = 1; id < nodes_.size(); ++id) {
+    const uint32_t parent = nodes_[id].parent;
+    cache_.key[id] = (cache_.key[parent] << 8) |
+                     static_cast<unsigned char>(nodes_[id].symbol);
+    cache_.depth[id] = cache_.depth[parent] + 1;
+    cache_.deepest = std::max(cache_.deepest, cache_.depth[id]);
+  }
+}
+
+void Pst::ForgetErrorsContaining(uint32_t node) {
+  cache_.error[node] = kUncached;
+  const uint32_t len = cache_.depth[node];
+  // Strings are unique, so a deepest-level string is in no other string.
+  if (len == cache_.deepest) return;
+  if (cache_.deepest > 8) {  // strings do not fit the packed keys
+    std::fill(cache_.error.begin(), cache_.error.end(), kUncached);
+    return;
+  }
+  const uint64_t needle = cache_.key[node];
+  const uint64_t mask = (uint64_t{1} << (8 * len)) - 1;  // len < 8
+  for (uint32_t id = 1; id < nodes_.size(); ++id) {
+    if (cache_.error[id] == kUncached || cache_.depth[id] <= len) continue;
+    const uint64_t key = cache_.key[id];
+    for (uint32_t shift = 0; shift <= 8 * (cache_.depth[id] - len);
+         shift += 8) {
+      if (((key >> shift) & mask) == needle) {
+        cache_.error[id] = kUncached;
+        break;
+      }
+    }
+  }
 }
 
 void Pst::RemoveLeaf(uint32_t node) {
@@ -201,6 +242,7 @@ void Pst::RemoveLeaf(uint32_t node) {
   auto& siblings = nodes_[nodes_[node].parent].children;
   siblings.erase(std::remove(siblings.begin(), siblings.end(), node),
                  siblings.end());
+  if (!cache_.error.empty()) ForgetErrorsContaining(node);
 }
 
 bool Pst::CanPrune() const {
@@ -215,6 +257,14 @@ bool Pst::CanPrune() const {
 
 void Pst::Prune(size_t num_leaves) {
   if (nodes_.empty()) return;
+  if (cache_.error.empty()) MakePruneCache();
+  // A cached error equals a fresh PruningError: RemoveLeaf forgets every
+  // error that a removal can change.
+  auto error_of = [&](uint32_t id) {
+    double& error = cache_.error[id];
+    if (error == kUncached) error = PruningError(id);
+    return error;
+  };
   using Entry = std::pair<double, uint32_t>;  // (error, node)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
 
@@ -222,7 +272,7 @@ void Pst::Prune(size_t num_leaves) {
     const Node& node = nodes_[id];
     // Depth-1 nodes are retained to keep one node per symbol.
     if (node.alive && node.children.empty() && node.parent != kRoot) {
-      heap.push({PruningError(id), id});
+      heap.push({error_of(id), id});
     }
   };
   for (uint32_t id = 1; id < nodes_.size(); ++id) push_if_prunable(id);
@@ -236,7 +286,7 @@ void Pst::Prune(size_t num_leaves) {
       continue;  // stale entry
     }
     // Lazy re-validation: errors drift as neighbors are pruned.
-    double current = PruningError(id);
+    double current = error_of(id);
     if (!heap.empty() && current > error * 1.25 + 1e-9 &&
         current > heap.top().first) {
       heap.push({current, id});
@@ -282,31 +332,52 @@ Pst Pst::Pruned(size_t num_leaves) const {
 }
 
 std::vector<std::string> Pst::SampleSubstrings(size_t cap) const {
-  std::vector<std::string> all;
-  if (nodes_.empty()) return all;
-  // DFS, collecting the string of every alive node.
-  std::vector<std::pair<uint32_t, std::string>> stack;
-  stack.push_back({kRoot, ""});
-  while (!stack.empty()) {
-    auto [node, prefix] = std::move(stack.back());
-    stack.pop_back();
-    if (node != kRoot) all.push_back(prefix);
-    for (uint32_t child : nodes_[node].children) {
-      if (!nodes_[child].alive) continue;
-      stack.push_back({child, prefix + nodes_[child].symbol});
-    }
-  }
-  if (all.size() <= cap || cap == 0) return all;
-  // Deterministic stride sample preserving depth diversity.
-  std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
-    if (x.size() != y.size()) return x.size() < y.size();
-    return x < y;
-  });
   std::vector<std::string> sampled;
+  if (nodes_.empty()) return sampled;
+  if (cap == 0 || live_nodes_ <= cap) {
+    // Every stored string, depth first. Callers sum over the strings in
+    // this order.
+    std::vector<std::pair<uint32_t, std::string>> stack;
+    stack.push_back({kRoot, ""});
+    while (!stack.empty()) {
+      auto [node, prefix] = std::move(stack.back());
+      stack.pop_back();
+      if (node != kRoot) sampled.push_back(prefix);
+      for (uint32_t child : nodes_[node].children) {
+        if (!nodes_[child].alive) continue;
+        stack.push_back({child, prefix + nodes_[child].symbol});
+      }
+    }
+    return sampled;
+  }
+  // Deterministic stride sample preserving depth diversity, over the
+  // strings in (length, string) order. A level-order walk that visits each
+  // node's children in unsigned symbol order yields exactly that order
+  // (std::string compares bytes as unsigned char), so only the sampled
+  // strings are built.
   sampled.reserve(cap);
-  const double stride = static_cast<double>(all.size()) / static_cast<double>(cap);
-  for (size_t k = 0; k < cap; ++k) {
-    sampled.push_back(all[static_cast<size_t>(stride * static_cast<double>(k))]);
+  const double stride =
+      static_cast<double>(live_nodes_) / static_cast<double>(cap);
+  size_t next_rank = 0;  // rank (in that order) of the next string to take
+  std::vector<uint32_t> order;
+  order.reserve(live_nodes_ + 1);
+  order.push_back(kRoot);
+  for (size_t head = 0; head < order.size() && sampled.size() < cap; ++head) {
+    const uint32_t node = order[head];
+    if (head == next_rank + 1) {  // order[0] is the root
+      sampled.push_back(StringOf(node));
+      next_rank = static_cast<size_t>(
+          stride * static_cast<double>(sampled.size()));
+    }
+    const size_t first = order.size();
+    for (uint32_t child : nodes_[node].children) {
+      if (nodes_[child].alive) order.push_back(child);
+    }
+    std::sort(order.begin() + first, order.end(),
+              [this](uint32_t a, uint32_t b) {
+                return static_cast<unsigned char>(nodes_[a].symbol) <
+                       static_cast<unsigned char>(nodes_[b].symbol);
+              });
   }
   return sampled;
 }

@@ -43,6 +43,9 @@ class Pst {
   double Selectivity(std::string_view qs) const;
 
   /// Prunes `num_leaves` leaves (st_cmprs(u, b)); depth-1 nodes are kept.
+  /// Leaf pruning errors are cached across calls and copies (see
+  /// PruneCache), so a chain of copy-and-prune steps computes each error
+  /// only when a substring of its leaf was removed since.
   void Prune(size_t num_leaves);
 
   /// Baseline pruning scheme for the ablation study: removes the
@@ -57,7 +60,10 @@ class Pst {
   Pst Pruned(size_t num_leaves) const;
 
   /// Up to `cap` substrings stored in the tree, sampled deterministically
-  /// across depths — the atomic STRING predicates of Sec. 4.1.
+  /// across depths — the atomic STRING predicates of Sec. 4.1. With
+  /// cap == 0 or at most `cap` nodes, every stored string in depth-first
+  /// order; otherwise a stride sample of the strings in (length, unsigned
+  /// byte string) order.
   std::vector<std::string> SampleSubstrings(size_t cap) const;
 
   /// Number of summarized strings.
@@ -84,10 +90,15 @@ class Pst {
   std::vector<DumpNode> Dump() const;
 
   /// Reconstructs a PST from Dump() output plus the string count and depth.
+  /// Precondition: every entry's parent precedes it, and no two entries
+  /// with the same parent share a symbol, so that entry i becomes node
+  /// i + 1. Decoders check it first (CheckPstDump in core/serialize.cc).
   static Pst FromDump(const std::vector<DumpNode>& dump, double total,
                       size_t max_depth);
 
  private:
+  friend class PstOracle;  // tests/oracle/pst_prune.h
+
   struct Node {
     char symbol = 0;
     double count = 0.0;
@@ -112,15 +123,38 @@ class Pst {
   /// String encoded by `node` (root-to-node symbols).
   std::string StringOf(uint32_t node) const;
 
-  /// Estimation error introduced by pruning leaf `node`.
-  double PruningError(uint32_t node) const;
+  /// Estimation error introduced by pruning leaf `node`: |count - the
+  /// estimate for its string with the node hidden|. The estimate reads only
+  /// the nodes whose strings are substrings of the leaf's string.
+  double PruningError(uint32_t node);
+
+  /// Builds cache_ for the current tree (first Prune).
+  void MakePruneCache();
+
+  /// Forgets the cached errors that removing `node` made stale: those of
+  /// the leaves whose strings contain the node's string.
+  void ForgetErrorsContaining(uint32_t node);
 
   void RemoveLeaf(uint32_t node);
+
+  /// Build-time pruning state, made by the first Prune and copied with the
+  /// tree; empty in trees that were never pruned (serving trees decoded by
+  /// FromDump). Indexed by node id. `error[id]` is leaf id's cached
+  /// PruningError, or kUncached; `key[id]` packs the node's string one
+  /// byte per symbol, last symbol lowest, and is read only when `deepest`
+  /// (the largest node depth) is at most 8.
+  struct PruneCache {
+    std::vector<double> error;
+    std::vector<uint64_t> key;
+    std::vector<uint32_t> depth;
+    uint32_t deepest = 0;
+  };
 
   std::vector<Node> nodes_;
   double total_ = 0.0;
   size_t max_depth_ = 0;
   size_t live_nodes_ = 0;  // excluding root
+  PruneCache cache_;
 };
 
 }  // namespace xcluster

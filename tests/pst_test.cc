@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "data/imdb.h"
+#include "data/treebank.h"
+#include "data/xmark.h"
+#include "oracle/pst_prune.h"
+#include "synopsis/reference.h"
 
 namespace xcluster {
 namespace {
@@ -259,6 +265,140 @@ TEST_P(PstPropertyTest, ExactnessAndBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PstPropertyTest,
                          ::testing::Values(7, 11, 19, 23, 31, 43));
+
+// --- Cached pruning errors and sort-free sampling against PstOracle -------
+
+/// Dumps agree entry by entry, counts bit for bit.
+::testing::AssertionResult SameDump(const Pst& actual, const Pst& expected) {
+  const std::vector<Pst::DumpNode> a = actual.Dump();
+  const std::vector<Pst::DumpNode> e = expected.Dump();
+  if (a.size() != e.size()) {
+    return ::testing::AssertionFailure()
+           << "dump sizes " << a.size() << " vs " << e.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].parent != e[i].parent || a[i].symbol != e[i].symbol ||
+        std::memcmp(&a[i].count, &e[i].count, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure() << "dump entry " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// SampleSubstrings agrees with the sort-based oracle at every cap.
+::testing::AssertionResult SameSamples(const Pst& pst) {
+  for (size_t cap : {0, 1, 8, 16, 128, 400}) {
+    if (pst.SampleSubstrings(cap) != PstOracle::SampleSubstrings(pst, cap)) {
+      return ::testing::AssertionFailure() << "sample differs at cap " << cap;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Prunes `start` down to its depth-1 nodes the way phase 2 compresses a
+/// string summary: every step copies the tree, prunes `step` leaves off the
+/// copy and keeps the copy, so cached errors ride along from step to step.
+/// The oracle prunes its own copies from `start` without a cache; the two
+/// must Dump() the same and sample the same after every step.
+void CheckPruneChain(const Pst& start, size_t step, const std::string& name) {
+  ASSERT_TRUE(SameSamples(start)) << name;
+  Pst cached = start;
+  Pst oracle = start;
+  for (int i = 0; cached.CanPrune(); ++i) {
+    Pst next = cached;
+    next.Prune(step);
+    cached = next;
+    Pst oracle_next = oracle;
+    PstOracle::Prune(&oracle_next, step);
+    oracle = oracle_next;
+    ASSERT_TRUE(SameDump(cached, oracle)) << name << " step " << i;
+    ASSERT_TRUE(SameSamples(cached)) << name << " step " << i;
+  }
+  EXPECT_FALSE(oracle.CanPrune()) << name;
+}
+
+/// The string summaries of a generated dataset's reference synopsis.
+std::vector<Pst> DatasetPsts(const GeneratedDataset& dataset) {
+  ReferenceOptions options;
+  options.value_paths = dataset.value_paths;
+  GraphSynopsis reference = BuildReferenceSynopsis(dataset.doc, options);
+  std::vector<Pst> psts;
+  for (SynNodeId id : reference.AliveNodes()) {
+    const ValueSummary& vsumm = reference.node(id).vsumm;
+    if (vsumm.type() == ValueType::kString) psts.push_back(vsumm.pst());
+  }
+  return psts;
+}
+
+void CheckDatasetChains(const GeneratedDataset& dataset) {
+  std::vector<Pst> psts = DatasetPsts(dataset);
+  ASSERT_FALSE(psts.empty()) << dataset.name;
+  for (size_t i = 0; i < psts.size(); ++i) {
+    const std::string name = dataset.name + " pst " + std::to_string(i);
+    const size_t step = std::max<size_t>(1, psts[i].node_count() / 12);
+    CheckPruneChain(psts[i], step, name);
+  }
+}
+
+TEST(PstOracleTest, XMarkChainsMatchOracle) {
+  XMarkOptions options;
+  options.scale = 0.05;
+  CheckDatasetChains(GenerateXMark(options));
+}
+
+TEST(PstOracleTest, ImdbChainsMatchOracle) {
+  ImdbOptions options;
+  options.scale = 0.05;
+  CheckDatasetChains(GenerateImdb(options));
+}
+
+TEST(PstOracleTest, TreebankChainsMatchOracle) {
+  TreebankOptions options;
+  options.scale = 0.05;
+  CheckDatasetChains(GenerateTreebank(options));
+}
+
+/// Random byte strings over a small alphabet that mixes ASCII with bytes
+/// >= 0x80 and NUL, so unsigned and signed symbol order differ and packed
+/// strings carry zero bytes.
+std::vector<std::string> RandomByteStrings(Rng* rng, size_t count) {
+  const unsigned char alphabet[] = {'a', 'b', 'c', 0x00, 0x7f,
+                                    0x80, 0xc3, 0xfe, 0xff};
+  std::vector<std::string> strings;
+  for (size_t i = 0; i < count; ++i) {
+    std::string s;
+    const size_t len = 1 + rng->Uniform(12);
+    for (size_t j = 0; j < len; ++j) {
+      s += static_cast<char>(alphabet[rng->Uniform(sizeof(alphabet))]);
+    }
+    strings.push_back(std::move(s));
+  }
+  return strings;
+}
+
+class PstRandomOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PstRandomOracleTest, ChainsMatchOracle) {
+  Rng rng(GetParam());
+  const size_t depth = 2 + GetParam() % 6;  // 2..7
+  const std::string name = "depth " + std::to_string(depth);
+  Pst small = Pst::Build(RandomByteStrings(&rng, 12), depth);
+  CheckPruneChain(small, 1, name + " step 1");
+  Pst large = Pst::Build(RandomByteStrings(&rng, 60), depth);
+  CheckPruneChain(large, 1 + large.node_count() / 10, name + " step n/10");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PstRandomOracleTest,
+                         ::testing::Range<uint64_t>(1, 25));
+
+// Strings deeper than 8 symbols do not fit the cache's packed keys.
+TEST(PstOracleTest, DeepTreesMatchOracle) {
+  for (size_t depth : {9, 12}) {
+    Rng rng(depth);
+    Pst pst = Pst::Build(RandomByteStrings(&rng, 24), depth);
+    CheckPruneChain(pst, 4, "depth " + std::to_string(depth));
+  }
+}
 
 }  // namespace
 }  // namespace xcluster

@@ -154,6 +154,66 @@ TEST(SerializeCorruptionTest, LegacyTextFormatStillLoads) {
   EXPECT_NE(report.find("legacy"), std::string::npos) << report;
 }
 
+// Pst::FromDump turns dump entry i into node i + 1. A record whose entry
+// repeats a sibling's symbol would reuse that sibling's node, shift every
+// later id, and let a later parent index read past the tree. Both readers
+// must reject it.
+TEST(SerializeCorruptionTest, PstRecordRepeatingASiblingSymbolIsRejected) {
+  const ValueSummary vsumm =
+      ValueSummary::FromStrings({"ab", "bc", "abc"}, 5);
+  const std::vector<Pst::DumpNode> dump = vsumm.pst().Dump();
+  std::vector<size_t> root_children;
+  for (size_t i = 0; i < dump.size(); ++i) {
+    if (dump[i].parent == -1) root_children.push_back(i);
+  }
+  ASSERT_GE(root_children.size(), 2u);
+
+  std::string bytes;
+  StringSink sink(&bytes);
+  EncodeValueSummary(vsumm, &sink);
+  // Entries are the record's tail: parent(4) symbol(1) count(8) each.
+  constexpr size_t kEntryBytes = 13;
+  const size_t entries = bytes.size() - dump.size() * kEntryBytes;
+  const size_t first = entries + root_children[0] * kEntryBytes + 4;
+  const size_t second = entries + root_children[1] * kEntryBytes + 4;
+  ASSERT_EQ(bytes[first], dump[root_children[0]].symbol);
+  ASSERT_EQ(bytes[second], dump[root_children[1]].symbol);
+  {
+    StringSource src(bytes);
+    ValueSummary decoded;
+    ASSERT_TRUE(DecodeValueSummary(&src, &decoded).ok());
+  }
+  bytes[second] = bytes[first];
+  StringSource src(bytes);
+  ValueSummary decoded;
+  const Status status = DecodeValueSummary(&src, &decoded);
+  EXPECT_EQ(status.code(), Status::Code::kCorruption) << status.ToString();
+
+  // The legacy text reader shares the check: root children 'a' (with child
+  // "ab") and 'a' again.
+  const std::string legacy =
+      "XCLUSTER 1\n"
+      "labels 2\n"
+      "4 root\n"
+      "4 leaf\n"
+      "terms 0\n"
+      "root 0\n"
+      "nodes 2\n"
+      "node 0 0 1\n"
+      "vsumm none\n"
+      "node 1 2 3\n"
+      "vsumm pst 3 5 4 -1 97 2 0 98 1 -1 97 2 2 99 1\n"
+      "edges 1\n"
+      "edge 0 1 3\n";
+  Result<GraphSynopsis> text = DecodeSynopsisBytes(legacy);
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(text.status().code(), Status::Code::kCorruption)
+      << text.status().ToString();
+  std::string fixed = legacy;
+  fixed.replace(fixed.find("-1 97 2 2"), 9, "-1 98 2 2");
+  EXPECT_TRUE(DecodeSynopsisBytes(fixed).ok());
+}
+
 TEST(SerializeCorruptionTest, VerifyFailsOnBitFlip) {
   auto kinds = AllKindSynopses();
   std::string bytes = EncodeSynopsisToString(kinds[1].second);
