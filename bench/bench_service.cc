@@ -18,6 +18,10 @@
 // always-on daemon tracing configuration), then a second baseline. The
 // traced run must hold >= 97% of the slower baseline's throughput or the
 // bench exits nonzero — always-on tracing is budgeted at <3%.
+//
+// Last, a cold start from the `.xcsf` image: its time-to-first-estimate
+// is reported, and the whole workload served from the mapped image must
+// equal the compiled-in-RAM answers bit for bit.
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +38,6 @@
 #include "estimate/compiled_twig.h"
 #include "query/parser.h"
 #include "service/service.h"
-#include "storage/xcsf_writer.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
 
@@ -166,10 +169,10 @@ JsonValue PoolEntry(const PoolRun& run, size_t mismatches) {
   return entry;
 }
 
-/// One cold start against `path` (either format — SynopsisStore
-/// auto-detects): fresh store, load/mmap, compile the first query, return
-/// nanoseconds from load start to the first estimate landing. The
-/// estimate itself is returned for the bit-identity gate.
+/// One cold start against the image at `path`: fresh store, mmap load,
+/// compile the first query, return nanoseconds from load start to the
+/// first estimate landing. The estimate itself is returned for the
+/// bit-identity gate.
 uint64_t ColdStartTtfeNs(const std::string& path, const std::string& query,
                          double* estimate) {
   const uint64_t start = telemetry::MonotonicNowNs();
@@ -338,42 +341,28 @@ int Main(int argc, char** argv) {
     entries.items().push_back(std::move(entry));
   }
 
-  // Cold start: `.xcs` parse-load vs `.xcsf` mmap-load, measured as
-  // time-to-first-estimate (fresh store -> load -> compile the first
-  // query -> estimate). Both files describe the same synopsis; minimum of
-  // several iterations so the page cache is equally warm for both. Two
-  // hard gates: the mmap path must be >= 10x faster, and serving the full
-  // workload from the mapped image must be bit-identical slot-for-slot to
-  // the compiled-in-RAM run.
+  // Cold start from the `.xcsf` image, measured as time-to-first-estimate
+  // (fresh store -> mmap load -> compile the first query -> estimate),
+  // minimum of several iterations. Reported, not gated: perfbench's
+  // ttfe_ms is the cold-start figure of record. One hard gate: serving
+  // the full workload from the mapped image must be bit-identical
+  // slot-for-slot to the compiled-in-RAM run.
   {
-    const std::string xcs_path = "bench_coldstart.xcs";
     const std::string xcsf_path = "bench_coldstart.xcsf";
-    Status saved = synopsis.Save(xcs_path);
+    Status saved = synopsis.Save(xcsf_path);
     if (!saved.ok()) {
-      std::fprintf(stderr, "bench_service: save %s: %s\n", xcs_path.c_str(),
-                   saved.ToString().c_str());
-      return 1;
-    }
-    saved = storage::XcsfWriter::Write(*synopsis.flat(), xcsf_path,
-                                       /*sync=*/false);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "bench_service: write %s: %s\n",
+      std::fprintf(stderr, "bench_service: save %s: %s\n",
                    xcsf_path.c_str(), saved.ToString().c_str());
       return 1;
     }
 
-    const std::string& first_query = queries.front();
     constexpr int kIterations = 7;
-    uint64_t xcs_ns = ~uint64_t{0}, xcsf_ns = ~uint64_t{0};
-    double xcs_estimate = 0.0, xcsf_estimate = 0.0;
+    uint64_t xcsf_ns = ~uint64_t{0};
+    double xcsf_estimate = 0.0;
     for (int i = 0; i < kIterations; ++i) {
-      xcs_ns = std::min(xcs_ns,
-                        ColdStartTtfeNs(xcs_path, first_query, &xcs_estimate));
       xcsf_ns = std::min(
-          xcsf_ns, ColdStartTtfeNs(xcsf_path, first_query, &xcsf_estimate));
+          xcsf_ns, ColdStartTtfeNs(xcsf_path, queries.front(), &xcsf_estimate));
     }
-    const double speedup =
-        xcsf_ns > 0 ? static_cast<double>(xcs_ns) /xcsf_ns : 0.0;
 
     // Slot-for-slot bit-identity of the mapped image over the whole
     // workload, against EstimateOne over the compiled-in-RAM snapshot.
@@ -396,48 +385,25 @@ int Main(int argc, char** argv) {
         if (estimate != expected[i]) ++mismatches;
       }
     }
-    if (mismatches > 0 || xcs_estimate != xcsf_estimate) {
+    if (mismatches > 0 || xcsf_estimate != expected.front()) {
       std::fprintf(stderr,
                    "bench_service: MMAP BIT-IDENTITY FAIL: %zu slot "
                    "mismatches (first query %.17g vs %.17g)\n",
-                   mismatches, xcs_estimate, xcsf_estimate);
+                   mismatches, xcsf_estimate, expected.front());
       rc = 1;
     }
-    const bool fast_enough = speedup >= 10.0;
-    std::fprintf(stderr,
-                 "bench_service: cold start xcs=%.2fms xcsf=%.3fms "
-                 "(%.1fx, gate >=10x) -> %s\n",
-                 static_cast<double>(xcs_ns) / 1e6,
-                 static_cast<double>(xcsf_ns) / 1e6, speedup,
-                 fast_enough && mismatches == 0 ? "ok" : "FAIL");
-    if (!fast_enough) {
-      std::fprintf(stderr,
-                   "bench_service: COLD-START GATE FAIL: mmap load only "
-                   "%.1fx faster than parse load\n",
-                   speedup);
-      rc = 1;
-    }
+    std::fprintf(stderr, "bench_service: cold start xcsf=%.3fms -> %s\n",
+                 static_cast<double>(xcsf_ns) / 1e6,
+                 mismatches == 0 ? "ok" : "FAIL");
 
-    JsonValue xcs_entry = JsonValue::Object();
-    xcs_entry.members()["name"] = JsonValue::String("cold_start/xcs");
-    xcs_entry.members()["ttfe_ms"] =
-        JsonValue::Number(static_cast<double>(xcs_ns) / 1e6);
-    entries.items().push_back(std::move(xcs_entry));
     JsonValue xcsf_entry = JsonValue::Object();
     xcsf_entry.members()["name"] = JsonValue::String("cold_start/xcsf");
     xcsf_entry.members()["ttfe_ms"] =
         JsonValue::Number(static_cast<double>(xcsf_ns) / 1e6);
-    entries.items().push_back(std::move(xcsf_entry));
-    JsonValue gate = JsonValue::Object();
-    gate.members()["name"] = JsonValue::String("cold_start_speedup");
-    gate.members()["speedup"] = JsonValue::Number(speedup);
-    gate.members()["bit_identical"] =
+    xcsf_entry.members()["bit_identical"] =
         JsonValue::Number(mismatches == 0 ? 1.0 : 0.0);
-    gate.members()["gate_pass"] = JsonValue::Number(
-        fast_enough && mismatches == 0 ? 1.0 : 0.0);
-    entries.items().push_back(std::move(gate));
+    entries.items().push_back(std::move(xcsf_entry));
 
-    std::remove(xcs_path.c_str());
     std::remove(xcsf_path.c_str());
   }
 

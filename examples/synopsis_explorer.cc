@@ -51,7 +51,7 @@ int main() {
     ++lines;
   }
 
-  const std::string path = "/tmp/xcluster_explorer.xcs";
+  const std::string path = "/tmp/xcluster_explorer.xcsf";
   Status save = xc.Save(path);
   if (!save.ok()) {
     std::fprintf(stderr, "save failed: %s\n", save.ToString().c_str());

@@ -76,12 +76,12 @@ stats_field() {
 # 1. Build a synopsis; serve it twice — `books` unlimited for interactive
 # traffic, `bulkdata` behind a 50 qps / burst-8 admission quota.
 "$XCLUSTERCTL" build --in examples/books.xml --bstr 0 \
-  --out "$WORKDIR/books.xcs" >/dev/null
+  --out "$WORKDIR/books.xcsf" >/dev/null
 printf '//book\n//book[/price]\n//book\n//book\n//book\n//book\n//book\n//book\n' \
   > "$WORKDIR/queries.txt"
 
 start_daemon --workers 8 \
-  --preload books="$WORKDIR/books.xcs",bulkdata="$WORKDIR/books.xcs" \
+  --preload books="$WORKDIR/books.xcsf",bulkdata="$WORKDIR/books.xcsf" \
   --quota bulkdata=50:8 --metrics-json "$WORKDIR/metrics.json" \
   --trace-sample 1.0 --dump-prefix "$WORKDIR/dump" \
   --slow-query-ms 1 --slow-query-log "$WORKDIR/slow.jsonl"

@@ -54,14 +54,14 @@ REQUIRED_NONZERO_COUNTERS = [
     "build.reference_nodes",
     "parse.documents",
     "parse.nodes",
-    "serialize.bytes.total",
+    "storage.xcsf.bytes_encoded",
 ]
 
 REQUIRED_HISTOGRAMS = [
     "build.phase1_ns",
     "build.phase2_ns",
     "parse.latency_ns",
-    "serialize.encode_ns",
+    "storage.xcsf.encode_ns",
 ]
 
 
@@ -224,14 +224,10 @@ BENCH_BATCH_FIELDS = ("batch_groups", "lanes_per_group")
 BENCH_NEEDS_BATCH_ENTRY = ("service", "estimator")
 
 # Entries that must be present by exact name, keyed by benchmark. The
-# service bench must report the cold-start comparison: time-to-first-
-# estimate for both on-disk formats plus the speedup gate verdict.
+# service bench must report its cold start from the `.xcsf` image:
+# time-to-first-estimate and the mapped-image bit-identity verdict.
 BENCH_REQUIRED_ENTRIES = {
-    "service": (
-        "cold_start/xcs",
-        "cold_start/xcsf",
-        "cold_start_speedup",
-    ),
+    "service": ("cold_start/xcsf",),
 }
 
 

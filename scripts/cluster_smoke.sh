@@ -62,7 +62,7 @@ $(cat "$WORKDIR/$tag.err")"
 
 # 1. Build a synopsis to replicate.
 "$XCLUSTERCTL" build --in examples/books.xml --bstr 0 \
-  --out "$WORKDIR/books.xcs" >/dev/null
+  --out "$WORKDIR/books.xcsf" >/dev/null
 
 # 2. Fleet up: a narrow and a wide replica (the determinism gate must hold
 # regardless of replica parallelism), then the router over both.
@@ -78,7 +78,7 @@ echo "--- replicas on $R1_PORT/$R2_PORT, router on $RT_PORT ---"
 
 # 3. Replicate through the router: one push, every replica, one generation.
 "$XCLUSTERCTL" remote load --replicate --connect 127.0.0.1:"$RT_PORT" \
-  --name books --path "$WORKDIR/books.xcs" > "$WORKDIR/install.txt"
+  --name books --path "$WORKDIR/books.xcsf" > "$WORKDIR/install.txt"
 grep -Eq '^ok install books gen=[0-9]+ installed books gen=[0-9]+ on 2 replicas' \
   "$WORKDIR/install.txt" || fail "replicate: $(cat "$WORKDIR/install.txt")"
 GEN="$(sed -n 's/^ok install books gen=\([0-9]*\) .*/\1/p' "$WORKDIR/install.txt")"
@@ -125,7 +125,7 @@ done
 # must sum the shards (each shard is the same synopsis, so exactly 2x).
 for SHARD in part@0 part@1; do
   "$XCLUSTERCTL" remote load --replicate --connect 127.0.0.1:"$RT_PORT" \
-    --name "$SHARD" --path "$WORKDIR/books.xcs" >/dev/null \
+    --name "$SHARD" --path "$WORKDIR/books.xcsf" >/dev/null \
     || fail "replicate $SHARD failed"
 done
 printf '//book\n' > "$WORKDIR/one.txt"

@@ -56,14 +56,14 @@ stop_daemon() { # graceful SIGTERM drain; daemon must exit 0
 
 # 1. Build a synopsis to serve.
 "$XCLUSTERCTL" build --in examples/books.xml --bstr 0 \
-  --out "$WORKDIR/books.xcs" >/dev/null
+  --out "$WORKDIR/books.xcsf" >/dev/null
 
 # 2. Daemon up; exercise every remote subcommand.
 start_daemon --workers 2 --metrics-json "$WORKDIR/metrics.json"
 echo "--- daemon on port $PORT ---"
 
 "$XCLUSTERCTL" remote load --connect 127.0.0.1:"$PORT" \
-  --name books --path "$WORKDIR/books.xcs" > "$WORKDIR/load.txt"
+  --name books --path "$WORKDIR/books.xcsf" > "$WORKDIR/load.txt"
 grep -Eq '^ok load books gen=[0-9]+' "$WORKDIR/load.txt" \
   || fail "remote load: $(cat "$WORKDIR/load.txt")"
 
@@ -115,10 +115,10 @@ EOF
 for WORKERS in 1 8; do
   { printf 'batch books 4\n'; cat "$WORKDIR/queries.txt"; } \
     | "$XCLUSTERCTL" serve --stdin --workers "$WORKERS" \
-        --preload books="$WORKDIR/books.xcs" \
+        --preload books="$WORKDIR/books.xcsf" \
     | strip_latency > "$WORKDIR/stdin_w$WORKERS.txt"
 
-  start_daemon --workers "$WORKERS" --preload books="$WORKDIR/books.xcs"
+  start_daemon --workers "$WORKERS" --preload books="$WORKDIR/books.xcsf"
   "$XCLUSTERCTL" remote batch --connect 127.0.0.1:"$PORT" \
     --name books --queries "$WORKDIR/queries.txt" \
     | strip_latency > "$WORKDIR/remote_w$WORKERS.txt" || true

@@ -4,8 +4,8 @@
 # through the serve protocol, and validates the responses (including the
 # batch framing: header + exactly k item lines, and batch items equal to
 # the `estimate` command's answers). Also exercises the single- and
-# multi-query estimate paths through the synopsis store, on both the
-# .xcs and the compiled .xcsf form.
+# multi-query estimate paths through the synopsis store, `verify`, and the
+# rejection of a file that is not an XCSF image.
 #
 # Usage: scripts/service_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -27,13 +27,13 @@ RANGE_QUERY='//book[/year[range(1990,2005)]]'
 
 # 1. Build a synopsis to serve.
 "$XCLUSTERCTL" build --in examples/books.xml --bstr 0 \
-  --out "$WORKDIR/books.xcs" >/dev/null
+  --out "$WORKDIR/books.xcsf" >/dev/null
 
 # 2. Scripted session through the line protocol.
 cat > "$WORKDIR/session.txt" <<'EOF'
 # smoke session
 help
-load books WORKDIR/books.xcs
+load books WORKDIR/books.xcsf
 list
 estimate books //book
 estimate books ][not-a-query
@@ -109,7 +109,7 @@ field() { sed -n "${1}p" "$WORKDIR/out.txt" | awk "{print \$$2}"; }
 
 # 3. Multi-query estimate through the synopsis store.
 printf '//book\n%s\n' "$RANGE_QUERY" > "$WORKDIR/queries.txt"
-"$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.xcs" \
+"$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.xcsf" \
   --queries "$WORKDIR/queries.txt" --workers 2 > "$WORKDIR/multi.txt"
 echo "--- multi-query estimate ---"
 cat "$WORKDIR/multi.txt"
@@ -118,45 +118,32 @@ cat "$WORKDIR/multi.txt"
 grep -q '^# 2 queries: ok=2 ' "$WORKDIR/multi.txt" \
   || fail "missing latency summary line"
 
-# 4. Compile the synopsis to the flat mmap image, verify it, serve from
-# it, and prove the .xcsf path reports the identical estimate strings as
-# the .xcs path (the mapped estimator is gated to be bit-identical).
-"$XCLUSTERCTL" compile --in "$WORKDIR/books.xcs" \
-  --out "$WORKDIR/books.xcsf" >/dev/null
+# 4. The built image verifies, and a single-query estimate and explain
+# take the same load path as the batch.
 "$XCLUSTERCTL" verify --synopsis "$WORKDIR/books.xcsf" --quiet \
-  || fail "compiled .xcsf does not verify"
+  || fail "built .xcsf does not verify"
 "$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.xcsf" \
-  --queries "$WORKDIR/queries.txt" --workers 2 > "$WORKDIR/multi_xcsf.txt"
-echo "--- multi-query estimate (.xcsf) ---"
-cat "$WORKDIR/multi_xcsf.txt"
-[ "$(grep -c '//book' "$WORKDIR/multi_xcsf.txt")" -eq 2 ] \
-  || fail "expected 2 per-query result lines from the .xcsf path"
-# Per-query lines are `estimate us=N query`; the timings legitimately
-# differ between runs, so diff only estimate + query.
-awk '/^[^#]/ {print $1, $3}' "$WORKDIR/multi.txt" > "$WORKDIR/est_xcs.txt"
-awk '/^[^#]/ {print $1, $3}' "$WORKDIR/multi_xcsf.txt" > "$WORKDIR/est_xcsf.txt"
-diff -u "$WORKDIR/est_xcs.txt" "$WORKDIR/est_xcsf.txt" \
-  || fail ".xcs and .xcsf estimates differ"
-
-# 5. Single-query estimate and explain take the same load path for both
-# formats: the .xcs and .xcsf answers must be byte-identical.
-for format in xcs xcsf; do
-  "$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.$format" \
-    --query "$RANGE_QUERY" > "$WORKDIR/one_$format.txt" \
-    || fail "estimate --query on .$format failed"
-  "$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.$format" \
-    --query "$RANGE_QUERY" --explain > "$WORKDIR/explain_$format.txt" \
-    || fail "estimate --explain on .$format failed"
-done
-echo "--- explain (.xcs) ---"
-cat "$WORKDIR/explain_xcs.txt"
-grep -Eq '^estimate: [0-9.eE+-]+$' "$WORKDIR/explain_xcs.txt" \
+  --query "$RANGE_QUERY" > "$WORKDIR/one.txt" \
+  || fail "estimate --query failed"
+"$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.xcsf" \
+  --query "$RANGE_QUERY" --explain > "$WORKDIR/explain.txt" \
+  || fail "estimate --explain failed"
+echo "--- explain ---"
+cat "$WORKDIR/explain.txt"
+grep -Eq '^estimate: [0-9.eE+-]+$' "$WORKDIR/explain.txt" \
   || fail "explain output does not lead with the estimate"
-[ "$(cat "$WORKDIR/one_xcs.txt")" = "$(field 12 3)" ] \
+[ "$(cat "$WORKDIR/one.txt")" = "$(field 12 3)" ] \
   || fail "estimate --query disagrees with the serve estimate"
-diff -u "$WORKDIR/one_xcs.txt" "$WORKDIR/one_xcsf.txt" \
-  || fail ".xcs and .xcsf single-query estimates differ"
-diff -u "$WORKDIR/explain_xcs.txt" "$WORKDIR/explain_xcsf.txt" \
-  || fail ".xcs and .xcsf explanations differ"
+
+# 5. A file that is not an XCSF image fails verify and estimate cleanly.
+printf 'XCLUSTER 1\nlabels 0\n' > "$WORKDIR/not_xcsf.txt"
+for command in verify estimate; do
+  if "$XCLUSTERCTL" "$command" --synopsis "$WORKDIR/not_xcsf.txt" \
+      --query //book > /dev/null 2> "$WORKDIR/reject.txt"; then
+    fail "$command accepted a non-XCSF file"
+  fi
+  grep -q 'bad magic' "$WORKDIR/reject.txt" \
+    || fail "$command did not report bad magic: $(cat "$WORKDIR/reject.txt")"
+done
 
 echo "service_smoke: OK"

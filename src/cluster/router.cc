@@ -12,7 +12,6 @@
 #include "common/io/file_io.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/telemetry.h"
-#include "core/serialize.h"
 #include "service/harness.h"
 #include "storage/xcsf_mmap_view.h"
 
@@ -455,7 +454,7 @@ void Router::HandleCommand(uint64_t conn_id, uint32_t version,
       return;
     }
     std::string report;
-    Status verified = storage::VerifySynopsisPayload(bytes.value(), &report);
+    Status verified = storage::VerifyXcsfBytes(bytes.value(), &report);
     if (!verified.ok()) {
       Post(conn_id, net::FrameType::kResponse,
            "err " + verified.ToString() + "\n");

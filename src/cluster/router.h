@@ -65,7 +65,7 @@ struct RouterOptions {
 /// Replication: kInstall pushes arriving at the router are reassembled and
 /// fanned out to every healthy replica under one router-assigned
 /// generation, so the fleet lands in lockstep; the `replicate <name>
-/// <path>` command does the same from a router-local .xcs file.
+/// <path>` command does the same from a router-local .xcsf image.
 class Router : public net::FrameHandler {
  public:
   explicit Router(RouterOptions options);
@@ -128,7 +128,7 @@ class Router : public net::FrameHandler {
   void HandleInstallChunk(uint64_t conn_id, uint32_t version,
                           net::Frame frame);
 
-  /// Fans an XCSB snapshot to every healthy replica under one generation
+  /// Fans an XCSF image to every healthy replica under one generation
   /// (`pinned` 0 assigns the next fleet generation). Returns the
   /// aggregated outcome; ok only when every fleet member (not just every
   /// healthy one) landed the snapshot — skipped unhealthy replicas are

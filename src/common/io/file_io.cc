@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -42,9 +43,17 @@ Status SyncDirectory(const std::string& dir) {
 
 Status WriteFileAtomic(const std::string& path, std::string_view data,
                        bool sync) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  XCLUSTER_ASSIGN_OR_RETURN(const std::string tmp,
+                            WriteTempSibling(path, data, sync));
+  return CommitTempFile(tmp, path, sync);
+}
+
+Result<std::string> WriteTempSibling(const std::string& path,
+                                     std::string_view data, bool sync) {
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed));
 
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Errno("open", tmp);
@@ -52,15 +61,24 @@ Status WriteFileAtomic(const std::string& path, std::string_view data,
   Status status = WriteAll(fd, data.data(), data.size(), tmp);
   if (status.ok() && sync && ::fsync(fd) != 0) status = Errno("fsync", tmp);
   if (::close(fd) != 0 && status.ok()) status = Errno("close", tmp);
-  if (status.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
-    status = Errno("rename", tmp);
-  }
   if (!status.ok()) {
     ::unlink(tmp.c_str());
     return status;
   }
-  if (sync) XC_RETURN_IF_ERROR(SyncDirectory(dir));
-  return Status::OK();
+  return tmp;
+}
+
+Status CommitTempFile(const std::string& tmp, const std::string& path,
+                      bool sync) {
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const Status status = Errno("rename", tmp);
+    ::unlink(tmp.c_str());
+    return status;
+  }
+  if (!sync) return Status::OK();
+  const size_t slash = path.find_last_of('/');
+  return SyncDirectory(slash == std::string::npos ? "."
+                                                  : path.substr(0, slash));
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

@@ -1,8 +1,11 @@
 #include "core/xcluster.h"
 
+#include "common/io/file_io.h"
 #include "common/telemetry/telemetry.h"
 #include "estimate/compiled_twig.h"
 #include "query/parser.h"
+#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_writer.h"
 
 namespace xcluster {
 
@@ -29,6 +32,19 @@ Result<double> XCluster::EstimateSelectivity(std::string_view twig) const {
   Result<TwigQuery> query = ParseTwig(twig);
   if (!query.ok()) return query.status();
   return EstimateSelectivity(query.value());
+}
+
+Status XCluster::Save(const std::string& path) const {
+  return storage::XcsfWriter::Write(*flat_, path);
+}
+
+Result<XCluster> XCluster::Load(const std::string& path) {
+  XCLUSTER_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  XC_RETURN_IF_ERROR(
+      Status::WithContext(storage::VerifyXcsfBytes(bytes, nullptr), path));
+  XCLUSTER_ASSIGN_OR_RETURN(storage::XcsfMmapView view,
+                            storage::XcsfMmapView::Adopt(std::move(bytes)));
+  return XCluster(ToGraph(view.flat()));
 }
 
 }  // namespace xcluster

@@ -62,12 +62,16 @@ class XCluster {
     return synopsis_.StructuralBytes() + synopsis_.ValueBytes();
   }
 
-  /// Persists the synopsis to `path` in the checksummed binary format
-  /// (see docs/FORMAT.md). The write is atomic: temp file + fsync + rename.
+  /// Persists flat() to `path` as an XCSF image (see docs/FORMAT.md), the
+  /// file a SynopsisStore maps and serves. The write is atomic: temp file
+  /// + fsync + rename.
   Status Save(const std::string& path) const;
 
-  /// Loads a synopsis previously written by Save(). Files in the legacy
-  /// version-1 text format are still accepted (read-only fallback).
+  /// Loads an XCSF image (written by Save() or storage::XcsfWriter) and
+  /// rebuilds its graph with ToGraph. Strict, unlike serving: the whole
+  /// image is verified first, every summary record included, so a
+  /// malformed record fails with kCorruption instead of loading as an
+  /// empty summary.
   static Result<XCluster> Load(const std::string& path);
 
  private:

@@ -185,6 +185,32 @@ void FlatSynopsis::LabelRun(FlatNodeId n, SymbolId label, size_t* begin,
   *end = static_cast<size_t>(hi - base);
 }
 
+GraphSynopsis ToGraph(const FlatSynopsis& flat) {
+  GraphSynopsis graph;
+  for (size_t id = 0; id < flat.num_labels(); ++id) {
+    graph.labels().Intern(flat.label_string(static_cast<SymbolId>(id)));
+  }
+  auto dict = std::make_shared<TermDictionary>();
+  for (size_t id = 0; id < flat.num_terms(); ++id) {
+    dict->Intern(flat.term_string(static_cast<TermId>(id)));
+  }
+  graph.set_term_dictionary(std::move(dict));
+  for (FlatNodeId n = 0; n < flat.num_nodes(); ++n) {
+    const SynNodeId id = graph.AddNode(flat.label_string(flat.label(n)),
+                                       flat.type(n), flat.count(n));
+    if (const ValueSummary* vsumm = flat.vsumm(n)) {
+      graph.node(id).vsumm = *vsumm;
+    }
+  }
+  for (FlatNodeId n = 0; n < flat.num_nodes(); ++n) {
+    for (size_t e = flat.edges_begin(n); e < flat.edges_end(n); ++e) {
+      graph.AddEdge(n, flat.edge_target(e), flat.edge_count(e));
+    }
+  }
+  graph.set_root(flat.root());
+  return graph;
+}
+
 size_t FlatSynopsis::MemoryBytes() const {
   const size_t n = cols_.counts.size();
   const size_t m = cols_.edge_targets.size();

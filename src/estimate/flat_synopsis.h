@@ -283,6 +283,19 @@ class FlatSynopsis {
   std::shared_ptr<const void> backing_;  ///< pins a mapped image; else null
 };
 
+/// Rebuilds the GraphSynopsis a FlatSynopsis holds: the inverse of the
+/// compile constructor. Labels and terms are interned in id order, one
+/// node is added per flat node (with its value summary) and one edge per
+/// CSR edge in stored order, so `FlatSynopsis(ToGraph(flat))` has the same
+/// columns, pools and summaries as `flat` whenever flat's source graph was
+/// compacted (syn_of is the identity). The result always carries a term
+/// dictionary, empty when `flat` has no terms.
+///
+/// On a mapped synopsis, each summary decodes here; a record that does not
+/// decode comes back empty (see FlatSynopsis::vsumm). Callers that must
+/// reject such an image run storage::VerifyXcsfBytes first.
+GraphSynopsis ToGraph(const FlatSynopsis& flat);
+
 }  // namespace xcluster
 
 #endif  // XCLUSTER_ESTIMATE_FLAT_SYNOPSIS_H_

@@ -116,7 +116,7 @@ class NetClient {
   /// Unsupported against a v1/v2 server.
   Result<std::string> FlightDump(uint32_t max_records = 0);
 
-  /// Pushes an XCSB-encoded snapshot into the server's catalog under
+  /// Pushes an XCSF image into the server's catalog under
   /// `name` (v4+), chunked to fit the frame payload cap, CRC'd over the
   /// whole byte stream. A nonzero `generation` pins the store generation
   /// the snapshot lands under (how a router keeps a fleet in lockstep);

@@ -31,8 +31,8 @@ enum class FrameType : uint8_t {
   kFlight = 12,    ///< client -> server (v3+): flight-recorder dump request
                    ///  (max-records count; 0 = whole ring)
   kFlightReply = 13,///< server -> client: flight ring as JSON
-  kInstall = 14,   ///< client -> server (v4+): one chunk of an XCSB
-                   ///  snapshot being pushed for installation (replication;
+  kInstall = 14,   ///< client -> server (v4+): one chunk of an XCSF
+                   ///  image being pushed for installation (replication;
                    ///  see protocol.h InstallFrame). The receiver replies
                    ///  only after the final chunk.
   kInstallReply = 15,///< server -> client: install outcome + the generation
@@ -59,7 +59,7 @@ struct Frame {
 /// The CRC covers the length field too, so a bit flip anywhere outside the
 /// CRC field itself is detected (a flip inside the CRC field trivially
 /// mismatches). The stored CRC is masked (crc32c::Mask) because frames are
-/// routinely embedded in CRC-summed captures, same rationale as the `.xcs`
+/// routinely embedded in CRC-summed captures, same rationale as the `.xcsf`
 /// section checksums.
 inline constexpr size_t kFrameHeaderBytes = 12;
 
@@ -75,7 +75,7 @@ void EncodeFrame(const Frame& frame, std::string* out);
 /// complete frames out. The declared payload length is validated against
 /// `max_payload_bytes` as soon as the header prefix is available — an
 /// oversized frame is rejected before any payload is buffered or allocated
-/// (the same reject-before-allocate discipline as the `.xcs` reader).
+/// (the same reject-before-allocate discipline as the `.xcsf` reader).
 ///
 /// After Next returns an error the decoder is poisoned: the stream offset
 /// is unrecoverable, so the connection must be torn down.

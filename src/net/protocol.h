@@ -130,13 +130,13 @@ std::string EncodeBatchReply(const BatchResult& batch, bool explain,
                              uint64_t trace_id = 0);
 Result<BatchReplyFrame> DecodeBatchReply(const std::string& payload);
 
-/// kInstall payload (v4+): one chunk of an XCSB-encoded synopsis snapshot
-/// being pushed to the receiver's SynopsisStore (replication). A snapshot
+/// kInstall payload (v4+): one chunk of an XCSF synopsis image being
+/// pushed to the receiver's SynopsisStore (replication). A snapshot
 /// crosses as `chunk_count` kInstall frames sharing the same name,
 /// generation, total size, and whole-snapshot CRC; chunks must arrive in
 /// order on one connection. The receiver reassembles, verifies the CRC
-/// against the complete byte stream, decodes (XCSB section CRCs verify
-/// again inside), installs — pinning `generation` when nonzero, store-
+/// against the complete byte stream, validates the image (its own CRCs
+/// verify again inside), installs — pinning `generation` when nonzero, store-
 /// assigned otherwise — and answers the final chunk with kInstallReply.
 struct InstallFrame {
   std::string name;          ///< collection to install under

@@ -403,9 +403,9 @@ void NetServer::HandleInstall(Connection* conn, Frame&& frame) {
   XCLUSTER_COUNTER_INC("net.install.chunks");
   if (conn->install_next_chunk < conn->install_chunk_count) return;
 
-  // Final chunk: verify the whole-snapshot checksum before decoding, so a
+  // Final chunk: verify the whole-snapshot checksum before validating, so a
   // chunking bug or in-flight corruption is named as such rather than as
-  // an XCSB parse error.
+  // an XCSF validation error.
   InstallReplyFrame reply;
   if (conn->install_buffer.size() != conn->install_total_bytes) {
     reply.message = "install of " + conn->install_name + " reassembled " +

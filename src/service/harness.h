@@ -36,7 +36,7 @@ LineStatus ReadBoundedLine(std::istream& in, std::string* line,
 ///
 /// Requests, one per line (blank lines and `#` comments are ignored):
 ///
-///   load <name> <path>             install a .xcs file under <name>
+///   load <name> <path>             install a .xcsf image under <name>
 ///   drop <name>                    remove <name> from the catalog
 ///   list                           catalog contents
 ///   estimate <name> <query>        one inline estimate

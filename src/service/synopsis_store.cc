@@ -1,14 +1,13 @@
 #include "service/synopsis_store.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <utility>
 
 #include "common/io/file_io.h"
 #include "common/telemetry/telemetry.h"
-#include "core/serialize.h"
-#include "storage/xcsf_format.h"
 #include "storage/xcsf_mmap_view.h"
 
 namespace xcluster {
@@ -132,78 +131,64 @@ std::shared_ptr<const StoredSynopsis> SynopsisStore::Install(
 Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::LoadFile(
     const std::string& name, const std::string& path,
     const std::string& source) {
-  if (storage::SniffXcsfFile(path)) {
-    // XCSF image: validate + mmap, serve zero-copy. No graph is ever
-    // built; a failed validation leaves any existing snapshot untouched.
-    Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(path);
-    if (!view.ok()) {
-      if (source.empty()) return view.status();
-      return Status::WithContext(view.status(),
-                                 "load requested by " + source);
-    }
-    auto snapshot = StoredSynopsis::Make(
-        name, view.value().shared_flat(), view.value().image_bytes(),
-        AssignGeneration(0), estimator_options_,
-        source.empty() ? path : source);
-    XCLUSTER_COUNTER_INC("service.store.mmap_loads");
-    return Publish(name, std::move(snapshot), /*pinned=*/false);
-  }
-  Result<XCluster> loaded = XCluster::Load(path);
-  if (!loaded.ok()) {
-    if (source.empty()) return loaded.status();
+  // Validate + mmap, serve zero-copy. No graph is ever built; a failed
+  // validation leaves any existing snapshot untouched.
+  Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(path);
+  if (!view.ok()) {
+    if (source.empty()) return view.status();
     // A load requested over the wire: the failure must name the peer
     // that asked for it, not just the server-side path.
-    return Status::WithContext(loaded.status(),
-                               "load requested by " + source);
+    return Status::WithContext(view.status(), "load requested by " + source);
   }
-  return Install(name, std::move(loaded).value(), /*generation=*/0,
-                 source.empty() ? path : source);
+  auto snapshot = StoredSynopsis::Make(
+      name, view.value().shared_flat(), view.value().image_bytes(),
+      AssignGeneration(0), estimator_options_, source.empty() ? path : source);
+  XCLUSTER_COUNTER_INC("service.store.mmap_loads");
+  return Publish(name, std::move(snapshot), /*pinned=*/false);
 }
 
-Result<std::shared_ptr<const StoredSynopsis>>
-SynopsisStore::InstallXcsfFromWire(const std::string& name,
-                                   std::string_view bytes,
-                                   const std::string& source,
-                                   uint64_t generation) {
+Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::InstallFromWire(
+    const std::string& name, std::string_view bytes,
+    const std::string& source, uint64_t generation) {
+  // With a spool dir the image goes to a temp sibling of the spool file
+  // and is served from that mapping; without one the payload buffer is
+  // adopted in place (one copy off the wire, no file).
+  std::string spool_path;
+  std::string temp_path;
   Result<storage::XcsfMmapView> view = [&]() -> Result<storage::XcsfMmapView> {
     if (spool_dir_.empty()) {
-      // No spool: adopt the payload buffer in place (one copy off the
-      // wire, no file).
       return storage::XcsfMmapView::Adopt(std::string(bytes));
     }
-    // Spool + mmap: the replica persists the image (atomic temp+rename)
-    // and serves from the mapping, so a restart cold-starts from disk.
-    const std::string path = spool_dir_ + "/" + SpoolFileName(name);
-    XC_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
-    XCLUSTER_COUNTER_INC("service.store.spooled_installs");
-    return storage::XcsfMmapView::Open(path);
+    spool_path = spool_dir_ + "/" + SpoolFileName(name);
+    XCLUSTER_ASSIGN_OR_RETURN(temp_path, WriteTempSibling(spool_path, bytes));
+    return storage::XcsfMmapView::Open(temp_path);
   }();
   if (!view.ok()) {
+    if (!temp_path.empty()) std::remove(temp_path.c_str());
     return Status::WithContext(view.status(), "install from " + source);
   }
   const bool pinned = generation != 0;
   auto snapshot = StoredSynopsis::Make(
       name, view.value().shared_flat(), view.value().image_bytes(),
       AssignGeneration(generation), estimator_options_, "wire:" + source);
-  return Publish(name, std::move(snapshot), pinned);
-}
-
-Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::InstallFromWire(
-    const std::string& name, std::string_view bytes,
-    const std::string& source, uint64_t generation) {
   std::shared_ptr<const StoredSynopsis> installed;
-  if (storage::LooksLikeXcsf(bytes)) {
-    Result<std::shared_ptr<const StoredSynopsis>> result =
-        InstallXcsfFromWire(name, bytes, source, generation);
-    if (!result.ok()) return result.status();
-    installed = std::move(result).value();
+  if (temp_path.empty()) {
+    installed = Publish(name, std::move(snapshot), pinned);
   } else {
-    Result<GraphSynopsis> decoded = DecodeSynopsisBytes(bytes);
-    if (!decoded.ok()) {
-      return Status::WithContext(decoded.status(), "install from " + source);
+    // The spool file holds only what the catalog publishes: a corrupt or
+    // stale push never reaches it, so a restart cannot load a rejected
+    // image. Publishing and renaming under one lock lands concurrent
+    // pushes on disk in publish order.
+    std::lock_guard<std::mutex> lock(spool_mu_);
+    installed = Publish(name, std::move(snapshot), pinned);
+    if (installed == nullptr) {
+      std::remove(temp_path.c_str());
+    } else {
+      XC_RETURN_IF_ERROR(Status::WithContext(
+          CommitTempFile(temp_path, spool_path),
+          "install from " + source + " is served but not spooled"));
+      XCLUSTER_COUNTER_INC("service.store.spooled_installs");
     }
-    installed = Install(name, XCluster(std::move(decoded).value()),
-                        generation, "wire:" + source);
   }
   if (installed == nullptr) {
     const std::shared_ptr<const StoredSynopsis> current = Get(name);

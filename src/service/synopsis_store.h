@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -114,11 +115,13 @@ class SynopsisStore {
   SynopsisStore(const SynopsisStore&) = delete;
   SynopsisStore& operator=(const SynopsisStore&) = delete;
 
-  /// Directory where XCSF payloads received over the wire are persisted
-  /// (atomically) and then mmapped, so a replica restarted after a push
-  /// cold-starts from the spooled image. Empty (the default) keeps wire
-  /// XCSF installs fully in memory (the payload buffer is adopted).
-  /// Configure before serving; not synchronized against installs.
+  /// Directory where images received over the wire are persisted and
+  /// mmapped, so a replica restarted after a push cold-starts from the
+  /// spooled image: `<dir>/<name>.xcsf` always holds the last image the
+  /// catalog published for `name` through InstallFromWire. Empty (the
+  /// default) keeps wire installs fully in memory (the payload buffer is
+  /// adopted). Configure before serving; not synchronized against
+  /// installs.
   void SetSpoolDir(std::string dir) { spool_dir_ = std::move(dir); }
   const std::string& spool_dir() const { return spool_dir_; }
 
@@ -141,27 +144,23 @@ class SynopsisStore {
                                                 uint64_t generation = 0,
                                                 std::string source = "");
 
-  /// Loads a synopsis file and installs it under `name`, auto-detecting
-  /// the format from the magic: `.xcsf` images are mmapped zero-copy
-  /// (validated, never parsed), anything else goes through the `.xcs`
-  /// decode path (full checksum verification in XCluster::Load). The
-  /// load/map runs outside all locks; a failed load leaves any existing
-  /// snapshot untouched. A non-empty `source` is prepended to failure
-  /// messages (and recorded as the snapshot's provenance) so a load
-  /// requested over the wire is attributable to the requesting peer, not
-  /// just the server-side path.
+  /// Maps an XCSF image file (validated, never parsed) and installs it
+  /// under `name`. The map runs outside all locks; a failed load leaves
+  /// any existing snapshot untouched. A non-empty `source` is prepended to
+  /// failure messages (and recorded as the snapshot's provenance) so a
+  /// load requested over the wire is attributable to the requesting peer,
+  /// not just the server-side path.
   Result<std::shared_ptr<const StoredSynopsis>> LoadFile(
       const std::string& name, const std::string& path,
       const std::string& source = "");
 
-  /// Installs a snapshot received over the wire under `name` with the
-  /// given pinned generation (0 = auto), sniffing the payload format:
-  /// XCSF images are spooled + mmapped (or adopted in place when no spool
-  /// dir is set), XCSB payloads are decoded (every section CRC verified).
-  /// A pinned generation that does not exceed the installed snapshot's is
-  /// rejected as a stale install (InvalidArgument naming both
-  /// generations). Failures carry `source` (the pushing peer's address)
-  /// so replication errors are attributable.
+  /// Installs an XCSF image received over the wire under `name` with the
+  /// given pinned generation (0 = auto): spooled + mmapped, or adopted in
+  /// place when no spool dir is set, validated like LoadFile. A pinned
+  /// generation that does not exceed the installed snapshot's is rejected
+  /// as a stale install (InvalidArgument naming both generations); the
+  /// spool file is left as it was. Failures carry `source` (the pushing
+  /// peer's address) so replication errors are attributable.
   Result<std::shared_ptr<const StoredSynopsis>> InstallFromWire(
       const std::string& name, std::string_view bytes,
       const std::string& source, uint64_t generation = 0);
@@ -200,16 +199,11 @@ class SynopsisStore {
       const std::string& name, std::shared_ptr<const StoredSynopsis> snapshot,
       bool pinned);
 
-  /// Maps an XCSF wire payload: spool + mmap when a spool dir is
-  /// configured, adopt-in-place otherwise.
-  Result<std::shared_ptr<const StoredSynopsis>> InstallXcsfFromWire(
-      const std::string& name, std::string_view bytes,
-      const std::string& source, uint64_t generation);
-
   std::vector<std::unique_ptr<Shard>> shards_;
   EstimateOptions estimator_options_;
   std::atomic<uint64_t> next_generation_{1};
   std::string spool_dir_;
+  std::mutex spool_mu_;  ///< orders publish + rename of spooled installs
 };
 
 }  // namespace xcluster

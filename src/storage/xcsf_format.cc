@@ -1,6 +1,5 @@
 #include "storage/xcsf_format.h"
 
-#include <cstdio>
 #include <cstring>
 
 #include "common/io/crc32c.h"
@@ -47,29 +46,15 @@ const char* XcsfSectionName(uint32_t id) {
   }
 }
 
-bool LooksLikeXcsf(std::string_view bytes) {
-  return bytes.size() >= sizeof(kXcsfMagic) &&
-         std::memcmp(bytes.data(), kXcsfMagic, sizeof(kXcsfMagic)) == 0;
-}
-
-bool SniffXcsfFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char magic[sizeof(kXcsfMagic)];
-  const size_t got = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  return got == sizeof(magic) &&
-         std::memcmp(magic, kXcsfMagic, sizeof(magic)) == 0;
-}
-
 Status ParseXcsfHeader(std::string_view bytes, size_t actual_size,
                        XcsfHeader* header) {
+  if (bytes.size() < sizeof(kXcsfMagic) ||
+      std::memcmp(bytes.data(), kXcsfMagic, sizeof(kXcsfMagic)) != 0) {
+    return Status::Corruption("not an XCSF image (bad magic)");
+  }
   if (actual_size < kXcsfHeaderBytes + kXcsfTrailerBytes) {
     return Status::Corruption("XCSF image too small (" +
                               std::to_string(actual_size) + " bytes)");
-  }
-  if (!LooksLikeXcsf(bytes)) {
-    return Status::Corruption("not an XCSF image (bad magic)");
   }
   const uint32_t stored_crc = ReadU32(bytes, 60);
   if (crc32c::Unmask(stored_crc) != crc32c::Value(bytes.substr(0, 60))) {

@@ -95,16 +95,6 @@ struct XcsfSection {
   uint32_t crc = 0;  ///< masked CRC32C of the payload
 };
 
-/// True when `bytes` starts with the XCSF magic (cheap format sniff; full
-/// validation happens in XcsfMmapView).
-bool LooksLikeXcsf(std::string_view bytes);
-
-/// Reads the first four bytes of `path` and reports whether they carry the
-/// XCSF magic — O(1), used by SynopsisStore::LoadFile to auto-detect the
-/// format without reading (or mapping) the whole file. Missing/unreadable
-/// files report false; the subsequent real open surfaces the error.
-bool SniffXcsfFile(const std::string& path);
-
 /// Parses and validates the fixed header: magic, version, endian check,
 /// header CRC, and the header's file-size claim against `actual_size`
 /// (the mapped/buffered byte count — never trust the header's own claim).

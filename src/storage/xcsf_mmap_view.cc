@@ -14,6 +14,7 @@
 #include "common/io/crc32c.h"
 #include "common/io/file_io.h"
 #include "common/telemetry/telemetry.h"
+#include "core/serialize.h"
 
 namespace xcluster {
 namespace storage {
@@ -22,12 +23,6 @@ namespace {
 
 uint32_t ReadU32(std::string_view bytes, size_t offset) {
   uint32_t v = 0;
-  std::memcpy(&v, bytes.data() + offset, sizeof(v));
-  return v;
-}
-
-uint64_t ReadU64(std::string_view bytes, size_t offset) {
-  uint64_t v = 0;
   std::memcpy(&v, bytes.data() + offset, sizeof(v));
   return v;
 }
@@ -259,6 +254,11 @@ Status ValidateImage(std::string_view image, bool per_section_crcs,
     if (crc32c::Unmask(file_crc) !=
         crc32c::Value(image.substr(0, trailer))) {
       return Status::Corruption("XCSF whole-file checksum mismatch");
+    }
+    // The pad after the CRC is the one span no checksum covers; the
+    // writer zeroes it, so anything else is a flipped bit.
+    if (ReadU32(image, trailer + 4) != 0) {
+      return Status::Corruption("XCSF trailer padding is not zero");
     }
   }
 
@@ -563,17 +563,6 @@ Status InspectXcsfSections(std::string_view bytes,
                 crc32c::Value(bytes.substr(0, trailer));
   sections->push_back(std::move(info));
   return Status::OK();
-}
-
-Status VerifySynopsisPayload(std::string_view bytes, std::string* report) {
-  if (LooksLikeXcsf(bytes)) return VerifyXcsfBytes(bytes, report);
-  return VerifySynopsisBytes(bytes, report);
-}
-
-Status InspectSynopsisPayload(std::string_view bytes,
-                              std::vector<SynopsisSectionInfo>* sections) {
-  if (LooksLikeXcsf(bytes)) return InspectXcsfSections(bytes, sections);
-  return InspectSynopsisSections(bytes, sections);
 }
 
 }  // namespace storage

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/serialize.h"
 #include "estimate/flat_synopsis.h"
 #include "storage/xcsf_format.h"
 
@@ -25,7 +24,8 @@ namespace storage {
 ///   2. section table: table CRC, and every offset/length bounds-checked
 ///      against the actual size (alignment included) — a truncated or
 ///      tampered file fails here with a clean Status, never SIGBUS;
-///   3. per-section masked CRC32C, then the whole-file trailer CRC;
+///   3. per-section masked CRC32C, then the whole-file trailer CRC and
+///      its zero pad;
 ///   4. semantic checks: required sections present with exact lengths,
 ///      CSR offsets monotone, edge targets and pool indices in range —
 ///      everything the estimator would otherwise index blindly.
@@ -84,13 +84,22 @@ class XcsfMmapView {
 };
 
 /// Full integrity check of an XCSF image without installing it: header,
-/// table, every CRC, semantic validation, summary decode. When `report`
-/// is non-null it receives a human-readable per-section summary
-/// (xclusterctl verify).
+/// table, every CRC, semantic validation, and a decode of every summary
+/// record. When `report` is non-null it receives a human-readable
+/// per-section summary (xclusterctl verify).
 Status VerifyXcsfBytes(std::string_view bytes, std::string* report);
 
 /// VerifyXcsfBytes over a file's contents.
 Status VerifyXcsfFile(const std::string& path, std::string* report);
+
+/// One section of an image, as reported by InspectXcsfSections.
+struct SynopsisSectionInfo {
+  uint32_t id = 0;        ///< XcsfSectionId (0 for the file-crc entry)
+  std::string name;       ///< XcsfSectionName, or "file-crc"
+  uint64_t offset = 0;    ///< byte offset of the payload within the file
+  uint64_t length = 0;    ///< payload bytes
+  bool crc_ok = false;    ///< stored CRC matches the payload
+};
 
 /// Section table of an XCSF image for display (xclusterctl inspect):
 /// parses header + table, then CRC-checks each section individually. A
@@ -100,16 +109,6 @@ Status VerifyXcsfFile(const std::string& path, std::string* report);
 /// trailer CRC.
 Status InspectXcsfSections(std::string_view bytes,
                            std::vector<SynopsisSectionInfo>* sections);
-
-/// Format-dispatching verification: payloads carrying the XCSF magic go
-/// through VerifyXcsfBytes, everything else through the XCSB verifier in
-/// core/serialize. Single entry point for callers that accept either
-/// format (cluster replication, xclusterctl remote load).
-Status VerifySynopsisPayload(std::string_view bytes, std::string* report);
-
-/// Same dispatch for the inspect section table.
-Status InspectSynopsisPayload(std::string_view bytes,
-                              std::vector<SynopsisSectionInfo>* sections);
 
 }  // namespace storage
 }  // namespace xcluster

@@ -29,8 +29,9 @@ class XcsfWriter {
   static Status Write(const FlatSynopsis& flat, const std::string& path,
                       bool sync = true);
 
-  /// Compiles `graph` to a FlatSynopsis and writes it — the
-  /// `GraphSynopsis -> XCSF` path used by `xclusterctl compile`.
+  /// Compiles `graph` to a FlatSynopsis and writes it: the
+  /// `GraphSynopsis -> XCSF` path (ToGraph in estimate/flat_synopsis.h
+  /// is the inverse).
   static Status WriteGraph(const GraphSynopsis& graph,
                            const std::string& path, bool sync = true);
 };

@@ -13,12 +13,12 @@
 #include "cluster/hash_ring.h"
 #include "cluster/merge.h"
 #include "cluster/replica_set.h"
-#include "core/serialize.h"
 #include "core/xcluster.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "service/service.h"
+#include "storage/xcsf_writer.h"
 
 namespace xcluster {
 namespace cluster {
@@ -33,6 +33,14 @@ XCluster MakeFixture() {
   synopsis.AddEdge(a, b, 10.0);
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
   return XCluster(std::move(synopsis));
+}
+
+/// The fixture as the XCSF image a replication push carries.
+std::string FixtureImage() {
+  std::string image;
+  EXPECT_TRUE(
+      storage::XcsfWriter::Encode(*MakeFixture().flat(), &image).ok());
+  return image;
 }
 
 bool WaitFor(const std::function<bool()>& done) {
@@ -442,7 +450,7 @@ TEST(ClusterE2E, InstallThroughRouterLeavesFleetAtSameGeneration) {
   std::unique_ptr<Router> router =
       StartRouter({first.address(), second.address()});
 
-  const std::string bytes = EncodeSynopsisToString(MakeFixture().synopsis());
+  const std::string bytes = FixtureImage();
   net::NetClient client = ConnectOrDie(router->port());
   // Tiny chunk size forces the multi-chunk reassembly path end to end.
   Result<net::InstallReplyFrame> reply =
@@ -480,7 +488,7 @@ TEST(ClusterE2E, CorruptInstallPushIsRejectedWithoutInstalling) {
   Replica replica = StartReplica();
   std::unique_ptr<Router> router = StartRouter({replica.address()});
 
-  std::string bytes = EncodeSynopsisToString(MakeFixture().synopsis());
+  std::string bytes = FixtureImage();
   bytes[bytes.size() / 2] ^= 0x40;  // flip one bit mid-snapshot
 
   net::NetClient client = ConnectOrDie(router->port());
@@ -529,7 +537,7 @@ TEST(ClusterE2E, ScatterGatherSumsShardsAndMatchesDirectMath) {
 
 TEST(ClusterE2E, StaleReplicatedInstallIsRejectedByReplica) {
   Replica replica = StartReplica();
-  const std::string bytes = EncodeSynopsisToString(MakeFixture().synopsis());
+  const std::string bytes = FixtureImage();
 
   net::NetClient client = ConnectOrDie(replica.server->port());
   Result<net::InstallReplyFrame> fresh =
@@ -564,7 +572,7 @@ TEST(ClusterE2E, OversizedInstallDeclarationIsRejectedUpFront) {
   // refused before any buffering, so a hostile declaration can never
   // commit the daemon to an allocation it cannot afford.
   Replica replica = StartReplica(/*workers=*/2, /*max_install_bytes=*/64);
-  const std::string bytes = EncodeSynopsisToString(MakeFixture().synopsis());
+  const std::string bytes = FixtureImage();
   ASSERT_GT(bytes.size(), 64u);
 
   net::NetClient client = ConnectOrDie(replica.server->port());
@@ -601,7 +609,7 @@ TEST(ClusterE2E, MutationsFailLoudlyWhenReplicasAreUnhealthy) {
   EXPECT_EQ(alive.service->store().Get("books"), nullptr);
 
   // Replication through the router likewise refuses an unqualified ok.
-  const std::string bytes = EncodeSynopsisToString(MakeFixture().synopsis());
+  const std::string bytes = FixtureImage();
   Result<net::InstallReplyFrame> install = client.Install("books", bytes);
   ASSERT_TRUE(install.ok()) << install.status().ToString();
   EXPECT_FALSE(install.value().ok);
@@ -641,7 +649,7 @@ TEST(ClusterE2E, ShardedNamesOnTheCommandPathMatchBatchSemantics) {
 
   // load of a sharded name has no single home; the rejection points at
   // the per-shard and replicate paths instead of "unknown collection".
-  Result<std::string> load = client.Command("load part@2 /tmp/x.xcs");
+  Result<std::string> load = client.Command("load part@2 /tmp/x.xcsf");
   ASSERT_TRUE(load.ok());
   EXPECT_EQ(load.value().rfind("err load of sharded name", 0), 0u)
       << load.value();

@@ -1,7 +1,7 @@
-// Fault-injection suite for the binary synopsis format: every summary kind
-// is round-tripped through hundreds of seeded fault schedules (truncations,
+// Fault-injection suite for the XCSF synopsis image: every summary kind is
+// round-tripped through hundreds of seeded fault schedules (truncations,
 // bit flips, injected I/O errors) on both the read and write paths. The
-// contract under fault: the decoder returns a clean non-OK Status — it never
+// contract under fault: the reader returns a clean non-OK Status — it never
 // crashes, never hangs, and never fabricates a success from corrupt bytes.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "common/io/fault_injection.h"
-#include "core/serialize.h"
+#include "estimate/flat_synopsis.h"
+#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/graph.h"
 
 namespace xcluster {
@@ -108,14 +110,31 @@ GraphSynopsis MakeSynopsis(SummaryCase c) {
   return synopsis;
 }
 
+std::string EncodeImage(const GraphSynopsis& synopsis) {
+  std::string image;
+  EXPECT_TRUE(
+      storage::XcsfWriter::Encode(FlatSynopsis(synopsis), &image).ok());
+  return image;
+}
+
+/// XCluster::Load's read path over bytes: the mapped view the serve path
+/// builds, the deep verification, then the graph rebuilt from the image.
+Result<GraphSynopsis> DecodeImage(std::string_view bytes) {
+  XCLUSTER_ASSIGN_OR_RETURN(storage::XcsfMmapView view,
+                            storage::XcsfMmapView::Adopt(std::string(bytes)));
+  XC_RETURN_IF_ERROR(storage::VerifyXcsfBytes(bytes, nullptr));
+  return ToGraph(view.flat());
+}
+
 class FaultScheduleTest : public ::testing::TestWithParam<SummaryCase> {};
 
-// Read-path schedules: the encoded bytes pass through a FaultInjectingSource
-// before decoding. >= 200 seeds per summary kind (1000+ schedules over the
-// suite); every decode must terminate with a clean Status.
+// Read-path schedules: the encoded image passes through a
+// FaultInjectingSource before decoding. >= 200 seeds per summary kind
+// (1000+ schedules over the suite); every decode must terminate with a
+// clean Status.
 TEST_P(FaultScheduleTest, DecodeSurvivesSeededReadFaults) {
   const SummaryCase c = GetParam();
-  const std::string clean = EncodeSynopsisToString(MakeSynopsis(c));
+  const std::string clean = EncodeImage(MakeSynopsis(c));
   ASSERT_FALSE(clean.empty());
 
   size_t injected = 0;
@@ -128,8 +147,7 @@ TEST_P(FaultScheduleTest, DecodeSurvivesSeededReadFaults) {
     Status read = source.Read(corrupted.data(), corrupted.size());
 
     Result<GraphSynopsis> decoded =
-        read.ok() ? DecodeSynopsisBytes(corrupted)
-                  : Result<GraphSynopsis>(read);
+        read.ok() ? DecodeImage(corrupted) : Result<GraphSynopsis>(read);
     if (source.faults_armed() == 0) {
       ASSERT_TRUE(decoded.ok())
           << CaseName(c) << " seed " << seed << " (no faults): "
@@ -151,31 +169,31 @@ TEST_P(FaultScheduleTest, DecodeSurvivesSeededReadFaults) {
   EXPECT_GT(rejected, 40u) << CaseName(c);
 }
 
-// Write-path schedules: the encoder's output passes through a
+// Write-path schedules: the writer's image passes through a
 // FaultInjectingSink (torn writes, in-flight flips, injected write errors).
-// Whatever lands in the inner buffer must never crash the decoder.
+// Whatever lands in the inner buffer must never crash the reader.
 TEST_P(FaultScheduleTest, DecodeSurvivesSeededWriteFaults) {
   const SummaryCase c = GetParam();
   const GraphSynopsis synopsis = MakeSynopsis(c);
-  const size_t encoded_size = EncodeSynopsisToString(synopsis).size();
+  const std::string image = EncodeImage(synopsis);
 
   size_t write_failed = 0;
   size_t decode_rejected = 0;
   for (uint64_t seed = 1000; seed < 1100; ++seed) {
     FaultOptions options;
     options.seed = seed;
-    options.sink_window_bytes = encoded_size;
+    options.sink_window_bytes = image.size();
     std::string stored;
     StringSink inner(&stored);
     FaultInjectingSink sink(&inner, options);
-    Status wrote = EncodeSynopsis(synopsis, &sink);
+    Status wrote = sink.Append(image);
     if (!wrote.ok()) {
       ++write_failed;
       EXPECT_EQ(wrote.code(), Status::Code::kIOError)
           << CaseName(c) << " seed " << seed;
     }
 
-    Result<GraphSynopsis> decoded = DecodeSynopsisBytes(stored);
+    Result<GraphSynopsis> decoded = DecodeImage(stored);
     if (sink.faults_armed() == 0) {
       ASSERT_TRUE(wrote.ok());
       ASSERT_TRUE(decoded.ok())
@@ -189,17 +207,17 @@ TEST_P(FaultScheduleTest, DecodeSurvivesSeededWriteFaults) {
   EXPECT_GT(write_failed + decode_rejected, 20u) << CaseName(c);
 }
 
-// Exhaustive truncation: every prefix of the encoded file either fails
-// cleanly or (full length) decodes. No prefix may crash or hang.
+// Exhaustive truncation: every prefix of the image either fails cleanly or
+// (full length) decodes. No prefix may crash or hang.
 TEST_P(FaultScheduleTest, EveryTruncationFailsCleanly) {
   const SummaryCase c = GetParam();
-  const std::string clean = EncodeSynopsisToString(MakeSynopsis(c));
+  const std::string clean = EncodeImage(MakeSynopsis(c));
   for (size_t len = 0; len < clean.size(); ++len) {
     Result<GraphSynopsis> decoded =
-        DecodeSynopsisBytes(std::string_view(clean).substr(0, len));
+        DecodeImage(std::string_view(clean).substr(0, len));
     EXPECT_FALSE(decoded.ok()) << CaseName(c) << " prefix " << len;
   }
-  EXPECT_TRUE(DecodeSynopsisBytes(clean).ok());
+  EXPECT_TRUE(DecodeImage(clean).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSummaryKinds, FaultScheduleTest,

@@ -1,13 +1,26 @@
-// Property tests for the binary synopsis format: byte-identical re-encoding
-// for every value-summary kind, and detection of single-bit flips anywhere
-// in the file.
+// Property tests for the XCSF synopsis image and its value-summary codec:
+// byte-identical re-encoding for every value-summary kind, detection of
+// single-bit flips anywhere in the image, and the strict and lenient
+// answers to a malformed summary record behind valid checksums.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/io/crc32c.h"
+#include "common/io/file_io.h"
+#include "common/telemetry/metrics.h"
 #include "core/serialize.h"
+#include "core/xcluster.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
+#include "query/parser.h"
+#include "service/synopsis_store.h"
+#include "storage/xcsf_format.h"
+#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/graph.h"
 
 namespace xcluster {
@@ -77,88 +90,101 @@ std::vector<std::pair<std::string, GraphSynopsis>> AllKindSynopses() {
   return out;
 }
 
-TEST(SerializeCorruptionTest, EncodeDecodeEncodeIsByteIdentical) {
+std::string EncodeImage(const GraphSynopsis& synopsis) {
+  std::string image;
+  EXPECT_TRUE(
+      storage::XcsfWriter::Encode(FlatSynopsis(synopsis), &image).ok());
+  return image;
+}
+
+void PutU32(std::string* image, size_t offset, uint32_t v) {
+  std::memcpy(image->data() + offset, &v, sizeof(v));
+}
+
+uint32_t GetU32(const std::string& image, size_t offset) {
+  uint32_t v = 0;
+  std::memcpy(&v, image.data() + offset, sizeof(v));
+  return v;
+}
+
+/// Re-seals an image whose section payloads were edited in place: every
+/// section CRC in the table, then the table CRC, the header CRC and the
+/// whole-file CRC, in that order (each covers the one before).
+void Reseal(std::string* image) {
+  const uint32_t section_count = GetU32(*image, 28);
+  for (uint32_t i = 0; i < section_count; ++i) {
+    const size_t entry =
+        storage::kXcsfHeaderBytes + i * storage::kXcsfTableEntryBytes;
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    std::memcpy(&offset, image->data() + entry + 8, sizeof(offset));
+    std::memcpy(&length, image->data() + entry + 16, sizeof(length));
+    PutU32(image, entry + 24,
+           crc32c::Mask(crc32c::Value(image->substr(offset, length))));
+  }
+  PutU32(image, 56,
+         crc32c::Mask(crc32c::Value(image->substr(
+             storage::kXcsfHeaderBytes,
+             section_count * storage::kXcsfTableEntryBytes))));
+  PutU32(image, 60, crc32c::Mask(crc32c::Value(image->substr(0, 60))));
+  const size_t trailer = image->size() - storage::kXcsfTrailerBytes;
+  PutU32(image, trailer,
+         crc32c::Mask(crc32c::Value(image->substr(0, trailer))));
+}
+
+TEST(SerializeCorruptionTest, EncodeToGraphEncodeIsByteIdentical) {
   for (auto& [name, synopsis] : AllKindSynopses()) {
-    const std::string first = EncodeSynopsisToString(synopsis);
-    ASSERT_FALSE(first.empty()) << name;
-    Result<GraphSynopsis> decoded = DecodeSynopsisBytes(first);
-    ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.status().ToString();
-    const std::string second = EncodeSynopsisToString(decoded.value());
-    EXPECT_EQ(first, second) << name;
+    const std::string first = EncodeImage(synopsis);
+    Result<storage::XcsfMmapView> view =
+        storage::XcsfMmapView::Adopt(std::string(first));
+    ASSERT_TRUE(view.ok()) << name << ": " << view.status().ToString();
+    EXPECT_EQ(EncodeImage(ToGraph(view.value().flat())), first) << name;
   }
 }
 
+// Every bit of the image is covered: the header, table, section and
+// whole-file CRCs cover all bytes but the trailer's zero pad, which the
+// validator checks on its own. Both the serve path (Adopt) and the verify
+// path reject each flip as kCorruption.
 TEST(SerializeCorruptionTest, EverySingleBitFlipIsDetected) {
   for (auto& [name, synopsis] : AllKindSynopses()) {
-    std::string bytes = EncodeSynopsisToString(synopsis);
-    ASSERT_TRUE(DecodeSynopsisBytes(bytes).ok()) << name;
-    for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
-      bytes[bit / 8] = static_cast<char>(
-          static_cast<unsigned char>(bytes[bit / 8]) ^ (1u << (bit % 8)));
-      Result<GraphSynopsis> corrupted = DecodeSynopsisBytes(bytes);
-      ASSERT_FALSE(corrupted.ok()) << name << " bit " << bit;
-      // Flips in the 4-byte version field surface as kUnsupported; every
-      // other flip is a checksum / structure failure, i.e. kCorruption.
-      if (bit >= 64) {
-        EXPECT_EQ(corrupted.status().code(), Status::Code::kCorruption)
-            << name << " bit " << bit << ": "
-            << corrupted.status().ToString();
-      }
-      bytes[bit / 8] = static_cast<char>(
-          static_cast<unsigned char>(bytes[bit / 8]) ^ (1u << (bit % 8)));
+    std::string image = EncodeImage(synopsis);
+    ASSERT_TRUE(storage::XcsfMmapView::Adopt(std::string(image)).ok())
+        << name;
+    for (size_t bit = 0; bit < image.size() * 8; ++bit) {
+      image[bit / 8] = static_cast<char>(
+          static_cast<unsigned char>(image[bit / 8]) ^ (1u << (bit % 8)));
+      const Status served =
+          storage::XcsfMmapView::Adopt(std::string(image)).status();
+      EXPECT_EQ(served.code(), Status::Code::kCorruption)
+          << name << " bit " << bit << ": " << served.ToString();
+      const Status verified = storage::VerifyXcsfBytes(image, nullptr);
+      EXPECT_EQ(verified.code(), Status::Code::kCorruption)
+          << name << " bit " << bit << ": " << verified.ToString();
+      image[bit / 8] = static_cast<char>(
+          static_cast<unsigned char>(image[bit / 8]) ^ (1u << (bit % 8)));
     }
-    ASSERT_TRUE(DecodeSynopsisBytes(bytes).ok()) << name << " (restored)";
+    ASSERT_TRUE(storage::VerifyXcsfBytes(image, nullptr).ok())
+        << name << " (restored)";
   }
 }
 
 TEST(SerializeCorruptionTest, VerifyReportsSectionsForCleanFile) {
   for (auto& [name, synopsis] : AllKindSynopses()) {
     std::string report;
-    Status status =
-        VerifySynopsisBytes(EncodeSynopsisToString(synopsis), &report);
+    Status status = storage::VerifyXcsfBytes(EncodeImage(synopsis), &report);
     EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
-    EXPECT_NE(report.find("checksum ok"), std::string::npos) << report;
-    EXPECT_NE(report.find("decode ok"), std::string::npos) << report;
+    EXPECT_NE(report.find("crc ok"), std::string::npos) << report;
+    EXPECT_NE(report.find("xcsf image ok"), std::string::npos) << report;
   }
 }
 
-// A file written by the retired version-1 text serializer must still load
-// through the legacy fallback (read-only backwards compatibility).
-TEST(SerializeCorruptionTest, LegacyTextFormatStillLoads) {
-  const std::string legacy =
-      "XCLUSTER 1\n"
-      "labels 2\n"
-      "4 root\n"
-      "4 leaf\n"
-      "terms 1\n"
-      "5 hello\n"
-      "root 0\n"
-      "nodes 2\n"
-      "node 0 0 1\n"
-      "vsumm none\n"
-      "node 1 1 17\n"
-      "vsumm hist 2 0 9 12 10 19 5\n"
-      "edges 1\n"
-      "edge 0 1 17\n";
-  Result<GraphSynopsis> decoded = DecodeSynopsisBytes(legacy);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().NodeCount(), 2u);
-  EXPECT_EQ(decoded.value().EdgeCount(), 1u);
-  EXPECT_EQ(decoded.value().node(1).vsumm.histogram().bucket_count(), 2u);
-  ASSERT_NE(decoded.value().term_dictionary(), nullptr);
-  EXPECT_EQ(decoded.value().term_dictionary()->Get(0), "hello");
-
-  // Verify understands the legacy format too (and says so).
-  std::string report;
-  EXPECT_TRUE(VerifySynopsisBytes(legacy, &report).ok());
-  EXPECT_NE(report.find("legacy"), std::string::npos) << report;
-}
-
-// Pst::FromDump turns dump entry i into node i + 1. A record whose entry
-// repeats a sibling's symbol would reuse that sibling's node, shift every
-// later id, and let a later parent index read past the tree. Both readers
-// must reject it.
-TEST(SerializeCorruptionTest, PstRecordRepeatingASiblingSymbolIsRejected) {
+/// A PST record whose second root child repeats the first's symbol.
+/// Pst::FromDump turns dump entry i into node i + 1; such an entry would
+/// reuse its sibling's node, shift every later id, and let a later parent
+/// index read past the tree. Returns the record and the byte offset of
+/// the symbol to overwrite with the one at `*source_offset`.
+std::string PstRecord(size_t* source_offset, size_t* target_offset) {
   const ValueSummary vsumm =
       ValueSummary::FromStrings({"ab", "bc", "abc"}, 5);
   const std::vector<Pst::DumpNode> dump = vsumm.pst().Dump();
@@ -166,60 +192,101 @@ TEST(SerializeCorruptionTest, PstRecordRepeatingASiblingSymbolIsRejected) {
   for (size_t i = 0; i < dump.size(); ++i) {
     if (dump[i].parent == -1) root_children.push_back(i);
   }
-  ASSERT_GE(root_children.size(), 2u);
-
+  EXPECT_GE(root_children.size(), 2u);
   std::string bytes;
   StringSink sink(&bytes);
   EncodeValueSummary(vsumm, &sink);
   // Entries are the record's tail: parent(4) symbol(1) count(8) each.
   constexpr size_t kEntryBytes = 13;
   const size_t entries = bytes.size() - dump.size() * kEntryBytes;
-  const size_t first = entries + root_children[0] * kEntryBytes + 4;
-  const size_t second = entries + root_children[1] * kEntryBytes + 4;
-  ASSERT_EQ(bytes[first], dump[root_children[0]].symbol);
-  ASSERT_EQ(bytes[second], dump[root_children[1]].symbol);
+  *source_offset = entries + root_children[0] * kEntryBytes + 4;
+  *target_offset = entries + root_children[1] * kEntryBytes + 4;
+  EXPECT_EQ(bytes[*source_offset], dump[root_children[0]].symbol);
+  EXPECT_EQ(bytes[*target_offset], dump[root_children[1]].symbol);
+  return bytes;
+}
+
+TEST(SerializeCorruptionTest, PstRecordRepeatingASiblingSymbolIsRejected) {
+  size_t source = 0;
+  size_t target = 0;
+  std::string bytes = PstRecord(&source, &target);
   {
     StringSource src(bytes);
     ValueSummary decoded;
     ASSERT_TRUE(DecodeValueSummary(&src, &decoded).ok());
   }
-  bytes[second] = bytes[first];
+  bytes[target] = bytes[source];
   StringSource src(bytes);
   ValueSummary decoded;
   const Status status = DecodeValueSummary(&src, &decoded);
   EXPECT_EQ(status.code(), Status::Code::kCorruption) << status.ToString();
+}
 
-  // The legacy text reader shares the check: root children 'a' (with child
-  // "ab") and 'a' again.
-  const std::string legacy =
-      "XCLUSTER 1\n"
-      "labels 2\n"
-      "4 root\n"
-      "4 leaf\n"
-      "terms 0\n"
-      "root 0\n"
-      "nodes 2\n"
-      "node 0 0 1\n"
-      "vsumm none\n"
-      "node 1 2 3\n"
-      "vsumm pst 3 5 4 -1 97 2 0 98 1 -1 97 2 2 99 1\n"
-      "edges 1\n"
-      "edge 0 1 3\n";
-  Result<GraphSynopsis> text = DecodeSynopsisBytes(legacy);
-  ASSERT_FALSE(text.ok());
-  EXPECT_EQ(text.status().code(), Status::Code::kCorruption)
-      << text.status().ToString();
-  std::string fixed = legacy;
-  fixed.replace(fixed.find("-1 97 2 2"), 9, "-1 98 2 2");
-  EXPECT_TRUE(DecodeSynopsisBytes(fixed).ok());
+// The same bad record planted in an image's summary pool, with every CRC
+// re-sealed over it. Serving maps the image (its checksums hold) and turns
+// the record into an empty summary on first touch, counting the failure;
+// the strict paths, VerifyXcsfBytes and XCluster::Load, reject it.
+TEST(SerializeCorruptionTest, MalformedSummaryBehindValidChecksums) {
+  GraphSynopsis synopsis;
+  const SynNodeId root = synopsis.AddNode("root", ValueType::kNone, 1.0);
+  const SynNodeId leaf = synopsis.AddNode("leaf", ValueType::kString, 5.0);
+  synopsis.AddEdge(root, leaf, 5.0);
+  synopsis.node(leaf).vsumm =
+      ValueSummary::FromStrings({"ab", "bc", "abc"}, 5);
+  std::string image = EncodeImage(synopsis);
+
+  size_t source = 0;
+  size_t target = 0;
+  const std::string record = PstRecord(&source, &target);
+  const size_t at = image.find(record);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(image.find(record, at + 1), std::string::npos);
+  image[at + target] = image[at + source];
+  Reseal(&image);
+
+  Result<storage::XcsfMmapView> view =
+      storage::XcsfMmapView::Adopt(std::string(image));
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const std::string path =
+      testing::TempDir() + "/malformed_summary.xcsf";
+  ASSERT_TRUE(WriteFileAtomic(path, image, /*sync=*/false).ok());
+  SynopsisStore store;
+  Result<std::shared_ptr<const StoredSynopsis>> loaded =
+      store.LoadFile("c", path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+#if XCLUSTER_TELEMETRY_ENABLED
+  telemetry::Counter* failures =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "estimate.flat.lazy_decode_failures");
+  const uint64_t before = failures->value();
+#endif
+  const FlatSynopsis& flat = loaded.value()->flat();
+  Result<TwigQuery> query = ParseTwig("/leaf[contains(ab)]");
+  ASSERT_TRUE(query.ok());
+  const double estimate = loaded.value()->flat_estimator().Estimate(
+      CompiledTwig::Compile(query.value(), flat));
+  EXPECT_GE(estimate, 0.0);
+#if XCLUSTER_TELEMETRY_ENABLED
+  EXPECT_EQ(failures->value(), before + 1);
+#endif
+  ASSERT_NE(flat.vsumm(1), nullptr);
+  EXPECT_TRUE(flat.vsumm(1)->empty());
+
+  const Status verified = storage::VerifyXcsfBytes(image, nullptr);
+  EXPECT_EQ(verified.code(), Status::Code::kCorruption) << verified.ToString();
+  Result<XCluster> strict = XCluster::Load(path);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), Status::Code::kCorruption)
+      << strict.status().ToString();
 }
 
 TEST(SerializeCorruptionTest, VerifyFailsOnBitFlip) {
   auto kinds = AllKindSynopses();
-  std::string bytes = EncodeSynopsisToString(kinds[1].second);
-  bytes[bytes.size() / 2] ^= 0x10;
+  std::string image = EncodeImage(kinds[1].second);
+  image[image.size() / 2] ^= 0x10;
   std::string report;
-  Status status = VerifySynopsisBytes(bytes, &report);
+  Status status = storage::VerifyXcsfBytes(image, &report);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), Status::Code::kCorruption);
 }

@@ -1,13 +1,29 @@
+// XCluster::Save/Load on the XCSF image, and ToGraph as the exact inverse
+// of FlatSynopsis's compile constructor.
+
 #include <gtest/gtest.h>
 
 #include <fstream>
 
+#include "build/builder.h"
+#include "common/io/file_io.h"
 #include "core/xcluster.h"
 #include "data/imdb.h"
+#include "data/treebank.h"
+#include "data/xmark.h"
 #include "query/parser.h"
+#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_writer.h"
+#include "synopsis/reference.h"
 
 namespace xcluster {
 namespace {
+
+std::string ReadAll(const std::string& path) {
+  Result<std::string> bytes = ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? std::move(bytes).value() : std::string();
+}
 
 class SerializeTest : public ::testing::Test {
  protected:
@@ -21,13 +37,21 @@ class SerializeTest : public ::testing::Test {
     xc_options.build.value_budget = 24576;
     built_ = std::make_unique<XCluster>(
         XCluster::Build(dataset_.doc, xc_options));
-    path_ = testing::TempDir() + "/xcluster_serialize_test.xcs";
+    path_ = testing::TempDir() + "/xcluster_serialize_test.xcsf";
   }
 
   GeneratedDataset dataset_;
   std::unique_ptr<XCluster> built_;
   std::string path_;
 };
+
+TEST_F(SerializeTest, SaveWritesTheServedImage) {
+  ASSERT_TRUE(built_->Save(path_).ok());
+  std::string image;
+  ASSERT_TRUE(storage::XcsfWriter::Encode(*built_->flat(), &image).ok());
+  EXPECT_EQ(ReadAll(path_), image);
+  EXPECT_TRUE(storage::VerifyXcsfFile(path_, nullptr).ok());
+}
 
 TEST_F(SerializeTest, SaveThenLoadPreservesStructure) {
   ASSERT_TRUE(built_->Save(path_).ok());
@@ -41,6 +65,8 @@ TEST_F(SerializeTest, SaveThenLoadPreservesStructure) {
             built_->synopsis().StructuralBytes());
   EXPECT_EQ(loaded.value().synopsis().ValueBytes(),
             built_->synopsis().ValueBytes());
+  EXPECT_EQ(loaded.value().synopsis().DebugString(),
+            built_->synopsis().DebugString());
 }
 
 TEST_F(SerializeTest, LoadedSynopsisGivesIdenticalEstimates) {
@@ -60,7 +86,7 @@ TEST_F(SerializeTest, LoadedSynopsisGivesIdenticalEstimates) {
     Result<double> b = loaded.value().EstimateSelectivity(text);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_NEAR(a.value(), b.value(), 1e-9 * (1.0 + a.value())) << text;
+    EXPECT_EQ(a.value(), b.value()) << text;
   }
 }
 
@@ -68,44 +94,41 @@ TEST_F(SerializeTest, RoundTripIsIdempotent) {
   ASSERT_TRUE(built_->Save(path_).ok());
   Result<XCluster> once = XCluster::Load(path_);
   ASSERT_TRUE(once.ok());
-  std::string path2 = testing::TempDir() + "/xcluster_serialize_test2.xcs";
+  std::string path2 = testing::TempDir() + "/xcluster_serialize_test2.xcsf";
   ASSERT_TRUE(once.value().Save(path2).ok());
-  std::ifstream f1(path_);
-  std::ifstream f2(path2);
-  std::string c1((std::istreambuf_iterator<char>(f1)),
-                 std::istreambuf_iterator<char>());
-  std::string c2((std::istreambuf_iterator<char>(f2)),
-                 std::istreambuf_iterator<char>());
-  EXPECT_EQ(c1, c2);
+  EXPECT_EQ(ReadAll(path_), ReadAll(path2));
 }
 
 TEST_F(SerializeTest, LoadMissingFileFails) {
-  Result<XCluster> loaded = XCluster::Load("/nonexistent/synopsis.xcs");
+  Result<XCluster> loaded = XCluster::Load("/nonexistent/synopsis.xcsf");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), Status::Code::kIOError);
 }
 
 TEST_F(SerializeTest, LoadGarbageFails) {
-  std::string garbage_path = testing::TempDir() + "/garbage.xcs";
+  std::string garbage_path = testing::TempDir() + "/garbage.xcsf";
   std::ofstream out(garbage_path);
   out << "this is not a synopsis";
   out.close();
   Result<XCluster> loaded = XCluster::Load(garbage_path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST_F(SerializeTest, LoadTruncatedFails) {
   ASSERT_TRUE(built_->Save(path_).ok());
-  std::ifstream in(path_);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  std::string truncated_path = testing::TempDir() + "/truncated.xcs";
-  std::ofstream out(truncated_path);
-  out << content.substr(0, content.size() / 2);
-  out.close();
+  const std::string content = ReadAll(path_);
+  std::string truncated_path = testing::TempDir() + "/truncated.xcsf";
+  ASSERT_TRUE(WriteFileAtomic(truncated_path,
+                              std::string_view(content).substr(
+                                  0, content.size() / 2),
+                              /*sync=*/false)
+                  .ok());
   Result<XCluster> loaded = XCluster::Load(truncated_path);
   EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
 }
 
 TEST_F(SerializeTest, AlternativeNumericKindsRoundTrip) {
@@ -117,7 +140,7 @@ TEST_F(SerializeTest, AlternativeNumericKindsRoundTrip) {
        {NumericSummaryKind::kWavelet, NumericSummaryKind::kSample}) {
     options.reference.numeric_summary = kind;
     XCluster built = XCluster::Build(dataset_.doc, options);
-    std::string path = testing::TempDir() + "/numeric_kind.xcs";
+    std::string path = testing::TempDir() + "/numeric_kind.xcsf";
     ASSERT_TRUE(built.Save(path).ok());
     Result<XCluster> loaded = XCluster::Load(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -127,7 +150,7 @@ TEST_F(SerializeTest, AlternativeNumericKindsRoundTrip) {
         loaded.value().EstimateSelectivity("//year[range(1950,1980)]");
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_NEAR(a.value(), b.value(), 1e-6 * (1.0 + a.value()));
+    EXPECT_EQ(a.value(), b.value());
   }
 }
 
@@ -142,6 +165,80 @@ TEST_F(SerializeTest, DictionaryRestored) {
   for (TermId id = 0; id < original->size(); ++id) {
     EXPECT_EQ(restored->Get(id), original->Get(id));
   }
+}
+
+// ToGraph inverts the compile constructor exactly on builder output: an
+// image mapped back, rebuilt as a graph and recompiled re-encodes to the
+// same bytes, for each data set at three (Bstr, Bval) budgets spanning
+// heavy to light merging and value compression.
+class ToGraphRoundTripTest : public ::testing::TestWithParam<const char*> {};
+
+GeneratedDataset GenerateByName(const std::string& name) {
+  if (name == "xmark") {
+    XMarkOptions options;
+    options.scale = 0.1;
+    return GenerateXMark(options);
+  }
+  if (name == "imdb") {
+    ImdbOptions options;
+    options.scale = 0.1;
+    return GenerateImdb(options);
+  }
+  TreebankOptions options;
+  options.scale = 0.1;
+  return GenerateTreebank(options);
+}
+
+TEST_P(ToGraphRoundTripTest, ImageSurvivesToGraphByteForByte) {
+  const GeneratedDataset dataset = GenerateByName(GetParam());
+  ReferenceOptions ref_options;
+  ref_options.value_paths = dataset.value_paths;
+  const GraphSynopsis reference =
+      BuildReferenceSynopsis(dataset.doc, ref_options);
+  const struct {
+    size_t structural_kb;
+    double value_fraction;  ///< of the reference's value bytes
+  } budgets[] = {{2, 0.2}, {8, 0.6}, {20, 0.2}};
+  for (const auto& budget : budgets) {
+    BuildOptions options;
+    options.structural_budget = budget.structural_kb * 1024;
+    options.value_budget = static_cast<size_t>(
+        budget.value_fraction * static_cast<double>(reference.ValueBytes()));
+    const GraphSynopsis built = XClusterBuild(reference, options, nullptr);
+    std::string image;
+    ASSERT_TRUE(storage::XcsfWriter::Encode(FlatSynopsis(built), &image).ok());
+
+    Result<storage::XcsfMmapView> view =
+        storage::XcsfMmapView::Adopt(std::string(image));
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    const GraphSynopsis rebuilt = ToGraph(view.value().flat());
+    std::string again;
+    ASSERT_TRUE(
+        storage::XcsfWriter::Encode(FlatSynopsis(rebuilt), &again).ok());
+    EXPECT_EQ(again, image) << GetParam() << " Bstr "
+                            << budget.structural_kb << " KB, Bval "
+                            << budget.value_fraction;
+    EXPECT_EQ(rebuilt.DebugString(), built.DebugString()) << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, ToGraphRoundTripTest,
+                         ::testing::Values("xmark", "imdb", "treebank"));
+
+TEST(ToGraphTest, EmptySynopsisRoundTrips) {
+  const FlatSynopsis empty{GraphSynopsis()};
+  std::string image;
+  ASSERT_TRUE(storage::XcsfWriter::Encode(empty, &image).ok());
+  Result<storage::XcsfMmapView> view =
+      storage::XcsfMmapView::Adopt(std::string(image));
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const GraphSynopsis rebuilt = ToGraph(view.value().flat());
+  EXPECT_EQ(rebuilt.NodeCount(), 0u);
+  EXPECT_EQ(rebuilt.root(), kNoSynNode);
+  ASSERT_NE(rebuilt.term_dictionary(), nullptr);
+  std::string again;
+  ASSERT_TRUE(storage::XcsfWriter::Encode(FlatSynopsis(rebuilt), &again).ok());
+  EXPECT_EQ(again, image);
 }
 
 }  // namespace

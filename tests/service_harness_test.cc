@@ -222,7 +222,7 @@ TEST(ServiceHarnessTest, ReadBoundedLineClassifiesEveryCase) {
 
 TEST(ServiceHarnessTest, LoadDropRoundTripsThroughSaveFile) {
   const std::string path =
-      ::testing::TempDir() + "/harness_roundtrip.xcs";
+      ::testing::TempDir() + "/harness_roundtrip.xcsf";
   ASSERT_TRUE(MakeFixture().Save(path).ok());
 
   EstimationService service;
@@ -234,7 +234,7 @@ TEST(ServiceHarnessTest, LoadDropRoundTripsThroughSaveFile) {
                     "stats\n"
                     "drop books\n"
                     "estimate books /A\n"
-                    "load books /nonexistent/file.xcs\n"
+                    "load books /nonexistent/file.xcsf\n"
                     "quit\n");
   std::remove(path.c_str());
   ASSERT_EQ(lines.size(), 7u);
@@ -324,7 +324,7 @@ TEST(ServiceHarnessTest, BatchPriorityOptionParses) {
 // keep answering well-formed lines (run under TSan in CI: this is the
 // torn-read probe for the stats plumbing end to end).
 TEST(ServiceHarnessTest, StatsStaysConsistentUnderConcurrentChurn) {
-  const std::string path = ::testing::TempDir() + "/harness_churn.xcs";
+  const std::string path = ::testing::TempDir() + "/harness_churn.xcsf";
   ASSERT_TRUE(MakeFixture().Save(path).ok());
 
   ServiceOptions options;

@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/io/file_io.h"
 #include "estimate/compiled_twig.h"
 #include "query/parser.h"
 #include "service/service.h"
@@ -173,7 +175,7 @@ TEST(SynopsisStoreTest, LoadFileFailureLeavesCatalogUntouched) {
   SynopsisStore store;
   store.Install("c", MakeSynopsis(4.0));
   auto before = store.Get("c");
-  auto loaded = store.LoadFile("c", "/nonexistent/path.xcs");
+  auto loaded = store.LoadFile("c", "/nonexistent/path.xcsf");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(store.Get("c").get(), before.get());
 }
@@ -335,6 +337,100 @@ TEST(SynopsisStoreTest, WireXcsfInstallSpoolsToDisk) {
   auto reloaded = restarted.LoadFile("c", spooled);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_NEAR(FlatEstimate(*reloaded.value(), "/A"), 2.0, 1e-9);
+}
+
+/// MakeSynopsis(count) as the XCSF image a wire push carries.
+std::string WireImage(double count) {
+  std::string image;
+  EXPECT_TRUE(
+      storage::XcsfWriter::Encode(*MakeSynopsis(count).flat(), &image).ok());
+  return image;
+}
+
+/// What a replica restarted on `spooled` would serve for /A.
+double RestartedEstimate(const std::string& spooled) {
+  SynopsisStore restarted;
+  auto reloaded = restarted.LoadFile("c", spooled);
+  EXPECT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  return reloaded.ok() ? FlatEstimate(*reloaded.value(), "/A") : -1.0;
+}
+
+/// Spool temp files of `name` still in the spool dir.
+size_t LeftoverTempFiles(const std::string& dir, const std::string& name) {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind(name + ".xcsf.tmp.", 0) == 0) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(SynopsisStoreTest, RejectedCorruptPushLeavesTheSpoolFile) {
+  const std::string dir = testing::TempDir();
+  const std::string good = WireImage(2.0);
+  SynopsisStore store;
+  store.SetSpoolDir(dir);
+  ASSERT_TRUE(store.InstallFromWire("corrupt_push", good, "peer", 0).ok());
+
+  std::string corrupt = good;
+  corrupt[corrupt.size() / 2] ^= 0x01;
+  auto pushed = store.InstallFromWire("corrupt_push", corrupt, "peer", 0);
+  ASSERT_FALSE(pushed.ok());
+  EXPECT_EQ(pushed.status().code(), Status::Code::kCorruption);
+  EXPECT_EQ(FlatEstimate(*store.Get("corrupt_push"), "/A"), 2.0);
+  // The spool file still holds the served image, so a restart serves it
+  // too instead of failing on the rejected bytes.
+  const std::string spooled = dir + "/corrupt_push.xcsf";
+  Result<std::string> on_disk = ReadFileToString(spooled);
+  ASSERT_TRUE(on_disk.ok());
+  EXPECT_TRUE(on_disk.value() == good);
+  EXPECT_EQ(RestartedEstimate(spooled), 2.0);
+  EXPECT_EQ(LeftoverTempFiles(dir, "corrupt_push"), 0u);
+}
+
+TEST(SynopsisStoreTest, RejectedStalePushLeavesTheSpoolFile) {
+  const std::string dir = testing::TempDir();
+  SynopsisStore store;
+  store.SetSpoolDir(dir);
+  ASSERT_TRUE(store.InstallFromWire("stale_push", WireImage(5.0), "peer", 5)
+                  .ok());
+  auto stale = store.InstallFromWire("stale_push", WireImage(3.0), "peer", 3);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(store.Get("stale_push")->generation(), 5u);
+  // A restart must not roll the replica back to the refused generation.
+  EXPECT_EQ(RestartedEstimate(dir + "/stale_push.xcsf"), 5.0);
+  EXPECT_EQ(LeftoverTempFiles(dir, "stale_push"), 0u);
+}
+
+TEST(SynopsisStoreTest, ConcurrentPushesSpoolWhatTheCatalogServes) {
+  const std::string dir = testing::TempDir();
+  SynopsisStore store;
+  store.SetSpoolDir(dir);
+  constexpr int kThreads = 4;
+  constexpr int kPushesPerThread = 8;
+  std::vector<std::thread> pushers;
+  for (int t = 0; t < kThreads; ++t) {
+    pushers.emplace_back([&store, t] {
+      for (int i = 0; i < kPushesPerThread; ++i) {
+        // Interleaved generations, so pushes race and some go stale.
+        const uint64_t generation =
+            static_cast<uint64_t>(i * kThreads + (kThreads - t));
+        (void)store.InstallFromWire("racing_push",
+                                    WireImage(static_cast<double>(generation)),
+                                    "peer", generation);
+      }
+    });
+  }
+  for (std::thread& pusher : pushers) pusher.join();
+  const auto served = store.Get("racing_push");
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->generation(),
+            static_cast<uint64_t>(kThreads * kPushesPerThread));
+  EXPECT_EQ(RestartedEstimate(dir + "/racing_push.xcsf"),
+            FlatEstimate(*served, "/A"));
+  EXPECT_EQ(LeftoverTempFiles(dir, "racing_push"), 0u);
 }
 
 }  // namespace

@@ -206,7 +206,6 @@ TEST_F(XcsfTest, WriteGraphCompilesAndPersists) {
   synopsis.AddEdge(r, 1, 5.0);
   const std::string path = TempPath("graph.xcsf");
   ASSERT_TRUE(XcsfWriter::WriteGraph(synopsis, path, /*sync=*/false).ok());
-  EXPECT_TRUE(SniffXcsfFile(path));
   Result<XcsfMmapView> view = XcsfMmapView::Open(path);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view.value().flat().num_nodes(), 2u);
@@ -278,11 +277,34 @@ TEST_F(XcsfTest, OversizedFileIsRejected) {
   EXPECT_EQ(view.status().code(), Status::Code::kCorruption);
 }
 
-TEST_F(XcsfTest, ForeignFormatIsRejectedBySniff) {
-  EXPECT_FALSE(LooksLikeXcsf("XCSB4567"));
-  EXPECT_TRUE(LooksLikeXcsf(*image_));
-  Result<XcsfMmapView> view = XcsfMmapView::Adopt("XCSB not this format");
-  EXPECT_FALSE(view.ok());
+TEST_F(XcsfTest, ForeignBytesFailAsBadMagic) {
+  for (const std::string& bytes :
+       {std::string("XCSB not this format"), std::string("XC"),
+        std::string(), std::string(200, 'x')}) {
+    Result<XcsfMmapView> view = XcsfMmapView::Adopt(bytes);
+    ASSERT_FALSE(view.ok());
+    EXPECT_EQ(view.status().code(), Status::Code::kCorruption);
+    EXPECT_NE(view.status().message().find("bad magic"), std::string::npos)
+        << view.status().ToString();
+    EXPECT_EQ(VerifyXcsfBytes(bytes, nullptr).code(),
+              Status::Code::kCorruption);
+  }
+}
+
+// The trailer's last four bytes sit after the whole-file CRC, so no
+// checksum covers them; the validator requires the writer's zeros there.
+TEST_F(XcsfTest, NonZeroTrailerPadIsRejected) {
+  for (size_t bit = 0; bit < 32; ++bit) {
+    std::string corrupt = *image_;
+    corrupt[corrupt.size() - 4 + bit / 8] ^=
+        static_cast<char>(1u << (bit % 8));
+    Result<XcsfMmapView> view = XcsfMmapView::Adopt(corrupt);
+    ASSERT_FALSE(view.ok()) << "pad bit " << bit;
+    EXPECT_EQ(view.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(VerifyXcsfBytes(corrupt, nullptr).code(),
+              Status::Code::kCorruption)
+        << "pad bit " << bit;
+  }
 }
 
 // --- verify / inspect ----------------------------------------------------
@@ -317,23 +339,6 @@ TEST_F(XcsfTest, InspectMarksOnlyTheCorruptSection) {
       EXPECT_TRUE(info.crc_ok) << info.name;
     }
   }
-}
-
-TEST_F(XcsfTest, PayloadDispatchHandlesBothFormats) {
-  // XCSF image through the dispatching entry points.
-  EXPECT_TRUE(VerifySynopsisPayload(*image_, nullptr).ok());
-  std::vector<SynopsisSectionInfo> sections;
-  ASSERT_TRUE(InspectSynopsisPayload(*image_, &sections).ok());
-  EXPECT_EQ(sections.front().name, "node-labels");
-  // Legacy XCSB bytes route to the serialize verifier.
-  const std::string path = TempPath("dispatch.xcs");
-  ASSERT_TRUE(built_->Save(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string xcsb((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_TRUE(VerifySynopsisPayload(xcsb, nullptr).ok());
-  ASSERT_TRUE(InspectSynopsisPayload(xcsb, &sections).ok());
-  EXPECT_FALSE(sections.empty());
 }
 
 }  // namespace

@@ -5,15 +5,15 @@
 //       Generates a synthetic data set, writes it as XML, and (optionally)
 //       writes the value paths that should receive detailed summaries.
 //
-//   xclusterctl build --in data.xml --out synopsis.xcs
+//   xclusterctl build --in data.xml --out synopsis.xcsf
 //               [--bstr KB] [--bval KB] [--paths data.paths]
 //               [--numeric hist|wavelet|sample] [--verbose]
 //       Parses an XML file, builds an XCluster synopsis within the given
-//       budgets, and saves it.
+//       budgets, and saves it as an XCSF image (docs/FORMAT.md).
 //
-//   xclusterctl estimate --synopsis synopsis.xcs --query "//a[range(1,9)]/b"
-//   xclusterctl estimate --synopsis synopsis.xcs --queries queries.txt
-//       Loads a synopsis (.xcs or .xcsf) into a SynopsisStore and prints
+//   xclusterctl estimate --synopsis synopsis.xcsf --query "//a[range(1,9)]/b"
+//   xclusterctl estimate --synopsis synopsis.xcsf --queries queries.txt
+//       Maps a synopsis image into a SynopsisStore and prints
 //       the estimated selectivity of a twig query (see query/parser.h for
 //       the syntax); --explain prints the per-variable breakdown instead.
 //       With --queries, every line of the file is estimated as one batch
@@ -21,7 +21,7 @@
 //       --workers N fans the batch across a thread pool.
 //
 //   xclusterctl serve --stdin [--workers N] [--queue N]
-//               [--preload name=f.xcs ...] [--reach-cache-capacity N]
+//               [--preload name=f.xcsf ...] [--reach-cache-capacity N]
 //               [--plan-cache-capacity N] [--quota name=rate:burst,...]
 //               [--lane-weights I:B]
 //       Runs the in-process estimation service on a line-oriented
@@ -72,7 +72,7 @@
 //       file as one packed frame; --trace attaches a sampled trace
 //       context — a 16-digit hex id, or server/client-generated when the
 //       value is omitted — and prints the trace_id echoed by a v3
-//       server); load --name n --path f.xcs (server-side path), or with
+//       server); load --name n --path f.xcsf (server-side path), or with
 //       --replicate [--generation N] read the file here and push its
 //       bytes as a chunked v4 install frame — through a router this
 //       replicates to every healthy replica; stats [--prom|--json]
@@ -82,12 +82,15 @@
 //       --retries N (bounded exponential-backoff retry of admission sheds
 //       and capacity rejections, honoring the server's retry-after hint).
 //
-//   xclusterctl inspect --synopsis synopsis.xcs [--dump]
-//       Prints size/cluster statistics (and optionally the clustering).
+//   xclusterctl inspect --synopsis synopsis.xcsf [--detail] [--dump]
+//       Prints the image header and its section table, marking sections
+//       whose CRC32C fails; --detail adds cluster statistics and --dump
+//       the clustering itself.
 //
-//   xclusterctl verify --synopsis synopsis.xcs [--quiet]
-//       fsck for synopsis files: walks the section table, checks every
-//       CRC32C, and fully decodes. Exits non-zero on any corruption.
+//   xclusterctl verify --synopsis synopsis.xcsf [--quiet]
+//       fsck for synopsis images: walks the section table, checks every
+//       CRC32C, and decodes every summary. Exits non-zero on any
+//       corruption.
 //
 //   xclusterctl stats [--in metrics.json] [--format text|json|prom]
 //       Pretty-prints a metrics snapshot: the live process registry, or a
@@ -121,7 +124,6 @@
 #include "common/json.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
-#include "core/serialize.h"
 #include "core/xcluster.h"
 #include "data/imdb.h"
 #include "data/xmark.h"
@@ -133,7 +135,6 @@
 #include "service/service.h"
 #include "storage/xcsf_format.h"
 #include "storage/xcsf_mmap_view.h"
-#include "storage/xcsf_writer.h"
 #include "synopsis/reference.h"
 #include "synopsis/stats.h"
 #include "workload/generator.h"
@@ -375,8 +376,8 @@ int Estimate(const Args& args) {
                         static_cast<size_t>(args.GetInt("workers", 0)),
                         args.Has("explain"));
   }
-  // One query takes the same load path as --queries (either format,
-  // sniffed by SynopsisStore::LoadFile), then one inline EstimateOne.
+  // One query takes the same load path as --queries (the image mapped by
+  // SynopsisStore::LoadFile), then one inline EstimateOne.
   EstimationService service;
   auto loaded = service.store().LoadFile("default", path);
   if (!loaded.ok()) return Fail("load: " + loaded.status().ToString());
@@ -860,8 +861,7 @@ int Remote(const std::string& action, const Args& args) {
       return Fail("remote load requires --name and --path");
     }
     if (args.Has("replicate")) {
-      // --replicate reads the snapshot (.xcs or .xcsf) here and ships the
-      // bytes as a chunked
+      // --replicate reads the image here and ships the bytes as a chunked
       // kInstall push (v4). Against a router that fans the snapshot out to
       // every healthy replica under one generation; against a single
       // replica it is a plain wire install. Either way the file only has
@@ -870,7 +870,7 @@ int Remote(const std::string& action, const Args& args) {
       if (!bytes.ok()) {
         return Fail("read " + path + ": " + bytes.status().ToString());
       }
-      Status verified = storage::VerifySynopsisPayload(bytes.value(), nullptr);
+      Status verified = storage::VerifyXcsfBytes(bytes.value(), nullptr);
       if (!verified.ok()) {
         return Fail(path + ": " + verified.ToString());
       }
@@ -964,32 +964,11 @@ int Stats(const Args& args) {
   return 0;
 }
 
-/// Compiles a `.xcs` synopsis into an XCSF flat image (`.xcsf`): the
-/// read-optimized form a daemon mmaps and serves zero-copy.
-int Compile(const Args& args) {
-  const std::string in = args.Get("in");
-  const std::string out = args.Get("out");
-  if (in.empty() || out.empty()) {
-    return Fail("compile requires --in f.xcs and --out f.xcsf");
-  }
-  Result<XCluster> loaded = XCluster::Load(in);
-  if (!loaded.ok()) return Fail("load: " + loaded.status().ToString());
-  Status status = storage::XcsfWriter::Write(*loaded.value().flat(), out);
-  if (!status.ok()) return Fail(status.ToString());
-  // Re-open through the real mmap path: proves the image round-trips
-  // before anyone serves from it, and reports the on-disk size.
-  Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(out);
-  if (!view.ok()) return Fail("reopen: " + view.status().ToString());
-  std::printf("compiled %s -> %s: %u clusters, %zu edges, %zu bytes\n",
-              in.c_str(), out.c_str(), view.value().flat().num_nodes(),
-              view.value().flat().num_edges(), view.value().image_bytes());
-  return 0;
-}
-
-/// The per-section table shown by inspect, for either format.
-void PrintSectionTable(const std::vector<SynopsisSectionInfo>& sections) {
+/// The per-section table shown by inspect.
+void PrintSectionTable(
+    const std::vector<storage::SynopsisSectionInfo>& sections) {
   std::printf("%-20s %10s %12s  %s\n", "section", "offset", "bytes", "crc");
-  for (const SynopsisSectionInfo& info : sections) {
+  for (const storage::SynopsisSectionInfo& info : sections) {
     std::printf("%-20s %10llu %12llu  %s\n", info.name.c_str(),
                 static_cast<unsigned long long>(info.offset),
                 static_cast<unsigned long long>(info.length),
@@ -1000,48 +979,32 @@ void PrintSectionTable(const std::vector<SynopsisSectionInfo>& sections) {
 int Inspect(const Args& args) {
   const std::string path = args.Get("synopsis");
   if (path.empty()) return Fail("inspect requires --synopsis");
-  if (storage::SniffXcsfFile(path)) {
-    // XCSF image: everything comes from the header + section table —
-    // tolerant of payload corruption (bad sections print "BAD").
-    Result<std::string> bytes = ReadFileToString(path);
-    if (!bytes.ok()) return Fail(bytes.status().ToString());
-    storage::XcsfHeader header;
-    Status status = storage::ParseXcsfHeader(bytes.value(),
-                                             bytes.value().size(), &header);
-    if (!status.ok()) return Fail(path + ": " + status.ToString());
-    std::printf("format:     xcsf v%u (flat mmap image)\n", header.version);
-    std::printf("clusters:   %u\n", header.node_count);
-    std::printf("edges:      %llu\n",
-                static_cast<unsigned long long>(header.edge_count));
-    std::printf("terms:      %s\n",
-                (header.flags & storage::kXcsfFlagHasTerms) != 0 ? "yes"
-                                                                 : "no");
-    std::printf("image:      %zu bytes (%u sections)\n",
-                bytes.value().size(), header.section_count);
-    std::vector<SynopsisSectionInfo> sections;
-    status = storage::InspectXcsfSections(bytes.value(), &sections);
-    if (!status.ok()) return Fail(path + ": " + status.ToString());
-    PrintSectionTable(sections);
-    return 0;
-  }
+  // The header and section table come straight from the bytes, tolerant
+  // of payload corruption (bad sections print "BAD").
+  Result<std::string> bytes = ReadFileToString(path);
+  if (!bytes.ok()) return Fail(bytes.status().ToString());
+  storage::XcsfHeader header;
+  Status status = storage::ParseXcsfHeader(bytes.value(),
+                                           bytes.value().size(), &header);
+  if (!status.ok()) return Fail(path + ": " + status.ToString());
+  std::printf("format:     xcsf v%u (flat mmap image)\n", header.version);
+  std::printf("clusters:   %u\n", header.node_count);
+  std::printf("edges:      %llu\n",
+              static_cast<unsigned long long>(header.edge_count));
+  std::printf("terms:      %s\n",
+              (header.flags & storage::kXcsfFlagHasTerms) != 0 ? "yes" : "no");
+  std::printf("image:      %zu bytes (%u sections)\n", bytes.value().size(),
+              header.section_count);
+  std::vector<storage::SynopsisSectionInfo> sections;
+  status = storage::InspectXcsfSections(bytes.value(), &sections);
+  if (!status.ok()) return Fail(path + ": " + status.ToString());
+  PrintSectionTable(sections);
+  if (!args.Has("detail") && !args.Has("dump")) return 0;
+  // Statistics and the clustering need the graph, rebuilt from a sound
+  // image.
   Result<XCluster> loaded = XCluster::Load(path);
   if (!loaded.ok()) return Fail("load: " + loaded.status().ToString());
   const GraphSynopsis& synopsis = loaded.value().synopsis();
-  std::printf("clusters:   %zu\n", synopsis.NodeCount());
-  std::printf("edges:      %zu\n", synopsis.EdgeCount());
-  std::printf("structural: %zu bytes\n", synopsis.StructuralBytes());
-  std::printf("value:      %zu bytes (%zu summarized clusters)\n",
-              synopsis.ValueBytes(), synopsis.ValueNodeCount());
-  auto dict = synopsis.term_dictionary();
-  std::printf("terms:      %zu\n", dict ? dict->size() : 0);
-  {
-    Result<std::string> bytes = ReadFileToString(path);
-    std::vector<SynopsisSectionInfo> sections;
-    if (bytes.ok() &&
-        InspectSynopsisSections(bytes.value(), &sections).ok()) {
-      PrintSectionTable(sections);
-    }
-  }
   if (args.Has("detail")) {
     std::printf("%s", ComputeStats(synopsis).ToString().c_str());
   }
@@ -1126,7 +1089,7 @@ int Verify(const Args& args) {
   Result<std::string> bytes = ReadFileToString(path);
   if (!bytes.ok()) return Fail(bytes.status().ToString());
   std::string report;
-  Status status = storage::VerifySynopsisPayload(bytes.value(), &report);
+  Status status = storage::VerifyXcsfBytes(bytes.value(), &report);
   if (!args.Has("quiet") && !report.empty()) {
     std::printf("%s", report.c_str());
   }
@@ -1143,15 +1106,13 @@ int Usage() {
       "usage: xclusterctl <command> [flags]\n"
       "  generate --dataset imdb|xmark [--scale S] [--seed N] --out f.xml\n"
       "           [--paths f.paths]\n"
-      "  build    --in f.xml --out f.xcs [--bstr KB] [--bval KB]\n"
+      "  build    --in f.xml --out f.xcsf [--bstr KB] [--bval KB]\n"
       "           [--paths f.paths] [--numeric hist|wavelet|sample]\n"
       "           [--verbose]\n"
-      "  compile  --in f.xcs --out f.xcsf   (flat mmap image: zero-copy,\n"
-      "           O(1) cold-start serving; see docs/FORMAT.md)\n"
-      "  estimate --synopsis f.xcs --query \"//a[range(1,9)]/b\" [--explain]\n"
+      "  estimate --synopsis f.xcsf --query \"//a[range(1,9)]/b\" [--explain]\n"
       "           (or --queries f.txt [--workers N] for a shared-load batch)\n"
       "  serve    --stdin [--workers N] [--queue N]\n"
-      "           [--preload name=f.xcs|f.xcsf] [--xcsf-spool DIR]\n"
+      "           [--preload name=f.xcsf] [--xcsf-spool DIR]\n"
       "           [--reach-cache-capacity N] [--plan-cache-capacity N]\n"
       "           [--quota name=rate:burst,...] [--lane-weights I:B]\n"
       "           [--trace-sample R] [--trace-ring N] [--flight-ring N]\n"
@@ -1169,18 +1130,18 @@ int Usage() {
       "  remote   batch    --connect host:port --name n --queries f.txt\n"
       "           [--deadline-us N] [--explain] [--trace [hexid]]\n"
       "           [--priority interactive|bulk]\n"
-      "  remote   load     --connect host:port --name n --path f.xcs|f.xcsf\n"
+      "  remote   load     --connect host:port --name n --path f.xcsf\n"
       "           [--replicate [--generation N]]  (push bytes over the\n"
       "           wire; via a router, fan out to every healthy replica)\n"
       "  remote   stats    --connect host:port [--prom|--json]\n"
       "  remote   flight   --connect host:port [--limit N]\n"
       "  remote flags: [--timeout-ms N] [--connect-timeout-ms N]\n"
       "           [--retries N]\n"
-      "  inspect  --synopsis f.xcs|f.xcsf [--detail] [--dump]\n"
+      "  inspect  --synopsis f.xcsf [--detail] [--dump]\n"
       "  workload --dataset imdb|xmark [--scale S] [--seed N]\n"
       "           [--queries N] [--negative] --out f.tsv\n"
-      "  evaluate --synopsis f.xcs --workload f.tsv\n"
-      "  verify   --synopsis f.xcs|f.xcsf [--quiet]\n"
+      "  evaluate --synopsis f.xcsf --workload f.tsv\n"
+      "  verify   --synopsis f.xcsf [--quiet]\n"
       "  stats    [--in metrics.json] [--format text|json|prom]\n"
       "global flags (any command):\n"
       "  --metrics-json f.json   export a metrics snapshot on exit\n"
@@ -1193,7 +1154,6 @@ int Dispatch(const std::string& command, const std::string& action,
              const Args& args) {
   if (command == "generate") return Generate(args);
   if (command == "build") return Build(args);
-  if (command == "compile") return Compile(args);
   if (command == "estimate") return Estimate(args);
   if (command == "inspect") return Inspect(args);
   if (command == "workload") return MakeWorkload(args);
