@@ -22,7 +22,7 @@
 // A final run repeats the widest fan-out with a 64Ki ring recorder
 // installed and every batch carrying a sampled trace context — the
 // always-on daemon tracing configuration — so BENCH_net.json records the
-// traced loopback throughput, the v3 trace-id echo count, and the number
+// traced loopback throughput, the trace-id echo count, and the number
 // of spans the ring absorbed.
 
 #include <chrono>
@@ -284,7 +284,7 @@ int Main(int argc, char** argv) {
   }
 
   // Ring-traced repeat of the widest fan-out: every batch samples its
-  // trace, spans land in a bounded ring, and every v3 reply must echo the
+  // trace, spans land in a bounded ring, and every reply must echo the
   // id back.
   {
     const size_t connections = config.connections.back();

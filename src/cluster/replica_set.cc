@@ -115,7 +115,6 @@ ReplicaStatus ReplicaSet::StatusOf(size_t index) const {
   ReplicaStatus status;
   status.address = replica.address;
   status.healthy = replica.healthy;
-  status.version = replica.version;
   status.role = replica.role;
   status.server = replica.server;
   status.probes = replica.probes;
@@ -190,7 +189,6 @@ void ReplicaSet::ProbeOne(size_t index) {
     XCLUSTER_COUNTER_INC("cluster.probes.failed");
   } else {
     replica.healthy = true;
-    replica.version = client.value().negotiated_version();
     replica.role = client.value().server_role();
     replica.server = client.value().server_description();
     replica.generations = ParseListGenerations(listed.value());

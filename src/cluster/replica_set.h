@@ -40,9 +40,8 @@ std::vector<std::pair<std::string, uint64_t>> ParseListGenerations(
 struct ReplicaStatus {
   std::string address;       ///< "host:port" as configured
   bool healthy = false;
-  uint32_t version = 0;      ///< negotiated protocol version (last probe)
-  std::string role;          ///< v4 hello-ack role ("replica" | "router")
-  std::string server;        ///< v4 hello-ack server description
+  std::string role;          ///< hello-ack role ("replica" | "router")
+  std::string server;        ///< hello-ack server description
   uint64_t probes = 0;
   uint64_t probe_failures = 0;
   uint64_t last_probe_ns = 0;
@@ -119,7 +118,6 @@ class ReplicaSet {
     std::string host;
     uint16_t port = 0;
     bool healthy = false;
-    uint32_t version = 0;
     std::string role;
     std::string server;
     uint64_t probes = 0;

@@ -8,9 +8,7 @@
 
 #include "cluster/hash_ring.h"
 #include "cluster/merge.h"
-#include "common/io/crc32c.h"
 #include "common/io/file_io.h"
-#include "common/telemetry/metrics.h"
 #include "common/telemetry/telemetry.h"
 #include "service/harness.h"
 #include "storage/xcsf_mmap_view.h"
@@ -113,37 +111,30 @@ void Router::PostError(uint64_t conn_id, const std::string& message) {
   Post(conn_id, net::FrameType::kError, message, /*close=*/true);
 }
 
-void Router::PostShed(uint64_t conn_id, uint32_t version,
-                      uint64_t retry_after_ms, const std::string& message) {
+void Router::PostShed(uint64_t conn_id, uint64_t retry_after_ms,
+                      const std::string& message) {
   XCLUSTER_COUNTER_INC("cluster.sheds");
-  if (version >= net::kProtocolVersionQos) {
-    net::ShedFrame shed;
-    shed.retry_after_ms = static_cast<uint32_t>(
-        retry_after_ms == 0 ? 50 : std::min<uint64_t>(retry_after_ms, ~0u));
-    shed.message = message;
-    Post(conn_id, net::FrameType::kShed, net::EncodeShed(shed));
-  } else {
-    // v1 clients predate kShed; fall back to the closing error frame,
-    // mirroring NetServer's own downlevel behavior.
-    Post(conn_id, net::FrameType::kError, "Unavailable: " + message,
-         /*close=*/true);
-  }
+  net::ShedFrame shed;
+  shed.retry_after_ms = static_cast<uint32_t>(
+      retry_after_ms == 0 ? 50 : std::min<uint64_t>(retry_after_ms, ~0u));
+  shed.message = message;
+  Post(conn_id, net::FrameType::kShed, net::EncodeShed(shed));
 }
 
 void Router::OnFrame(uint64_t conn_id, const std::string& peer,
-                     uint32_t version, net::Frame frame) {
+                     net::Frame frame) {
   switch (frame.type) {
     case net::FrameType::kInstall:
       // Reassembly is ordering-sensitive, so it stays on the loop thread;
       // only the completed snapshot's fan-out runs on the pool.
-      HandleInstallChunk(conn_id, version, std::move(frame));
+      HandleInstallChunk(conn_id, std::move(frame));
       return;
     case net::FrameType::kCommand: {
       Status submitted = pool_->Submit(
-          [this, conn_id, version, line = std::move(frame.payload),
+          [this, conn_id, line = std::move(frame.payload),
            peer](const Executor::TaskContext& context) {
             if (context.cancelled) return;
-            HandleCommand(conn_id, version, line, peer);
+            HandleCommand(conn_id, line, peer);
           });
       if (!submitted.ok()) {
         PostError(conn_id, "router overloaded: " + submitted.message());
@@ -152,14 +143,14 @@ void Router::OnFrame(uint64_t conn_id, const std::string& peer,
     }
     case net::FrameType::kBatch: {
       Status submitted = pool_->Submit(
-          [this, conn_id, version, payload = std::move(frame.payload)](
+          [this, conn_id, payload = std::move(frame.payload)](
               const Executor::TaskContext& context) {
             if (context.cancelled) return;
-            HandleBatch(conn_id, version, payload);
+            HandleBatch(conn_id, payload);
           });
       if (!submitted.ok()) {
         // Queue full is load, not corruption: shed with a hint.
-        PostShed(conn_id, version, 50,
+        PostShed(conn_id, 50,
                  "router forwarding queue full: " + submitted.message());
       }
       return;
@@ -288,7 +279,6 @@ std::string Router::RouterStatsText() const {
       << " healthy=" << healthy << "\n";
   for (const ReplicaStatus& status : statuses) {
     out << "replica " << status.address << " healthy=" << (status.healthy ? 1 : 0)
-        << " version=" << status.version
         << " role=" << (status.role.empty() ? "unknown" : status.role)
         << " synopses=" << status.generations.size()
         << " gen=" << status.max_generation << " probes=" << status.probes
@@ -409,9 +399,8 @@ net::InstallReplyFrame Router::ReplicateBytes(const std::string& name,
   return aggregate;
 }
 
-void Router::HandleCommand(uint64_t conn_id, uint32_t version,
-                           std::string line, std::string peer) {
-  (void)version;
+void Router::HandleCommand(uint64_t conn_id, std::string line,
+                           std::string peer) {
   std::istringstream tokens(line);
   std::string command;
   tokens >> command;
@@ -635,8 +624,12 @@ Result<net::BatchReplyFrame> Router::RouteShard(
       continue;
     }
     net::NetClient connection = std::move(client).value();
-    Result<net::BatchReplyFrame> reply =
-        connection.Batch(shard, request.queries, request.options);
+    // The round trip is socket transit plus replica time; its own span
+    // keeps it out of cluster.route's self time.
+    Result<net::BatchReplyFrame> reply = [&] {
+      XCLUSTER_TRACE_SPAN("cluster.forward");
+      return connection.Batch(shard, request.queries, request.options);
+    }();
     if (connection.last_attempts() > 1) {
       XCLUSTER_COUNTER_ADD("cluster.retries",
                            connection.last_attempts() - 1);
@@ -661,8 +654,7 @@ Result<net::BatchReplyFrame> Router::RouteShard(
   return last;
 }
 
-void Router::HandleBatch(uint64_t conn_id, uint32_t version,
-                         std::string payload) {
+void Router::HandleBatch(uint64_t conn_id, std::string payload) {
   const uint64_t start_ns = telemetry::MonotonicNowNs();
   Result<net::BatchRequestFrame> decoded = net::DecodeBatchRequest(payload);
   if (!decoded.ok()) {
@@ -703,80 +695,57 @@ void Router::HandleBatch(uint64_t conn_id, uint32_t version,
     replies.push_back(std::move(shard_reply));
   }
 
+  net::BatchReplyFrame merged;
+  if (failure.ok() && !spec.sharded()) {
+    // Single-collection pass-through: the replica's reply is re-encoded
+    // field for field, estimates keeping their exact bit patterns.
+    merged = std::move(replies[0].reply);
+  } else if (failure.ok()) {
+    Result<net::BatchReplyFrame> gathered = MergeShardReplies(replies);
+    if (gathered.ok()) {
+      merged = std::move(gathered).value();
+      XCLUSTER_COUNTER_INC("cluster.batches.scatter");
+    } else {
+      failure = gathered.status();
+    }
+  }
+
   FlightRecord record;
   record.trace_id = request.options.trace.trace_id;
   record.collection = request.collection;
   record.lane = request.options.lane;
   record.queries = static_cast<uint32_t>(request.queries.size());
   record.bytes = payload.size();
-
-  if (!failure.ok()) {
-    if (failure.code() == Status::Code::kUnavailable) {
-      record.status = FlightStatus::kShedOther;
-      record.retry_after_ms = static_cast<uint32_t>(
-          std::min<uint64_t>(retry_after_ms, ~0u));
-      PostShed(conn_id, version, retry_after_ms, failure.message());
-    } else {
-      record.status = FlightStatus::kPartialError;
-      PostError(conn_id, failure.ToString());
-    }
-    record.end_ns = telemetry::MonotonicNowNs();
-    record.wall_ns = record.end_ns - start_ns;
-    flight_.Record(record);
-    return;
-  }
-
-  net::BatchReplyFrame merged;
-  if (!spec.sharded()) {
-    // Single-collection pass-through: the replica's reply is re-encoded
-    // field for field, estimates keeping their exact bit patterns.
-    merged = std::move(replies[0].reply);
+  if (failure.code() == Status::Code::kUnavailable) {
+    record.status = FlightStatus::kShedOther;
+    record.retry_after_ms =
+        static_cast<uint32_t>(std::min<uint64_t>(retry_after_ms, ~0u));
+    PostShed(conn_id, retry_after_ms, failure.message());
+  } else if (!failure.ok()) {
+    record.status = FlightStatus::kPartialError;
+    PostError(conn_id, failure.ToString());
   } else {
-    Result<net::BatchReplyFrame> gathered = MergeShardReplies(replies);
-    if (!gathered.ok()) {
-      PostError(conn_id, gathered.status().ToString());
-      return;
-    }
-    merged = std::move(gathered).value();
-    XCLUSTER_COUNTER_INC("cluster.batches.scatter");
+    merged.trace_id = request.options.trace.trace_id;
+    Post(conn_id, net::FrameType::kBatchReply,
+         net::EncodeBatchReplyFrame(merged));
+    XCLUSTER_COUNTER_INC("cluster.batches.routed");
+    record.ok = static_cast<uint32_t>(merged.stats.ok);
+    record.status = merged.stats.failed == 0 ? FlightStatus::kOk
+                                             : FlightStatus::kPartialError;
   }
-  merged.trace_id = version >= net::kProtocolVersionTrace
-                        ? request.options.trace.trace_id
-                        : 0;
-  Post(conn_id, net::FrameType::kBatchReply,
-       net::EncodeBatchReplyFrame(merged));
-  XCLUSTER_COUNTER_INC("cluster.batches.routed");
-  record.ok = static_cast<uint32_t>(merged.stats.ok);
-  record.status = merged.stats.failed == 0 ? FlightStatus::kOk
-                                           : FlightStatus::kPartialError;
   record.end_ns = telemetry::MonotonicNowNs();
   record.wall_ns = record.end_ns - start_ns;
   flight_.Record(record);
-  XCLUSTER_HISTOGRAM_RECORD_NS("cluster.route_latency_ns",
-                               record.wall_ns);
+  XCLUSTER_HISTOGRAM_RECORD_NS("cluster.route_latency_ns", record.wall_ns);
 }
 
 void Router::HandleStats(uint64_t conn_id, std::string payload) {
-  Result<net::StatsFormat> format = net::DecodeStatsRequest(payload);
-  if (!format.ok()) {
-    PostError(conn_id, format.status().ToString());
+  Result<std::string> text = net::RenderStatsReply(payload);
+  if (!text.ok()) {
+    PostError(conn_id, text.status().ToString());
     return;
   }
-  const telemetry::MetricsSnapshot snapshot =
-      telemetry::MetricsRegistry::Global().Snapshot();
-  std::string text;
-  switch (format.value()) {
-    case net::StatsFormat::kPrometheus:
-      text = snapshot.ToPrometheus();
-      break;
-    case net::StatsFormat::kJson:
-      text = snapshot.ToJson();
-      break;
-    case net::StatsFormat::kText:
-      text = snapshot.ToText();
-      break;
-  }
-  Post(conn_id, net::FrameType::kStatsReply, std::move(text));
+  Post(conn_id, net::FrameType::kStatsReply, std::move(text).value());
 }
 
 void Router::HandleFlight(uint64_t conn_id, std::string payload) {
@@ -789,97 +758,34 @@ void Router::HandleFlight(uint64_t conn_id, std::string payload) {
        flight_.ToJson(max_records.value()));
 }
 
-void Router::HandleInstallChunk(uint64_t conn_id, uint32_t version,
-                                net::Frame frame) {
-  if (version < net::kProtocolVersionCluster) {
-    PostError(conn_id, "install frame requires protocol v4");
+void Router::HandleInstallChunk(uint64_t conn_id, net::Frame frame) {
+  net::InstallAssembler& assembler =
+      installs_
+          .try_emplace(conn_id, options_.server.max_frame_bytes,
+                       options_.server.max_install_bytes)
+          .first->second;
+  bool complete = false;
+  Status added = assembler.Add(frame.payload, &complete);
+  if (!added.ok()) {
+    PostError(conn_id, added.ToString());
     return;
   }
-  Result<net::InstallFrame> decoded = net::DecodeInstall(frame.payload);
-  if (!decoded.ok()) {
-    PostError(conn_id, decoded.status().ToString());
-    return;
-  }
-  net::InstallFrame install = std::move(decoded).value();
-  InstallState& state = installs_[conn_id];
-  if (state.name.empty()) {
-    if (install.chunk_index != 0) {
-      installs_.erase(conn_id);
-      PostError(conn_id, "install chunk " +
-                             std::to_string(install.chunk_index) + " of " +
-                             install.name + " without a first chunk");
-      return;
-    }
-    if (install.total_bytes >
-        static_cast<uint64_t>(install.chunk_count) *
-            options_.server.max_frame_bytes) {
-      installs_.erase(conn_id);
-      PostError(conn_id, "install of " + install.name + " declares " +
-                             std::to_string(install.total_bytes) +
-                             " bytes, more than its chunks can carry");
-      return;
-    }
-    if (install.total_bytes > options_.server.max_install_bytes) {
-      installs_.erase(conn_id);
-      PostError(conn_id,
-                "install of " + install.name + " declares " +
-                    std::to_string(install.total_bytes) +
-                    " bytes, above the " +
-                    std::to_string(options_.server.max_install_bytes) +
-                    "-byte install cap");
-      return;
-    }
-    state.name = install.name;
-    state.generation = install.generation;
-    state.total_bytes = install.total_bytes;
-    state.chunk_count = install.chunk_count;
-    state.snapshot_crc = install.snapshot_crc;
-    state.next_chunk = 0;
-    // No upfront reserve: total_bytes is peer-declared; the buffer grows
-    // only with bytes actually received, bounded by the overflow check.
-  } else if (install.name != state.name ||
-             install.generation != state.generation ||
-             install.total_bytes != state.total_bytes ||
-             install.chunk_count != state.chunk_count ||
-             install.snapshot_crc != state.snapshot_crc ||
-             install.chunk_index != state.next_chunk) {
-    installs_.erase(conn_id);
-    PostError(conn_id,
-              "install chunk sequence violation for " + install.name);
-    return;
-  }
-  if (state.buffer.size() + install.chunk.size() > state.total_bytes) {
-    installs_.erase(conn_id);
-    PostError(conn_id, "install chunks for " + install.name +
-                           " overflow the declared snapshot size");
-    return;
-  }
-  state.buffer.append(install.chunk);
-  state.next_chunk++;
-  if (state.next_chunk < state.chunk_count) return;
-
-  InstallState completed = std::move(state);
-  installs_.erase(conn_id);
-  if (completed.buffer.size() != completed.total_bytes) {
-    PostError(conn_id, "install of " + completed.name + " reassembled " +
-                           std::to_string(completed.buffer.size()) +
-                           " bytes, expected " +
-                           std::to_string(completed.total_bytes));
-    return;
-  }
-  if (crc32c::Mask(crc32c::Value(completed.buffer.data(),
-                                 completed.buffer.size())) !=
-      completed.snapshot_crc) {
-    PostError(conn_id,
-              "install of " + completed.name + " failed snapshot checksum");
+  if (!complete) return;
+  Result<net::InstallSnapshot> snapshot = assembler.Take();
+  if (!snapshot.ok()) {
+    XCLUSTER_COUNTER_INC("cluster.installs.failed");
+    net::InstallReplyFrame reply;
+    reply.message = snapshot.status().ToString();
+    Post(conn_id, net::FrameType::kInstallReply,
+         net::EncodeInstallReply(reply));
     return;
   }
   Status submitted = pool_->Submit(
-      [this, conn_id, name = std::move(completed.name),
-       bytes = std::move(completed.buffer),
-       pinned = completed.generation](const Executor::TaskContext& context) {
+      [this, conn_id, snapshot = std::move(snapshot).value()](
+          const Executor::TaskContext& context) {
         if (context.cancelled) return;
-        net::InstallReplyFrame outcome = ReplicateBytes(name, bytes, pinned);
+        net::InstallReplyFrame outcome =
+            ReplicateBytes(snapshot.name, snapshot.bytes, snapshot.generation);
         Post(conn_id, net::FrameType::kInstallReply,
              net::EncodeInstallReply(outcome));
       });

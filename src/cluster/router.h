@@ -22,7 +22,7 @@ namespace cluster {
 
 struct RouterOptions {
   /// Listener settings for the router's own XNET endpoint. `role` is
-  /// forced to "router" so a v4 hello ack identifies it.
+  /// forced to "router" so the hello ack identifies it.
   net::NetServerOptions server;
 
   /// Replica addresses ("host:port"), one per --peer flag. At least one.
@@ -90,43 +90,30 @@ class Router : public net::FrameHandler {
   const ReplicaSet& replicas() const { return replicas_; }
 
   // net::FrameHandler (event-loop thread):
-  void OnFrame(uint64_t conn_id, const std::string& peer, uint32_t version,
+  void OnFrame(uint64_t conn_id, const std::string& peer,
                net::Frame frame) override;
   void OnDisconnect(uint64_t conn_id) override;
 
  private:
-  /// Per-connection kInstall reassembly (event-loop thread only).
-  struct InstallState {
-    std::string name;
-    uint64_t generation = 0;
-    uint64_t total_bytes = 0;
-    uint32_t chunk_count = 0;
-    uint32_t next_chunk = 0;
-    uint32_t snapshot_crc = 0;
-    std::string buffer;
-  };
-
   void Post(uint64_t conn_id, net::FrameType type, std::string payload,
             bool close = false);
   void PostError(uint64_t conn_id, const std::string& message);
-  void PostShed(uint64_t conn_id, uint32_t version, uint64_t retry_after_ms,
+  void PostShed(uint64_t conn_id, uint64_t retry_after_ms,
                 const std::string& message);
 
   /// Pool-thread handlers.
-  void HandleCommand(uint64_t conn_id, uint32_t version, std::string line,
-                     std::string peer);
+  void HandleCommand(uint64_t conn_id, std::string line, std::string peer);
   /// Text `estimate base@N <query>`: one-query batch per shard, merged
   /// like a routed kBatch, rendered back in the harness text format.
   void HandleShardedEstimate(uint64_t conn_id, const ShardSpec& spec,
                              const std::string& line);
-  void HandleBatch(uint64_t conn_id, uint32_t version, std::string payload);
+  void HandleBatch(uint64_t conn_id, std::string payload);
   void HandleStats(uint64_t conn_id, std::string payload);
   void HandleFlight(uint64_t conn_id, std::string payload);
 
   /// Event-loop-thread install reassembly; the final chunk hands the
   /// buffer to the pool for fan-out.
-  void HandleInstallChunk(uint64_t conn_id, uint32_t version,
-                          net::Frame frame);
+  void HandleInstallChunk(uint64_t conn_id, net::Frame frame);
 
   /// Fans an XCSF image to every healthy replica under one generation
   /// (`pinned` 0 assigns the next fleet generation). Returns the
@@ -172,7 +159,9 @@ class Router : public net::FrameHandler {
   std::mutex generation_mu_;
   uint64_t generation_counter_ = 0;
 
-  std::unordered_map<uint64_t, InstallState> installs_;  // loop thread only
+  // Per-connection kInstall reassembly, dropped on disconnect (event-loop
+  // thread only).
+  std::unordered_map<uint64_t, net::InstallAssembler> installs_;
 };
 
 }  // namespace cluster

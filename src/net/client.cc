@@ -39,17 +39,14 @@ Result<NetClient> NetClient::Connect(const std::string& host, uint16_t port,
     XC_RETURN_IF_ERROR(SetRecvTimeout(fd.get(), options.recv_timeout_ms));
   }
   NetClient client(std::move(fd), options);
-  HelloRequest hello;
-  hello.max_version =
-      std::max(kProtocolMinVersion,
-               std::min(options.max_protocol_version, kProtocolMaxVersion));
-  XC_RETURN_IF_ERROR(client.SendFrame(FrameType::kHello, EncodeHello(hello)));
+  XC_RETURN_IF_ERROR(
+      client.SendFrame(FrameType::kHello, EncodeHello(HelloRequest{})));
   Frame ack;
   XC_RETURN_IF_ERROR(client.ReadFrame(&ack));
   if (ack.type == FrameType::kError) {
     // Capacity rejections are retryable by contract; everything else
-    // (e.g. version negotiation) passes the server's message through as
-    // a hard error.
+    // (e.g. a refused hello) passes the server's message through as a
+    // hard error.
     if (ack.payload.find("connection capacity") != std::string::npos) {
       return Status::Unavailable("server error: " + ack.payload);
     }
@@ -59,10 +56,15 @@ Result<NetClient> NetClient::Connect(const std::string& host, uint16_t port,
     return Status::Corruption("handshake: expected hello ack, got frame type " +
                               std::to_string(static_cast<int>(ack.type)));
   }
-  Result<HelloAckFrame> decoded = DecodeHelloAckFrame(ack.payload);
+  Result<HelloAckFrame> decoded = DecodeHelloAck(ack.payload);
   if (!decoded.ok()) return decoded.status();
   HelloAckFrame ack_frame = std::move(decoded).value();
-  client.version_ = ack_frame.version;
+  if (ack_frame.version != kProtocolVersion) {
+    return Status::Corruption(
+        "handshake: server acked protocol version " +
+        std::to_string(ack_frame.version) + ", this build speaks " +
+        std::to_string(kProtocolVersion));
+  }
   client.server_role_ = std::move(ack_frame.role);
   client.server_description_ = std::move(ack_frame.server);
   return client;
@@ -176,7 +178,7 @@ Result<BatchReplyFrame> NetClient::Batch(
   request.collection = collection;
   request.options = options;
   request.queries = queries;
-  const std::string payload = EncodeBatchRequest(request, version_);
+  const std::string payload = EncodeBatchRequest(request);
   Rng jitter(options_.retry.jitter_seed);
   const int attempts = std::max(1, options_.retry.max_attempts);
   last_attempts_ = 0;
@@ -201,11 +203,6 @@ Result<BatchReplyFrame> NetClient::Batch(
 }
 
 Result<std::string> NetClient::StatsScrape(StatsFormat format) {
-  if (version_ < kProtocolVersionTrace) {
-    return Status::Unsupported(
-        "stats scrape requires protocol v3 (server negotiated v" +
-        std::to_string(version_) + ")");
-  }
   Frame reply;
   XC_RETURN_IF_ERROR(RoundTrip(FrameType::kStats, EncodeStatsRequest(format),
                                FrameType::kStatsReply, &reply));
@@ -213,11 +210,6 @@ Result<std::string> NetClient::StatsScrape(StatsFormat format) {
 }
 
 Result<std::string> NetClient::FlightDump(uint32_t max_records) {
-  if (version_ < kProtocolVersionTrace) {
-    return Status::Unsupported(
-        "flight dump requires protocol v3 (server negotiated v" +
-        std::to_string(version_) + ")");
-  }
   Frame reply;
   XC_RETURN_IF_ERROR(RoundTrip(FrameType::kFlight,
                                EncodeFlightRequest(max_records),
@@ -229,11 +221,6 @@ Result<InstallReplyFrame> NetClient::Install(const std::string& name,
                                              const std::string& bytes,
                                              uint64_t generation,
                                              size_t chunk_bytes) {
-  if (version_ < kProtocolVersionCluster) {
-    return Status::Unsupported(
-        "install requires protocol v4 (server negotiated v" +
-        std::to_string(version_) + ")");
-  }
   // Headroom for the install header fields inside the frame payload cap.
   const size_t overhead = name.size() + 64;
   const size_t max_chunk = options_.max_frame_bytes > overhead
@@ -257,8 +244,8 @@ Result<InstallReplyFrame> NetClient::Install(const std::string& name,
         offset, std::min(chunk_bytes, bytes.size() - offset));
     XC_RETURN_IF_ERROR(SendFrame(FrameType::kInstall, EncodeInstall(frame)));
   }
-  // The server replies only after the final chunk (an error aborts the
-  // sequence with a closing kError frame, which surfaces here too).
+  // The server replies only after the final chunk (a broken sequence is
+  // answered with a closing kError frame, which surfaces here too).
   Frame reply;
   XC_RETURN_IF_ERROR(ReadFrame(&reply));
   if (reply.type == FrameType::kError) {

@@ -52,25 +52,20 @@ struct NetClientOptions {
   /// Frame payload cap for responses (mirrors the server-side decoder).
   size_t max_frame_bytes = kDefaultMaxPayloadBytes;
 
-  /// Highest protocol version offered in the hello (clamped into the
-  /// build's supported range). Pinning below kProtocolMaxVersion exercises
-  /// a downlevel client against a newer server — the compatibility story
-  /// the versioned handshake exists for.
-  uint32_t max_protocol_version = kProtocolMaxVersion;
-
   /// Applied by Batch() to admission sheds and by ConnectWithRetry() to
   /// capacity rejections.
   RetryOptions retry;
 };
 
 /// Blocking client for the NetServer wire protocol: connects, performs
-/// the hello/version handshake, then exchanges one frame per request.
+/// the hello handshake, then exchanges one frame per request.
 /// Not thread-safe; use one client per thread (connections are cheap and
 /// the server multiplexes).
 class NetClient {
  public:
   /// Connects and completes the handshake. Failures carry strerror or
-  /// negotiation context. A connection-capacity rejection comes back as
+  /// handshake context; an ack naming any version but kProtocolVersion is
+  /// Corruption. A connection-capacity rejection comes back as
   /// Unavailable (retryable); a connect timeout as DeadlineExceeded.
   static Result<NetClient> Connect(const std::string& host, uint16_t port,
                                    NetClientOptions options = {});
@@ -97,7 +92,7 @@ class NetClient {
   /// IEEE-754 bit patterns: bit-identical to running the same batch
   /// in-process.
   ///
-  /// When the server sheds the batch (kShed frame, v2+), the connection
+  /// When the server sheds the batch (kShed frame), the connection
   /// stays open and the client retries per the options' RetryOptions,
   /// honoring the server's retry-after hint with jittered backoff. Once
   /// attempts are exhausted the Unavailable status is returned and
@@ -106,30 +101,27 @@ class NetClient {
                                 const std::vector<std::string>& queries,
                                 const BatchOptions& options = {});
 
-  /// Typed metrics scrape (v3+): the server's metrics snapshot rendered in
-  /// `format` (Prometheus text, JSON, or the harness text table). Returns
-  /// Unsupported against a v1/v2 server.
+  /// Typed metrics scrape: the server's metrics snapshot rendered in
+  /// `format` (Prometheus text, JSON, or the harness text table).
   Result<std::string> StatsScrape(StatsFormat format);
 
-  /// Flight-recorder dump (v3+): the server's newest `max_records` batch
-  /// completion records as JSON (0 = the whole retained ring). Returns
-  /// Unsupported against a v1/v2 server.
+  /// Flight-recorder dump: the server's newest `max_records` batch
+  /// completion records as JSON (0 = the whole retained ring).
   Result<std::string> FlightDump(uint32_t max_records = 0);
 
-  /// Pushes an XCSF image into the server's catalog under
-  /// `name` (v4+), chunked to fit the frame payload cap, CRC'd over the
-  /// whole byte stream. A nonzero `generation` pins the store generation
-  /// the snapshot lands under (how a router keeps a fleet in lockstep);
-  /// 0 lets the server assign. `chunk_bytes` 0 picks a default.
-  /// Returns the server's install outcome; Unsupported against a pre-v4
-  /// server.
+  /// Pushes an XCSF image into the server's catalog under `name`, chunked
+  /// to fit the frame payload cap, CRC'd over the whole byte stream. A
+  /// nonzero `generation` pins the store generation the snapshot lands
+  /// under (how a router keeps a fleet in lockstep); 0 lets the server
+  /// assign. `chunk_bytes` 0 picks a default. Returns the server's install
+  /// outcome.
   Result<InstallReplyFrame> Install(const std::string& name,
                                     const std::string& bytes,
                                     uint64_t generation = 0,
                                     size_t chunk_bytes = 0);
 
-  /// Trace id echoed by the last successful Batch() against a v3 server
-  /// (server-assigned when the request carried none); 0 otherwise.
+  /// Trace id echoed by the last successful Batch() (server-assigned when
+  /// the request carried none); 0 before the first.
   uint64_t last_trace_id() const { return last_trace_id_; }
 
   /// Retry-after hint (ms) from the most recent shed, 0 if none.
@@ -142,12 +134,8 @@ class NetClient {
   /// it best-effort.
   Status Close();
 
-  /// Protocol version agreed during the handshake.
-  uint32_t negotiated_version() const { return version_; }
-
-  /// Server self-description from a v4 hello ack ("replica" | "router"
-  /// and a free-form server string); empty when the server negotiated v3
-  /// or older.
+  /// Server self-description from the hello ack ("replica" | "router"
+  /// and a free-form server string).
   const std::string& server_role() const { return server_role_; }
   const std::string& server_description() const { return server_description_; }
 
@@ -174,7 +162,6 @@ class NetClient {
   ScopedFd fd_;
   NetClientOptions options_;
   FrameDecoder decoder_;
-  uint32_t version_ = 0;
   std::string server_role_;
   std::string server_description_;
   uint64_t last_retry_after_ms_ = 0;

@@ -14,7 +14,7 @@ namespace net {
 /// transport"). Values are part of the wire format; never renumber.
 enum class FrameType : uint8_t {
   kHello = 1,      ///< client -> server: magic + supported version range
-  kHelloAck = 2,   ///< server -> client: negotiated version
+  kHelloAck = 2,   ///< server -> client: protocol version + server role
   kCommand = 3,    ///< one line of the harness grammar (no trailing newline)
   kResponse = 4,   ///< full text response to a kCommand (may be multi-line)
   kBatch = 5,      ///< packed batch request (see protocol.h)
@@ -22,18 +22,18 @@ enum class FrameType : uint8_t {
   kError = 7,      ///< protocol-level failure; the sender closes after this
   kGoodbye = 8,    ///< orderly close handshake (either direction)
   kShed = 9,       ///< server -> client: batch shed by admission control
-                   ///  (protocol v2+; carries retry-after, connection stays
-                   ///  open — unlike kError this is not a failure of the
-                   ///  stream, just of the one request)
-  kStats = 10,     ///< client -> server (v3+): typed metrics scrape request
+                   ///  (carries retry-after; the connection stays open —
+                   ///  unlike kError this is not a failure of the stream,
+                   ///  just of the one request)
+  kStats = 10,     ///< client -> server: typed metrics scrape request
                    ///  (format byte: prometheus / json / harness text)
   kStatsReply = 11,///< server -> client: rendered metrics text
-  kFlight = 12,    ///< client -> server (v3+): flight-recorder dump request
+  kFlight = 12,    ///< client -> server: flight-recorder dump request
                    ///  (max-records count; 0 = whole ring)
   kFlightReply = 13,///< server -> client: flight ring as JSON
-  kInstall = 14,   ///< client -> server (v4+): one chunk of an XCSF
-                   ///  image being pushed for installation (replication;
-                   ///  see protocol.h InstallFrame). The receiver replies
+  kInstall = 14,   ///< client -> server: one chunk of an XCSF image being
+                   ///  pushed for installation (replication; see
+                   ///  protocol.h InstallFrame). The receiver replies
                    ///  only after the final chunk.
   kInstallReply = 15,///< server -> client: install outcome + the generation
                    ///  the snapshot was installed under

@@ -5,6 +5,8 @@
 #include <sstream>
 
 #include "common/io/bytes.h"
+#include "common/io/crc32c.h"
+#include "common/telemetry/metrics.h"
 #include "service/harness.h"
 
 namespace xcluster {
@@ -53,35 +55,18 @@ Result<HelloRequest> DecodeHello(const std::string& payload) {
 }
 
 Result<uint32_t> NegotiateVersion(const HelloRequest& peer) {
-  const uint32_t lo = std::max(peer.min_version, kProtocolMinVersion);
-  const uint32_t hi = std::min(peer.max_version, kProtocolMaxVersion);
-  if (lo > hi) {
+  if (peer.min_version > kProtocolVersion ||
+      peer.max_version < kProtocolVersion) {
     return Status::InvalidArgument(
         "no common protocol version: peer speaks [" +
         std::to_string(peer.min_version) + ", " +
-        std::to_string(peer.max_version) + "], this build [" +
-        std::to_string(kProtocolMinVersion) + ", " +
-        std::to_string(kProtocolMaxVersion) + "]");
+        std::to_string(peer.max_version) + "], this build speaks " +
+        std::to_string(kProtocolVersion));
   }
-  return hi;
+  return kProtocolVersion;
 }
 
-std::string EncodeHelloAck(uint32_t version) {
-  std::string payload;
-  StringSink sink(&payload);
-  PutFixed32(&sink, version);
-  return payload;
-}
-
-Result<uint32_t> DecodeHelloAck(const std::string& payload) {
-  StringSource source(payload);
-  uint32_t version = 0;
-  XC_RETURN_IF_ERROR(GetFixed32(&source, &version));
-  XC_RETURN_IF_ERROR(ExpectFullyConsumed(source, "hello ack"));
-  return version;
-}
-
-std::string EncodeHelloAckV4(const HelloAckFrame& ack) {
+std::string EncodeHelloAck(const HelloAckFrame& ack) {
   std::string payload;
   StringSink sink(&payload);
   PutFixed32(&sink, ack.version);
@@ -90,34 +75,26 @@ std::string EncodeHelloAckV4(const HelloAckFrame& ack) {
   return payload;
 }
 
-Result<HelloAckFrame> DecodeHelloAckFrame(const std::string& payload) {
+Result<HelloAckFrame> DecodeHelloAck(const std::string& payload) {
   StringSource source(payload);
   HelloAckFrame ack;
   XC_RETURN_IF_ERROR(GetFixed32(&source, &ack.version));
-  if (source.Remaining() != 0) {
-    XC_RETURN_IF_ERROR(GetLengthPrefixed(&source, &ack.role));
-    XC_RETURN_IF_ERROR(GetLengthPrefixed(&source, &ack.server));
-  }
+  XC_RETURN_IF_ERROR(GetLengthPrefixed(&source, &ack.role));
+  XC_RETURN_IF_ERROR(GetLengthPrefixed(&source, &ack.server));
   XC_RETURN_IF_ERROR(ExpectFullyConsumed(source, "hello ack"));
   return ack;
 }
 
-std::string EncodeBatchRequest(const BatchRequestFrame& request,
-                               uint32_t version) {
+std::string EncodeBatchRequest(const BatchRequestFrame& request) {
   std::string payload;
   StringSink sink(&payload);
   PutLengthPrefixed(&sink, request.collection);
   PutFixed64(&sink, request.options.deadline_ns);
-  // Flags byte: bit0 = explain (the whole byte in v1), bit1 = bulk lane
-  // (v2+ only — a v1 peer would misread it as a nonzero explain), bit2 =
-  // trace context present (v3+ only; inserts the id/sampled fields below).
+  // Flags byte: bit0 = explain, bit1 = bulk lane, bit2 = trace context
+  // present (inserts the id/sampled fields below).
   uint8_t flags = request.options.explain ? 1 : 0;
-  if (version >= kProtocolVersionQos &&
-      request.options.lane == Lane::kBulk) {
-    flags |= 2;
-  }
-  const bool send_trace = version >= kProtocolVersionTrace &&
-                          request.options.trace.trace_id != 0;
+  if (request.options.lane == Lane::kBulk) flags |= 2;
+  const bool send_trace = request.options.trace.trace_id != 0;
   if (send_trace) flags |= 4;
   PutFixed8(&sink, flags);
   if (send_trace) {
@@ -205,10 +182,7 @@ std::string EncodeBatchReply(const BatchResult& batch, bool explain,
   PutFixed64(&sink, batch.stats.p50_latency_ns);
   PutFixed64(&sink, batch.stats.p95_latency_ns);
   PutFixed64(&sink, batch.stats.max_latency_ns);
-  // v3 trailing trace-id echo. Strictly additive: a v3 decoder reads it
-  // when present, and it is never sent to v1/v2 peers (their decoders
-  // reject trailing bytes).
-  if (trace_id != 0) PutFixed64(&sink, trace_id);
+  PutFixed64(&sink, trace_id);
   return payload;
 }
 
@@ -242,9 +216,7 @@ Result<BatchReplyFrame> DecodeBatchReply(const std::string& payload) {
   XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.stats.p50_latency_ns));
   XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.stats.p95_latency_ns));
   XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.stats.max_latency_ns));
-  if (source.Remaining() != 0) {
-    XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.trace_id));
-  }
+  XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.trace_id));
   XC_RETURN_IF_ERROR(ExpectFullyConsumed(source, "batch reply"));
   return reply;
 }
@@ -311,6 +283,92 @@ Result<InstallReplyFrame> DecodeInstallReply(const std::string& payload) {
   return reply;
 }
 
+Status InstallAssembler::Add(const std::string& payload, bool* complete) {
+  *complete = false;
+  Result<InstallFrame> decoded = DecodeInstall(payload);
+  if (!decoded.ok()) {
+    Reset();
+    return decoded.status();
+  }
+  InstallFrame chunk = std::move(decoded).value();
+  std::string bytes;
+  bytes.swap(chunk.chunk);  // `chunk` keeps only the header fields
+  if (header_.name.empty()) {
+    if (chunk.chunk_index != 0) {
+      return Status::Corruption("install chunk " +
+                                std::to_string(chunk.chunk_index) + " of " +
+                                chunk.name + " without a first chunk");
+    }
+    // Each chunk travels in its own frame, so a consistent snapshot can
+    // never need more than chunk_count frame payloads.
+    if (chunk.total_bytes >
+        static_cast<uint64_t>(chunk.chunk_count) * max_frame_bytes_) {
+      return Status::Corruption("install of " + chunk.name + " declares " +
+                                std::to_string(chunk.total_bytes) +
+                                " bytes, more than its chunks can carry");
+    }
+    if (chunk.total_bytes > max_install_bytes_) {
+      return Status::ResourceExhausted(
+          "install of " + chunk.name + " declares " +
+          std::to_string(chunk.total_bytes) + " bytes, above the " +
+          std::to_string(max_install_bytes_) + "-byte install cap");
+    }
+    // No upfront reserve: total_bytes is peer-declared, so the buffer only
+    // grows with bytes actually received, bounded by the overflow check.
+    header_ = chunk;
+  } else if (chunk.name != header_.name ||
+             chunk.generation != header_.generation ||
+             chunk.total_bytes != header_.total_bytes ||
+             chunk.chunk_count != header_.chunk_count ||
+             chunk.snapshot_crc != header_.snapshot_crc ||
+             chunk.chunk_index != next_chunk_) {
+    Reset();
+    return Status::Corruption("install chunk sequence violation for " +
+                              chunk.name);
+  }
+  if (buffer_.size() + bytes.size() > header_.total_bytes) {
+    Reset();
+    return Status::Corruption("install chunks for " + chunk.name +
+                              " overflow the declared snapshot size");
+  }
+  buffer_.append(bytes);
+  ++next_chunk_;
+  *complete = next_chunk_ == header_.chunk_count;
+  return Status::OK();
+}
+
+Result<InstallSnapshot> InstallAssembler::Take() {
+  InstallSnapshot snapshot;
+  snapshot.name = std::move(header_.name);
+  snapshot.generation = header_.generation;
+  snapshot.bytes = std::move(buffer_);
+  const uint64_t total_bytes = header_.total_bytes;
+  const uint32_t crc = header_.snapshot_crc;
+  Reset();
+  // The whole-snapshot checksum is checked before any validation, so a
+  // chunking bug or in-flight corruption is named as such rather than as
+  // an XCSF validation error.
+  if (snapshot.bytes.size() != total_bytes) {
+    return Status::Corruption("install of " + snapshot.name +
+                              " reassembled " +
+                              std::to_string(snapshot.bytes.size()) +
+                              " bytes, expected " +
+                              std::to_string(total_bytes));
+  }
+  if (crc32c::Mask(crc32c::Value(snapshot.bytes.data(),
+                                 snapshot.bytes.size())) != crc) {
+    return Status::Corruption("install of " + snapshot.name +
+                              " failed snapshot checksum");
+  }
+  return snapshot;
+}
+
+void InstallAssembler::Reset() {
+  header_ = InstallFrame();
+  next_chunk_ = 0;
+  buffer_ = std::string();
+}
+
 std::string EncodeBatchReplyFrame(const BatchReplyFrame& reply) {
   std::string payload;
   StringSink sink(&payload);
@@ -331,7 +389,7 @@ std::string EncodeBatchReplyFrame(const BatchReplyFrame& reply) {
   PutFixed64(&sink, reply.stats.p50_latency_ns);
   PutFixed64(&sink, reply.stats.p95_latency_ns);
   PutFixed64(&sink, reply.stats.max_latency_ns);
-  if (reply.trace_id != 0) PutFixed64(&sink, reply.trace_id);
+  PutFixed64(&sink, reply.trace_id);
   return payload;
 }
 
@@ -352,6 +410,16 @@ Result<StatsFormat> DecodeStatsRequest(const std::string& payload) {
                               std::to_string(format));
   }
   return static_cast<StatsFormat>(format);
+}
+
+Result<std::string> RenderStatsReply(const std::string& payload) {
+  XCLUSTER_ASSIGN_OR_RETURN(const StatsFormat format,
+                            DecodeStatsRequest(payload));
+  const telemetry::MetricsSnapshot snapshot =
+      telemetry::MetricsRegistry::Global().Snapshot();
+  if (format == StatsFormat::kPrometheus) return snapshot.ToPrometheus();
+  if (format == StatsFormat::kJson) return snapshot.ToJson();
+  return snapshot.ToText();
 }
 
 std::string EncodeFlightRequest(uint32_t max_records) {

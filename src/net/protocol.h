@@ -12,30 +12,12 @@
 namespace xcluster {
 namespace net {
 
-/// Protocol versions this build can speak. The hello handshake negotiates
-/// the highest version inside both peers' ranges. v1 is the original
-/// command/batch protocol; v2 adds the kShed typed error frame (admission
-/// shed + retry-after, connection stays open) and the priority-lane bit in
-/// the batch flags byte. A v2 server never sends kShed to a v1 client —
-/// it falls back to a kError frame — so old clients keep working. v3 adds
-/// the trace-context batch extension (flags bit2 + trace id/sampled fields,
-/// echoed on the reply) and the typed kStats/kFlight observability frames;
-/// v2/v1 peers never see any of it. v4 adds the cluster layer: the
-/// kInstall/kInstallReply replication frames and server metadata
-/// (role + description) appended to the hello ack so a router can tell
-/// replicas from other routers; v3-and-older peers get the bare ack.
-inline constexpr uint32_t kProtocolMinVersion = 1;
-inline constexpr uint32_t kProtocolMaxVersion = 4;
-
-/// First version with the kShed frame and the batch lane flag.
-inline constexpr uint32_t kProtocolVersionQos = 2;
-
-/// First version with trace contexts and the kStats/kFlight frames.
-inline constexpr uint32_t kProtocolVersionTrace = 3;
-
-/// First version with synopsis replication (kInstall/kInstallReply) and
-/// hello-ack server metadata.
-inline constexpr uint32_t kProtocolVersionCluster = 4;
+/// The one XNET protocol version. Every client, router and replica is
+/// built from this tree, so nothing is negotiated down: the hello still
+/// carries a [min, max] range, and a range that does not contain this
+/// version is refused with an error frame before any other payload is
+/// exchanged.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Leading magic of a kHello payload; rejects non-protocol peers (e.g. an
 /// HTTP client probing the port) before any further decoding.
@@ -43,37 +25,27 @@ inline constexpr char kHelloMagic[4] = {'X', 'N', 'E', 'T'};
 
 /// kHello payload: magic + the sender's supported [min, max] version range.
 struct HelloRequest {
-  uint32_t min_version = kProtocolMinVersion;
-  uint32_t max_version = kProtocolMaxVersion;
+  uint32_t min_version = kProtocolVersion;
+  uint32_t max_version = kProtocolVersion;
 };
 
 std::string EncodeHello(const HelloRequest& hello);
 Result<HelloRequest> DecodeHello(const std::string& payload);
 
-/// Picks the version both ranges support (the highest), or InvalidArgument
-/// when the ranges are disjoint.
+/// kProtocolVersion when the peer's range contains it; InvalidArgument
+/// ("no common protocol version") otherwise.
 Result<uint32_t> NegotiateVersion(const HelloRequest& peer);
 
-/// kHelloAck payload: the negotiated version, plus — iff the negotiated
-/// version is v4+ — the server's self-description (role + free-form
-/// server string). The v3-and-older ack is exactly the fixed32 version;
-/// those decoders reject trailing bytes, so the metadata is appended only
-/// when the peer negotiated v4.
+/// kHelloAck payload: the protocol version and the server's
+/// self-description, so a peer can tell a replica from a router.
 struct HelloAckFrame {
-  uint32_t version = 0;
-  std::string role;    ///< "replica" | "router" (empty from a pre-v4 server)
-  std::string server;  ///< free-form description (empty from a pre-v4 server)
+  uint32_t version = kProtocolVersion;
+  std::string role;    ///< "replica" | "router"
+  std::string server;  ///< free-form description
 };
 
-std::string EncodeHelloAck(uint32_t version);
-Result<uint32_t> DecodeHelloAck(const std::string& payload);
-
-/// v4 ack with metadata. Only valid once the hello negotiated v4+.
-std::string EncodeHelloAckV4(const HelloAckFrame& ack);
-
-/// Decodes either ack form: metadata fields are filled when present
-/// (v4 server) and left empty otherwise.
-Result<HelloAckFrame> DecodeHelloAckFrame(const std::string& payload);
+std::string EncodeHelloAck(const HelloAckFrame& ack);
+Result<HelloAckFrame> DecodeHelloAck(const std::string& payload);
 
 /// kBatch payload: one whole batch request packed into a single frame —
 /// collection name, options, and every query string — so a 10k-query batch
@@ -84,16 +56,15 @@ struct BatchRequestFrame {
   std::vector<std::string> queries;
 };
 
-/// `version` gates the v2 lane bit: a v1 encoder always writes the plain
-/// 0/1 explain byte a v1 server expects (the bulk tag is dropped, which
-/// only costs scheduling priority, never correctness).
-std::string EncodeBatchRequest(const BatchRequestFrame& request,
-                               uint32_t version = kProtocolMaxVersion);
+/// The flags byte holds explain (bit0), the bulk lane (bit1) and, when
+/// the options carry a nonzero trace id, a trace context (bit2) whose id
+/// and sampled fields follow it.
+std::string EncodeBatchRequest(const BatchRequestFrame& request);
 /// Count-vs-byte-budget validated: the declared query count is checked
 /// against the payload size before the vector is reserved.
 Result<BatchRequestFrame> DecodeBatchRequest(const std::string& payload);
 
-/// kShed payload (v2+): the admission layer refused the batch. The
+/// kShed payload: the admission layer refused the batch. The
 /// connection remains usable; the client should back off `retry_after_ms`
 /// before resubmitting.
 struct ShedFrame {
@@ -118,19 +89,17 @@ struct BatchReplyItem {
 struct BatchReplyFrame {
   std::vector<BatchReplyItem> items;
   BatchStats stats;
-  /// Trace id echo (v3+): nonzero iff the request carried a trace context,
-  /// so a client learns the id under which the server filed the batch in
-  /// its flight ring even when the server generated it.
+  /// Trace id echo: the id under which the server filed the batch in its
+  /// flight ring, minted by the server when the request carried none.
   uint64_t trace_id = 0;
 };
 
-/// `trace_id` nonzero appends the v3 trailing echo — pass 0 for v1/v2
-/// peers, whose decoder treats trailing bytes as corruption.
+/// `trace_id` is the echo field that ends every reply.
 std::string EncodeBatchReply(const BatchResult& batch, bool explain,
                              uint64_t trace_id = 0);
 Result<BatchReplyFrame> DecodeBatchReply(const std::string& payload);
 
-/// kInstall payload (v4+): one chunk of an XCSF synopsis image being
+/// kInstall payload: one chunk of an XCSF synopsis image being
 /// pushed to the receiver's SynopsisStore (replication). A snapshot
 /// crosses as `chunk_count` kInstall frames sharing the same name,
 /// generation, total size, and whole-snapshot CRC; chunks must arrive in
@@ -161,14 +130,63 @@ struct InstallReplyFrame {
 std::string EncodeInstallReply(const InstallReplyFrame& reply);
 Result<InstallReplyFrame> DecodeInstallReply(const std::string& payload);
 
+/// Default cap on the declared size of a chunked kInstall snapshot.
+inline constexpr size_t kDefaultMaxInstallBytes = 256u << 20;
+
+/// A snapshot reassembled from a complete kInstall chunk sequence.
+struct InstallSnapshot {
+  std::string name;
+  uint64_t generation = 0;  ///< pinned store generation (0 = auto-assign)
+  std::string bytes;
+};
+
+/// One connection's kInstall reassembly, shared by the daemon and the
+/// router. The two failure classes are reported differently: Add rejects
+/// a broken chunk sequence, which the receiver answers with a closing
+/// kError frame; Take rejects a completed sequence whose bytes are not
+/// the declared snapshot, which the receiver answers with a kInstallReply
+/// with ok clear, as it does a snapshot that fails validation.
+class InstallAssembler {
+ public:
+  /// The first chunk's declared total is checked against chunk_count x
+  /// `max_frame_bytes` and against `max_install_bytes` before any chunk
+  /// is buffered, so a peer cannot commit the receiver to an allocation
+  /// it never backs with real bytes.
+  explicit InstallAssembler(size_t max_frame_bytes = kDefaultMaxPayloadBytes,
+                            size_t max_install_bytes = kDefaultMaxInstallBytes)
+      : max_frame_bytes_(max_frame_bytes),
+        max_install_bytes_(max_install_bytes) {}
+
+  /// Decodes and appends one kInstall payload; `*complete` is set once the
+  /// final chunk is in. Fails when the payload does not decode, a sequence
+  /// starts with a chunk other than 0, the declared total exceeds what the
+  /// chunks can carry or the install cap, a header field or the chunk
+  /// index departs from the sequence, or the chunks overflow the declared
+  /// total. A failure resets the assembler.
+  Status Add(const std::string& payload, bool* complete);
+
+  /// After Add reported `complete`: hands out the snapshot and resets the
+  /// assembler. Corruption when the reassembled bytes fall short of the
+  /// declared total or fail the whole-snapshot CRC.
+  Result<InstallSnapshot> Take();
+
+ private:
+  void Reset();
+
+  size_t max_frame_bytes_;
+  size_t max_install_bytes_;
+  InstallFrame header_;  ///< first chunk's fields; empty name = none open
+  uint32_t next_chunk_ = 0;
+  std::string buffer_;
+};
+
 /// Re-encodes an already-decoded reply byte-for-byte compatibly with
 /// EncodeBatchReply — estimates keep their exact IEEE-754 bit patterns —
 /// so a router can merge or forward replica replies without an estimate
-/// ever passing through text. The trailing v3 trace echo is appended iff
-/// `reply.trace_id` is nonzero (zero it for v1/v2 clients).
+/// ever passing through text.
 std::string EncodeBatchReplyFrame(const BatchReplyFrame& reply);
 
-/// kStats payload (v3+): which rendering of the metrics snapshot to return
+/// kStats payload: which rendering of the metrics snapshot to return
 /// in the kStatsReply text payload.
 enum class StatsFormat : uint8_t {
   kPrometheus = 0,
@@ -179,7 +197,12 @@ enum class StatsFormat : uint8_t {
 std::string EncodeStatsRequest(StatsFormat format);
 Result<StatsFormat> DecodeStatsRequest(const std::string& payload);
 
-/// kFlight payload (v3+): at most `max_records` newest flight records
+/// Answers a kStats request for the daemon and the router alike: decodes
+/// the payload and renders the process metrics registry in the requested
+/// format, as the kStatsReply payload.
+Result<std::string> RenderStatsReply(const std::string& payload);
+
+/// kFlight payload: at most `max_records` newest flight records
 /// (0 = the whole retained ring). The kFlightReply payload is the
 /// FlightRecorder::ToJson rendering.
 std::string EncodeFlightRequest(uint32_t max_records);

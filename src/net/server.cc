@@ -12,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/io/crc32c.h"
-#include "common/telemetry/metrics.h"
 #include "common/telemetry/telemetry.h"
 #include "net/protocol.h"
 
@@ -172,19 +170,10 @@ void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
       return;
     }
     conn->hello_done = true;
-    conn->version = version.value();
-    if (conn->version >= kProtocolVersionCluster) {
-      // v4 ack carries self-description so a peer can tell a replica from
-      // a router. Older decoders reject trailing bytes, so the metadata
-      // only appears when the negotiated version permits it.
-      HelloAckFrame ack;
-      ack.version = conn->version;
-      ack.role = options_.role;
-      ack.server = options_.server_description;
-      SendFrame(conn, FrameType::kHelloAck, EncodeHelloAckV4(ack));
-    } else {
-      SendFrame(conn, FrameType::kHelloAck, EncodeHelloAck(version.value()));
-    }
+    HelloAckFrame ack;
+    ack.role = options_.role;
+    ack.server = options_.server_description;
+    SendFrame(conn, FrameType::kHelloAck, EncodeHelloAck(ack));
     return;
   }
 
@@ -195,7 +184,7 @@ void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
       (frame.type == FrameType::kCommand || frame.type == FrameType::kBatch ||
        frame.type == FrameType::kStats || frame.type == FrameType::kFlight ||
        frame.type == FrameType::kInstall)) {
-    handler_->OnFrame(conn->id, conn->peer, conn->version, std::move(frame));
+    handler_->OnFrame(conn->id, conn->peer, std::move(frame));
     return;
   }
   if (service_ == nullptr && frame.type != FrameType::kGoodbye &&
@@ -236,8 +225,8 @@ void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
         options.deadline_ns = options_.default_deadline_ns;
       }
       // Every batch flies under a trace id (server-generated when the
-      // client sent none, any protocol version) so its flight record is
-      // addressable; the sampling decision decides span recording only.
+      // client sent none) so its flight record is addressable; the
+      // sampling decision decides span recording only.
       if (options.trace.trace_id == 0) {
         options.trace.trace_id = telemetry::GenerateTraceId();
       }
@@ -254,58 +243,34 @@ void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
       if (!batch.admission.ok() &&
           batch.admission.code() == Status::Code::kUnavailable) {
         // Admission shed: a typed, retryable refusal — not a protocol
-        // error, so the connection stays open. v1 clients predate kShed
-        // and get the closing kError fallback instead.
+        // error, so the connection stays open.
         sheds_.fetch_add(1, std::memory_order_relaxed);
         XCLUSTER_COUNTER_INC("net.sheds");
-        if (conn->version >= kProtocolVersionQos) {
-          ShedFrame shed;
-          shed.retry_after_ms =
-              static_cast<uint32_t>(batch.retry_after_ms);
-          shed.message = batch.admission.message();
-          SendFrame(conn, FrameType::kShed, EncodeShed(shed));
-        } else {
-          SendError(conn, batch.admission.ToString());
-        }
+        ShedFrame shed;
+        shed.retry_after_ms = static_cast<uint32_t>(batch.retry_after_ms);
+        shed.message = batch.admission.message();
+        SendFrame(conn, FrameType::kShed, EncodeShed(shed));
         XCLUSTER_HISTOGRAM_RECORD_NS("net.request_latency_ns",
                                      telemetry::MonotonicNowNs() - start_ns);
         return;
       }
       SendFrame(conn, FrameType::kBatchReply,
                 EncodeBatchReply(batch, options.explain,
-                                 conn->version >= kProtocolVersionTrace
-                                     ? options.trace.trace_id
-                                     : 0));
+                                 options.trace.trace_id));
       XCLUSTER_HISTOGRAM_RECORD_NS("net.request_latency_ns",
                                    telemetry::MonotonicNowNs() - start_ns);
       return;
     }
     case FrameType::kStats: {
-      if (conn->version < kProtocolVersionTrace) {
-        SendError(conn, "stats frame requires protocol v3");
+      Result<std::string> text = RenderStatsReply(frame.payload);
+      if (!text.ok()) {
+        SendError(conn, text.status().ToString());
         return;
       }
-      Result<StatsFormat> format = DecodeStatsRequest(frame.payload);
-      if (!format.ok()) {
-        SendError(conn, format.status().ToString());
-        return;
-      }
-      const telemetry::MetricsSnapshot snapshot =
-          telemetry::MetricsRegistry::Global().Snapshot();
-      std::string text;
-      switch (format.value()) {
-        case StatsFormat::kPrometheus: text = snapshot.ToPrometheus(); break;
-        case StatsFormat::kJson: text = snapshot.ToJson(); break;
-        case StatsFormat::kText: text = snapshot.ToText(); break;
-      }
-      SendFrame(conn, FrameType::kStatsReply, std::move(text));
+      SendFrame(conn, FrameType::kStatsReply, std::move(text).value());
       return;
     }
     case FrameType::kFlight: {
-      if (conn->version < kProtocolVersionTrace) {
-        SendError(conn, "flight frame requires protocol v3");
-        return;
-      }
       Result<uint32_t> max_records = DecodeFlightRequest(frame.payload);
       if (!max_records.ok()) {
         SendError(conn, max_records.status().ToString());
@@ -333,95 +298,24 @@ void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
 }
 
 void NetServer::HandleInstall(Connection* conn, Frame&& frame) {
-  if (conn->version < kProtocolVersionCluster) {
-    SendError(conn, "install frame requires protocol v4");
+  bool complete = false;
+  Status added = conn->install.Add(frame.payload, &complete);
+  if (!added.ok()) {
+    SendError(conn, added.ToString());
     return;
   }
-  Result<InstallFrame> decoded = DecodeInstall(frame.payload);
-  if (!decoded.ok()) {
-    SendError(conn, decoded.status().ToString());
-    return;
-  }
-  InstallFrame install = std::move(decoded).value();
-  auto reset_install = [conn] {
-    conn->install_name.clear();
-    conn->install_buffer.clear();
-    conn->install_buffer.shrink_to_fit();
-  };
-  if (conn->install_name.empty()) {
-    if (install.chunk_index != 0) {
-      SendError(conn, "install chunk " + std::to_string(install.chunk_index) +
-                          " of " + install.name + " without a first chunk");
-      return;
-    }
-    // Each chunk travels in its own frame, so a consistent snapshot can
-    // never need more than chunk_count frame payloads.
-    if (install.total_bytes >
-        static_cast<uint64_t>(install.chunk_count) * options_.max_frame_bytes) {
-      SendError(conn, "install of " + install.name + " declares " +
-                          std::to_string(install.total_bytes) +
-                          " bytes, more than its chunks can carry");
-      return;
-    }
-    if (install.total_bytes > options_.max_install_bytes) {
-      SendError(conn, "install of " + install.name + " declares " +
-                          std::to_string(install.total_bytes) +
-                          " bytes, above the " +
-                          std::to_string(options_.max_install_bytes) +
-                          "-byte install cap");
-      return;
-    }
-    conn->install_name = install.name;
-    conn->install_generation = install.generation;
-    conn->install_total_bytes = install.total_bytes;
-    conn->install_chunk_count = install.chunk_count;
-    conn->install_crc = install.snapshot_crc;
-    conn->install_next_chunk = 0;
-    // No upfront reserve: total_bytes is peer-declared, so the buffer only
-    // grows with bytes actually received (the overflow check above each
-    // append bounds it by total_bytes, itself bounded by the cap).
-    conn->install_buffer.clear();
-  } else if (install.name != conn->install_name ||
-             install.generation != conn->install_generation ||
-             install.total_bytes != conn->install_total_bytes ||
-             install.chunk_count != conn->install_chunk_count ||
-             install.snapshot_crc != conn->install_crc ||
-             install.chunk_index != conn->install_next_chunk) {
-    reset_install();
-    SendError(conn, "install chunk sequence violation for " + install.name);
-    return;
-  }
-  if (conn->install_buffer.size() + install.chunk.size() >
-      conn->install_total_bytes) {
-    reset_install();
-    SendError(conn, "install chunks for " + install.name +
-                        " overflow the declared snapshot size");
-    return;
-  }
-  conn->install_buffer.append(install.chunk);
-  conn->install_next_chunk++;
   XCLUSTER_COUNTER_INC("net.install.chunks");
-  if (conn->install_next_chunk < conn->install_chunk_count) return;
+  if (!complete) return;
 
-  // Final chunk: verify the whole-snapshot checksum before validating, so a
-  // chunking bug or in-flight corruption is named as such rather than as
-  // an XCSF validation error.
   InstallReplyFrame reply;
-  if (conn->install_buffer.size() != conn->install_total_bytes) {
-    reply.message = "install of " + conn->install_name + " reassembled " +
-                    std::to_string(conn->install_buffer.size()) +
-                    " bytes, expected " +
-                    std::to_string(conn->install_total_bytes);
-  } else if (crc32c::Mask(crc32c::Value(conn->install_buffer.data(),
-                                        conn->install_buffer.size())) !=
-             conn->install_crc) {
-    reply.message =
-        "install of " + conn->install_name + " failed snapshot checksum";
+  Result<InstallSnapshot> snapshot = conn->install.Take();
+  if (!snapshot.ok()) {
+    reply.message = snapshot.status().ToString();
   } else {
     Result<std::shared_ptr<const StoredSynopsis>> installed =
-        service_->store().InstallFromWire(conn->install_name,
-                                          conn->install_buffer, conn->peer,
-                                          conn->install_generation);
+        service_->store().InstallFromWire(snapshot.value().name,
+                                          snapshot.value().bytes, conn->peer,
+                                          snapshot.value().generation);
     if (installed.ok()) {
       reply.ok = true;
       reply.generation = installed.value()->generation();
@@ -431,7 +325,6 @@ void NetServer::HandleInstall(Connection* conn, Frame&& frame) {
     }
   }
   if (!reply.ok) XCLUSTER_COUNTER_INC("net.install.failed");
-  reset_install();
   SendFrame(conn, FrameType::kInstallReply, EncodeInstallReply(reply));
 }
 
@@ -537,6 +430,8 @@ void NetServer::AcceptPending(int listen_fd) {
     Connection conn;
     conn.fd = ScopedFd(fd);
     conn.decoder = FrameDecoder(options_.max_frame_bytes);
+    conn.install =
+        InstallAssembler(options_.max_frame_bytes, options_.max_install_bytes);
     conn.id = next_conn_id_++;
     conn.peer = FormatPeer(addr, addr_len);
     if (!SetNonBlocking(fd).ok()) continue;  // ScopedFd closes it

@@ -12,6 +12,7 @@
 
 #include "common/status.h"
 #include "net/frame.h"
+#include "net/protocol.h"
 #include "net/socket.h"
 #include "service/harness.h"
 #include "service/service.h"
@@ -38,7 +39,7 @@ struct NetServerOptions {
   /// buffered, so a peer cannot commit the server to an allocation it
   /// never backs with real bytes (chunk_count alone bounds nothing — a
   /// uint32 count times the frame cap is petabytes).
-  size_t max_install_bytes = 256u << 20;
+  size_t max_install_bytes = kDefaultMaxInstallBytes;
 
   /// Per-connection pending-write cap. A client that stops reading while
   /// responses accumulate past this is disconnected rather than allowed
@@ -61,7 +62,7 @@ struct NetServerOptions {
   /// sent sampled=1 is honored regardless.
   double trace_sample = 0.0;
 
-  /// Self-description carried in the v4 hello ack so peers can tell what
+  /// Self-description carried in the hello ack so peers can tell what
   /// they connected to: a replica daemon or a cluster router.
   std::string role = "replica";
   std::string server_description = "xclusterd";
@@ -80,9 +81,9 @@ class FrameHandler {
   virtual ~FrameHandler() = default;
 
   /// One decoded content frame from connection `conn_id` (`peer` is its
-  /// remote address, `version` the negotiated protocol).
+  /// remote address).
   virtual void OnFrame(uint64_t conn_id, const std::string& peer,
-                       uint32_t version, Frame frame) = 0;
+                       Frame frame) = 0;
 
   /// The connection is gone (orderly or not); pending PostFrames for it
   /// will be dropped silently.
@@ -177,20 +178,9 @@ class NetServer {
     size_t outbuf_pos = 0;
     bool hello_done = false;
     bool closing = false;  ///< flush pending writes, then close
-    uint32_t version = 0;  ///< negotiated protocol version (post-hello)
     uint64_t id = 0;       ///< stable handle for PostFrames/FrameHandler
     std::string peer;      ///< remote address "host:port" (best effort)
-
-    /// In-progress chunked kInstall reassembly (v4+). `install_name` is
-    /// empty between installs; chunks must arrive in order on the one
-    /// connection.
-    std::string install_name;
-    uint64_t install_generation = 0;
-    uint64_t install_total_bytes = 0;
-    uint32_t install_chunk_count = 0;
-    uint32_t install_next_chunk = 0;
-    uint32_t install_crc = 0;
-    std::string install_buffer;
+    InstallAssembler install;  ///< in-progress chunked kInstall push
   };
 
   /// Completed work queued from other threads (router pool completions),

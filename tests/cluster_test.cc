@@ -13,10 +13,14 @@
 #include "cluster/hash_ring.h"
 #include "cluster/merge.h"
 #include "cluster/replica_set.h"
+#include "common/io/crc32c.h"
+#include "common/telemetry/telemetry.h"
+#include "common/telemetry/trace.h"
 #include "core/xcluster.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "raw_peer.h"
 #include "service/service.h"
 #include "storage/xcsf_writer.h"
 
@@ -656,29 +660,72 @@ TEST(ClusterE2E, ShardedNamesOnTheCommandPathMatchBatchSemantics) {
   EXPECT_NE(load.value().find("replicate"), std::string::npos) << load.value();
 }
 
-TEST(ClusterE2E, V3PinnedClientFallsBackAgainstRouter) {
+TEST(ClusterE2E, RouterRefusesAHelloWithoutTheProtocolVersion) {
   Replica replica = StartReplica();
   std::unique_ptr<Router> router = StartRouter({replica.address()});
 
-  net::NetClientOptions pinned;
-  pinned.max_protocol_version = net::kProtocolVersionTrace;  // v3
-  net::NetClient client = ConnectOrDie(router->port(), pinned);
-  EXPECT_EQ(client.negotiated_version(), net::kProtocolVersionTrace);
-  // v4 hello-ack metadata is absent below v4.
-  EXPECT_TRUE(client.server_role().empty());
-  EXPECT_TRUE(client.server_description().empty());
+  Result<net::RawPeer> peer = net::RawPeer::Connect(router->port());
+  ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+  net::Frame answer;
+  ASSERT_TRUE(peer.value().Hello(1, 3, &answer).ok());
+  EXPECT_EQ(answer.type, net::FrameType::kError);
+  EXPECT_NE(answer.payload.find("no common protocol version"),
+            std::string::npos)
+      << answer.payload;
+}
 
-  // The data path still routes.
-  Result<net::BatchReplyFrame> reply = client.Batch("books", {"/A"}, {});
+// The router reassembles through the daemon's InstallAssembler and follows
+// its reporting rule: a broken chunk sequence gets an error frame, a
+// CRC-mismatched snapshot an install_reply with ok clear, and no replica
+// sees a byte of either.
+TEST(ClusterE2E, RouterErrorsABrokenInstallSequenceAndRepliesToABadCrc) {
+  Replica replica = StartReplica();
+  std::unique_ptr<Router> router = StartRouter({replica.address()});
+  const uint64_t generation =
+      replica.service->store().Get("books")->generation();
+  const std::string image = FixtureImage();
+  const size_t piece = image.size() / 2 + 1;
+  auto chunk = [&](uint32_t index) {
+    net::InstallFrame frame;
+    frame.name = "books";
+    frame.total_bytes = image.size();
+    frame.chunk_index = index;
+    frame.chunk_count = 2;
+    frame.snapshot_crc =
+        crc32c::Mask(crc32c::Value(image.data(), image.size())) ^ 1;
+    frame.chunk = image.substr(index * piece, piece);
+    return net::EncodeInstall(frame);
+  };
+
+  {
+    Result<net::RawPeer> peer = net::RawPeer::Connect(router->port());
+    ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+    net::Frame frame;
+    ASSERT_TRUE(peer.value().Hello(4, 4, &frame).ok());
+    ASSERT_EQ(frame.type, net::FrameType::kHelloAck);
+    ASSERT_TRUE(peer.value().Send(net::FrameType::kInstall, chunk(1)).ok());
+    ASSERT_TRUE(peer.value().Read(&frame).ok());
+    EXPECT_EQ(frame.type, net::FrameType::kError);
+    EXPECT_NE(frame.payload.find("without a first chunk"), std::string::npos)
+        << frame.payload;
+  }
+
+  Result<net::RawPeer> peer = net::RawPeer::Connect(router->port());
+  ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+  net::Frame frame;
+  ASSERT_TRUE(peer.value().Hello(4, 4, &frame).ok());
+  ASSERT_TRUE(peer.value().Send(net::FrameType::kInstall, chunk(0)).ok());
+  ASSERT_TRUE(peer.value().Send(net::FrameType::kInstall, chunk(1)).ok());
+  ASSERT_TRUE(peer.value().Read(&frame).ok());
+  ASSERT_EQ(frame.type, net::FrameType::kInstallReply);
+  Result<net::InstallReplyFrame> reply =
+      net::DecodeInstallReply(frame.payload);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply.value().items[0].estimate, 10.0);
-
-  // Install frames are v4-only; the pinned client refuses locally instead
-  // of poisoning the stream.
-  Result<net::InstallReplyFrame> install = client.Install("books", "x");
-  ASSERT_FALSE(install.ok());
-  EXPECT_EQ(install.status().code(), Status::Code::kUnsupported)
-      << install.status().ToString();
+  EXPECT_FALSE(reply.value().ok);
+  EXPECT_NE(reply.value().message.find("snapshot checksum"),
+            std::string::npos)
+      << reply.value().message;
+  EXPECT_EQ(replica.service->store().Get("books")->generation(), generation);
 }
 
 TEST(ClusterE2E, RouterTraceIdSpansRouterAndReplica) {
@@ -696,6 +743,51 @@ TEST(ClusterE2E, RouterTraceIdSpansRouterAndReplica) {
   // own flight ring; the replica leg carried the same id.
   EXPECT_EQ(reply.value().trace_id, options.trace.trace_id);
 }
+
+#if XCLUSTER_TELEMETRY_ENABLED
+// cluster.route's self time is the router's own work: the replica round
+// trip sits in a cluster.forward span beneath it.
+TEST(ClusterE2E, SampledRoutedBatchRecordsTheForwardSpan) {
+  telemetry::TraceRecorder recorder(4096);
+  telemetry::TraceRecorder* previous = telemetry::GlobalTraceRecorder();
+  telemetry::InstallGlobalTraceRecorder(&recorder);
+  const uint64_t trace_id = 0x5eedf00d;
+  {
+    Replica replica = StartReplica();
+    std::unique_ptr<Router> router = StartRouter({replica.address()});
+    net::NetClient client = ConnectOrDie(router->port());
+    BatchOptions options;
+    options.trace.trace_id = trace_id;
+    options.trace.sampled = true;
+    Result<net::BatchReplyFrame> reply =
+        client.Batch("books", {"/A"}, options);
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    client.Close();
+    router->Stop();  // every routed span is closed before the snapshot
+    replica.server->Stop();
+  }
+  telemetry::InstallGlobalTraceRecorder(previous);
+
+  const telemetry::TraceRecorder::Event* route = nullptr;
+  const telemetry::TraceRecorder::Event* forward = nullptr;
+  bool replica_batch = false;
+  const std::vector<telemetry::TraceRecorder::Event> events =
+      recorder.SnapshotEvents();
+  for (const telemetry::TraceRecorder::Event& event : events) {
+    if (event.trace_id != trace_id) continue;
+    const std::string name = event.name;
+    if (name == "cluster.route") route = &event;
+    if (name == "cluster.forward") forward = &event;
+    if (name == "net.batch") replica_batch = true;
+  }
+  ASSERT_NE(route, nullptr);
+  ASSERT_NE(forward, nullptr);
+  EXPECT_TRUE(replica_batch);
+  EXPECT_GE(forward->start_ns, route->start_ns);
+  EXPECT_LE(forward->start_ns + forward->duration_ns,
+            route->start_ns + route->duration_ns);
+}
+#endif  // XCLUSTER_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace cluster

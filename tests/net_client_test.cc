@@ -128,7 +128,7 @@ TEST(NetClientTest, ServerClosingMidFrameIsReportedAsSuch) {
     // First bytes of a valid hello ack, then close.
     Frame ack;
     ack.type = FrameType::kHelloAck;
-    ack.payload = EncodeHelloAck(kProtocolMaxVersion);
+    ack.payload = EncodeHelloAck(HelloAckFrame{});
     std::string wire;
     EncodeFrame(ack, &wire);
     (void)WriteAll(fd, wire.data(), wire.size() / 2);
@@ -141,8 +141,8 @@ TEST(NetClientTest, ServerClosingMidFrameIsReportedAsSuch) {
 
 TEST(NetClientTest, VersionNegotiationRejectsDisjointRanges) {
   HelloRequest future;
-  future.min_version = kProtocolMaxVersion + 1;
-  future.max_version = kProtocolMaxVersion + 3;
+  future.min_version = 5;
+  future.max_version = 7;
   Result<uint32_t> negotiated = NegotiateVersion(future);
   ASSERT_FALSE(negotiated.ok());
   EXPECT_EQ(negotiated.status().code(), Status::Code::kInvalidArgument);
@@ -150,13 +150,49 @@ TEST(NetClientTest, VersionNegotiationRejectsDisjointRanges) {
             std::string::npos)
       << negotiated.status().ToString();
 
-  // Overlapping ranges settle on the highest shared version.
+  // A peer that stops short of this build's version is refused too.
+  HelloRequest old;
+  old.min_version = 1;
+  old.max_version = 3;
+  negotiated = NegotiateVersion(old);
+  ASSERT_FALSE(negotiated.ok());
+  EXPECT_NE(negotiated.status().ToString().find("no common protocol"),
+            std::string::npos)
+      << negotiated.status().ToString();
+
+  // Any range that contains the one version settles on it.
   HelloRequest wide;
   wide.min_version = 0;
   wide.max_version = 100;
   negotiated = NegotiateVersion(wide);
   ASSERT_TRUE(negotiated.ok());
-  EXPECT_EQ(negotiated.value(), kProtocolMaxVersion);
+  EXPECT_EQ(negotiated.value(), 4u);
+}
+
+TEST(NetClientTest, AckNamingAnotherVersionFailsTheHandshake) {
+  FakeServer server([](int fd) {
+    DrainBytes(fd, HelloWireSize());
+    HelloAckFrame stale;
+    stale.version = 3;
+    stale.role = "replica";
+    stale.server = "xclusterd";
+    Frame ack;
+    ack.type = FrameType::kHelloAck;
+    ack.payload = EncodeHelloAck(stale);
+    std::string wire;
+    EncodeFrame(ack, &wire);
+    (void)WriteAll(fd, wire.data(), wire.size());
+    char parting;
+    size_t got = 0;
+    (void)ReadSome(fd, &parting, 1, &got);  // wait for the client to leave
+  });
+  Result<NetClient> client = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), Status::Code::kCorruption)
+      << client.status().ToString();
+  EXPECT_NE(client.status().ToString().find("protocol version 3"),
+            std::string::npos)
+      << client.status().ToString();
 }
 
 TEST(NetClientTest, HelloRejectsForeignMagic) {

@@ -12,6 +12,7 @@
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "raw_peer.h"
 #include "service/harness.h"
 #include "service/service.h"
 
@@ -72,7 +73,6 @@ class NetServerTest : public ::testing::Test {
 TEST_F(NetServerTest, CommandRoundTripMatchesStdioResponses) {
   StartServer();
   NetClient client = ConnectOrDie();
-  EXPECT_EQ(client.negotiated_version(), kProtocolMaxVersion);
 
   Result<std::string> reply = client.Command("estimate books /A");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -229,6 +229,19 @@ TEST_F(NetServerTest, GarbageBeforeHelloGetsProtocolError) {
       << reply.payload;
   EXPECT_TRUE(WaitFor([&] { return server_->active_connections() == 0; }));
   EXPECT_GE(server_->stats().protocol_errors, 1u);
+}
+
+TEST_F(NetServerTest, HelloWithoutTheProtocolVersionIsRefused) {
+  StartServer();
+  Result<RawPeer> peer = RawPeer::Connect(server_->port());
+  ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+  Frame answer;
+  ASSERT_TRUE(peer.value().Hello(1, 3, &answer).ok());
+  EXPECT_EQ(answer.type, FrameType::kError);
+  EXPECT_NE(answer.payload.find("no common protocol version"),
+            std::string::npos)
+      << answer.payload;
+  EXPECT_TRUE(WaitFor([&] { return server_->active_connections() == 0; }));
 }
 
 TEST_F(NetServerTest, ConnectionCapShedsWithCapacityError) {

@@ -1,7 +1,6 @@
-// Protocol-v3 observability over a real socket: trace-context propagation
-// from client through the server into the flight ring and span recorder,
-// the trailing trace-id echo, the typed kStats/kFlight frames, and strict
-// v1/v2 interop (old peers never see any v3 bytes).
+// Observability over a real socket: trace-context propagation from client
+// through the server into the flight ring and span recorder, the reply's
+// trace-id echo, and the typed kStats/kFlight frames.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/server.h"
-#include "net/socket.h"
 #include "service/service.h"
 
 namespace xcluster {
@@ -35,61 +33,6 @@ XCluster MakeFixture() {
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
   return XCluster(std::move(synopsis));
 }
-
-/// A frame client pinned to an arbitrary protocol version — simulates an
-/// old (v1/v2) peer talking to a new server.
-class PinnedClient {
- public:
-  static void Connect(uint16_t port, uint32_t max_version,
-                      std::unique_ptr<PinnedClient>* out) {
-    Result<ScopedFd> fd = TcpConnect("127.0.0.1", port, 2000);
-    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-    auto client = std::unique_ptr<PinnedClient>(
-        new PinnedClient(std::move(fd).value()));
-    HelloRequest hello;
-    hello.min_version = kProtocolMinVersion;
-    hello.max_version = max_version;
-    ASSERT_TRUE(client->Send(FrameType::kHello, EncodeHello(hello)).ok());
-    Frame ack;
-    ASSERT_TRUE(client->Read(&ack).ok());
-    ASSERT_EQ(ack.type, FrameType::kHelloAck);
-    Result<uint32_t> version = DecodeHelloAck(ack.payload);
-    ASSERT_TRUE(version.ok());
-    client->version_ = version.value();
-    *out = std::move(client);
-  }
-
-  Status Send(FrameType type, const std::string& payload) {
-    Frame frame;
-    frame.type = type;
-    frame.payload = payload;
-    std::string wire;
-    EncodeFrame(frame, &wire);
-    return WriteAll(fd_.get(), wire.data(), wire.size());
-  }
-
-  Status Read(Frame* frame) {
-    for (;;) {
-      bool have_frame = false;
-      XC_RETURN_IF_ERROR(decoder_.Next(frame, &have_frame));
-      if (have_frame) return Status::OK();
-      char chunk[4096];
-      size_t got = 0;
-      XC_RETURN_IF_ERROR(ReadSome(fd_.get(), chunk, sizeof(chunk), &got));
-      if (got == 0) return Status::IOError("server closed the connection");
-      decoder_.Feed(chunk, got);
-    }
-  }
-
-  uint32_t version() const { return version_; }
-
- private:
-  explicit PinnedClient(ScopedFd fd) : fd_(std::move(fd)) {}
-
-  ScopedFd fd_;
-  FrameDecoder decoder_{kDefaultMaxPayloadBytes};
-  uint32_t version_ = 0;
-};
 
 class NetTraceTest : public ::testing::Test {
  protected:
@@ -125,7 +68,6 @@ class NetTraceTest : public ::testing::Test {
 TEST_F(NetTraceTest, ClientTraceIdReachesFlightRingAndEchoesBack) {
   StartServer();
   NetClient client = ConnectOrDie();
-  ASSERT_GE(client.negotiated_version(), kProtocolVersionTrace);
 
   BatchOptions options;
   options.trace.trace_id = 0x1122334455667788ull;
@@ -191,48 +133,6 @@ TEST_F(NetTraceTest, SampledBatchRecordsSpansCarryingTheTraceId) {
 }
 #endif  // XCLUSTER_TELEMETRY_ENABLED
 
-TEST_F(NetTraceTest, V2PeerBatchHasNoTrailingEchoAndStillRecords) {
-  StartServer();
-  std::unique_ptr<PinnedClient> peer;
-  ASSERT_NO_FATAL_FAILURE(
-      PinnedClient::Connect(server_->port(), kProtocolVersionQos, &peer));
-  ASSERT_EQ(peer->version(), kProtocolVersionQos);
-
-  BatchRequestFrame request;
-  request.collection = "books";
-  request.queries = {"/A"};
-  ASSERT_TRUE(peer->Send(FrameType::kBatch,
-                         EncodeBatchRequest(request, peer->version()))
-                  .ok());
-  Frame reply;
-  ASSERT_TRUE(peer->Read(&reply).ok());
-  ASSERT_EQ(reply.type, FrameType::kBatchReply);
-  Result<BatchReplyFrame> decoded = DecodeBatchReply(reply.payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  // No v3 echo for a v2 peer — the payload ends exactly where v2 says.
-  EXPECT_EQ(decoded.value().trace_id, 0u);
-  // The server still minted an id so the batch is findable in the ring.
-  const std::vector<FlightRecord> records = service_->flight().Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_NE(records[0].trace_id, 0u);
-}
-
-TEST_F(NetTraceTest, ObservabilityFramesRejectedBelowV3) {
-  StartServer();
-  std::unique_ptr<PinnedClient> peer;
-  ASSERT_NO_FATAL_FAILURE(
-      PinnedClient::Connect(server_->port(), kProtocolVersionQos, &peer));
-
-  ASSERT_TRUE(peer->Send(FrameType::kStats,
-                         EncodeStatsRequest(StatsFormat::kPrometheus))
-                  .ok());
-  Frame reply;
-  ASSERT_TRUE(peer->Read(&reply).ok());
-  EXPECT_EQ(reply.type, FrameType::kError);
-  EXPECT_NE(reply.payload.find("protocol v3"), std::string::npos)
-      << reply.payload;
-}
-
 TEST_F(NetTraceTest, StatsScrapeAndFlightDumpRoundTrip) {
   StartServer();
   NetClient client = ConnectOrDie();
@@ -263,7 +163,7 @@ TEST(BatchRequestCodecTest, UnknownFlagBitsAreRejected) {
   StringSink sink(&payload);
   PutLengthPrefixed(&sink, "books");
   PutFixed64(&sink, 0);   // deadline
-  PutFixed8(&sink, 8);    // bit3 is undefined in every protocol version
+  PutFixed8(&sink, 8);    // bit3 is undefined
   PutVarint64(&sink, 0);  // no queries
   Result<BatchRequestFrame> decoded = DecodeBatchRequest(payload);
   ASSERT_FALSE(decoded.ok());
@@ -285,25 +185,18 @@ TEST(BatchRequestCodecTest, TraceFlagWithZeroIdIsRejected) {
   EXPECT_NE(decoded.status().ToString().find("zero id"), std::string::npos);
 }
 
-TEST(BatchRequestCodecTest, TraceContextRoundTripsAtV3Only) {
+TEST(BatchRequestCodecTest, TraceContextRoundTrips) {
   BatchRequestFrame request;
   request.collection = "books";
   request.options.trace.trace_id = 0xfeed;
   request.options.trace.sampled = true;
   request.queries = {"/A"};
 
-  Result<BatchRequestFrame> v3 =
-      DecodeBatchRequest(EncodeBatchRequest(request, kProtocolVersionTrace));
-  ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(v3.value().options.trace.trace_id, 0xfeedu);
-  EXPECT_TRUE(v3.value().options.trace.sampled);
-
-  // Encoding for a v2 peer silently drops the context (correctness never
-  // depends on it), and the resulting bytes decode with no trace fields.
-  Result<BatchRequestFrame> v2 =
-      DecodeBatchRequest(EncodeBatchRequest(request, kProtocolVersionQos));
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2.value().options.trace.trace_id, 0u);
+  Result<BatchRequestFrame> decoded =
+      DecodeBatchRequest(EncodeBatchRequest(request));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().options.trace.trace_id, 0xfeedu);
+  EXPECT_TRUE(decoded.value().options.trace.sampled);
 }
 
 }  // namespace

@@ -187,8 +187,8 @@ TEST(OverloadTest, ExpiredBatchFailsFastWithoutDispatch) {
   EXPECT_EQ(service.admission().stats().dispatched, dispatched_before);
 }
 
-// Client retry contract over a live socket: a v2 client whose batch is
-// shed receives the typed kShed frame (connection stays open), backs off
+// Client retry contract over a live socket: a client whose batch is shed
+// receives the typed kShed frame (connection stays open), backs off
 // per the server hint, and succeeds within its attempt budget.
 TEST(OverloadTest, ShedBatchRetriesOverSocketAndSucceeds) {
   ServiceOptions options;
@@ -209,7 +209,6 @@ TEST(OverloadTest, ShedBatchRetriesOverSocketAndSucceeds) {
   Result<NetClient> client =
       NetClient::Connect("127.0.0.1", server.port(), client_options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  EXPECT_GE(client.value().negotiated_version(), kProtocolVersionQos);
 
   const std::vector<std::string> queries = {"/A", "/A/B", "/A", "/A/B"};
   Result<BatchReplyFrame> first = client.value().Batch("books", queries, {});
@@ -240,72 +239,6 @@ TEST(OverloadTest, ShedBatchRetriesOverSocketAndSucceeds) {
         impatient.value().Command("estimate books /A");
     EXPECT_TRUE(still_alive.ok()) << still_alive.status().ToString();
   }
-}
-
-// Version fallback: a v1 peer never sees the kShed frame — the shed comes
-// back as a plain kError frame, exactly what a v1 client can parse.
-TEST(OverloadTest, V1PeerGetsErrorFrameInsteadOfShed) {
-  ServiceOptions options;
-  EstimationService service(options);
-  service.store().Install("books", MakeFixture());
-  service.admission().SetQuota("books", /*rate_per_sec=*/1.0, /*burst=*/1.0);
-
-  NetServerOptions net_options;
-  net_options.host = "127.0.0.1";
-  NetServer server(&service, net_options);
-  ASSERT_TRUE(server.Start().ok());
-
-  Result<ScopedFd> raw = TcpConnect("127.0.0.1", server.port());
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-  const int fd = raw.value().get();
-
-  auto send_frame = [&](FrameType type, const std::string& payload) {
-    Frame frame;
-    frame.type = type;
-    frame.payload = payload;
-    std::string wire;
-    EncodeFrame(frame, &wire);
-    ASSERT_TRUE(WriteAll(fd, wire.data(), wire.size()).ok());
-  };
-  FrameDecoder decoder;
-  auto read_frame = [&](Frame* frame) {
-    bool have_frame = false;
-    char chunk[4096];
-    while (!have_frame) {
-      ASSERT_TRUE(decoder.Next(frame, &have_frame).ok());
-      if (have_frame) return;
-      size_t got = 0;
-      ASSERT_TRUE(ReadSome(fd, chunk, sizeof(chunk), &got).ok());
-      ASSERT_GT(got, 0u) << "server closed early";
-      decoder.Feed(chunk, got);
-    }
-  };
-
-  // Handshake capped at v1.
-  HelloRequest hello;
-  hello.max_version = 1;
-  send_frame(FrameType::kHello, EncodeHello(hello));
-  Frame ack;
-  read_frame(&ack);
-  ASSERT_EQ(ack.type, FrameType::kHelloAck);
-  Result<uint32_t> version = DecodeHelloAck(ack.payload);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(version.value(), 1u);
-
-  // Drain the one-token bucket, then trigger a shed as a v1 peer.
-  BatchRequestFrame request;
-  request.collection = "books";
-  request.queries = {"/A"};
-  send_frame(FrameType::kBatch, EncodeBatchRequest(request, version.value()));
-  Frame reply;
-  read_frame(&reply);
-  ASSERT_EQ(reply.type, FrameType::kBatchReply);
-
-  send_frame(FrameType::kBatch, EncodeBatchRequest(request, version.value()));
-  read_frame(&reply);
-  EXPECT_EQ(reply.type, FrameType::kError) << "v1 peer must never see kShed";
-  EXPECT_NE(reply.payload.find("Unavailable"), std::string::npos)
-      << reply.payload;
 }
 
 // Slow consumer: a client that floods requests but never reads its

@@ -71,13 +71,14 @@
 //       [--priority interactive|bulk] [--trace [hexid]] (ships the whole
 //       file as one packed frame; --trace attaches a sampled trace
 //       context — a 16-digit hex id, or server/client-generated when the
-//       value is omitted — and prints the trace_id echoed by a v3
-//       server); load --name n --path f.xcsf (server-side path), or with
+//       value is omitted — and prints the trace_id the server echoes);
+//       load --name n --path f.xcsf (server-side path), or with
 //       --replicate [--generation N] read the file here and push its
-//       bytes as a chunked v4 install frame — through a router this
+//       bytes as chunked install frames — through a router this
 //       replicates to every healthy replica; stats [--prom|--json]
-//       (typed v3 scrape frame; plain text falls back to the v1 command
-//       path); flight [--limit N] (flight-recorder JSON dump, v3+).
+//       (typed scrape frame; the plain form sends the `stats` command
+//       and adds the server's role); flight [--limit N] (flight-recorder
+//       JSON dump).
 //       Shared client flags: --timeout-ms N, --connect-timeout-ms N, and
 //       --retries N (bounded exponential-backoff retry of admission sheds
 //       and capacity rejections, honoring the server's retry-after hint).
@@ -843,14 +844,11 @@ int Remote(const std::string& action, const Args& args) {
                 net::FormatBatchReply(reply.value(), batch_options.explain)
                     .c_str());
     // Only --trace requests print the id: batch output must stay
-    // byte-identical to serve --stdin (net_smoke diffs them), and a v3
-    // server echoes a minted id for every batch. Prefer the echo; fall
-    // back to the sent id against a pre-v3 server.
+    // byte-identical to serve --stdin (net_smoke diffs them), and the
+    // server echoes an id for every batch.
     if (args.Has("trace")) {
-      const uint64_t trace_id = client.value().last_trace_id() != 0
-                                    ? client.value().last_trace_id()
-                                    : batch_options.trace.trace_id;
-      std::printf("trace_id=%s\n", telemetry::TraceIdHex(trace_id).c_str());
+      std::printf("trace_id=%s\n",
+                  telemetry::TraceIdHex(client.value().last_trace_id()).c_str());
     }
     return reply.value().stats.failed == 0 ? 0 : 1;
   }
@@ -862,7 +860,7 @@ int Remote(const std::string& action, const Args& args) {
     }
     if (args.Has("replicate")) {
       // --replicate reads the image here and ships the bytes as a chunked
-      // kInstall push (v4). Against a router that fans the snapshot out to
+      // kInstall push. Against a router that fans the snapshot out to
       // every healthy replica under one generation; against a single
       // replica it is a plain wire install. Either way the file only has
       // to exist on the *client* machine.
@@ -897,9 +895,9 @@ int Remote(const std::string& action, const Args& args) {
     return reply.value().rfind("ok", 0) == 0 ? 0 : 1;
   }
   if (action == "stats") {
-    // --prom/--json use the typed v3 scrape frame (machine formats straight
-    // off the metrics registry); the plain form keeps the v1 command path
-    // so old servers still answer.
+    // --prom/--json use the typed scrape frame (machine formats straight
+    // off the metrics registry); the plain form sends the `stats` command,
+    // which a router answers with its fleet view.
     if (args.Has("prom") || args.Has("json")) {
       const net::StatsFormat format = args.Has("prom")
                                           ? net::StatsFormat::kPrometheus
@@ -912,17 +910,10 @@ int Remote(const std::string& action, const Args& args) {
     Result<std::string> reply = client.value().Command("stats");
     if (!reply.ok()) return Fail(reply.status().ToString());
     std::printf("%s", reply.value().c_str());
-    // Hello-handshake metadata as a trailing comment line: the negotiated
-    // protocol version always, plus the v4 role/description when the
-    // server sent them (a pre-v4 server has neither).
-    std::printf("# server version=%u", client.value().negotiated_version());
-    if (!client.value().server_role().empty()) {
-      std::printf(" role=%s", client.value().server_role().c_str());
-    }
-    if (!client.value().server_description().empty()) {
-      std::printf(" description=%s", client.value().server_description().c_str());
-    }
-    std::printf("\n");
+    // Hello-handshake metadata as a trailing comment line.
+    std::printf("# server role=%s description=%s\n",
+                client.value().server_role().c_str(),
+                client.value().server_description().c_str());
     return reply.value().rfind("ok", 0) == 0 ? 0 : 1;
   }
   if (action == "flight") {
