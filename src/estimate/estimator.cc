@@ -1,6 +1,8 @@
 #include "estimate/estimator.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 namespace xcluster {
 
@@ -28,9 +30,17 @@ std::string EstimateExplanation::ToString() const {
     out += line;
   }
   for (const VarStats& var : vars) {
-    const std::string name = "q" + std::to_string(var.var) + " " +
-                             (var.step.empty() ? "(root)" : var.step);
-    std::snprintf(line, sizeof(line), "  %-28s %14.6g %12.6g\n", name.c_str(),
+    // A step label has no length bound, so the name column is appended
+    // as a string, padded to 28 columns like "%-28s"; only the two
+    // numbers go through the fixed buffer.
+    const size_t name_begin = out.size() + 2;
+    out += "  q";
+    out += std::to_string(var.var);
+    out += ' ';
+    out += var.step.empty() ? std::string_view("(root)")
+                            : std::string_view(var.step);
+    out.resize(std::max(out.size(), name_begin + 28), ' ');
+    std::snprintf(line, sizeof(line), " %14.6g %12.6g\n",
                   var.expected_bindings, var.predicate_selectivity);
     out += line;
   }

@@ -11,6 +11,9 @@
 
 namespace xcluster {
 
+/// Per-hop descendant-reach contributions below this mass are dropped.
+inline constexpr double kReachEpsilon = 1e-9;
+
 /// Options for the XCluster estimation algorithm (FlatEstimator).
 struct EstimateOptions {
   /// Maximum number of hops explored for the descendant axis over the
@@ -18,9 +21,6 @@ struct EstimateOptions {
   /// cyclic, so descendant reach counts are computed as a bounded-hop DP;
   /// contributions decay geometrically in practice.
   size_t max_descendant_hops = 24;
-
-  /// Per-hop contributions below this mass are dropped.
-  double epsilon = 1e-9;
 
   /// Selectivity assumed for a predicate on a cluster whose value type
   /// matches the predicate kind but which carries no value summary (the

@@ -1,16 +1,11 @@
 #include "estimate/flat_estimator.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/telemetry/telemetry.h"
 
 namespace xcluster {
-
-namespace {
-/// Sentinel for "not yet computed" in the dense DP tables (true results
-/// are always >= 0).
-constexpr double kUnset = -1.0;
-}  // namespace
 
 FlatEstimator::FlatEstimator(const FlatSynopsis& synopsis,
                              EstimateOptions options)
@@ -19,42 +14,46 @@ FlatEstimator::FlatEstimator(const FlatSynopsis& synopsis,
       reach_cache_(ReachCache::Options{options.reach_cache_capacity,
                                        options.reach_cache_shards}) {}
 
-void FlatEstimator::Reach(
-    FlatNodeId source, const CompiledVar& var,
-    std::vector<std::pair<uint32_t, double>>* out) const {
-  if (var.axis == TwigStep::Axis::kChild) {
-    if (var.wildcard) {
+template <typename Visit>
+void FlatEstimator::ForEachTarget(FlatNodeId source, const CompiledVar& step,
+                                  Visit&& visit) const {
+  if (step.axis == TwigStep::Axis::kChild) {
+    if (step.wildcard) {
       const size_t end = synopsis_.edges_end(source);
       for (size_t e = synopsis_.edges_begin(source); e < end; ++e) {
-        out->push_back({synopsis_.edge_target(e), synopsis_.edge_count(e)});
+        visit(synopsis_.edge_target(e), synopsis_.edge_count(e));
       }
     } else {
       size_t begin = 0, end = 0;
-      synopsis_.LabelRun(source, var.label, &begin, &end);
+      synopsis_.LabelRun(source, step.label, &begin, &end);
       for (size_t e = begin; e < end; ++e) {
-        out->push_back(
-            {synopsis_.sorted_edge_target(e), synopsis_.sorted_edge_count(e)});
+        visit(synopsis_.sorted_edge_target(e), synopsis_.sorted_edge_count(e));
       }
     }
     return;
   }
-
-  // Descendant axis. Unknown (never-interned) labels match nothing and
-  // must not be cached: their kInvalidSymbol slot would collide with the
-  // wildcard key.
-  if (!var.wildcard && var.label == kInvalidSymbol) return;
-  const uint64_t key = ReachCache::Key(source, var.label);
-  if (reach_cache_.Lookup(key, out)) return;
-
-  ReachCache::Value result;
-  ComputeDescendantReach(source, var, &result);
-  out->insert(out->end(), result.begin(), result.end());
-  reach_cache_.Insert(key, std::move(result));
+  const std::shared_ptr<const ReachCache::Value> reach =
+      DescendantReach(source, step);
+  if (reach == nullptr) return;
+  for (const auto& [target, count] : *reach) visit(target, count);
 }
 
-void FlatEstimator::ComputeDescendantReach(FlatNodeId source,
-                                           const CompiledVar& var,
-                                           ReachCache::Value* result) const {
+std::shared_ptr<const ReachCache::Value> FlatEstimator::DescendantReach(
+    FlatNodeId source, const CompiledVar& var) const {
+  // Unknown (never-interned) labels match nothing and must not be cached:
+  // their kInvalidSymbol slot would collide with the wildcard key.
+  if (!var.wildcard && var.label == kInvalidSymbol) return nullptr;
+  const uint64_t key = ReachCache::Key(source, var.label);
+  if (std::shared_ptr<const ReachCache::Value> cached =
+          reach_cache_.Lookup(key)) {
+    return cached;
+  }
+  return reach_cache_.Insert(key, std::make_shared<const ReachCache::Value>(
+                                      ComputeDescendantReach(source, var)));
+}
+
+ReachCache::Value FlatEstimator::ComputeDescendantReach(
+    FlatNodeId source, const CompiledVar& var) const {
   // Bounded-hop dense DP over the CSR adjacency. Sources are drained in
   // ascending flat id and children in stored order — the same summation
   // order as an ordered-map DP over the source graph, which keeps every
@@ -77,7 +76,7 @@ void FlatEstimator::ComputeDescendantReach(FlatNodeId source,
       const size_t end = synopsis_.edges_end(node);
       for (size_t e = synopsis_.edges_begin(node); e < end; ++e) {
         const double contribution = mass * synopsis_.edge_count(e);
-        if (contribution < options_.epsilon) continue;
+        if (contribution < kReachEpsilon) continue;
         const uint32_t target = synopsis_.edge_target(e);
         if (!in_next[target]) {
           in_next[target] = 1;
@@ -104,28 +103,12 @@ void FlatEstimator::ComputeDescendantReach(FlatNodeId source,
   }
 
   std::sort(reached_ids.begin(), reached_ids.end());
-  result->reserve(result->size() + reached_ids.size());
+  ReachCache::Value result;
+  result.reserve(reached_ids.size());
   for (const uint32_t node : reached_ids) {
-    result->push_back({node, reached_mass[node]});
+    result.push_back({node, reached_mass[node]});
   }
-}
-
-const ReachCache::Value* FlatEstimator::DescendantReach(
-    FlatNodeId source, const CompiledVar& var, BatchReachTier* tier,
-    ReachCache::Value* scratch) const {
-  // Unknown labels match nothing and (as in Reach) must not be cached:
-  // their kInvalidSymbol slot would collide with the wildcard key.
-  if (!var.wildcard && var.label == kInvalidSymbol) return nullptr;
-  const uint64_t key = ReachCache::Key(source, var.label);
-  if (const ReachCache::Value* shared = tier->Lookup(key)) return shared;
-  scratch->clear();
-  if (reach_cache_.Lookup(key, scratch)) {
-    return tier->Insert(key, std::move(*scratch));
-  }
-  scratch->clear();
-  ComputeDescendantReach(source, var, scratch);
-  reach_cache_.Insert(key, *scratch);
-  return tier->Insert(key, std::move(*scratch));
+  return result;
 }
 
 double FlatEstimator::PredicateSelectivity(const CompiledTwig& plan,
@@ -146,38 +129,108 @@ double FlatEstimator::PredicateSelectivity(const CompiledTwig& plan,
   return selectivity;
 }
 
-double FlatEstimator::TuplesPerElement(const CompiledTwig& plan, uint32_t var,
-                                       FlatNodeId node, double* memo) const {
-  double& slot = memo[static_cast<size_t>(var) * synopsis_.num_nodes() + node];
-  if (slot != kUnset) return slot;
-
-  double result = PredicateSelectivity(plan, var, node);
-  if (result > 0.0) {
-    for (const uint32_t child : plan.var(var).children) {
-      std::vector<std::pair<uint32_t, double>> targets;
-      Reach(node, plan.var(child), &targets);
-      double sum = 0.0;
-      for (const auto& [target, count] : targets) {
-        sum += count * TuplesPerElement(plan, child, target, memo);
-      }
-      result *= sum;
-      if (result == 0.0) break;
-    }
-  }
-  slot = result;
-  return result;
-}
-
 double FlatEstimator::Estimate(const CompiledTwig& plan) const {
   XCLUSTER_TRACE_SPAN("estimate.query");
   XCLUSTER_SCOPED_TIMER_NS("estimate.latency_ns");
-  XCLUSTER_COUNTER_INC("estimate.queries");
+  const CompiledTwig* const lane = &plan;
+  double estimate = 0.0;
+  EstimateLanes({&lane, 1}, &estimate);
+  return estimate;
+}
+
+void FlatEstimator::EstimateLanes(std::span<const CompiledTwig* const> lanes,
+                                  double* estimates) const {
+  const size_t L = lanes.size();
+  XCLUSTER_COUNTER_ADD("estimate.queries", L);
+  std::fill(estimates, estimates + L, 0.0);
+  if (L == 0) return;
+  const CompiledTwig& skeleton = *lanes.front();
   const FlatNodeId root = synopsis_.root();
-  if (root == kNoFlatNode || plan.size() == 0) return 0.0;
-  if (plan.has_unknown_terms()) return 0.0;
-  std::vector<double> memo(plan.size() * synopsis_.num_nodes(), kUnset);
-  return synopsis_.count(root) *
-         TuplesPerElement(plan, 0, root, memo.data());
+  // An empty synopsis or an empty plan estimates 0.0 in every lane.
+  if (root == kNoFlatNode || skeleton.size() == 0) return;
+
+  const uint32_t num_vars = static_cast<uint32_t>(skeleton.size());
+  const uint32_t n = synopsis_.num_nodes();
+
+  // --- Structure pass (lane-independent) -------------------------------
+  // active[v]: ascending node ids the embedding DP can bind to variable v,
+  // determined entirely by the shared skeleton.
+  std::vector<std::vector<FlatNodeId>> active(num_vars);
+  // slot_of[v * n + node]: dense row index of `node` in v's memo table.
+  std::vector<uint32_t> slot_of(static_cast<size_t>(num_vars) * n, 0);
+  active[0].push_back(root);
+  for (uint32_t v = 0; v < num_vars; ++v) {
+    std::vector<FlatNodeId>& nodes = active[v];
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    uint32_t* slots = slot_of.data() + static_cast<size_t>(v) * n;
+    for (uint32_t i = 0; i < nodes.size(); ++i) slots[nodes[i]] = i;
+    for (const uint32_t child : skeleton.var(v).children) {
+      std::vector<FlatNodeId>& targets = active[child];
+      for (const FlatNodeId node : nodes) {
+        ForEachTarget(node, skeleton.var(child),
+                      [&](FlatNodeId target, double) {
+                        targets.push_back(target);
+                      });
+      }
+    }
+  }
+
+  // --- Lane pass (bottom-up, structure-of-arrays) ----------------------
+  // tables[v] holds active[v].size() rows of L contiguous lane doubles:
+  // the expected binding tuples of v's sub-twig per element of the node,
+  // for every lane at once. Children have larger variable ids than their
+  // parent (tree construction order), so descending v sees every child
+  // table complete.
+  std::vector<std::vector<double>> tables(num_vars);
+  std::vector<double> sums(L);
+  for (uint32_t v = num_vars; v-- > 0;) {
+    const CompiledVar& var = skeleton.var(v);
+    const std::vector<FlatNodeId>& nodes = active[v];
+    std::vector<double>& table = tables[v];
+    table.assign(nodes.size() * L, 0.0);
+    for (uint32_t i = 0; i < nodes.size(); ++i) {
+      const FlatNodeId node = nodes[i];
+      double* result = table.data() + static_cast<size_t>(i) * L;
+      // Per-lane predicate selectivity: the only per-lane scalar work.
+      for (size_t l = 0; l < L; ++l) {
+        result[l] = PredicateSelectivity(*lanes[l], v, node);
+      }
+      for (const uint32_t child : var.children) {
+        const double* child_table = tables[child].data();
+        const uint32_t* child_slots =
+            slot_of.data() + static_cast<size_t>(child) * n;
+        std::fill(sums.begin(), sums.end(), 0.0);
+        // The lane kernel: one shared target walk; per target, a flat
+        // multiply-accumulate over contiguous lanes — no gather, no
+        // branches.
+        ForEachTarget(node, skeleton.var(child),
+                      [&](FlatNodeId target, double count) {
+                        const double* child_row =
+                            child_table +
+                            static_cast<size_t>(child_slots[target]) * L;
+                        for (size_t l = 0; l < L; ++l) {
+                          sums[l] += count * child_row[l];
+                        }
+                      });
+        // A lane whose result is already 0.0 stays exactly 0.0 through
+        // the remaining finite non-negative sums, so the kernel needs no
+        // short-circuit branch.
+        for (size_t l = 0; l < L; ++l) {
+          result[l] *= sums[l];
+        }
+      }
+    }
+  }
+
+  const double root_count = synopsis_.count(root);
+  const double* root_row =
+      tables[0].data() + static_cast<size_t>(slot_of[root]) * L;
+  for (size_t l = 0; l < L; ++l) {
+    // A plan naming a term absent from the dictionary estimates 0.0.
+    estimates[l] =
+        lanes[l]->has_unknown_terms() ? 0.0 : root_count * root_row[l];
+  }
 }
 
 EstimateExplanation FlatEstimator::Explain(const CompiledTwig& plan) const {
@@ -223,12 +276,11 @@ EstimateExplanation FlatEstimator::Explain(const CompiledTwig& plan) const {
         const double sigma = PredicateSelectivity(plan, var, node);
         const double amount = row[node] * sigma;
         if (amount <= 0.0) continue;
-        std::vector<std::pair<uint32_t, double>> targets;
-        Reach(node, plan.var(child), &targets);
-        for (const auto& [target, count] : targets) {
-          child_row[target] += amount * count;
-          touched[child].push_back(target);
-        }
+        ForEachTarget(node, plan.var(child),
+                      [&](FlatNodeId target, double count) {
+                        child_row[target] += amount * count;
+                        touched[child].push_back(target);
+                      });
       }
     }
   }

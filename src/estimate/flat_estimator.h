@@ -2,7 +2,8 @@
 #define XCLUSTER_ESTIMATE_FLAT_ESTIMATOR_H_
 
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "estimate/compiled_twig.h"
 #include "estimate/estimator.h"
@@ -19,22 +20,38 @@ namespace xcluster {
 /// sigma_p(u) * count(u, c). The estimate sums, over all embeddings of
 /// the query into the synopsis graph, the product of edge reach-counts
 /// and predicate selectivities — computed in factored form by dynamic
-/// programming over query variables, with dense `double` memo tables
-/// indexed by (variable, flat node id) and the descendant reach memo in a
-/// shared bounded LRU (ReachCache).
+/// programming over query variables.
+///
+/// The DP is one lane kernel, EstimateLanes. It evaluates plans that share
+/// one variable skeleton (a BatchPlan lane group) as structure-of-arrays,
+/// one dense memo row per (variable, active synopsis node) with the plans
+/// as contiguous lanes:
+///  1. Structure pass (lane-independent): starting from (var 0, root),
+///     expand each variable's targets through the shared skeleton to find
+///     the active node set per variable.
+///  2. Lane pass (bottom-up over variables): for each active (var, node),
+///     per-lane predicate selectivities, then for each skeleton child one
+///     target walk accumulating `sum[l] += count * child_row[l]` across
+///     all lanes, and `result[l] *= sum[l]`.
+/// Estimate is the kernel on one lane. Descendant reach vectors live in a
+/// shared bounded LRU (ReachCache) that every lane group reads in place.
 ///
 /// Bit-identity: every sum accumulates in a fixed order (flat ids preserve
 /// arena order; the per-label child index is stable-sorted; the
-/// descendant DP drains sources ascending and children in stored order),
-/// so Estimate(Compile(q)) equals the reference graph-walking estimator
-/// in tests/oracle bit for bit. tests/flat_estimator_test.cc enforces
-/// this with EXPECT_EQ on doubles across the fig8/table2 workload
-/// generators, and BatchEstimator lanes are held equal to Estimate.
+/// descendant DP drains sources ascending and children in stored order;
+/// a lane visits targets in reach order, children in skeleton order and
+/// predicates in plan order), so each lane equals the reference
+/// graph-walking estimator in tests/oracle bit for bit. The oracle's
+/// short-circuits at 0.0 are dropped, not reordered: multiplying an exact
+/// 0.0 through the remaining finite non-negative sums yields the same
+/// 0.0. tests/flat_estimator_test.cc enforces this with EXPECT_EQ on
+/// doubles, for single plans and for every lane of every group, across
+/// the generated XMark, IMDB and Treebank workloads.
 ///
-/// Thread safety: any number of concurrent Estimate/Explain calls; the
-/// reach cache stores pure values first-writer-wins, and eviction only
-/// ever forces recomputation of an identical value, so results are
-/// deterministic under any interleaving.
+/// Thread safety: any number of concurrent calls; the reach cache stores
+/// pure values first-writer-wins, and eviction only ever forces
+/// recomputation of an identical value, so results are deterministic under
+/// any interleaving.
 class FlatEstimator {
  public:
   /// `synopsis` must outlive the estimator.
@@ -42,8 +59,14 @@ class FlatEstimator {
                          EstimateOptions options = EstimateOptions());
 
   /// Estimated selectivity of `plan` (compiled against the same
-  /// synopsis).
+  /// synopsis): EstimateLanes on one lane.
   double Estimate(const CompiledTwig& plan) const;
+
+  /// Writes the estimate of each of `lanes` to `estimates[0, lanes.size())`.
+  /// The plans must share one skeleton (CompiledTwig::SameStructure), as a
+  /// BatchPlan group's do, and be compiled against this synopsis.
+  void EstimateLanes(std::span<const CompiledTwig* const> lanes,
+                     double* estimates) const;
 
   /// Estimate plus the EXPLAIN-style per-variable breakdown: the expected
   /// number of elements bound to each query variable (after predicates)
@@ -51,48 +74,43 @@ class FlatEstimator {
   /// per-variable masses are walked in ascending node order.
   EstimateExplanation Explain(const CompiledTwig& plan) const;
 
-  /// Combined selectivity of `plan.var(var)`'s predicates at `node` —
-  /// the sigma term of the embedding DP. Public for the batch lane
-  /// engine (BatchEstimator), which evaluates it per lane; the arithmetic
-  /// (multiply in predicate order, short-circuit at zero) is the single
-  /// implementation both paths share, which is what keeps lane-evaluated
-  /// estimates bit-identical to scalar ones.
-  double PredicateSelectivity(const CompiledTwig& plan, uint32_t var,
-                              FlatNodeId node) const;
-
-  /// Descendant-axis reach of `var` from `source` as a stable shared
-  /// vector, for the batch lane engine. Consults `tier` (the batch-local
-  /// sharing map) first, then the cross-batch ReachCache, and only then
-  /// runs the bounded-hop DP — publishing the result to both tiers. The
-  /// returned pointer lives as long as `tier`; nullptr means the reach is
-  /// empty because `var` names a label the synopsis never interned.
-  /// `scratch` is caller-owned staging (cleared here) so group loops
-  /// reuse one allocation instead of building a vector per probe.
-  /// Requires var.axis == kDescendant.
-  const ReachCache::Value* DescendantReach(FlatNodeId source,
-                                           const CompiledVar& var,
-                                           BatchReachTier* tier,
-                                           ReachCache::Value* scratch) const;
-
   const FlatSynopsis& synopsis() const { return synopsis_; }
   const ReachCache& reach_cache() const { return reach_cache_; }
 
  private:
-  double TuplesPerElement(const CompiledTwig& plan, uint32_t var,
-                          FlatNodeId node, double* memo) const;
-  void Reach(FlatNodeId source, const CompiledVar& var,
-             std::vector<std::pair<uint32_t, double>>* out) const;
+  /// Combined selectivity of `plan.var(var)`'s predicates at `node`: the
+  /// sigma term of the embedding DP (multiplied in predicate order,
+  /// short-circuited at zero).
+  double PredicateSelectivity(const CompiledTwig& plan, uint32_t var,
+                              FlatNodeId node) const;
+
+  /// Calls `visit(target, count)` for each synopsis node `step` reaches
+  /// from `source`, with the expected count per source element: child
+  /// edges in stored order (wildcard) or label-run order, descendant
+  /// reach in ascending target order.
+  template <typename Visit>
+  void ForEachTarget(FlatNodeId source, const CompiledVar& step,
+                     Visit&& visit) const;
+
+  /// Descendant-axis reach of `var` from `source`, shared through the
+  /// ReachCache (computed and published on a miss). nullptr means the
+  /// reach is empty because `var` names a label the synopsis never
+  /// interned. Requires var.axis == kDescendant.
+  std::shared_ptr<const ReachCache::Value> DescendantReach(
+      FlatNodeId source, const CompiledVar& var) const;
+
   /// The bounded-hop descendant DP itself (no cache consultation):
-  /// appends (target, mass) pairs in ascending target order.
-  void ComputeDescendantReach(FlatNodeId source, const CompiledVar& var,
-                              ReachCache::Value* result) const;
+  /// (target, mass) pairs in ascending target order.
+  ReachCache::Value ComputeDescendantReach(FlatNodeId source,
+                                           const CompiledVar& var) const;
+
   bool LabelMatches(FlatNodeId node, const CompiledVar& var) const {
     return var.wildcard || synopsis_.label(node) == var.label;
   }
 
   const FlatSynopsis& synopsis_;
   EstimateOptions options_;
-  mutable ReachCache reach_cache_;
+  ReachCache reach_cache_;
 };
 
 }  // namespace xcluster

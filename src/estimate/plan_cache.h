@@ -1,18 +1,15 @@
 #ifndef XCLUSTER_ESTIMATE_PLAN_CACHE_H_
 #define XCLUSTER_ESTIMATE_PLAN_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "estimate/compiled_twig.h"
+#include "estimate/sharded_lru.h"
 
 namespace xcluster {
 
@@ -30,8 +27,7 @@ namespace xcluster {
 /// Plans are handed out as shared_ptr<const CompiledTwig>: an in-flight
 /// estimate keeps its plan alive even if the entry is evicted mid-query.
 ///
-/// Thread safety: all methods may be called from any thread; shards are
-/// guarded by independent mutexes held only for the map/list operation.
+/// Thread safety: all methods may be called from any thread (ShardedLru).
 class PlanCache {
  public:
   struct Options {
@@ -40,11 +36,8 @@ class PlanCache {
     size_t shards = 8;
   };
 
-  PlanCache();  // default Options
+  PlanCache() : PlanCache(Options()) {}
   explicit PlanCache(Options options);
-
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
 
   /// Canonical cache-key form of a raw query line: leading/trailing ASCII
   /// whitespace stripped (the parser's own grammar defines everything
@@ -61,53 +54,39 @@ class PlanCache {
 
   /// Cached plan for (snapshot_id, normalized), or nullptr on miss.
   std::shared_ptr<const CompiledTwig> Get(uint64_t snapshot_id,
-                                          const std::string& normalized) const;
+                                          const std::string& normalized) const {
+    return plans_.Lookup(Key{snapshot_id, normalized});
+  }
 
-  /// Inserts `plan` (first writer wins), evicting the shard's LRU entry
-  /// when over capacity.
-  void Put(uint64_t snapshot_id, const std::string& normalized,
-           std::shared_ptr<const CompiledTwig> plan) const;
+  /// Caches `plan` unless a plan is already cached under the key (first
+  /// writer wins: racing compiles of the same text against the same
+  /// snapshot produce equivalent plans), and returns the cached plan.
+  std::shared_ptr<const CompiledTwig> Put(
+      uint64_t snapshot_id, const std::string& normalized,
+      std::shared_ptr<const CompiledTwig> plan) const {
+    return plans_.Insert(Key{snapshot_id, normalized}, std::move(plan));
+  }
 
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
+  size_t size() const { return plans_.size(); }
+  size_t capacity() const { return plans_.capacity(); }
 
   /// Plain counters mirroring the `estimator.plan_cache.{hits,misses,
   /// evictions}` metrics (observable with telemetry compiled out).
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return plans_.hits(); }
+  uint64_t misses() const { return plans_.misses(); }
+  uint64_t evictions() const { return plans_.evictions(); }
 
  private:
-  struct CacheKey {
+  struct Key {
     uint64_t snapshot_id = 0;
     std::string text;
-    bool operator==(const CacheKey& other) const {
-      return snapshot_id == other.snapshot_id && text == other.text;
-    }
+    bool operator==(const Key& other) const = default;
   };
   struct KeyHash {
-    size_t operator()(const CacheKey& key) const;
-  };
-  struct Entry {
-    CacheKey key;
-    std::shared_ptr<const CompiledTwig> plan;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> index;
+    size_t operator()(const Key& key) const;
   };
 
-  Shard& ShardFor(const CacheKey& key) const;
-
-  size_t capacity_ = 0;
-  size_t shard_capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> evictions_{0};
+  ShardedLru<Key, CompiledTwig, KeyHash> plans_;
 };
 
 }  // namespace xcluster

@@ -12,6 +12,10 @@ namespace xcluster {
 
 namespace {
 
+/// EWMA smoothing for the observed per-query service time and queue wait
+/// that feed the deadline-slack estimate.
+constexpr double kEwmaAlpha = 0.2;
+
 /// Invokes tasks that will never reach the executor with a cancelled
 /// context, outside the controller lock, preserving the exactly-once
 /// contract completion-counting callers rely on.
@@ -81,9 +85,7 @@ AdmissionController::AdmissionController(Executor* executor,
                                          AdmissionOptions options)
     : executor_(executor),
       options_(options),
-      max_inflight_(options.max_inflight != 0
-                        ? options.max_inflight
-                        : std::max<size_t>(2, 2 * executor->num_threads())),
+      max_inflight_(std::max<size_t>(2, 2 * executor->num_threads())),
       workers_(std::max<size_t>(1, executor->num_threads())) {}
 
 AdmissionController::~AdmissionController() { Shutdown(); }
@@ -133,7 +135,7 @@ Status AdmissionController::AdmitBatch(const std::string& collection,
           std::to_string(*retry_after_ms) + "ms");
     }
   }
-  if (options_.shed_on_deadline && deadline_ns != 0) {
+  if (deadline_ns != 0) {
     const uint64_t backlog_wait_ns = EstimatedBacklogWaitNsLocked();
     if (backlog_wait_ns != 0 && now + backlog_wait_ns > deadline_ns) {
       shed_deadline_.fetch_add(1, std::memory_order_relaxed);
@@ -319,17 +321,16 @@ Executor::Task AdmissionController::WrapTask(Executor::Task task) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (inflight_ > 0) --inflight_;
-      const double alpha = options_.ewma_alpha;
       const double service = static_cast<double>(service_ns);
       const double queue_wait = static_cast<double>(ctx.queue_ns);
       ewma_service_ns_ = ewma_service_ns_ == 0.0
                              ? service
                              : ewma_service_ns_ +
-                                   alpha * (service - ewma_service_ns_);
+                                   kEwmaAlpha * (service - ewma_service_ns_);
       ewma_queue_ns_ =
           ewma_queue_ns_ == 0.0
               ? queue_wait
-              : ewma_queue_ns_ + alpha * (queue_wait - ewma_queue_ns_);
+              : ewma_queue_ns_ + kEwmaAlpha * (queue_wait - ewma_queue_ns_);
       DispatchLocked(&cancelled);
     }
     RunCancelled(cancelled);

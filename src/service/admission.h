@@ -75,26 +75,10 @@ struct AdmissionOptions {
   /// batch instead of queueing behind its entire backlog.
   std::array<uint32_t, kNumLanes> lane_weights{8, 1};
 
-  /// Queries allowed into the executor at once across all batches. 0 =
-  /// auto: 2x the executor's worker count (min 2). Keeping this small is
-  /// what lets a newly arrived interactive batch overtake a long bulk
-  /// batch — the bulk backlog waits here, in scheduler order, not in the
-  /// executor's FIFO.
-  size_t max_inflight = 0;
-
   /// Total queries queued in the admission layer across all active
   /// batches. Submissions beyond it return ResourceExhausted (the batch
   /// API absorbs this with flow control, same as executor queue-full).
   size_t max_pending = 65536;
-
-  /// EWMA smoothing for the observed per-query service time and queue
-  /// wait that feed the deadline-slack estimate.
-  double ewma_alpha = 0.2;
-
-  /// When true (default), a batch whose deadline cannot be met given the
-  /// estimated backlog wait is shed at admission with Unavailable instead
-  /// of expiring query by query inside the queue.
-  bool shed_on_deadline = true;
 
   /// Floor for retry-after hints, so a client never busy-loops on a
   /// sub-millisecond suggestion.
@@ -108,16 +92,19 @@ struct AdmissionOptions {
 ///  1. Per-collection token-bucket quotas (SetQuota): a batch is charged
 ///     one token per query at admission; an exhausted bucket sheds the
 ///     whole batch with Unavailable and a refill-based retry-after hint.
-///  2. Deadline-slack shedding: using an EWMA of observed per-query
-///     service time and executor queue wait, a batch whose deadline is
-///     already unreachable given the current backlog is shed immediately
-///     instead of burning workers on deadline_expired corpses.
+///  2. Deadline-slack shedding: using an EWMA (alpha 0.2) of observed
+///     per-query service time and executor queue wait, a batch whose
+///     deadline is already unreachable given the current backlog is shed
+///     at admission with Unavailable instead of burning workers on
+///     deadline_expired corpses.
 ///  3. Weighted fair queueing: admitted batches register with BeginBatch
 ///     and route every query through Submit, which holds them in a
 ///     per-batch queue and feeds the executor through a small inflight
-///     window in deficit-round-robin order weighted by lane. No batch
-///     monopolizes the workers; an interactive batch overtakes a 10k-query
-///     bulk batch within one scheduling round.
+///     window (2x the executor's workers, at least 2) in
+///     deficit-round-robin order weighted by lane. No batch monopolizes
+///     the workers; an interactive batch overtakes a 10k-query bulk batch
+///     within one scheduling round, because the bulk backlog waits here,
+///     in scheduler order, not in the executor's FIFO.
 ///
 /// With an inline executor (num_threads == 0) the WFQ layer passes tasks
 /// straight through — there is no concurrency to arbitrate — but quotas

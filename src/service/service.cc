@@ -44,10 +44,9 @@ std::shared_ptr<const CompiledTwig> ResolvePlan(const StoredSynopsis& snapshot,
     XCLUSTER_COUNTER_INC("service.requests.invalid");
     return nullptr;
   }
-  plan = std::make_shared<const CompiledTwig>(
-      CompiledTwig::Compile(parsed.value(), snapshot.flat()));
-  plans.Put(snapshot.snapshot_id(), normalized, plan);
-  return plan;
+  return plans.Put(snapshot.snapshot_id(), normalized,
+                   std::make_shared<const CompiledTwig>(CompiledTwig::Compile(
+                       parsed.value(), snapshot.flat())));
 }
 
 /// Fails every slot of `group` with `status` (the group never estimated).
@@ -111,7 +110,7 @@ FlightStatus ClassifyShed(const Status& admission) {
 
 EstimationService::EstimationService(ServiceOptions options)
     : options_(options),
-      store_(options.store_shards, options.estimator),
+      store_(SynopsisStore::kDefaultShards, options.estimator),
       plan_cache_(PlanCache::Options{options.plan_cache_capacity,
                                      PlanCache::Options().shards}),
       flight_(options.flight_recorder_capacity) {
@@ -330,7 +329,6 @@ BatchResult EstimationService::EstimateBatch(
     batch.stats.vector_lanes = partition.num_lanes();
   }
   const FlatEstimator& estimator = snapshot->flat_estimator();
-  BatchReachTier reach_tier(&estimator.reach_cache());
 
   auto make_group_task = [&](size_t group_index) {
     return [&, group_index](const Executor::TaskContext& ctx) {
@@ -368,8 +366,10 @@ BatchResult EstimationService::EstimateBatch(
             lane_explanations[lane] = explanation.ToString();
           }
         } else {
-          BatchEstimator::EstimateGroup(estimator, group, &reach_tier,
-                                        &lane_estimates);
+          XCLUSTER_TRACE_SPAN("estimate.batch_group");
+          XCLUSTER_SCOPED_TIMER_NS("estimate.batch_group_ns");
+          lane_estimates.resize(group.num_lanes());
+          estimator.EstimateLanes(group.plans, lane_estimates.data());
         }
         // The group runs as one unit, so each slot is charged the group
         // wall time divided by the group's slot count.

@@ -20,7 +20,6 @@ namespace xcluster {
 /// Configuration for an EstimationService instance.
 struct ServiceOptions {
   ExecutorOptions executor;
-  size_t store_shards = SynopsisStore::kDefaultShards;
 
   /// Estimator settings baked into every snapshot the store installs
   /// (notably reach_cache_capacity, the bound on each snapshot's
@@ -128,8 +127,8 @@ struct BatchResult {
 /// Executor (bounded thread pool). EstimateBatch resolves every query to a
 /// compiled plan on the calling thread, partitions the plans into lane
 /// groups (BatchPlan), and runs one executor task per group
-/// (BatchEstimator), returning per-query results in request order plus
-/// aggregate latency stats.
+/// (FlatEstimator::EstimateLanes), returning per-query results in request
+/// order plus aggregate latency stats.
 ///
 /// Determinism: a batch estimated with 0, 1, or N worker threads produces
 /// bit-identical estimates and identical explanations, slot for slot

@@ -162,8 +162,8 @@ size_t GraphSynopsis::ValueNodeCount() const {
 }
 
 std::vector<uint32_t> GraphSynopsis::ComputeLevels() const {
-  constexpr uint32_t kUnset = static_cast<uint32_t>(-1);
-  std::vector<uint32_t> levels(nodes_.size(), kUnset);
+  constexpr uint32_t kNoLevel = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> levels(nodes_.size(), kNoLevel);
   std::deque<SynNodeId> queue;
   for (SynNodeId id = 0; id < nodes_.size(); ++id) {
     if (nodes_[id].alive && nodes_[id].children.empty()) {
@@ -176,14 +176,14 @@ std::vector<uint32_t> GraphSynopsis::ComputeLevels() const {
     SynNodeId id = queue.front();
     queue.pop_front();
     for (SynNodeId parent : nodes_[id].parents) {
-      if (!nodes_[parent].alive || levels[parent] != kUnset) continue;
+      if (!nodes_[parent].alive || levels[parent] != kNoLevel) continue;
       levels[parent] = levels[id] + 1;
       max_level = std::max(max_level, levels[parent]);
       queue.push_back(parent);
     }
   }
   for (SynNodeId id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].alive && levels[id] == kUnset) levels[id] = max_level + 1;
+    if (nodes_[id].alive && levels[id] == kNoLevel) levels[id] = max_level + 1;
   }
   return levels;
 }

@@ -1,9 +1,10 @@
 // Tests for the batch estimation engine: lane grouping (BatchPlan) and
-// the structure-of-arrays DP (BatchEstimator), plus the service-level
-// EstimateBatch path built on them. The load-bearing property throughout
-// is *bit identity*: every lane-evaluated estimate must EXPECT_EQ the
-// double FlatEstimator::Estimate (and so EstimateOne) produces for the
-// same query — across shuffled batches, duplicate queries, parse errors
+// the structure-of-arrays lane kernel (FlatEstimator::EstimateLanes),
+// plus the service-level EstimateBatch path built on them. The
+// load-bearing property throughout is *bit identity*: every lane-evaluated
+// estimate must EXPECT_EQ the graph-walking oracle's double and the
+// one-lane FlatEstimator::Estimate (and so EstimateOne) for the same
+// query — across shuffled batches, duplicate queries, parse errors
 // interleaved, explain batches, and any worker count.
 #include "estimate/batch_estimator.h"
 
@@ -19,7 +20,7 @@
 #include "estimate/compiled_twig.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
-#include "estimate/reach_cache.h"
+#include "oracle/xcluster_estimator.h"
 #include "query/parser.h"
 #include "service/service.h"
 #include "synopsis/graph.h"
@@ -55,7 +56,7 @@ GraphSynopsis MakeFig7() {
 }
 
 /// Cyclic synopsis (XMark parlist shape): descendant reach runs the
-/// bounded-hop DP, which is what the batch tier shares.
+/// bounded-hop DP, whose vectors the reach cache shares.
 GraphSynopsis MakeCyclic() {
   GraphSynopsis synopsis;
   SynNodeId root = synopsis.AddNode("R", ValueType::kNone, 1.0);
@@ -130,15 +131,16 @@ TEST(BatchPlanTest, DuplicatePlansCollapseOntoOneLaneAndNullsAreSkipped) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane DP bit identity (direct BatchEstimator)
+// Lane kernel bit identity (direct FlatEstimator::EstimateLanes)
 // ---------------------------------------------------------------------------
 
 /// Runs `queries` as one BatchPlan and asserts each lane's estimate is
-/// bit-identical to the scalar FlatEstimator result.
-void ExpectLanesMatchScalar(const GraphSynopsis& synopsis,
+/// bit-identical to the oracle's and to the one-lane Estimate.
+void ExpectLanesMatchOracle(const GraphSynopsis& synopsis,
                             const std::vector<std::string>& queries) {
   FlatSynopsis flat(synopsis);
   FlatEstimator estimator(flat);
+  const XClusterEstimator oracle(synopsis);
   std::vector<CompiledTwig> storage;
   storage.reserve(queries.size());
   std::vector<const CompiledTwig*> plans;
@@ -148,42 +150,39 @@ void ExpectLanesMatchScalar(const GraphSynopsis& synopsis,
   for (const CompiledTwig& plan : storage) plans.push_back(&plan);
 
   BatchPlan partition = BatchPlan::Build(plans);
-  BatchReachTier tier(&estimator.reach_cache());
-  std::vector<double> scalar(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    scalar[i] = estimator.Estimate(*plans[i]);
-  }
-  std::vector<double> lanes;
   for (const BatchPlan::Group& group : partition.groups()) {
-    BatchEstimator::EstimateGroup(estimator, group, &tier, &lanes);
-    ASSERT_EQ(lanes.size(), group.num_lanes());
+    std::vector<double> lanes(group.num_lanes());
+    estimator.EstimateLanes(group.plans, lanes.data());
     for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
       for (const uint32_t slot : group.lane_slots[lane]) {
-        EXPECT_EQ(lanes[lane], scalar[slot]) << queries[slot];
+        EXPECT_EQ(lanes[lane], oracle.Estimate(MustParse(queries[slot])))
+            << queries[slot];
+        EXPECT_EQ(lanes[lane], estimator.Estimate(*plans[slot]))
+            << queries[slot];
       }
     }
   }
 }
 
-TEST(BatchEstimatorTest, Fig7LanesBitIdenticalToScalar) {
-  ExpectLanesMatchScalar(
+TEST(BatchEstimatorTest, Fig7LanesBitIdenticalToOracle) {
+  ExpectLanesMatchOracle(
       MakeFig7(),
       {"//A[/B/C[range(0,0)]]//E", "/A", "/A/B", "/A/B/C", "//C", "//E",
        "/A/*", "//*", "/A/B/C[range(0,4)]", "/A/B/C[range(2,7)]", "/A[/B]/D",
        "/Z", "//A/Q", "/A/B[range(0,100)]", "/A/B/C[contains(x)]"});
 }
 
-TEST(BatchEstimatorTest, CyclicLanesBitIdenticalToScalar) {
-  ExpectLanesMatchScalar(MakeCyclic(),
+TEST(BatchEstimatorTest, CyclicLanesBitIdenticalToOracle) {
+  ExpectLanesMatchOracle(MakeCyclic(),
                          {"//text", "//parlist", "//parlist//text",
                           "/parlist/parlist", "//*", "//R//text"});
 }
 
 TEST(BatchEstimatorTest, UnknownTermLanesEstimateExactlyZero) {
-  // contains() with a term absent from the dictionary short-circuits to
-  // 0.0 in FlatEstimator::Estimate; lanes must reproduce that exactly even
-  // when grouped with lanes that estimate nonzero.
-  ExpectLanesMatchScalar(MakeFig7(),
+  // contains() with a term absent from the dictionary estimates exactly
+  // 0.0; lanes must reproduce that even when grouped with lanes that
+  // estimate nonzero.
+  ExpectLanesMatchOracle(MakeFig7(),
                          {"/A/B/C[contains(nosuchterm)]", "/A/B/C[range(0,4)]",
                           "/A/B/C[contains(alsomissing)]"});
 }
@@ -194,35 +193,36 @@ TEST(BatchEstimatorTest, EmptySynopsisLanesAreZero) {
   FlatEstimator estimator(flat);
   const CompiledTwig plan = CompiledTwig::Compile(MustParse("/A"), flat);
   BatchPlan partition = BatchPlan::Build({&plan});
-  BatchReachTier tier(&estimator.reach_cache());
-  std::vector<double> lanes;
   ASSERT_EQ(partition.num_groups(), 1u);
-  BatchEstimator::EstimateGroup(estimator, partition.groups()[0], &tier,
-                                &lanes);
-  ASSERT_EQ(lanes.size(), 1u);
-  EXPECT_EQ(lanes[0], 0.0);
-  EXPECT_EQ(lanes[0], estimator.Estimate(plan));
+  double lane = -1.0;
+  estimator.EstimateLanes(partition.groups()[0].plans, &lane);
+  EXPECT_EQ(lane, 0.0);
+  EXPECT_EQ(lane, estimator.Estimate(plan));
 }
 
 TEST(BatchEstimatorTest, DescendantReachSharedWithinBatch) {
-  // Two descendant queries with the same skeleton form one group; the
-  // structure pass computes each (source, label) reach once and the lane
-  // pass re-reads it from the batch tier — observable as shared hits.
+  // Three skeletons, three groups. Every group reads each descendant
+  // reach twice (structure pass, then lane pass), and the third group
+  // re-reads the (root, parlist) reach the second group computed. Each
+  // distinct (source, label) is computed once across the batch: the
+  // reach cache misses once per distinct key and serves every re-read.
   GraphSynopsis synopsis = MakeCyclic();
   FlatSynopsis flat(synopsis);
   FlatEstimator estimator(flat);
   const CompiledTwig p1 = CompiledTwig::Compile(MustParse("//text"), flat);
   const CompiledTwig p2 = CompiledTwig::Compile(MustParse("//parlist"), flat);
-  BatchPlan partition = BatchPlan::Build({&p1, &p2});
-  ASSERT_EQ(partition.num_groups(), 2u);  // different labels → different keys
-  BatchReachTier tier(&estimator.reach_cache());
-  std::vector<double> lanes;
+  const CompiledTwig p3 =
+      CompiledTwig::Compile(MustParse("//parlist//text"), flat);
+  BatchPlan partition = BatchPlan::Build({&p1, &p2, &p3});
+  ASSERT_EQ(partition.num_groups(), 3u);  // different labels → different keys
   for (const BatchPlan::Group& group : partition.groups()) {
-    BatchEstimator::EstimateGroup(estimator, group, &tier, &lanes);
+    std::vector<double> lanes(group.num_lanes());
+    estimator.EstimateLanes(group.plans, lanes.data());
   }
-  // Each group's lane pass re-reads the reach its structure pass published.
-  EXPECT_GE(estimator.reach_cache().batch_shared_hits(), 2u);
-  EXPECT_GE(tier.size(), 2u);
+  // Distinct keys: (root, text), (root, parlist), (parlist, text).
+  EXPECT_EQ(estimator.reach_cache().misses(), 3u);
+  EXPECT_EQ(estimator.reach_cache().size(), 3u);
+  EXPECT_GE(estimator.reach_cache().hits(), 2u);
 }
 
 // ---------------------------------------------------------------------------

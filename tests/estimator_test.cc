@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <sstream>
+#include <string>
+
 #include "estimate/compiled_twig.h"
 #include "estimate/flat_synopsis.h"
 #include "oracle/xcluster_estimator.h"
@@ -256,6 +263,43 @@ TEST(EstimatorTest, ExplainBranchesDoNotMultiplySiblings) {
   EXPECT_NEAR(explanation.selectivity, 500.0, 1e-9);
   EXPECT_NEAR(explanation.vars[2].expected_bindings, 100.0, 1e-9);
   EXPECT_NEAR(explanation.vars[3].expected_bindings, 50.0, 1e-9);
+}
+
+TEST(EstimatorTest, ExplainRowsKeepTheirColumnsForLongStepLabels) {
+  // A 200-byte step label: longer than any fixed-size row buffer. Every
+  // variable row must still end in its expected and sigma columns and a
+  // newline, so rows never run into each other.
+  const std::string label(200, 'x');
+  GraphSynopsis synopsis;
+  SynNodeId root = synopsis.AddNode("R", ValueType::kNone, 1.0);
+  SynNodeId x = synopsis.AddNode(label, ValueType::kNone, 3.0);
+  SynNodeId b = synopsis.AddNode("b", ValueType::kNone, 6.0);
+  synopsis.AddEdge(root, x, 3.0);
+  synopsis.AddEdge(x, b, 2.0);
+  synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
+
+  const EstimateExplanation explanation =
+      Explain(synopsis, "/" + label + "/b");
+  EXPECT_NEAR(explanation.selectivity, 6.0, 1e-9);
+  ASSERT_EQ(explanation.vars.size(), 3u);
+  const std::string text = explanation.ToString();
+  // The estimate line, the header, and one row per variable.
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
+  std::istringstream lines(text);
+  std::string line;
+  std::getline(lines, line);
+  std::getline(lines, line);
+  for (const EstimateExplanation::VarStats& var : explanation.vars) {
+    ASSERT_TRUE(std::getline(lines, line));
+    char numbers[64];
+    std::snprintf(numbers, sizeof(numbers), " %14.6g %12.6g",
+                  var.expected_bindings, var.predicate_selectivity);
+    ASSERT_GE(line.size(), std::strlen(numbers)) << line;
+    EXPECT_EQ(line.substr(line.size() - std::strlen(numbers)), numbers)
+        << line;
+    EXPECT_NE(line.find(var.step.empty() ? "(root)" : var.step),
+              std::string::npos);
+  }
 }
 
 TEST(EstimatorTest, SelfLoopChildStep) {

@@ -1,10 +1,11 @@
 // Bit-identity tests for the estimation engine: for every query,
-// FlatEstimator::Estimate over the compiled plan must return the *same
-// double* (EXPECT_EQ, not EXPECT_NEAR) as the graph-walking reference
-// estimator (tests/oracle, XClusterEstimator) over the source synopsis.
-// Exercised on hand-built fixtures, on merged (budget-built) synopses with
-// dead arena nodes, and across the fig8-style generated workload suites
-// for both XMark and IMDB.
+// FlatEstimator::Estimate over the compiled plan, and every lane of the
+// lane kernel (EstimateLanes over BatchPlan groups), must return the
+// *same double* (EXPECT_EQ, not EXPECT_NEAR) as the graph-walking
+// reference estimator (tests/oracle, XClusterEstimator) over the source
+// synopsis. Exercised on hand-built fixtures, on merged (budget-built)
+// synopses with dead arena nodes, and across the fig8-style generated
+// workload suites for XMark, IMDB and Treebank.
 #include "estimate/flat_estimator.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 
 #include "build/builder.h"
 #include "data/imdb.h"
+#include "data/treebank.h"
 #include "data/xmark.h"
+#include "estimate/batch_estimator.h"
 #include "estimate/compiled_twig.h"
 #include "oracle/xcluster_estimator.h"
 #include "estimate/flat_synopsis.h"
@@ -227,7 +230,9 @@ TEST(FlatEstimatorTest, ExplainSelectivityMatchesEstimate) {
 
 /// Full pipeline comparison on a generated data set: reference synopsis
 /// plus a budget-built (merged — i.e. containing dead arena nodes)
-/// synopsis, across a generated fig8-style workload.
+/// synopsis, across a generated fig8-style workload. Each query is
+/// checked one lane at a time (Estimate, Explain) and as a lane of its
+/// group when the whole workload is partitioned with BatchPlan::Build.
 void RunWorkloadSuite(const GeneratedDataset& dataset, size_t num_queries) {
   ReferenceOptions ref_options;
   ref_options.value_paths = dataset.value_paths;
@@ -246,15 +251,38 @@ void RunWorkloadSuite(const GeneratedDataset& dataset, size_t num_queries) {
     XClusterEstimator legacy(*synopsis);
     FlatSynopsis flat(*synopsis);
     FlatEstimator estimator(flat);
+    std::vector<CompiledTwig> plans;
+    plans.reserve(workload.queries.size());
+    std::vector<double> expected;
     for (const WorkloadQuery& query : workload.queries) {
-      const CompiledTwig plan = CompiledTwig::Compile(query.query, flat);
-      EXPECT_EQ(estimator.Estimate(plan), legacy.Estimate(query.query));
+      plans.push_back(CompiledTwig::Compile(query.query, flat));
+      const CompiledTwig& plan = plans.back();
+      expected.push_back(legacy.Estimate(query.query));
+      EXPECT_EQ(estimator.Estimate(plan), expected.back());
       // EXPLAIN breakdowns must agree exactly too (legacy walks nodes in
       // sorted order specifically to make this comparison exact).
       const EstimateExplanation flat_explain = estimator.Explain(plan);
       const EstimateExplanation legacy_explain = legacy.Explain(query.query);
       EXPECT_EQ(flat_explain.selectivity, legacy_explain.selectivity);
       EXPECT_EQ(flat_explain.ToString(), legacy_explain.ToString());
+    }
+
+    // The whole workload as one batch: every lane of every group, on a
+    // fresh estimator so the groups fill the reach cache themselves.
+    FlatEstimator batch_estimator(flat);
+    std::vector<const CompiledTwig*> slots;
+    for (const CompiledTwig& plan : plans) slots.push_back(&plan);
+    const BatchPlan partition = BatchPlan::Build(slots);
+    EXPECT_LT(partition.num_groups(), workload.queries.size());
+    for (const BatchPlan::Group& group : partition.groups()) {
+      std::vector<double> lanes(group.num_lanes());
+      batch_estimator.EstimateLanes(group.plans, lanes.data());
+      for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
+        for (const uint32_t slot : group.lane_slots[lane]) {
+          EXPECT_EQ(lanes[lane], expected[slot])
+              << workload.queries[slot].query.ToString();
+        }
+      }
     }
   }
 }
@@ -269,6 +297,13 @@ TEST(FlatEstimatorTest, ImdbWorkloadSuiteBitIdentical) {
   ImdbOptions options;
   options.scale = 0.05;
   RunWorkloadSuite(GenerateImdb(options), 150);
+}
+
+TEST(FlatEstimatorTest, TreebankWorkloadSuiteBitIdentical) {
+  // Deep recursive trees: most steps go through descendant reach.
+  TreebankOptions options;
+  options.scale = 0.05;
+  RunWorkloadSuite(GenerateTreebank(options), 150);
 }
 
 TEST(FlatEstimatorTest, BoundedCacheDoesNotChangeEstimates) {

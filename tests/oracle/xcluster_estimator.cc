@@ -9,10 +9,7 @@ namespace xcluster {
 
 XClusterEstimator::XClusterEstimator(const GraphSynopsis& synopsis,
                                      EstimateOptions options)
-    : synopsis_(synopsis),
-      options_(options),
-      reach_cache_(ReachCache::Options{options.reach_cache_capacity,
-                                       options.reach_cache_shards}) {}
+    : synopsis_(synopsis), options_(options) {}
 
 bool XClusterEstimator::LabelMatches(SynNodeId node,
                                      const TwigStep& step) const {
@@ -38,8 +35,15 @@ void XClusterEstimator::Reach(
                              ? kInvalidSymbol
                              : synopsis_.labels().Lookup(step.label);
   if (!step.wildcard && label == kInvalidSymbol) return;  // unknown tag
-  const uint64_t key = ReachCache::Key(source, label);
-  if (reach_cache_.Lookup(key, out)) return;
+  const std::pair<SynNodeId, SymbolId> key{source, label};
+  {
+    std::lock_guard<std::mutex> lock(reach_mu_);
+    auto it = reach_memo_.find(key);
+    if (it != reach_memo_.end()) {
+      out->insert(out->end(), it->second.begin(), it->second.end());
+      return;
+    }
+  }
   std::map<SynNodeId, double> frontier{{source, 1.0}};
   std::map<SynNodeId, double> reached;
   for (size_t hop = 0; hop < options_.max_descendant_hops; ++hop) {
@@ -47,7 +51,7 @@ void XClusterEstimator::Reach(
     for (const auto& [node, mass] : frontier) {
       for (const SynEdge& edge : synopsis_.node(node).children) {
         double contribution = mass * edge.avg_count;
-        if (contribution < options_.epsilon) continue;
+        if (contribution < kReachEpsilon) continue;
         next[edge.target] += contribution;
       }
     }
@@ -57,10 +61,11 @@ void XClusterEstimator::Reach(
     }
     frontier = std::move(next);
   }
-  std::vector<std::pair<SynNodeId, double>> result(reached.begin(),
-                                                   reached.end());
+  std::lock_guard<std::mutex> lock(reach_mu_);
+  const auto& result =
+      reach_memo_.try_emplace(key, reached.begin(), reached.end())
+          .first->second;
   out->insert(out->end(), result.begin(), result.end());
-  reach_cache_.Insert(key, std::move(result));
 }
 
 namespace {
@@ -102,7 +107,7 @@ double XClusterEstimator::PredicateSelectivity(const TwigQuery& query,
   return selectivity;
 }
 
-double XClusterEstimator::TuplesPerElement(
+double XClusterEstimator::SubTwigTuples(
     const TwigQuery& query, QueryVarId var, SynNodeId node,
     std::vector<std::unordered_map<SynNodeId, double>>* memo) const {
   auto& cache = (*memo)[var];
@@ -116,7 +121,7 @@ double XClusterEstimator::TuplesPerElement(
       Reach(node, query.var(child).step, &targets);
       double sum = 0.0;
       for (const auto& [target, count] : targets) {
-        sum += count * TuplesPerElement(query, child, target, memo);
+        sum += count * SubTwigTuples(query, child, target, memo);
       }
       result *= sum;
       if (result == 0.0) break;
@@ -189,7 +194,7 @@ double XClusterEstimator::Estimate(const TwigQuery& query) const {
   std::vector<std::unordered_map<SynNodeId, double>> memo(resolved.size());
   const SynNodeId root = synopsis_.root();
   return synopsis_.node(root).count *
-         TuplesPerElement(resolved, 0, root, &memo);
+         SubTwigTuples(resolved, 0, root, &memo);
 }
 
 }  // namespace xcluster

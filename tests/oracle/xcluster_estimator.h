@@ -1,20 +1,23 @@
 #ifndef XCLUSTER_TESTS_ORACLE_XCLUSTER_ESTIMATOR_H_
 #define XCLUSTER_TESTS_ORACLE_XCLUSTER_ESTIMATOR_H_
 
+#include <map>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "estimate/estimator.h"
-#include "estimate/reach_cache.h"
 #include "query/twig.h"
 #include "synopsis/graph.h"
 
 namespace xcluster {
 
 /// Reference implementation of the Sec. 5 estimator over the pointer-based
-/// GraphSynopsis: the test oracle the serving engine (FlatEstimator and
-/// the BatchEstimator lane groups) is held bit-identical to.
+/// GraphSynopsis: the test oracle the serving engine (every lane of
+/// FlatEstimator::EstimateLanes) is held bit-identical to. It shares no
+/// DP or cache code with the engine — only the hop bound
+/// (EstimateOptions::max_descendant_hops) and kReachEpsilon.
 ///
 /// Implements the query-embedding framework under the generalized
 /// Path-Value Independence assumption: the expected number of elements of
@@ -25,7 +28,7 @@ namespace xcluster {
 /// programming over query variables, with per-call unordered_map memos.
 ///
 /// Thread safety: one instance may serve Estimate/Explain calls from any
-/// number of threads (the descendant reach cache is guarded internally).
+/// number of threads (the descendant reach memo is guarded by a mutex).
 class XClusterEstimator {
  public:
   /// `synopsis` must outlive the estimator.
@@ -41,15 +44,13 @@ class XClusterEstimator {
   /// FlatEstimator::Explain's.
   EstimateExplanation Explain(const TwigQuery& query) const;
 
-  const ReachCache& reach_cache() const { return reach_cache_; }
-
  private:
   /// Expected binding tuples of the sub-twig rooted at `var`, per element
   /// of synopsis node `node` bound to `var` (before var's predicates).
-  double TuplesPerElement(const TwigQuery& query, QueryVarId var,
-                          SynNodeId node,
-                          std::vector<std::unordered_map<SynNodeId, double>>*
-                              memo) const;
+  double SubTwigTuples(const TwigQuery& query, QueryVarId var,
+                       SynNodeId node,
+                       std::vector<std::unordered_map<SynNodeId, double>>*
+                           memo) const;
 
   /// sigma of all predicates attached to `var` evaluated at `node`.
   double PredicateSelectivity(const TwigQuery& query, QueryVarId var,
@@ -64,9 +65,13 @@ class XClusterEstimator {
 
   const GraphSynopsis& synopsis_;
   EstimateOptions options_;
-  /// Descendant reach memo, per (source, label-or-wildcard). Values are
-  /// pure, so first-writer-wins inserts keep estimates deterministic.
-  mutable ReachCache reach_cache_;
+  /// Descendant reach memo, per (source, label-or-wildcard), unbounded.
+  /// Values are pure, so first-writer-wins inserts keep estimates
+  /// deterministic.
+  mutable std::mutex reach_mu_;
+  mutable std::map<std::pair<SynNodeId, SymbolId>,
+                   std::vector<std::pair<SynNodeId, double>>>
+      reach_memo_;
 };
 
 }  // namespace xcluster

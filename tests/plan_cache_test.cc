@@ -36,7 +36,7 @@ TEST(PlanCacheTest, GetPutHitMissCounters) {
   EXPECT_EQ(cache.misses(), 1u);
 
   auto plan = EmptyPlan();
-  cache.Put(1, "//a", plan);
+  EXPECT_EQ(cache.Put(1, "//a", plan), plan);
   EXPECT_EQ(cache.Get(1, "//a"), plan);
   EXPECT_EQ(cache.hits(), 1u);
 
@@ -49,7 +49,8 @@ TEST(PlanCacheTest, FirstWriterWinsAndLruEvicts) {
   PlanCache cache(PlanCache::Options{2, 1});
   auto first = EmptyPlan();
   cache.Put(1, "//a", first);
-  cache.Put(1, "//a", EmptyPlan());  // racing duplicate loses
+  // A racing duplicate loses and gets the incumbent back.
+  EXPECT_EQ(cache.Put(1, "//a", EmptyPlan()), first);
   EXPECT_EQ(cache.Get(1, "//a"), first);
 
   cache.Put(1, "//b", EmptyPlan());
@@ -63,8 +64,10 @@ TEST(PlanCacheTest, FirstWriterWinsAndLruEvicts) {
 
 TEST(PlanCacheTest, ZeroCapacityDisablesCaching) {
   PlanCache cache(PlanCache::Options{0, 4});
-  cache.Put(1, "//a", EmptyPlan());
+  auto plan = EmptyPlan();
+  EXPECT_EQ(cache.Put(1, "//a", plan), plan);  // handed back, not kept
   EXPECT_EQ(cache.Get(1, "//a"), nullptr);
+  EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 0u);
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,23 +24,24 @@
 namespace xcluster {
 namespace {
 
-ReachCache::Value Vec(std::initializer_list<std::pair<uint32_t, double>> v) {
-  return ReachCache::Value(v);
+std::shared_ptr<const ReachCache::Value> Vec(
+    std::initializer_list<std::pair<uint32_t, double>> v) {
+  return std::make_shared<const ReachCache::Value>(v);
 }
 
-TEST(ReachCacheTest, LookupAppendsAndCountsHitsAndMisses) {
+TEST(ReachCacheTest, LookupSharesTheValueAndCountsHitsAndMisses) {
   ReachCache cache(ReachCache::Options{16, 1});
-  ReachCache::Value out;
-  EXPECT_FALSE(cache.Lookup(ReachCache::Key(1, 2), &out));
+  EXPECT_EQ(cache.Lookup(ReachCache::Key(1, 2)), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
-  cache.Insert(ReachCache::Key(1, 2), Vec({{7, 3.5}}));
-  out.push_back({0, 1.0});  // pre-existing contents must be preserved
-  ASSERT_TRUE(cache.Lookup(ReachCache::Key(1, 2), &out));
+  const auto value = Vec({{7, 3.5}});
+  EXPECT_EQ(cache.Insert(ReachCache::Key(1, 2), value), value);
+  const auto hit = cache.Lookup(ReachCache::Key(1, 2));
+  EXPECT_EQ(hit, value);  // the one shared vector, not a copy
   EXPECT_EQ(cache.hits(), 1u);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[1].first, 7u);
-  EXPECT_EQ(out[1].second, 3.5);
+  ASSERT_EQ(hit->size(), 1u);
+  EXPECT_EQ((*hit)[0].first, 7u);
+  EXPECT_EQ((*hit)[0].second, 3.5);
 }
 
 TEST(ReachCacheTest, CapacityIsAHardBoundWithLruEviction) {
@@ -51,35 +53,48 @@ TEST(ReachCacheTest, CapacityIsAHardBoundWithLruEviction) {
   EXPECT_EQ(cache.size(), 3u);
 
   // Touch key 1 so key 2 is now the least recently used.
-  ReachCache::Value out;
-  ASSERT_TRUE(cache.Lookup(ReachCache::Key(1, 0), &out));
+  ASSERT_NE(cache.Lookup(ReachCache::Key(1, 0)), nullptr);
 
   cache.Insert(ReachCache::Key(4, 0), Vec({{4, 1.0}}));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.evictions(), 1u);
-  out.clear();
-  EXPECT_FALSE(cache.Lookup(ReachCache::Key(2, 0), &out));  // evicted
-  EXPECT_TRUE(cache.Lookup(ReachCache::Key(1, 0), &out));   // survived
-  EXPECT_TRUE(cache.Lookup(ReachCache::Key(4, 0), &out));
+  EXPECT_EQ(cache.Lookup(ReachCache::Key(2, 0)), nullptr);  // evicted
+  EXPECT_NE(cache.Lookup(ReachCache::Key(1, 0)), nullptr);  // survived
+  EXPECT_NE(cache.Lookup(ReachCache::Key(4, 0)), nullptr);
 }
 
 TEST(ReachCacheTest, FirstWriterWins) {
   ReachCache cache(ReachCache::Options{8, 1});
-  cache.Insert(ReachCache::Key(5, 5), Vec({{1, 1.0}}));
-  cache.Insert(ReachCache::Key(5, 5), Vec({{2, 2.0}}));  // loses the race
-  ReachCache::Value out;
-  ASSERT_TRUE(cache.Lookup(ReachCache::Key(5, 5), &out));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].first, 1u);
+  const auto winner = Vec({{1, 1.0}});
+  cache.Insert(ReachCache::Key(5, 5), winner);
+  // The second writer loses the race and gets the incumbent back.
+  EXPECT_EQ(cache.Insert(ReachCache::Key(5, 5), Vec({{2, 2.0}})), winner);
+  EXPECT_EQ(cache.Lookup(ReachCache::Key(5, 5)), winner);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ReachCacheTest, ZeroCapacityDisablesCaching) {
   ReachCache cache(ReachCache::Options{0, 4});
-  cache.Insert(ReachCache::Key(1, 1), Vec({{1, 1.0}}));
-  ReachCache::Value out;
-  EXPECT_FALSE(cache.Lookup(ReachCache::Key(1, 1), &out));
+  const auto value = Vec({{1, 1.0}});
+  // Insert hands the value back without keeping it.
+  EXPECT_EQ(cache.Insert(ReachCache::Key(1, 1), value), value);
+  EXPECT_EQ(cache.Lookup(ReachCache::Key(1, 1)), nullptr);
+  EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 0u);
+}
+
+TEST(ReachCacheTest, EvictedValueOutlivesItsEntry) {
+  // A reader holding a value keeps it alive after eviction.
+  ReachCache cache(ReachCache::Options{1, 1});
+  cache.Insert(ReachCache::Key(1, 0), Vec({{1, 1.5}}));
+  const auto held = cache.Lookup(ReachCache::Key(1, 0));
+  cache.Insert(ReachCache::Key(2, 0), Vec({{2, 2.5}}));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.Lookup(ReachCache::Key(1, 0)), nullptr);
+  ASSERT_NE(held, nullptr);
+  ASSERT_EQ(held->size(), 1u);
+  EXPECT_EQ((*held)[0].second, 1.5);
 }
 
 TEST(ReachCacheTest, MixSeparatesXorCollidingKeys) {
@@ -98,44 +113,6 @@ TEST(ReachCacheTest, MixSeparatesXorCollidingKeys) {
   std::set<uint64_t> low;
   for (uint64_t m : mixed) low.insert(m % 64);
   EXPECT_GT(low.size(), 32u);
-}
-
-TEST(BatchReachTierTest, InsertThenLookupReturnsStablePointer) {
-  ReachCache cache(ReachCache::Options{16, 1});
-  BatchReachTier tier(&cache);
-  const ReachCache::Value* first =
-      tier.Insert(ReachCache::Key(1, 2), Vec({{7, 3.5}}));
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(tier.size(), 1u);
-  // Pointers stay valid as the tier grows (node-based map, no erase):
-  // insert enough entries to force a rehash, then re-check the first.
-  for (uint32_t i = 10; i < 200; ++i) {
-    tier.Insert(ReachCache::Key(i, 0), Vec({{i, 1.0}}));
-  }
-  EXPECT_EQ(tier.Lookup(ReachCache::Key(1, 2)), first);
-  ASSERT_EQ(first->size(), 1u);
-  EXPECT_EQ((*first)[0].first, 7u);
-  EXPECT_EQ((*first)[0].second, 3.5);
-}
-
-TEST(BatchReachTierTest, FirstWriterWinsAndLookupCountsSharedHits) {
-  ReachCache cache(ReachCache::Options{16, 1});
-  BatchReachTier tier(&cache);
-  EXPECT_EQ(tier.Lookup(ReachCache::Key(3, 3)), nullptr);
-  EXPECT_EQ(cache.batch_shared_hits(), 0u);  // misses are not shared hits
-
-  const ReachCache::Value* winner =
-      tier.Insert(ReachCache::Key(3, 3), Vec({{1, 1.0}}));
-  const ReachCache::Value* loser =
-      tier.Insert(ReachCache::Key(3, 3), Vec({{2, 2.0}}));
-  EXPECT_EQ(loser, winner);  // second writer gets the first value back
-  ASSERT_EQ(winner->size(), 1u);
-  EXPECT_EQ((*winner)[0].first, 1u);
-  EXPECT_EQ(tier.size(), 1u);
-
-  EXPECT_EQ(tier.Lookup(ReachCache::Key(3, 3)), winner);
-  EXPECT_EQ(tier.Lookup(ReachCache::Key(3, 3)), winner);
-  EXPECT_EQ(cache.batch_shared_hits(), 2u);
 }
 
 TwigQuery MustParse(std::string_view input) {
