@@ -20,8 +20,9 @@
 // bench exits nonzero — always-on tracing is budgeted at <3%.
 //
 // Last, a cold start from the `.xcsf` image: its time-to-first-estimate
-// is reported, and the whole workload served from the mapped image must
-// equal the compiled-in-RAM answers bit for bit.
+// is reported, and the whole workload served from the mapped file must
+// equal the answers of the graph install (the same image, compiled in
+// memory) bit for bit.
 
 #include <cstdio>
 #include <cstdlib>
@@ -345,8 +346,8 @@ int Main(int argc, char** argv) {
   // (fresh store -> mmap load -> compile the first query -> estimate),
   // minimum of several iterations. Reported, not gated: perfbench's
   // ttfe_ms is the cold-start figure of record. One hard gate: serving
-  // the full workload from the mapped image must be bit-identical
-  // slot-for-slot to the compiled-in-RAM run.
+  // the full workload from the mapped file must be bit-identical
+  // slot-for-slot to the graph-install run.
   {
     const std::string xcsf_path = "bench_coldstart.xcsf";
     Status saved = synopsis.Save(xcsf_path);
@@ -365,7 +366,7 @@ int Main(int argc, char** argv) {
     }
 
     // Slot-for-slot bit-identity of the mapped image over the whole
-    // workload, against EstimateOne over the compiled-in-RAM snapshot.
+    // workload, against EstimateOne over the graph-install snapshot.
     size_t mismatches = 0;
     {
       ServiceOptions options;

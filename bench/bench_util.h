@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "estimate/compiled_twig.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
 #include "workload/metrics.h"
@@ -65,7 +67,9 @@ inline Experiment Setup(const std::string& name, double scale = 1.0,
 /// a FlatSynopsis, then one plan per query).
 inline std::vector<double> EstimateAll(const GraphSynopsis& synopsis,
                                        const Workload& workload) {
-  const FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const FlatEstimator estimator(flat);
   std::vector<double> estimates;
   estimates.reserve(workload.queries.size());

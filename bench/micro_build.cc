@@ -11,6 +11,7 @@
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
 #include "eval/evaluator.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
 
@@ -83,7 +84,9 @@ void BM_SynopsisEstimation(benchmark::State& state) {
   options.structural_budget = 8 * 1024;
   options.value_budget = Reference().ValueBytes() / 2;
   GraphSynopsis synopsis = XClusterBuild(Reference(), options, nullptr);
-  const FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const FlatEstimator estimator(flat);
   size_t i = 0;
   for (auto _ : state) {

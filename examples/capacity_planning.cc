@@ -5,6 +5,7 @@
 // budget meeting a 10% error target.
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "build/auto_budget.h"
@@ -12,6 +13,7 @@
 #include "estimate/compiled_twig.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
 #include "workload/metrics.h"
@@ -47,7 +49,9 @@ int main() {
     AutoBudgetResult result =
         AutoBudgetBuild(dataset.doc, reference, options);
 
-    const FlatSynopsis flat(result.synopsis);
+    const std::shared_ptr<const FlatSynopsis> compiled =
+        storage::CompileXcsf(result.synopsis);
+    const FlatSynopsis& flat = *compiled;
     const FlatEstimator estimator(flat);
     std::vector<double> estimates;
     for (const WorkloadQuery& q : workload.queries) {

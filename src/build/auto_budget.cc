@@ -1,11 +1,13 @@
 #include "build/auto_budget.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "estimate/compiled_twig.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
+#include "storage/xcsf_writer.h"
 #include "workload/metrics.h"
 
 namespace xcluster {
@@ -13,7 +15,9 @@ namespace xcluster {
 namespace {
 
 double ScoreSynopsis(const GraphSynopsis& synopsis, const Workload& workload) {
-  const FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const FlatEstimator estimator(flat);
   std::vector<double> estimates;
   estimates.reserve(workload.queries.size());

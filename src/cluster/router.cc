@@ -11,7 +11,7 @@
 #include "common/io/file_io.h"
 #include "common/telemetry/telemetry.h"
 #include "service/harness.h"
-#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_reader.h"
 
 namespace xcluster {
 namespace cluster {

@@ -1,6 +1,8 @@
 #include "core/serialize.h"
 
 #include <bitset>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,6 +53,38 @@ Status CheckPstDump(const std::vector<Pst::DumpNode>& dump) {
       }
       seen.set(symbol);
     }
+  }
+  return Status::OK();
+}
+
+/// Checks what WaveletSummary's reconstruction and range estimates index
+/// and compute blindly: a power-of-two grid within kWaveletMaxGrid (or 0,
+/// the empty summary), every coefficient inside the grid, cells at least
+/// one value wide, and a domain whose end lo + grid * width - 1 is
+/// computable in int64 in that order (the order the summary computes it
+/// and its last cell's end).
+Status CheckWaveletGrid(
+    int64_t domain_lo, int64_t cell_width, uint64_t grid,
+    const std::vector<WaveletSummary::Coefficient>& coeffs) {
+  if (grid > kWaveletMaxGrid || (grid & (grid - 1)) != 0) {
+    return Status::Corruption("wavelet grid " + std::to_string(grid) +
+                              " is not a power of two up to " +
+                              std::to_string(kWaveletMaxGrid));
+  }
+  for (const WaveletSummary::Coefficient& c : coeffs) {
+    if (c.index >= grid) {
+      return Status::Corruption("wavelet coefficient index outside the grid");
+    }
+  }
+  if (grid > 0 && cell_width < 1) {
+    return Status::Corruption("wavelet cell width below one");
+  }
+  int64_t span = 0;
+  int64_t end = 0;
+  if (__builtin_mul_overflow(static_cast<int64_t>(grid), cell_width, &span) ||
+      __builtin_add_overflow(domain_lo, span, &end) ||
+      __builtin_sub_overflow(end, int64_t{1}, &end)) {
+    return Status::Corruption("wavelet domain overflows int64");
   }
   return Status::OK();
 }
@@ -151,6 +185,11 @@ Status DecodeValueSummary(ByteSource* src, ValueSummary* vsumm) {
         XCLUSTER_RETURN_IF_ERROR(GetDouble(src, &b.count));
         b.lo = static_cast<int64_t>(lo);
         b.hi = static_cast<int64_t>(hi);
+        // Range estimates divide by the bucket width hi - lo + 1, which
+        // must be a positive int64.
+        if (b.lo > b.hi || hi - lo >= static_cast<uint64_t>(INT64_MAX)) {
+          return Status::Corruption("histogram bucket width out of range");
+        }
       }
       vsumm->set_type(ValueType::kNumeric);
       *vsumm->mutable_histogram() = Histogram::FromBuckets(std::move(buckets));
@@ -179,6 +218,9 @@ Status DecodeValueSummary(ByteSource* src, ValueSummary* vsumm) {
         }
         c.index = static_cast<uint32_t>(index);
       }
+      XCLUSTER_RETURN_IF_ERROR(CheckWaveletGrid(
+          static_cast<int64_t>(domain_lo), static_cast<int64_t>(cell_width),
+          grid, coeffs));
       vsumm->set_type(ValueType::kNumeric);
       vsumm->set_numeric_kind(NumericSummaryKind::kWavelet);
       *vsumm->mutable_wavelet() = WaveletSummary::FromCoefficients(

@@ -4,7 +4,7 @@
 #include "common/telemetry/telemetry.h"
 #include "estimate/compiled_twig.h"
 #include "query/parser.h"
-#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_reader.h"
 #include "storage/xcsf_writer.h"
 
 namespace xcluster {
@@ -21,7 +21,14 @@ XCluster XCluster::Build(const XmlDocument& doc, const Options& options) {
 
 XCluster::XCluster(GraphSynopsis synopsis, EstimateOptions estimate)
     : synopsis_(std::move(synopsis)),
-      flat_(std::make_shared<const FlatSynopsis>(synopsis_)),
+      flat_(storage::CompileXcsf(synopsis_)),
+      estimator_(std::make_shared<const FlatEstimator>(*flat_, estimate)) {}
+
+XCluster::XCluster(GraphSynopsis synopsis,
+                   std::shared_ptr<const FlatSynopsis> flat,
+                   EstimateOptions estimate)
+    : synopsis_(std::move(synopsis)),
+      flat_(std::move(flat)),
       estimator_(std::make_shared<const FlatEstimator>(*flat_, estimate)) {}
 
 double XCluster::EstimateSelectivity(const TwigQuery& query) const {
@@ -35,16 +42,19 @@ Result<double> XCluster::EstimateSelectivity(std::string_view twig) const {
 }
 
 Status XCluster::Save(const std::string& path) const {
-  return storage::XcsfWriter::Write(*flat_, path);
+  XCLUSTER_RETURN_IF_ERROR(WriteFileAtomic(path, flat_->image()));
+  XCLUSTER_COUNTER_INC("storage.xcsf.writes");
+  return Status::OK();
 }
 
 Result<XCluster> XCluster::Load(const std::string& path) {
   XCLUSTER_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
   XC_RETURN_IF_ERROR(
       Status::WithContext(storage::VerifyXcsfBytes(bytes, nullptr), path));
-  XCLUSTER_ASSIGN_OR_RETURN(storage::XcsfMmapView view,
-                            storage::XcsfMmapView::Adopt(std::move(bytes)));
-  return XCluster(ToGraph(view.flat()));
+  XCLUSTER_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                            storage::AdoptXcsf(std::move(bytes)));
+  GraphSynopsis graph = ToGraph(*flat);
+  return XCluster(std::move(graph), std::move(flat), EstimateOptions());
 }
 
 }  // namespace xcluster

@@ -38,7 +38,8 @@ class XCluster {
   /// Builds the synopsis for `doc` (reference construction + XCLUSTERBUILD).
   static XCluster Build(const XmlDocument& doc, const Options& options);
 
-  /// Wraps an already-constructed synopsis and compiles its FlatSynopsis.
+  /// Wraps an already-constructed synopsis and compiles its FlatSynopsis
+  /// (storage::CompileXcsf).
   explicit XCluster(GraphSynopsis synopsis,
                     EstimateOptions estimate = EstimateOptions());
 
@@ -52,7 +53,7 @@ class XCluster {
   const GraphSynopsis& synopsis() const { return synopsis_; }
   const BuildStats& build_stats() const { return stats_; }
 
-  /// The compiled, self-contained serving form of synopsis(). Shared, not
+  /// The serving form of synopsis(): its validated XCSF image. Shared, not
   /// copied, by copies of this XCluster and by the snapshots a
   /// SynopsisStore installs from it.
   const std::shared_ptr<const FlatSynopsis>& flat() const { return flat_; }
@@ -62,19 +63,22 @@ class XCluster {
     return synopsis_.StructuralBytes() + synopsis_.ValueBytes();
   }
 
-  /// Persists flat() to `path` as an XCSF image (see docs/FORMAT.md), the
-  /// file a SynopsisStore maps and serves. The write is atomic: temp file
-  /// + fsync + rename.
+  /// Persists flat()'s image to `path` (see docs/FORMAT.md), the file a
+  /// SynopsisStore maps and serves. The write is atomic: temp file +
+  /// fsync + rename.
   Status Save(const std::string& path) const;
 
-  /// Loads an XCSF image (written by Save() or storage::XcsfWriter) and
-  /// rebuilds its graph with ToGraph. Strict, unlike serving: the whole
-  /// image is verified first, every summary record included, so a
-  /// malformed record fails with kCorruption instead of loading as an
-  /// empty summary.
+  /// Loads an XCSF image (written by Save() or storage::XcsfWriter),
+  /// keeps it as flat() and rebuilds its graph with ToGraph. Strict,
+  /// unlike serving: the whole image is verified first, every summary
+  /// record included, so a malformed record fails with kCorruption
+  /// instead of loading as an empty summary.
   static Result<XCluster> Load(const std::string& path);
 
  private:
+  XCluster(GraphSynopsis synopsis, std::shared_ptr<const FlatSynopsis> flat,
+           EstimateOptions estimate);
+
   GraphSynopsis synopsis_;
   BuildStats stats_;
   std::shared_ptr<const FlatSynopsis> flat_;

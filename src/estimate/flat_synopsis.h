@@ -8,7 +8,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "common/string_pool.h"
 #include "summaries/value_summary.h"
@@ -17,8 +16,8 @@
 
 namespace xcluster {
 
-/// A read-only interned-string table served straight from a mapped XCSF
-/// image: the concatenated string bytes, a (count+1)-entry offset array
+/// A read-only interned-string table served straight from an XCSF image:
+/// the concatenated string bytes, a (count+1)-entry offset array
 /// slicing them, and a sort index (the ids permuted into string order) so
 /// Lookup is a binary search with zero per-string work at load time — no
 /// hash index is ever hydrated. All three views point into the image; the
@@ -54,16 +53,13 @@ class FlatStringTable final : public TermResolver {
 using FlatNodeId = uint32_t;
 inline constexpr FlatNodeId kNoFlatNode = static_cast<FlatNodeId>(-1);
 
-/// An immutable, read-optimized view of a synopsis: the estimator hot
-/// path's representation, shared by two backings behind one read API.
-///
-///  * Compiled in RAM from a GraphSynopsis (the install path): the
-///    pointer-chasing arena of SynNode structs is flattened into owned
-///    contiguous arrays, value summaries and the label pool are copied in,
-///    so the source graph may be destroyed immediately after construction.
-///  * Mapped from an XCSF image (src/storage): the same columns are spans
-///    pointing straight into the mmapped file — zero copies, zero parse —
-///    with `backing` pinning the mapping for the synopsis's lifetime.
+/// An immutable, read-optimized synopsis: the estimator hot path's one
+/// representation, always a validated XCSF image (src/storage). Its
+/// columns, string tables and still-encoded summary pool are spans into
+/// that image — zero copies, zero parse — and `backing` pins the image
+/// for the synopsis's lifetime: an mmapped file (storage::OpenXcsf) or an
+/// owned buffer (storage::AdoptXcsf, which storage::CompileXcsf runs on a
+/// freshly encoded GraphSynopsis).
 ///
 /// The columns:
 ///
@@ -80,8 +76,7 @@ class FlatSynopsis {
   /// Sentinel in the per-node summary-index column: no value summary.
   static constexpr uint32_t kNoSummary = static_cast<uint32_t>(-1);
 
-  /// The columnar views. Spans point either into this object's owned
-  /// vectors (compiled form) or into an external image (mapped form).
+  /// The columnar views, each pointing into the image.
   struct Columns {
     std::span<const SymbolId> labels;          ///< per node
     std::span<const ValueType> types;          ///< per node
@@ -98,17 +93,11 @@ class FlatSynopsis {
     FlatNodeId root = kNoFlatNode;
   };
 
-  /// Compiles `synopsis` into owned storage. Dead (merged-away) nodes are
-  /// skipped; edges to dead targets are dropped. Value summaries and the
-  /// label pool are deep-copied, so the FlatSynopsis is self-contained:
-  /// `synopsis` may be destroyed as soon as the constructor returns.
-  explicit FlatSynopsis(const GraphSynopsis& synopsis);
-
-  /// The value-summary pool of a mapped image, still in its encoded wire
-  /// form: `offsets[i] .. offsets[i+1]` slices summary i out of `blob`.
+  /// The value-summary pool, still in its encoded record form:
+  /// `offsets[i] .. offsets[i+1]` slices summary i out of `blob`.
   /// Summaries are decoded lazily, per slot, on first access — the pool
   /// contributes nothing to cold-start latency.
-  struct MappedSummaryPool {
+  struct SummaryPool {
     std::string_view blob;
     std::span<const uint64_t> offsets;  ///< count + 1 entries
     uint32_t count() const {
@@ -116,23 +105,22 @@ class FlatSynopsis {
     }
   };
 
-  /// Wraps externally backed columns (the XCSF mmap path). Everything —
-  /// columns, string tables, and the still-encoded summary pool — points
-  /// into the image that `backing` keeps alive (an mmapped file or an
-  /// adopted wire buffer). The caller (storage::XcsfMmapView) is
-  /// responsible for having validated all of it.
-  FlatSynopsis(const Columns& columns, MappedSummaryPool summaries,
-               FlatStringTable labels, std::optional<FlatStringTable> terms,
+  /// Wraps the parts of `image` that storage's attach has validated:
+  /// columns, string tables and the encoded summary pool all point into
+  /// `image`, which `backing` keeps alive.
+  FlatSynopsis(std::string_view image, const Columns& columns,
+               SummaryPool summaries, FlatStringTable labels,
+               std::optional<FlatStringTable> terms,
                std::shared_ptr<const void> backing);
 
   ~FlatSynopsis();
 
   FlatSynopsis(const FlatSynopsis&) = delete;
   FlatSynopsis& operator=(const FlatSynopsis&) = delete;
-  // Not movable either: cols_ spans point into owned_ for the compiled
-  // form. Held by unique_ptr everywhere.
-  FlatSynopsis(FlatSynopsis&&) = delete;
-  FlatSynopsis& operator=(FlatSynopsis&&) = delete;
+
+  /// The whole XCSF image: what XCluster::Save writes and a served
+  /// snapshot reports as its size.
+  std::string_view image() const { return image_; }
 
   uint32_t num_nodes() const {
     return static_cast<uint32_t>(cols_.counts.size());
@@ -143,17 +131,11 @@ class FlatSynopsis {
   SymbolId label(FlatNodeId n) const { return cols_.labels[n]; }
   ValueType type(FlatNodeId n) const { return cols_.types[n]; }
   double count(FlatNodeId n) const { return cols_.counts[n]; }
-  /// Null when the node has no summary. Compiled form: resolved once at
-  /// construction. Mapped form: decoded from the image on first access
-  /// (thread-safe; concurrent first touches race benignly, one decode
-  /// wins) — cold start never pays for summaries the workload never hits.
+  /// Null when the node has no summary; otherwise summary() of its pool
+  /// index.
   const ValueSummary* vsumm(FlatNodeId n) const {
-    if (lazy_slots_ == nullptr) return vsumms_[n];
     const uint32_t index = cols_.vsumm_index[n];
-    if (index == kNoSummary) return nullptr;
-    const ValueSummary* decoded =
-        lazy_slots_[index].load(std::memory_order_acquire);
-    return decoded != nullptr ? decoded : DecodeLazySummary(index);
+    return index == kNoSummary ? nullptr : summary(index);
   }
 
   /// Raw CSR children of `n` in original child order.
@@ -177,49 +159,28 @@ class FlatSynopsis {
   /// Resolves a query label against the synopsis label pool
   /// (kInvalidSymbol when the tag never occurs in the synopsis).
   SymbolId LookupLabel(std::string_view label) const {
-    return mapped_labels_.valid() ? mapped_labels_.Lookup(label)
-                                  : labels_pool_.Lookup(label);
+    return labels_.Lookup(label);
   }
 
-  /// Query-time term resolution; null when the synopsis carries no term
-  /// dictionary. Compiled form: the shared TermDictionary. Mapped form:
-  /// binary search over the image's sorted term index.
+  /// Query-time term resolution (binary search over the image's sorted
+  /// term index); null when the synopsis carries no term dictionary.
   const TermResolver* term_resolver() const {
-    if (mapped_terms_.has_value()) return &mapped_terms_.value();
-    return dict_.get();
+    return terms_.has_value() ? &terms_.value() : nullptr;
   }
 
-  /// The compiled form's shared dictionary (null for mapped synopses,
-  /// which resolve terms via term_resolver() without hydrating one).
-  std::shared_ptr<TermDictionary> term_dictionary() const { return dict_; }
-
-  /// Uniform string/summary enumeration across both forms, for re-encoding
-  /// (the XCSF writer). `summary` decodes lazily on the mapped form.
-  size_t num_labels() const {
-    return mapped_labels_.valid() ? mapped_labels_.size()
-                                  : labels_pool_.size();
-  }
-  std::string_view label_string(SymbolId id) const {
-    return mapped_labels_.valid() ? mapped_labels_.Get(id)
-                                  : std::string_view(labels_pool_.Get(id));
-  }
-  size_t num_terms() const {
-    if (mapped_terms_.has_value()) return mapped_terms_->size();
-    return dict_ != nullptr ? dict_->size() : 0;
-  }
-  std::string_view term_string(TermId id) const {
-    return mapped_terms_.has_value() ? mapped_terms_->Get(id)
-                                     : std::string_view(dict_->Get(id));
-  }
-  uint32_t num_summaries() const {
-    return lazy_slots_ != nullptr ? lazy_pool_.count()
-                                  : static_cast<uint32_t>(summaries_.size());
-  }
+  /// String and summary enumeration, for ToGraph.
+  size_t num_labels() const { return labels_.size(); }
+  std::string_view label_string(SymbolId id) const { return labels_.Get(id); }
+  size_t num_terms() const { return terms_.has_value() ? terms_->size() : 0; }
+  std::string_view term_string(TermId id) const { return terms_->Get(id); }
+  uint32_t num_summaries() const { return pool_.count(); }
+  /// Summary `index` of the pool, decoded on first access (thread-safe:
+  /// concurrent first touches race benignly, one decode wins) — cold start
+  /// never pays for summaries the workload never hits.
   const ValueSummary* summary(uint32_t index) const {
-    if (lazy_slots_ == nullptr) return &summaries_[index];
     const ValueSummary* decoded =
-        lazy_slots_[index].load(std::memory_order_acquire);
-    return decoded != nullptr ? decoded : DecodeLazySummary(index);
+        slots_[index].load(std::memory_order_acquire);
+    return decoded != nullptr ? decoded : DecodeSummary(index);
   }
 
   /// Original arena id of flat node `n` (for diagnostics / tests).
@@ -227,73 +188,35 @@ class FlatSynopsis {
   /// Flat id of arena node `id`; kNoFlatNode for dead nodes.
   FlatNodeId flat_of(SynNodeId id) const { return cols_.flat_of[id]; }
 
-  /// The raw columnar views (the XCSF writer serializes these verbatim).
-  const Columns& columns() const { return cols_; }
-  /// The owned value-summary pool of the compiled form (empty when mapped;
-  /// use num_summaries()/summary() for form-agnostic access).
-  std::span<const ValueSummary> summaries() const { return summaries_; }
-  /// The owned label pool of the compiled form (empty when mapped; use
-  /// num_labels()/label_string()/LookupLabel for form-agnostic access).
-  const StringPool& labels_pool() const { return labels_pool_; }
-  /// True when the columns point into an external (mmapped/adopted) image.
-  bool mapped() const { return backing_ != nullptr; }
-
-  /// Approximate resident bytes of the flat arrays plus the owned summary
-  /// pool. For the mapped form the column bytes live in the page cache;
-  /// the figure still reports them as the cost of keeping the view hot.
-  size_t MemoryBytes() const;
-
  private:
-  void BuildSummaryPointers();
-  /// Decodes summary `index` out of the mapped pool, publishes it into
-  /// lazy_slots_ (first decode wins, losers are discarded), and returns
-  /// the published pointer. Never fails: a blob that does not decode —
-  /// unreachable behind the section CRC validated at load — publishes a
-  /// shared empty summary instead of crashing the serve path.
-  const ValueSummary* DecodeLazySummary(uint32_t index) const;
+  /// Decodes summary `index` out of the pool, publishes it into slots_
+  /// (first decode wins, losers are discarded), and returns the published
+  /// pointer. Never fails: a record that does not decode — the pool's CRC
+  /// only proves the bytes are the writer's — publishes an empty summary
+  /// instead of crashing the serve path.
+  const ValueSummary* DecodeSummary(uint32_t index) const;
 
-  /// Backing vectors for the compiled form (all empty when mapped).
-  struct OwnedColumns {
-    std::vector<SymbolId> labels;
-    std::vector<ValueType> types;
-    std::vector<double> counts;
-    std::vector<uint32_t> vsumm_index;
-    std::vector<SynNodeId> syn_of;
-    std::vector<FlatNodeId> flat_of;
-    std::vector<uint32_t> edge_offsets;
-    std::vector<FlatNodeId> edge_targets;
-    std::vector<double> edge_counts;
-    std::vector<SymbolId> sorted_edge_labels;
-    std::vector<FlatNodeId> sorted_edge_targets;
-    std::vector<double> sorted_edge_counts;
-  };
-
-  OwnedColumns owned_;
+  std::string_view image_;
   Columns cols_;
-  std::vector<ValueSummary> summaries_;      ///< compiled form's owned pool
-  std::vector<const ValueSummary*> vsumms_;  ///< per node, compiled hot path
-  StringPool labels_pool_;                   ///< compiled form only
-  std::shared_ptr<TermDictionary> dict_;     ///< compiled form only
-  /// Mapped form: image-backed string tables and the encoded summary pool
-  /// plus its lazy decode cache (one atomic slot per pool entry).
-  FlatStringTable mapped_labels_;
-  std::optional<FlatStringTable> mapped_terms_;
-  MappedSummaryPool lazy_pool_;
-  std::unique_ptr<std::atomic<const ValueSummary*>[]> lazy_slots_;
-  std::shared_ptr<const void> backing_;  ///< pins a mapped image; else null
+  FlatStringTable labels_;
+  std::optional<FlatStringTable> terms_;
+  SummaryPool pool_;
+  /// One slot per pool entry: null until the entry is first decoded.
+  std::unique_ptr<std::atomic<const ValueSummary*>[]> slots_;
+  std::shared_ptr<const void> backing_;  ///< pins the image
 };
 
-/// Rebuilds the GraphSynopsis a FlatSynopsis holds: the inverse of the
-/// compile constructor. Labels and terms are interned in id order, one
-/// node is added per flat node (with its value summary) and one edge per
-/// CSR edge in stored order, so `FlatSynopsis(ToGraph(flat))` has the same
-/// columns, pools and summaries as `flat` whenever flat's source graph was
-/// compacted (syn_of is the identity). The result always carries a term
-/// dictionary, empty when `flat` has no terms.
+/// Rebuilds the GraphSynopsis a FlatSynopsis holds: the inverse of
+/// storage::XcsfWriter::Encode. Labels and terms are interned in id order,
+/// one node is added per flat node (with its value summary) and one edge
+/// per CSR edge in stored order, so encoding `ToGraph(flat)` reproduces
+/// `flat.image()` byte for byte whenever flat's source graph was compacted
+/// (syn_of is the identity). The result always carries a term dictionary,
+/// empty when `flat` has no terms.
 ///
-/// On a mapped synopsis, each summary decodes here; a record that does not
-/// decode comes back empty (see FlatSynopsis::vsumm). Callers that must
-/// reject such an image run storage::VerifyXcsfBytes first.
+/// Each summary decodes here; a record that does not decode comes back
+/// empty (see FlatSynopsis::summary). Callers that must reject such an
+/// image run storage::VerifyXcsfBytes first.
 GraphSynopsis ToGraph(const FlatSynopsis& flat);
 
 }  // namespace xcluster

@@ -8,7 +8,7 @@
 
 #include "common/io/file_io.h"
 #include "common/telemetry/telemetry.h"
-#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_reader.h"
 
 namespace xcluster {
 
@@ -120,8 +120,8 @@ std::shared_ptr<const StoredSynopsis> SynopsisStore::Install(
   const bool pinned = generation != 0;
   generation = AssignGeneration(generation);
   // Build the snapshot before touching the shard, so the lock covers only
-  // the pointer swap. It keeps the compiled FlatSynopsis; the graph goes
-  // away with `synopsis` when this returns.
+  // the pointer swap. It keeps the FlatSynopsis; the graph goes away with
+  // `synopsis` when this returns.
   auto snapshot = StoredSynopsis::Make(name, synopsis.flat(),
                                        synopsis.SizeBytes(), generation,
                                        estimator_options_, std::move(source));
@@ -133,16 +133,17 @@ Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::LoadFile(
     const std::string& source) {
   // Validate + mmap, serve zero-copy. No graph is ever built; a failed
   // validation leaves any existing snapshot untouched.
-  Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(path);
-  if (!view.ok()) {
-    if (source.empty()) return view.status();
+  Result<std::shared_ptr<const FlatSynopsis>> flat = storage::OpenXcsf(path);
+  if (!flat.ok()) {
+    if (source.empty()) return flat.status();
     // A load requested over the wire: the failure must name the peer
     // that asked for it, not just the server-side path.
-    return Status::WithContext(view.status(), "load requested by " + source);
+    return Status::WithContext(flat.status(), "load requested by " + source);
   }
+  const size_t image_bytes = flat.value()->image().size();
   auto snapshot = StoredSynopsis::Make(
-      name, view.value().shared_flat(), view.value().image_bytes(),
-      AssignGeneration(0), estimator_options_, source.empty() ? path : source);
+      name, std::move(flat).value(), image_bytes, AssignGeneration(0),
+      estimator_options_, source.empty() ? path : source);
   XCLUSTER_COUNTER_INC("service.store.mmap_loads");
   return Publish(name, std::move(snapshot), /*pinned=*/false);
 }
@@ -155,22 +156,22 @@ Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::InstallFromWire(
   // adopted in place (one copy off the wire, no file).
   std::string spool_path;
   std::string temp_path;
-  Result<storage::XcsfMmapView> view = [&]() -> Result<storage::XcsfMmapView> {
-    if (spool_dir_.empty()) {
-      return storage::XcsfMmapView::Adopt(std::string(bytes));
-    }
+  Result<std::shared_ptr<const FlatSynopsis>> flat =
+      [&]() -> Result<std::shared_ptr<const FlatSynopsis>> {
+    if (spool_dir_.empty()) return storage::AdoptXcsf(std::string(bytes));
     spool_path = spool_dir_ + "/" + SpoolFileName(name);
     XCLUSTER_ASSIGN_OR_RETURN(temp_path, WriteTempSibling(spool_path, bytes));
-    return storage::XcsfMmapView::Open(temp_path);
+    return storage::OpenXcsf(temp_path);
   }();
-  if (!view.ok()) {
+  if (!flat.ok()) {
     if (!temp_path.empty()) std::remove(temp_path.c_str());
-    return Status::WithContext(view.status(), "install from " + source);
+    return Status::WithContext(flat.status(), "install from " + source);
   }
   const bool pinned = generation != 0;
+  const size_t image_bytes = flat.value()->image().size();
   auto snapshot = StoredSynopsis::Make(
-      name, view.value().shared_flat(), view.value().image_bytes(),
-      AssignGeneration(generation), estimator_options_, "wire:" + source);
+      name, std::move(flat).value(), image_bytes, AssignGeneration(generation),
+      estimator_options_, "wire:" + source);
   std::shared_ptr<const StoredSynopsis> installed;
   if (temp_path.empty()) {
     installed = Publish(name, std::move(snapshot), pinned);

@@ -21,11 +21,10 @@ namespace xcluster {
 /// One immutable synopsis snapshot served by a SynopsisStore: a name, one
 /// FlatSynopsis, the FlatEstimator over it, and metadata.
 ///
-/// The FlatSynopsis is either compiled in RAM (graph installs compile it
-/// and drop the graph) or mapped from a validated XCSF image, in which
-/// case it pins the mapping itself; flat().mapped() tells the two apart.
-/// Estimates are bit-identical either way, because the image *is* the
-/// compiled form's bytes.
+/// The FlatSynopsis is a validated XCSF image — compiled from a graph
+/// install (the graph is dropped), mapped from a file, or adopted from a
+/// wire push — and pins its image itself. Estimates are bit-identical
+/// whichever way it arrived, because it is the same bytes.
 ///
 /// Snapshots are shared out as `shared_ptr<const StoredSynopsis>`; a
 /// snapshot stays alive for as long as any in-flight request holds it,
@@ -35,8 +34,8 @@ namespace xcluster {
 class StoredSynopsis {
  public:
   /// Wraps `flat`. `size_bytes` is the resident size reported by
-  /// size_bytes(): the synopsis size model for compiled snapshots, the
-  /// image byte count for mapped ones.
+  /// size_bytes(): the synopsis size model for graph installs, the image
+  /// byte count for loaded and wire-installed ones.
   static std::shared_ptr<const StoredSynopsis> Make(
       std::string name, std::shared_ptr<const FlatSynopsis> flat,
       size_t size_bytes, uint64_t generation,
@@ -44,8 +43,7 @@ class StoredSynopsis {
 
   const std::string& name() const { return name_; }
 
-  /// The read-optimized flat form — compiled in RAM or mapped from disk —
-  /// pinned for the snapshot's lifetime.
+  /// The read-optimized flat form, pinned for the snapshot's lifetime.
   const FlatSynopsis& flat() const { return *flat_; }
 
   /// The serving hot path: estimates CompiledTwig plans over flat().

@@ -1,7 +1,9 @@
 #include "storage/xcsf_writer.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "common/telemetry/telemetry.h"
 #include "core/serialize.h"
 #include "storage/xcsf_format.h"
+#include "storage/xcsf_reader.h"
 
 namespace xcluster {
 namespace storage {
@@ -26,9 +29,9 @@ void AppendU64(std::string* out, uint64_t v) {
 }
 
 template <typename T>
-std::string_view AsBytes(std::span<const T> span) {
-  return std::string_view(reinterpret_cast<const char*>(span.data()),
-                          span.size_bytes());
+std::string_view AsBytes(const std::vector<T>& column) {
+  return std::string_view(reinterpret_cast<const char*>(column.data()),
+                          column.size() * sizeof(T));
 }
 
 /// String table: u32 count | u32 zero | u32 offsets[count+1] | bytes.
@@ -48,29 +51,9 @@ std::string EncodeStringTable(size_t count, GetString&& get) {
   return out;
 }
 
-/// Blob table: u32 count | u32 zero | u64 offsets[count+1] | blobs.
-std::string EncodeSummaryPool(const FlatSynopsis& flat) {
-  const uint32_t count = flat.num_summaries();
-  std::string blobs;
-  std::vector<uint64_t> offsets;
-  offsets.reserve(count + 1);
-  StringSink sink(&blobs);
-  for (uint32_t i = 0; i < count; ++i) {
-    offsets.push_back(blobs.size());
-    EncodeValueSummary(*flat.summary(i), &sink);
-  }
-  offsets.push_back(blobs.size());
-  std::string out;
-  AppendU32(&out, count);
-  AppendU32(&out, 0);
-  for (uint64_t offset : offsets) AppendU64(&out, offset);
-  out.append(blobs);
-  return out;
-}
-
 /// Sort-index section: the pool ids permuted into ascending string order,
-/// so a mapped reader resolves lookups by binary search instead of
-/// hydrating a hash index at load time.
+/// so a reader resolves lookups by binary search instead of hydrating a
+/// hash index at load time.
 template <typename GetString>
 std::string EncodeSortIndex(size_t count, GetString&& get) {
   std::vector<uint32_t> order(count);
@@ -81,26 +64,141 @@ std::string EncodeSortIndex(size_t count, GetString&& get) {
                      order.size() * sizeof(uint32_t));
 }
 
+/// The columns of a FlatSynopsis laid out from a graph: alive nodes
+/// numbered in arena order, CSR edges in child order (edges to dead
+/// targets dropped), each node's edges stable-sorted by child label, and
+/// the value summaries encoded into the pool in node order.
+struct GraphColumns {
+  std::vector<SymbolId> labels;
+  std::vector<ValueType> types;
+  std::vector<double> counts;
+  std::vector<uint32_t> vsumm_index;
+  std::vector<SynNodeId> syn_of;
+  std::vector<FlatNodeId> flat_of;
+  std::vector<uint32_t> edge_offsets;
+  std::vector<FlatNodeId> edge_targets;
+  std::vector<double> edge_counts;
+  std::vector<SymbolId> sorted_edge_labels;
+  std::vector<FlatNodeId> sorted_edge_targets;
+  std::vector<double> sorted_edge_counts;
+  FlatNodeId root = kNoFlatNode;
+  std::string summary_pool;  ///< u32 count | u32 zero | u64 offsets | blobs
+};
+
+GraphColumns LayOutColumns(const GraphSynopsis& graph) {
+  GraphColumns cols;
+  const size_t arena = graph.arena_size();
+  cols.flat_of.assign(arena, kNoFlatNode);
+  for (SynNodeId id = 0; id < arena; ++id) {
+    if (!graph.node(id).alive) continue;
+    cols.flat_of[id] = static_cast<FlatNodeId>(cols.syn_of.size());
+    cols.syn_of.push_back(id);
+  }
+  const size_t n = cols.syn_of.size();
+  cols.labels.resize(n);
+  cols.types.resize(n);
+  cols.counts.resize(n);
+  cols.vsumm_index.resize(n);
+  cols.edge_offsets.assign(n + 1, 0);
+
+  std::string blobs;
+  StringSink sink(&blobs);
+  std::vector<uint64_t> pool_offsets;
+  for (FlatNodeId f = 0; f < n; ++f) {
+    const SynNode& node = graph.node(cols.syn_of[f]);
+    cols.labels[f] = node.label;
+    cols.types[f] = node.type;
+    cols.counts[f] = node.count;
+    if (node.vsumm.empty()) {
+      cols.vsumm_index[f] = FlatSynopsis::kNoSummary;
+    } else {
+      cols.vsumm_index[f] = static_cast<uint32_t>(pool_offsets.size());
+      pool_offsets.push_back(blobs.size());
+      EncodeValueSummary(node.vsumm, &sink);
+    }
+    for (const SynEdge& edge : node.children) {
+      if (cols.flat_of[edge.target] != kNoFlatNode) {
+        ++cols.edge_offsets[f + 1];
+      }
+    }
+  }
+  pool_offsets.push_back(blobs.size());
+  AppendU32(&cols.summary_pool,
+            static_cast<uint32_t>(pool_offsets.size() - 1));
+  AppendU32(&cols.summary_pool, 0);
+  for (const uint64_t offset : pool_offsets) {
+    AppendU64(&cols.summary_pool, offset);
+  }
+  cols.summary_pool.append(blobs);
+
+  std::partial_sum(cols.edge_offsets.begin(), cols.edge_offsets.end(),
+                   cols.edge_offsets.begin());
+  const size_t m = cols.edge_offsets[n];
+  cols.edge_targets.resize(m);
+  cols.edge_counts.resize(m);
+  for (FlatNodeId f = 0; f < n; ++f) {
+    size_t e = cols.edge_offsets[f];
+    for (const SynEdge& edge : graph.node(cols.syn_of[f]).children) {
+      const FlatNodeId target = cols.flat_of[edge.target];
+      if (target == kNoFlatNode) continue;
+      cols.edge_targets[e] = target;
+      cols.edge_counts[e] = edge.avg_count;
+      ++e;
+    }
+  }
+
+  // Per-label index: each node's edge range stable-sorted by child label,
+  // so one label's children stay in original order (the graph's child
+  // order, which fixes the summation order).
+  cols.sorted_edge_labels.resize(m);
+  cols.sorted_edge_targets.resize(m);
+  cols.sorted_edge_counts.resize(m);
+  std::vector<uint32_t> order;
+  for (FlatNodeId f = 0; f < n; ++f) {
+    const size_t begin = cols.edge_offsets[f];
+    const size_t end = cols.edge_offsets[f + 1];
+    order.resize(end - begin);
+    std::iota(order.begin(), order.end(), static_cast<uint32_t>(begin));
+    std::stable_sort(order.begin(), order.end(),
+                     [&cols](uint32_t a, uint32_t b) {
+                       return cols.labels[cols.edge_targets[a]] <
+                              cols.labels[cols.edge_targets[b]];
+                     });
+    for (size_t i = 0; i < order.size(); ++i) {
+      const uint32_t e = order[i];
+      cols.sorted_edge_labels[begin + i] = cols.labels[cols.edge_targets[e]];
+      cols.sorted_edge_targets[begin + i] = cols.edge_targets[e];
+      cols.sorted_edge_counts[begin + i] = cols.edge_counts[e];
+    }
+  }
+  if (graph.root() != kNoSynNode && graph.root() < arena) {
+    cols.root = cols.flat_of[graph.root()];
+  }
+  return cols;
+}
+
 struct PendingSection {
   uint32_t id = 0;
   std::string owned;       ///< used when view is empty
-  std::string_view view;   ///< zero-copy reference into the FlatSynopsis
+  std::string_view view;   ///< zero-copy reference into GraphColumns
   std::string_view payload() const { return view.data() ? view : owned; }
 };
 
 }  // namespace
 
-Status XcsfWriter::Encode(const FlatSynopsis& flat, std::string* out) {
+Status XcsfWriter::Encode(const GraphSynopsis& graph, std::string* out) {
   XCLUSTER_TRACE_SPAN("storage.xcsf_encode");
   XCLUSTER_SCOPED_TIMER_NS("storage.xcsf.encode_ns");
-  const FlatSynopsis::Columns& cols = flat.columns();
-  const auto label_at = [&flat](size_t i) {
-    return flat.label_string(static_cast<SymbolId>(i));
+  const GraphColumns cols = LayOutColumns(graph);
+  const StringPool& labels = graph.labels();
+  const TermDictionary* terms = graph.term_dictionary().get();
+  const auto label_at = [&labels](size_t i) -> std::string_view {
+    return labels.Get(static_cast<SymbolId>(i));
   };
-  const auto term_at = [&flat](size_t i) {
-    return flat.term_string(static_cast<TermId>(i));
+  const auto term_at = [terms](size_t i) -> std::string_view {
+    return terms->Get(static_cast<TermId>(i));
   };
-  const bool has_terms = flat.num_terms() > 0;
+  const bool has_terms = terms != nullptr && terms->size() > 0;
 
   std::vector<PendingSection> sections;
   auto add_view = [&sections](uint32_t id, std::string_view bytes) {
@@ -123,15 +221,14 @@ Status XcsfWriter::Encode(const FlatSynopsis& flat, std::string* out) {
   add_view(kXcsfSortedEdgeLabels, AsBytes(cols.sorted_edge_labels));
   add_view(kXcsfSortedEdgeTargets, AsBytes(cols.sorted_edge_targets));
   add_view(kXcsfSortedEdgeCounts, AsBytes(cols.sorted_edge_counts));
-  add_owned(kXcsfLabelPool, EncodeStringTable(flat.num_labels(), label_at));
+  add_owned(kXcsfLabelPool, EncodeStringTable(labels.size(), label_at));
   if (has_terms) {
-    add_owned(kXcsfTermPool, EncodeStringTable(flat.num_terms(), term_at));
+    add_owned(kXcsfTermPool, EncodeStringTable(terms->size(), term_at));
   }
-  add_owned(kXcsfSummaryPool, EncodeSummaryPool(flat));
-  add_owned(kXcsfLabelSortIndex,
-            EncodeSortIndex(flat.num_labels(), label_at));
+  add_view(kXcsfSummaryPool, cols.summary_pool);
+  add_owned(kXcsfLabelSortIndex, EncodeSortIndex(labels.size(), label_at));
   if (has_terms) {
-    add_owned(kXcsfTermSortIndex, EncodeSortIndex(flat.num_terms(), term_at));
+    add_owned(kXcsfTermSortIndex, EncodeSortIndex(terms->size(), term_at));
   }
 
   // Lay out payload offsets: sections in declaration order, each aligned.
@@ -176,7 +273,7 @@ Status XcsfWriter::Encode(const FlatSynopsis& flat, std::string* out) {
   AppendU64(&file, file_size);
   AppendU32(&file, kXcsfEndianCheck);
   AppendU32(&file, static_cast<uint32_t>(sections.size()));
-  AppendU32(&file, flat.num_nodes());
+  AppendU32(&file, static_cast<uint32_t>(cols.syn_of.size()));
   AppendU32(&file, cols.root);
   AppendU64(&file, cols.edge_targets.size());
   AppendU32(&file, static_cast<uint32_t>(cols.flat_of.size()));
@@ -201,19 +298,29 @@ Status XcsfWriter::Encode(const FlatSynopsis& flat, std::string* out) {
   return Status::OK();
 }
 
-Status XcsfWriter::Write(const FlatSynopsis& flat, const std::string& path,
-                         bool sync) {
+Status XcsfWriter::WriteGraph(const GraphSynopsis& graph,
+                              const std::string& path, bool sync) {
   std::string image;
-  XCLUSTER_RETURN_IF_ERROR(Encode(flat, &image));
+  XCLUSTER_RETURN_IF_ERROR(Encode(graph, &image));
   XCLUSTER_RETURN_IF_ERROR(WriteFileAtomic(path, image, sync));
   XCLUSTER_COUNTER_INC("storage.xcsf.writes");
   return Status::OK();
 }
 
-Status XcsfWriter::WriteGraph(const GraphSynopsis& graph,
-                              const std::string& path, bool sync) {
-  FlatSynopsis flat(graph);
-  return Write(flat, path, sync);
+std::shared_ptr<const FlatSynopsis> CompileXcsf(const GraphSynopsis& graph) {
+  std::string image;
+  Status status = XcsfWriter::Encode(graph, &image);
+  if (status.ok()) {
+    Result<std::shared_ptr<const FlatSynopsis>> flat =
+        AdoptXcsf(std::move(image));
+    if (flat.ok()) return std::move(flat).value();
+    status = flat.status();
+  }
+  // Every graph encodes to an image its own validator accepts; anything
+  // else is a writer/reader disagreement, not bad input, and serving on
+  // would mean serving a synopsis other than `graph`.
+  std::fprintf(stderr, "CompileXcsf: %s\n", status.ToString().c_str());
+  std::abort();
 }
 
 }  // namespace storage

@@ -49,12 +49,11 @@ double NormalizedMagnitude(uint32_t index, double value, size_t grid) {
 
 }  // namespace
 
-void WaveletSummary::InvalidateCache() const { cache_valid_ = false; }
-
 std::vector<double> WaveletSummary::Reconstruct() const {
+  if (grid_ == 0) return {};
   std::vector<double> dense(grid_, 0.0);
   for (const Coefficient& c : coefficients_) dense[c.index] = c.value;
-  std::vector<double> current = {dense.empty() ? 0.0 : dense[0]};
+  std::vector<double> current = {dense[0]};
   size_t len = 1;
   while (len < grid_) {
     std::vector<double> next(len * 2);
@@ -67,14 +66,6 @@ std::vector<double> WaveletSummary::Reconstruct() const {
     len *= 2;
   }
   return current;
-}
-
-const std::vector<double>& WaveletSummary::Cells() const {
-  if (!cache_valid_) {
-    cell_cache_ = Reconstruct();
-    cache_valid_ = true;
-  }
-  return cell_cache_;
 }
 
 WaveletSummary WaveletSummary::FromCells(const std::vector<double>& cells,
@@ -110,6 +101,7 @@ WaveletSummary WaveletSummary::FromCells(const std::vector<double>& cells,
   for (uint32_t index : order) {
     summary.coefficients_.push_back({index, coeffs[index]});
   }
+  summary.cells_ = summary.Reconstruct();
   return summary;
 }
 
@@ -124,8 +116,9 @@ WaveletSummary WaveletSummary::Build(const std::vector<int64_t>& values,
     hi = std::max(hi, v);
   }
   const int64_t width = hi - lo + 1;
-  const size_t cells = NextPowerOfTwo(static_cast<size_t>(
-      std::min<int64_t>(static_cast<int64_t>(grid), width)));
+  const size_t cells = std::min(
+      kWaveletMaxGrid, NextPowerOfTwo(static_cast<size_t>(std::min<int64_t>(
+                           static_cast<int64_t>(grid), width))));
   const int64_t cell_width =
       (width + static_cast<int64_t>(cells) - 1) / static_cast<int64_t>(cells);
 
@@ -146,13 +139,13 @@ WaveletSummary WaveletSummary::Merge(const WaveletSummary& a,
   // Resolve the merged grid against the union domain (not the input grids,
   // which may each cover a narrow sub-range).
   const size_t cells = NextPowerOfTwo(static_cast<size_t>(
-      std::min<int64_t>(256, width)));
+      std::min<int64_t>(kWaveletMaxGrid, width)));
   const int64_t cell_width =
       (width + static_cast<int64_t>(cells) - 1) / static_cast<int64_t>(cells);
 
   std::vector<double> counts(cells, 0.0);
   auto deposit = [&](const WaveletSummary& src) {
-    const std::vector<double>& src_cells = src.Cells();
+    const std::vector<double>& src_cells = src.cells_;
     for (size_t i = 0; i < src_cells.size(); ++i) {
       if (src_cells[i] == 0.0) continue;
       // Spread the source cell's mass over the destination cells it
@@ -180,7 +173,7 @@ WaveletSummary WaveletSummary::Merge(const WaveletSummary& a,
 
 double WaveletSummary::EstimateRange(int64_t lo, int64_t hi) const {
   if (grid_ == 0 || lo > hi) return 0.0;
-  const std::vector<double>& cells = Cells();
+  const std::vector<double>& cells = cells_;
   double estimate = 0.0;
   for (size_t i = 0; i < cells.size(); ++i) {
     const double cell_count = std::max(0.0, cells[i]);
@@ -216,7 +209,7 @@ void WaveletSummary::Compress(size_t num) {
     }
     coefficients_.erase(coefficients_.begin() + static_cast<ptrdiff_t>(worst));
   }
-  InvalidateCache();
+  cells_ = Reconstruct();
 }
 
 WaveletSummary WaveletSummary::FromCoefficients(
@@ -234,6 +227,13 @@ WaveletSummary WaveletSummary::FromCoefficients(
   summary.domain_hi_ =
       domain_lo + static_cast<int64_t>(grid) * cell_width - 1;
   summary.total_ = total;
+  // Only coefficients that fit a power-of-two grid reconstruct; any other
+  // summary keeps no cells and estimates 0.
+  const bool fits =
+      (grid & (grid - 1)) == 0 &&
+      std::all_of(summary.coefficients_.begin(), summary.coefficients_.end(),
+                  [grid](const Coefficient& c) { return c.index < grid; });
+  if (grid > 0 && fits) summary.cells_ = summary.Reconstruct();
   return summary;
 }
 

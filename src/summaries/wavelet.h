@@ -7,6 +7,10 @@
 
 namespace xcluster {
 
+/// Largest wavelet grid: Build's default, the merged grid's bound, and the
+/// cap the value-summary decoder enforces.
+inline constexpr size_t kWaveletMaxGrid = 256;
+
 /// Haar-wavelet summary of a NUMERIC value distribution — one of the
 /// alternative numeric summarization tools the paper names alongside
 /// histograms (Sec. 3, citing Matias/Vitter/Wang). The frequency vector
@@ -23,9 +27,10 @@ class WaveletSummary {
 
   /// Builds a summary of `values` retaining at most `max_coefficients`
   /// Haar coefficients over a grid of at most `grid` cells (rounded to a
-  /// power of two).
+  /// power of two, never past kWaveletMaxGrid).
   static WaveletSummary Build(const std::vector<int64_t>& values,
-                              size_t max_coefficients, size_t grid = 256);
+                              size_t max_coefficients,
+                              size_t grid = kWaveletMaxGrid);
 
   /// Fuses two summaries: reconstructs both frequency vectors on a common
   /// grid, adds them, and re-encodes keeping the combined coefficient
@@ -67,7 +72,9 @@ class WaveletSummary {
   int64_t cell_width() const { return cell_width_; }
   size_t grid() const { return grid_; }
 
-  /// Reconstructs a summary from serialized parts.
+  /// Reconstructs a summary from serialized parts. Coefficients that do
+  /// not fit a power-of-two `grid` leave a summary that estimates 0 (the
+  /// value-summary decoder rejects such records).
   static WaveletSummary FromCoefficients(std::vector<Coefficient> coeffs,
                                          int64_t domain_lo,
                                          int64_t cell_width, size_t grid,
@@ -77,9 +84,6 @@ class WaveletSummary {
 
   /// Reconstructs the (approximate) per-cell frequency vector.
   std::vector<double> Reconstruct() const;
-
-  void InvalidateCache() const;
-  const std::vector<double>& Cells() const;
 
   static WaveletSummary FromCells(const std::vector<double>& cells,
                                   int64_t domain_lo, int64_t cell_width,
@@ -92,8 +96,10 @@ class WaveletSummary {
   size_t grid_ = 0;  // power of two, 0 when empty
   double total_ = 0.0;
 
-  mutable std::vector<double> cell_cache_;
-  mutable bool cache_valid_ = false;
+  /// Reconstruct() of the retained coefficients, recomputed whenever they
+  /// change, so a built summary is immutable and estimates from many
+  /// threads at once. Empty for an empty grid.
+  std::vector<double> cells_;
 };
 
 }  // namespace xcluster

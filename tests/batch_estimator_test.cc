@@ -23,6 +23,7 @@
 #include "oracle/xcluster_estimator.h"
 #include "query/parser.h"
 #include "service/service.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/graph.h"
 
 namespace xcluster {
@@ -75,7 +76,9 @@ GraphSynopsis MakeCyclic() {
 
 TEST(BatchPlanTest, SameSkeletonDifferentPredicatesShareAGroup) {
   GraphSynopsis synopsis = MakeFig7();
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   // Identical structure, different range predicates: one group, two lanes.
   const CompiledTwig p1 =
       CompiledTwig::Compile(MustParse("/A/B/C[range(0,4)]"), flat);
@@ -103,7 +106,9 @@ TEST(BatchPlanTest, GroupKeysStableAcrossRecompiles) {
   // The same query compiled twice (as on a plan-cache hit or across
   // batches within a generation) must land in the same group.
   GraphSynopsis synopsis = MakeFig7();
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   for (const char* query :
        {"/A/B/C[range(0,4)]", "//A//E", "/A/*", "//*", "/Z"}) {
     const CompiledTwig first = CompiledTwig::Compile(MustParse(query), flat);
@@ -115,7 +120,9 @@ TEST(BatchPlanTest, GroupKeysStableAcrossRecompiles) {
 
 TEST(BatchPlanTest, DuplicatePlansCollapseOntoOneLaneAndNullsAreSkipped) {
   GraphSynopsis synopsis = MakeFig7();
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const CompiledTwig p1 = CompiledTwig::Compile(MustParse("/A/B"), flat);
   const CompiledTwig p2 = CompiledTwig::Compile(MustParse("//E"), flat);
   // Slots 0, 2, 4 repeat the same plan object (plan-cache hit semantics);
@@ -138,7 +145,9 @@ TEST(BatchPlanTest, DuplicatePlansCollapseOntoOneLaneAndNullsAreSkipped) {
 /// bit-identical to the oracle's and to the one-lane Estimate.
 void ExpectLanesMatchOracle(const GraphSynopsis& synopsis,
                             const std::vector<std::string>& queries) {
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   FlatEstimator estimator(flat);
   const XClusterEstimator oracle(synopsis);
   std::vector<CompiledTwig> storage;
@@ -189,7 +198,9 @@ TEST(BatchEstimatorTest, UnknownTermLanesEstimateExactlyZero) {
 
 TEST(BatchEstimatorTest, EmptySynopsisLanesAreZero) {
   GraphSynopsis empty;
-  FlatSynopsis flat(empty);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(empty);
+  const FlatSynopsis& flat = *compiled;
   FlatEstimator estimator(flat);
   const CompiledTwig plan = CompiledTwig::Compile(MustParse("/A"), flat);
   BatchPlan partition = BatchPlan::Build({&plan});
@@ -207,7 +218,9 @@ TEST(BatchEstimatorTest, DescendantReachSharedWithinBatch) {
   // distinct (source, label) is computed once across the batch: the
   // reach cache misses once per distinct key and serves every re-read.
   GraphSynopsis synopsis = MakeCyclic();
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   FlatEstimator estimator(flat);
   const CompiledTwig p1 = CompiledTwig::Compile(MustParse("//text"), flat);
   const CompiledTwig p2 = CompiledTwig::Compile(MustParse("//parlist"), flat);

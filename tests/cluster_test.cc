@@ -22,7 +22,6 @@
 #include "net/server.h"
 #include "raw_peer.h"
 #include "service/service.h"
-#include "storage/xcsf_writer.h"
 
 namespace xcluster {
 namespace cluster {
@@ -41,10 +40,7 @@ XCluster MakeFixture() {
 
 /// The fixture as the XCSF image a replication push carries.
 std::string FixtureImage() {
-  std::string image;
-  EXPECT_TRUE(
-      storage::XcsfWriter::Encode(*MakeFixture().flat(), &image).ok());
-  return image;
+  return std::string(MakeFixture().flat()->image());
 }
 
 bool WaitFor(const std::function<bool()>& done) {

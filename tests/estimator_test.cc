@@ -17,6 +17,7 @@
 #include "estimate/flat_synopsis.h"
 #include "oracle/xcluster_estimator.h"
 #include "query/parser.h"
+#include "storage/xcsf_writer.h"
 
 namespace xcluster {
 namespace {
@@ -31,7 +32,9 @@ TwigQuery MustParse(std::string_view input) {
 /// double exactly.
 double Estimate(const GraphSynopsis& synopsis, const TwigQuery& query,
                 EstimateOptions options = EstimateOptions()) {
-  const FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const FlatEstimator estimator(flat, options);
   const double estimate =
       estimator.Estimate(CompiledTwig::Compile(query, flat));
@@ -49,7 +52,9 @@ double Estimate(const GraphSynopsis& synopsis, std::string_view twig,
 /// same doubles and the same rendering.
 EstimateExplanation Explain(const GraphSynopsis& synopsis,
                             std::string_view twig) {
-  const FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const FlatEstimator estimator(flat);
   const TwigQuery query = MustParse(twig);
   EstimateExplanation explanation =

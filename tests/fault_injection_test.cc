@@ -11,7 +11,7 @@
 
 #include "common/io/fault_injection.h"
 #include "estimate/flat_synopsis.h"
-#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_reader.h"
 #include "storage/xcsf_writer.h"
 #include "synopsis/graph.h"
 
@@ -112,18 +112,17 @@ GraphSynopsis MakeSynopsis(SummaryCase c) {
 
 std::string EncodeImage(const GraphSynopsis& synopsis) {
   std::string image;
-  EXPECT_TRUE(
-      storage::XcsfWriter::Encode(FlatSynopsis(synopsis), &image).ok());
+  EXPECT_TRUE(storage::XcsfWriter::Encode(synopsis, &image).ok());
   return image;
 }
 
-/// XCluster::Load's read path over bytes: the mapped view the serve path
-/// builds, the deep verification, then the graph rebuilt from the image.
+/// XCluster::Load's read path over bytes: the validating attach the serve
+/// path runs, the deep verification, then the graph rebuilt from the image.
 Result<GraphSynopsis> DecodeImage(std::string_view bytes) {
-  XCLUSTER_ASSIGN_OR_RETURN(storage::XcsfMmapView view,
-                            storage::XcsfMmapView::Adopt(std::string(bytes)));
+  XCLUSTER_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                            storage::AdoptXcsf(std::string(bytes)));
   XC_RETURN_IF_ERROR(storage::VerifyXcsfBytes(bytes, nullptr));
-  return ToGraph(view.flat());
+  return ToGraph(*flat);
 }
 
 class FaultScheduleTest : public ::testing::TestWithParam<SummaryCase> {};

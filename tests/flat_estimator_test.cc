@@ -22,7 +22,9 @@
 #include "estimate/compiled_twig.h"
 #include "oracle/xcluster_estimator.h"
 #include "estimate/flat_synopsis.h"
+#include "flat_layout.h"
 #include "query/parser.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/graph.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
@@ -40,7 +42,9 @@ TwigQuery MustParse(std::string_view input) {
 void ExpectIdentical(const GraphSynopsis& synopsis,
                      const std::string& query) {
   XClusterEstimator legacy(synopsis);
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   FlatEstimator estimator(flat);
   const TwigQuery twig = MustParse(query);
   const CompiledTwig plan = CompiledTwig::Compile(twig, flat);
@@ -69,43 +73,26 @@ GraphSynopsis MakeFig7() {
 
 TEST(FlatSynopsisTest, PreservesNodesEdgesAndArenaOrder) {
   GraphSynopsis synopsis = MakeFig7();
-  FlatSynopsis flat(synopsis);
-  EXPECT_EQ(flat.num_nodes(), 6u);
-  EXPECT_EQ(flat.num_edges(), 5u);
-  EXPECT_EQ(flat.root(), flat.flat_of(synopsis.root()));
-  // Alive nodes are numbered in arena order.
-  for (FlatNodeId f = 0; f + 1 < flat.num_nodes(); ++f) {
-    EXPECT_LT(flat.syn_of(f), flat.syn_of(f + 1));
-  }
-  // Counts match, and value summaries are owned copies of the arena
-  // node's (same type/kind, never a pointer into the source graph).
-  for (FlatNodeId f = 0; f < flat.num_nodes(); ++f) {
-    const SynNode& node = synopsis.node(flat.syn_of(f));
-    EXPECT_EQ(flat.count(f), node.count);
-    EXPECT_EQ(flat.label(f), node.label);
-    if (node.vsumm.empty()) {
-      EXPECT_EQ(flat.vsumm(f), nullptr);
-    } else {
-      ASSERT_NE(flat.vsumm(f), nullptr);
-      EXPECT_NE(flat.vsumm(f), &node.vsumm);
-      EXPECT_EQ(flat.vsumm(f)->type(), node.vsumm.type());
-    }
-  }
-  EXPECT_FALSE(flat.mapped());
-  EXPECT_GT(flat.MemoryBytes(), 0u);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  EXPECT_EQ(compiled->num_nodes(), 6u);
+  EXPECT_EQ(compiled->num_edges(), 5u);
+  ExpectFlatLayoutMatchesGraph(synopsis, *compiled);
 }
 
 TEST(FlatSynopsisTest, SurvivesSourceGraphDestruction) {
   // Regression for the old lifetime hazard: value-summary pointers and the
-  // label pool used to reference the source GraphSynopsis. The compiled
-  // form is now self-contained, so estimating after the source graph is
-  // destroyed must work — and stay bit-identical to estimating before.
+  // label pool used to reference the source GraphSynopsis. A FlatSynopsis
+  // owns its image, so estimating after the source graph is destroyed
+  // must work — and stay bit-identical to estimating before.
   auto synopsis = std::make_unique<GraphSynopsis>(MakeFig7());
   XClusterEstimator legacy(*synopsis);
   const TwigQuery twig = MustParse("//A[/B/C[range(0,4)]]//E");
   const double expected = legacy.Estimate(twig);
 
-  FlatSynopsis flat(*synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(*synopsis);
+  const FlatSynopsis& flat = *compiled;
   const CompiledTwig plan = CompiledTwig::Compile(twig, flat);
   synopsis.reset();  // the flat view must not reference the graph
 
@@ -120,7 +107,9 @@ TEST(FlatSynopsisTest, SurvivesSourceGraphDestruction) {
 TEST(FlatSynopsisTest, LabelRunFindsExactlyTheLabeledChildren)
 {
   GraphSynopsis synopsis = MakeFig7();
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const FlatNodeId a = flat.flat_of(1);  // node "A": children B and D
   size_t begin = 0, end = 0;
   flat.LabelRun(a, flat.LookupLabel("B"), &begin, &end);
@@ -159,7 +148,9 @@ TEST(FlatEstimatorTest, CyclicSynopsisBitIdentical) {
 
 TEST(FlatEstimatorTest, EmptySynopsisAndEmptyPlan) {
   GraphSynopsis synopsis;
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   EXPECT_EQ(flat.num_nodes(), 0u);
   EXPECT_EQ(flat.root(), kNoFlatNode);
   FlatEstimator estimator(flat);
@@ -172,7 +163,9 @@ TEST(FlatEstimatorTest, EmptySynopsisAndEmptyPlan) {
 void ExpectExplainIdentical(const GraphSynopsis& synopsis,
                             const std::string& query) {
   XClusterEstimator legacy(synopsis);
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   FlatEstimator estimator(flat);
   const TwigQuery twig = MustParse(query);
   const EstimateExplanation from_legacy = legacy.Explain(twig);
@@ -216,7 +209,9 @@ TEST(FlatEstimatorTest, ExplainBitIdenticalToLegacy) {
 
 TEST(FlatEstimatorTest, ExplainSelectivityMatchesEstimate) {
   GraphSynopsis synopsis = MakeFig7();
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   FlatEstimator estimator(flat);
   XClusterEstimator legacy(synopsis);
   const TwigQuery twig = MustParse("/A/B/C[range(0,4)]");
@@ -233,9 +228,13 @@ TEST(FlatEstimatorTest, ExplainSelectivityMatchesEstimate) {
 /// synopsis, across a generated fig8-style workload. Each query is
 /// checked one lane at a time (Estimate, Explain) and as a lane of its
 /// group when the whole workload is partitioned with BatchPlan::Build.
-void RunWorkloadSuite(const GeneratedDataset& dataset, size_t num_queries) {
+/// The engine reads the summaries decoded from the image and the oracle
+/// the graph's, so this also holds the summary codec exact for `kind`.
+void RunWorkloadSuite(const GeneratedDataset& dataset, size_t num_queries,
+                      NumericSummaryKind kind) {
   ReferenceOptions ref_options;
   ref_options.value_paths = dataset.value_paths;
+  ref_options.numeric_summary = kind;
   GraphSynopsis reference = BuildReferenceSynopsis(dataset.doc, ref_options);
   WorkloadOptions wl_options;
   wl_options.num_queries = num_queries;
@@ -249,7 +248,9 @@ void RunWorkloadSuite(const GeneratedDataset& dataset, size_t num_queries) {
 
   for (const GraphSynopsis* synopsis : {&reference, &merged}) {
     XClusterEstimator legacy(*synopsis);
-    FlatSynopsis flat(*synopsis);
+    const std::shared_ptr<const FlatSynopsis> compiled =
+        storage::CompileXcsf(*synopsis);
+    const FlatSynopsis& flat = *compiled;
     FlatEstimator estimator(flat);
     std::vector<CompiledTwig> plans;
     plans.reserve(workload.queries.size());
@@ -290,25 +291,41 @@ void RunWorkloadSuite(const GeneratedDataset& dataset, size_t num_queries) {
 TEST(FlatEstimatorTest, XMarkWorkloadSuiteBitIdentical) {
   XMarkOptions options;
   options.scale = 0.05;
-  RunWorkloadSuite(GenerateXMark(options), 150);
+  RunWorkloadSuite(GenerateXMark(options), 150,
+                   NumericSummaryKind::kHistogram);
 }
 
 TEST(FlatEstimatorTest, ImdbWorkloadSuiteBitIdentical) {
   ImdbOptions options;
   options.scale = 0.05;
-  RunWorkloadSuite(GenerateImdb(options), 150);
+  RunWorkloadSuite(GenerateImdb(options), 150, NumericSummaryKind::kHistogram);
+}
+
+TEST(FlatEstimatorTest, ImdbWaveletWorkloadSuiteBitIdentical) {
+  ImdbOptions options;
+  options.scale = 0.05;
+  RunWorkloadSuite(GenerateImdb(options), 150, NumericSummaryKind::kWavelet);
+}
+
+TEST(FlatEstimatorTest, ImdbSampleWorkloadSuiteBitIdentical) {
+  ImdbOptions options;
+  options.scale = 0.05;
+  RunWorkloadSuite(GenerateImdb(options), 150, NumericSummaryKind::kSample);
 }
 
 TEST(FlatEstimatorTest, TreebankWorkloadSuiteBitIdentical) {
   // Deep recursive trees: most steps go through descendant reach.
   TreebankOptions options;
   options.scale = 0.05;
-  RunWorkloadSuite(GenerateTreebank(options), 150);
+  RunWorkloadSuite(GenerateTreebank(options), 150,
+                   NumericSummaryKind::kHistogram);
 }
 
 TEST(FlatEstimatorTest, BoundedCacheDoesNotChangeEstimates) {
   GraphSynopsis synopsis = MakeFig7();
-  FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   EstimateOptions tiny;
   tiny.reach_cache_capacity = 1;
   tiny.reach_cache_shards = 1;

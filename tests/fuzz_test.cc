@@ -1,22 +1,35 @@
 // Robustness "fuzz-lite" tests: malformed and randomly mutated inputs to
-// the XML parser, the twig-query parser and the XNET protocol decoders
-// must produce Status errors (or decode successfully) — never crash, hang,
-// or corrupt state.
+// the XML parser, the twig-query parser, the XNET protocol decoders and
+// the XCSF synopsis loader must produce Status errors (or decode
+// successfully) — never crash, hang, or corrupt state.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "build/builder.h"
 #include "common/io/crc32c.h"
 #include "common/rng.h"
+#include "data/imdb.h"
+#include "data/treebank.h"
+#include "data/xmark.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net_golden.h"
 #include "query/parser.h"
+#include "storage/xcsf_format.h"
+#include "storage/xcsf_reader.h"
+#include "storage/xcsf_writer.h"
+#include "synopsis/reference.h"
+#include "xcsf_reseal.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -394,10 +407,352 @@ TEST_P(ProtocolFuzzTest, MutatedInstallSequencesReassembleOrFailCleanly) {
   }
 }
 
+// --- XCSF images, seeded with small generator builds ---------------------
+
+/// A small budget-built synopsis of one generated data set, as its image.
+std::string SeedImage(const GeneratedDataset& dataset,
+                      NumericSummaryKind numeric) {
+  ReferenceOptions ref_options;
+  ref_options.value_paths = dataset.value_paths;
+  ref_options.numeric_summary = numeric;
+  const GraphSynopsis reference =
+      BuildReferenceSynopsis(dataset.doc, ref_options);
+  BuildOptions options;
+  options.structural_budget = 2 * 1024;
+  options.value_budget = reference.ValueBytes() / 4;
+  std::string image;
+  EXPECT_TRUE(storage::XcsfWriter::Encode(
+                  XClusterBuild(reference, options, nullptr), &image)
+                  .ok());
+  return image;
+}
+
+/// The seed corpus: XMark, IMDB and Treebank builds, plus IMDB with
+/// wavelet and with sample numeric summaries. Built once.
+const std::vector<std::string>& XcsfSeeds() {
+  static const std::vector<std::string> seeds = [] {
+    XMarkOptions xmark;
+    xmark.scale = 0.02;
+    ImdbOptions imdb;
+    imdb.scale = 0.02;
+    TreebankOptions treebank;
+    treebank.scale = 0.02;
+    const GeneratedDataset imdb_data = GenerateImdb(imdb);
+    return std::vector<std::string>{
+        SeedImage(GenerateXMark(xmark), NumericSummaryKind::kHistogram),
+        SeedImage(imdb_data, NumericSummaryKind::kHistogram),
+        SeedImage(GenerateTreebank(treebank), NumericSummaryKind::kHistogram),
+        SeedImage(imdb_data, NumericSummaryKind::kWavelet),
+        SeedImage(imdb_data, NumericSummaryKind::kSample),
+    };
+  }();
+  return seeds;
+}
+
+/// Values that sit on the edges of the ranges the loader checks.
+uint64_t InterestingValue(Rng* rng) {
+  static const uint64_t kValues[] = {
+      0,          1,          2,          3,          7,
+      255,        256,        257,        0x7f,       0x80,
+      0xffff,     0x7fffffff, 0x80000000, 0xffffffff, 0x100000000,
+      uint64_t{INT64_MAX},    uint64_t{INT64_MAX} + 1,
+      ~uint64_t{0},           ~uint64_t{0} - 1};
+  return rng->Bernoulli(0.75)
+             ? kValues[rng->Uniform(sizeof(kValues) / sizeof(kValues[0]))]
+             : rng->Next();
+}
+
+/// Overwrites the `width`-byte little-endian field at `at` (clipped to the
+/// image) with `value`.
+void PutField(std::string* image, size_t at, size_t width, uint64_t value) {
+  for (size_t i = 0; i < width && at + i < image->size(); ++i) {
+    (*image)[at + i] = static_cast<char>(value >> (8 * i));
+  }
+}
+
+/// The section-table entries of `image` that lie inside it.
+std::vector<storage::XcsfSection> SectionsOf(const std::string& image) {
+  std::vector<storage::XcsfSection> sections;
+  if (image.size() < storage::kXcsfHeaderBytes) return sections;
+  const uint32_t count = GetU32(image, 28);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t entry =
+        storage::kXcsfHeaderBytes + i * storage::kXcsfTableEntryBytes;
+    if (entry + storage::kXcsfTableEntryBytes > image.size()) break;
+    storage::XcsfSection section;
+    section.id = GetU32(image, entry);
+    section.offset = GetU64(image, entry + 8);
+    section.length = GetU64(image, entry + 16);
+    if (section.offset <= image.size() &&
+        section.length <= image.size() - section.offset) {
+      sections.push_back(section);
+    }
+  }
+  return sections;
+}
+
+/// The payload of the first section with `id`, if it lies inside `image`.
+bool FindSection(const std::string& image, uint32_t id,
+                 storage::XcsfSection* out) {
+  for (const storage::XcsfSection& section : SectionsOf(image)) {
+    if (section.id == id) {
+      *out = section;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The length of the varint at `at`, or 0 when it runs past `end`.
+size_t VarintLength(const std::string& image, size_t at, size_t end) {
+  for (size_t i = at; i < end && i < at + 10; ++i) {
+    if ((static_cast<unsigned char>(image[i]) & 0x80) == 0) return i - at + 1;
+  }
+  return 0;
+}
+
+/// Edits one numeric field of the histogram (kind 1) or wavelet (kind 2)
+/// record in [begin, end), in place so the fields after it stay put: a
+/// bucket bound, the wavelet's domain start or cell width, or its grid or
+/// a coefficient index (varints rewritten at their own length).
+void EditNumericField(Rng* rng, std::string* image, size_t begin,
+                      size_t end) {
+  const unsigned char kind = static_cast<unsigned char>((*image)[begin]);
+  std::vector<size_t> fixed;   // fixed64 fields
+  std::vector<std::pair<size_t, size_t>> varints;  // (offset, length)
+  if (kind == 1) {
+    const size_t n = VarintLength(*image, begin + 1, end);
+    if (n == 0) return;
+    for (size_t b = begin + 1 + n; b + 24 <= end; b += 24) {
+      fixed.push_back(b);      // lo
+      fixed.push_back(b + 8);  // hi
+    }
+  } else if (kind == 2) {
+    if (begin + 17 > end) return;
+    fixed = {begin + 1, begin + 9};  // domain_lo, cell_width
+    size_t at = begin + 17;
+    const size_t grid = VarintLength(*image, at, end);
+    if (grid == 0) return;
+    varints.emplace_back(at, grid);
+    at += grid + 8;  // total
+    const size_t n = at < end ? VarintLength(*image, at, end) : 0;
+    if (n == 0) return;
+    for (at += n; at < end;) {
+      const size_t index = VarintLength(*image, at, end);
+      if (index == 0 || at + index + 8 > end) break;
+      varints.emplace_back(at, index);
+      at += index + 8;  // value
+    }
+  }
+  // Signed extremes: the widths and domain ends computed from these
+  // fields overflow int64 only near them.
+  static const int64_t kExtremes[] = {INT64_MIN, INT64_MIN + 1, -1, 0, 1,
+                                      INT64_MAX - 1, INT64_MAX};
+  const size_t choice = rng->Uniform(fixed.size() + varints.size() + 1);
+  if (choice < fixed.size()) {
+    PutField(image, fixed[choice], 8,
+             rng->Bernoulli(0.75)
+                 ? static_cast<uint64_t>(kExtremes[rng->Uniform(7)])
+                 : InterestingValue(rng));
+  } else if (choice < fixed.size() + varints.size()) {
+    const auto [at, length] = varints[choice - fixed.size()];
+    const uint64_t value = InterestingValue(rng);
+    for (size_t i = 0; i < length; ++i) {
+      unsigned char byte = (value >> (7 * i)) & 0x7f;
+      if (i + 1 < length) byte |= 0x80;
+      (*image)[at + i] = static_cast<char>(byte);
+    }
+  }
+}
+
+/// One structure-aware edit of an XCSF image; the caller re-seals it.
+/// Summary records and pool offsets draw the most edits: the validator
+/// checks every other byte on adoption, they only on decode.
+void MutateXcsf(Rng* rng, std::string* image) {
+  static const int kEditOf[] = {0, 0, 1, 2, 3, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6};
+  const int edit = image->size() < storage::kXcsfHeaderBytes
+                       ? 0  // no header left to edit
+                       : kEditOf[rng->Uniform(sizeof(kEditOf) /
+                                              sizeof(kEditOf[0]))];
+  switch (edit) {
+    case 0:  // flip one bit anywhere
+      (*image)[rng->Uniform(image->size())] ^=
+          static_cast<char>(1 << rng->Uniform(8));
+      return;
+    case 1: {  // truncate, keeping the header's size claim in step
+      image->resize(rng->Uniform(image->size()));
+      if (image->size() >= storage::kXcsfHeaderBytes) {
+        PutU64(image, 16, image->size());
+      }
+      return;
+    }
+    case 2: {  // a header count: flags, size, sections, nodes, root, edges,
+               // arena
+      static const struct {
+        size_t at;
+        size_t width;
+      } kFields[] = {{8, 8}, {16, 8}, {28, 4}, {32, 4},
+                     {36, 4}, {40, 8}, {48, 4}};
+      const auto& field = kFields[rng->Uniform(7)];
+      const uint64_t old = field.width == 8 ? GetU64(*image, field.at)
+                                            : GetU32(*image, field.at);
+      PutField(image, field.at, field.width,
+               rng->Bernoulli(0.5) ? old + rng->UniformRange(-2, 2)
+                                   : InterestingValue(rng));
+      return;
+    }
+    case 3: {  // a section-table entry's id, offset or length
+      const std::vector<storage::XcsfSection> sections = SectionsOf(*image);
+      if (sections.empty()) return;
+      const size_t entry =
+          storage::kXcsfHeaderBytes +
+          rng->Uniform(sections.size()) * storage::kXcsfTableEntryBytes;
+      const size_t at =
+          entry + (rng->Uniform(3) == 0 ? 0 : 8 * (1 + rng->Uniform(2)));
+      const uint64_t old =
+          at == entry ? GetU32(*image, at) : GetU64(*image, at);
+      const uint64_t value =
+          rng->Bernoulli(0.5)
+              ? old + static_cast<uint64_t>(rng->UniformRange(-64, 64))
+              : InterestingValue(rng);
+      PutField(image, at, at == entry ? 4 : 8, value);
+      return;
+    }
+    case 4: {  // a pool's count or offset array: labels, terms, summaries
+      static const uint32_t kPools[] = {storage::kXcsfLabelPool,
+                                        storage::kXcsfTermPool,
+                                        storage::kXcsfSummaryPool};
+      const uint32_t id = kPools[rng->Uniform(3)];
+      storage::XcsfSection pool;
+      if (!FindSection(*image, id, &pool) || pool.length < 8) return;
+      const size_t width = id == storage::kXcsfSummaryPool ? 8 : 4;
+      const uint64_t count = GetU32(*image, pool.offset);
+      const size_t slot = rng->Uniform(count + 2);  // 0 = the count
+      const size_t at = slot == 0 ? pool.offset
+                                  : pool.offset + 8 + (slot - 1) * width;
+      if (at + width > pool.offset + pool.length) return;
+      const uint64_t old = width == 8 ? GetU64(*image, at) : GetU32(*image, at);
+      PutField(image, at, slot == 0 ? 4 : width,
+               rng->Bernoulli(0.5)
+                   ? old + static_cast<uint64_t>(rng->UniformRange(-3, 3))
+                   : InterestingValue(rng));
+      return;
+    }
+    case 5: {  // bytes of one summary record
+      storage::XcsfSection pool;
+      if (!FindSection(*image, storage::kXcsfSummaryPool, &pool) ||
+          pool.length < 8) {
+        return;
+      }
+      const uint64_t count = GetU32(*image, pool.offset);
+      const uint64_t base = pool.offset + 8 + (count + 1) * 8;
+      if (count == 0 || base > pool.offset + pool.length) return;
+      const size_t record = rng->Uniform(count);
+      const uint64_t begin =
+          base + GetU64(*image, pool.offset + 8 + record * 8);
+      const uint64_t end =
+          base + GetU64(*image, pool.offset + 8 + (record + 1) * 8);
+      if (begin >= end || end > pool.offset + pool.length) return;
+      const size_t at = begin + rng->Uniform(end - begin);
+      switch (rng->Uniform(5)) {
+        case 0:
+          (*image)[at] = static_cast<char>(InterestingValue(rng));
+          break;
+        case 1:
+          PutField(image, at, 8, InterestingValue(rng));
+          break;
+        case 2: {
+          static const double kDoubles[] = {
+              0.0,    -1.0,
+              1e308,  -1e308,
+              std::numeric_limits<double>::quiet_NaN(),
+              std::numeric_limits<double>::infinity()};
+          uint64_t bits = 0;
+          std::memcpy(&bits, &kDoubles[rng->Uniform(6)], sizeof(bits));
+          PutField(image, at, 8, bits);
+          break;
+        }
+        default:
+          EditNumericField(rng, image, begin, end);
+          break;
+      }
+      return;
+    }
+    case 6: {  // one element of a column section
+      const std::vector<storage::XcsfSection> sections = SectionsOf(*image);
+      if (sections.empty()) return;
+      const storage::XcsfSection& section =
+          sections[rng->Uniform(sections.size())];
+      if (section.length < 4) return;
+      const size_t at = section.offset + rng->Uniform(section.length / 4) * 4;
+      PutField(image, at, 4, InterestingValue(rng));
+      return;
+    }
+  }
+}
+
+/// Label-free queries that touch every node's summary: a range, a
+/// substring, a term, and the bare wildcard.
+const char* const kXcsfFuzzQueries[] = {
+    "//*[range(1950,2000)]", "//*[contains(an)]", "//*[ftcontains(the)]",
+    "//*", "/*/*[range(-5,5)]"};
+
+class XcsfFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Each mutant either fails adoption with a clean Status, or adopts and
+// answers the query set (and, when VerifyXcsfBytes passes, rebuilds its
+// graph) with no crash and no sanitizer report.
+TEST_P(XcsfFuzzTest, MutatedImagesLoadOrFailCleanly) {
+  Rng rng(GetParam());
+  std::vector<TwigQuery> queries;
+  for (const char* text : kXcsfFuzzQueries) {
+    Result<TwigQuery> query = ParseTwig(text);
+    ASSERT_TRUE(query.ok()) << text;
+    queries.push_back(std::move(query).value());
+  }
+  size_t adopted = 0;
+  size_t rejected = 0;
+  size_t undecodable = 0;  // adopted, but a summary record fails to decode
+  for (int round = 0; round < 200; ++round) {
+    for (const std::string& seed : XcsfSeeds()) {
+      std::string image = seed;
+      const size_t edits = 1 + rng.Uniform(3);
+      for (size_t e = 0; e < edits && !image.empty(); ++e) {
+        MutateXcsf(&rng, &image);
+      }
+      Reseal(&image);
+      const Status verified = storage::VerifyXcsfBytes(image, nullptr);
+      Result<std::shared_ptr<const FlatSynopsis>> flat =
+          storage::AdoptXcsf(image);
+      if (!flat.ok()) {
+        EXPECT_FALSE(flat.status().ToString().empty());
+        EXPECT_FALSE(verified.ok()) << "verify passed what adopt rejected";
+        ++rejected;
+        continue;
+      }
+      ++adopted;
+      const FlatEstimator estimator(*flat.value());
+      for (const TwigQuery& query : queries) {
+        estimator.Estimate(CompiledTwig::Compile(query, *flat.value()));
+      }
+      if (verified.ok()) {
+        ToGraph(*flat.value());
+      } else {
+        ++undecodable;
+      }
+    }
+  }
+  // The edits reach both outcomes, so both checks above ran.
+  EXPECT_GT(adopted, 100u);
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(undecodable, 20u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlFuzzTest, ::testing::Values(1, 2, 3));
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryFuzzTest, ::testing::Values(4, 5, 6));
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzzTest,
                          ::testing::Values(7, 8, 9));
+INSTANTIATE_TEST_SUITE_P(Seeds, XcsfFuzzTest, ::testing::Values(10, 11, 12));
 
 }  // namespace
 }  // namespace xcluster

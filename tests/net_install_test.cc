@@ -17,7 +17,6 @@
 #include "net/server.h"
 #include "raw_peer.h"
 #include "service/service.h"
-#include "storage/xcsf_writer.h"
 
 namespace xcluster {
 namespace net {
@@ -183,8 +182,7 @@ TEST(InstallOverSocketTest, DaemonErrorsABrokenSequenceAndRepliesToABadCrc) {
   NetServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
 
-  std::string image;
-  ASSERT_TRUE(storage::XcsfWriter::Encode(*MakeFixture().flat(), &image).ok());
+  const std::string image(MakeFixture().flat()->image());
   const size_t piece = image.size() / 2 + 1;
 
   // Out of order: chunk 1 with no chunk 0 before it breaks the sequence.

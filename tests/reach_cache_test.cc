@@ -19,6 +19,7 @@
 #include "estimate/flat_synopsis.h"
 #include "oracle/xcluster_estimator.h"
 #include "query/parser.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/graph.h"
 
 namespace xcluster {
@@ -150,7 +151,9 @@ TEST(ReachCacheTest, EstimatorCacheStaysBoundedAndCounts) {
   EstimateOptions options;
   options.reach_cache_capacity = 4;
   options.reach_cache_shards = 2;
-  const FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const FlatEstimator estimator(flat, options);
   const XClusterEstimator oracle(synopsis);
   for (int pass = 0; pass < 3; ++pass) {
@@ -186,7 +189,9 @@ TEST(ReachCacheTest, ConcurrentEstimatesDeterministicUnderEviction) {
   EstimateOptions options;
   options.reach_cache_capacity = 3;
   options.reach_cache_shards = 1;
-  const FlatSynopsis flat(synopsis);
+  const std::shared_ptr<const FlatSynopsis> compiled =
+      storage::CompileXcsf(synopsis);
+  const FlatSynopsis& flat = *compiled;
   const FlatEstimator shared(flat, options);
   constexpr int kThreads = 8;
   constexpr int kPasses = 20;

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/io/crc32c.h"
 #include "common/io/file_io.h"
 #include "common/telemetry/metrics.h"
 #include "core/serialize.h"
@@ -19,9 +18,10 @@
 #include "query/parser.h"
 #include "service/synopsis_store.h"
 #include "storage/xcsf_format.h"
-#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_reader.h"
 #include "storage/xcsf_writer.h"
 #include "synopsis/graph.h"
+#include "xcsf_reseal.h"
 
 namespace xcluster {
 namespace {
@@ -92,70 +92,32 @@ std::vector<std::pair<std::string, GraphSynopsis>> AllKindSynopses() {
 
 std::string EncodeImage(const GraphSynopsis& synopsis) {
   std::string image;
-  EXPECT_TRUE(
-      storage::XcsfWriter::Encode(FlatSynopsis(synopsis), &image).ok());
+  EXPECT_TRUE(storage::XcsfWriter::Encode(synopsis, &image).ok());
   return image;
-}
-
-void PutU32(std::string* image, size_t offset, uint32_t v) {
-  std::memcpy(image->data() + offset, &v, sizeof(v));
-}
-
-uint32_t GetU32(const std::string& image, size_t offset) {
-  uint32_t v = 0;
-  std::memcpy(&v, image.data() + offset, sizeof(v));
-  return v;
-}
-
-/// Re-seals an image whose section payloads were edited in place: every
-/// section CRC in the table, then the table CRC, the header CRC and the
-/// whole-file CRC, in that order (each covers the one before).
-void Reseal(std::string* image) {
-  const uint32_t section_count = GetU32(*image, 28);
-  for (uint32_t i = 0; i < section_count; ++i) {
-    const size_t entry =
-        storage::kXcsfHeaderBytes + i * storage::kXcsfTableEntryBytes;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    std::memcpy(&offset, image->data() + entry + 8, sizeof(offset));
-    std::memcpy(&length, image->data() + entry + 16, sizeof(length));
-    PutU32(image, entry + 24,
-           crc32c::Mask(crc32c::Value(image->substr(offset, length))));
-  }
-  PutU32(image, 56,
-         crc32c::Mask(crc32c::Value(image->substr(
-             storage::kXcsfHeaderBytes,
-             section_count * storage::kXcsfTableEntryBytes))));
-  PutU32(image, 60, crc32c::Mask(crc32c::Value(image->substr(0, 60))));
-  const size_t trailer = image->size() - storage::kXcsfTrailerBytes;
-  PutU32(image, trailer,
-         crc32c::Mask(crc32c::Value(image->substr(0, trailer))));
 }
 
 TEST(SerializeCorruptionTest, EncodeToGraphEncodeIsByteIdentical) {
   for (auto& [name, synopsis] : AllKindSynopses()) {
     const std::string first = EncodeImage(synopsis);
-    Result<storage::XcsfMmapView> view =
-        storage::XcsfMmapView::Adopt(std::string(first));
-    ASSERT_TRUE(view.ok()) << name << ": " << view.status().ToString();
-    EXPECT_EQ(EncodeImage(ToGraph(view.value().flat())), first) << name;
+    Result<std::shared_ptr<const FlatSynopsis>> flat =
+        storage::AdoptXcsf(std::string(first));
+    ASSERT_TRUE(flat.ok()) << name << ": " << flat.status().ToString();
+    EXPECT_EQ(EncodeImage(ToGraph(*flat.value())), first) << name;
   }
 }
 
 // Every bit of the image is covered: the header, table, section and
 // whole-file CRCs cover all bytes but the trailer's zero pad, which the
-// validator checks on its own. Both the serve path (Adopt) and the verify
-// path reject each flip as kCorruption.
+// validator checks on its own. Both the serve path (AdoptXcsf) and the
+// verify path reject each flip as kCorruption.
 TEST(SerializeCorruptionTest, EverySingleBitFlipIsDetected) {
   for (auto& [name, synopsis] : AllKindSynopses()) {
     std::string image = EncodeImage(synopsis);
-    ASSERT_TRUE(storage::XcsfMmapView::Adopt(std::string(image)).ok())
-        << name;
+    ASSERT_TRUE(storage::AdoptXcsf(std::string(image)).ok()) << name;
     for (size_t bit = 0; bit < image.size() * 8; ++bit) {
       image[bit / 8] = static_cast<char>(
           static_cast<unsigned char>(image[bit / 8]) ^ (1u << (bit % 8)));
-      const Status served =
-          storage::XcsfMmapView::Adopt(std::string(image)).status();
+      const Status served = storage::AdoptXcsf(std::string(image)).status();
       EXPECT_EQ(served.code(), Status::Code::kCorruption)
           << name << " bit " << bit << ": " << served.ToString();
       const Status verified = storage::VerifyXcsfBytes(image, nullptr);
@@ -244,9 +206,9 @@ TEST(SerializeCorruptionTest, MalformedSummaryBehindValidChecksums) {
   image[at + target] = image[at + source];
   Reseal(&image);
 
-  Result<storage::XcsfMmapView> view =
-      storage::XcsfMmapView::Adopt(std::string(image));
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  Result<std::shared_ptr<const FlatSynopsis>> adopted =
+      storage::AdoptXcsf(std::string(image));
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   const std::string path =
       testing::TempDir() + "/malformed_summary.xcsf";
   ASSERT_TRUE(WriteFileAtomic(path, image, /*sync=*/false).ok());
@@ -279,6 +241,137 @@ TEST(SerializeCorruptionTest, MalformedSummaryBehindValidChecksums) {
   ASSERT_FALSE(strict.ok());
   EXPECT_EQ(strict.status().code(), Status::Code::kCorruption)
       << strict.status().ToString();
+}
+
+/// A root with one numeric leaf (flat node 1) carrying `vsumm`.
+GraphSynopsis NumericLeaf(ValueSummary vsumm) {
+  GraphSynopsis synopsis;
+  const SynNodeId root = synopsis.AddNode("root", ValueType::kNone, 1.0);
+  const SynNodeId leaf = synopsis.AddNode("A", ValueType::kNumeric, 10.0);
+  synopsis.AddEdge(root, leaf, 10.0);
+  synopsis.node(leaf).vsumm = std::move(vsumm);
+  return synopsis;
+}
+
+ValueSummary Wavelet(std::vector<WaveletSummary::Coefficient> coeffs,
+                     int64_t domain_lo, int64_t cell_width, size_t grid) {
+  ValueSummary vsumm;
+  vsumm.set_type(ValueType::kNumeric);
+  vsumm.set_numeric_kind(NumericSummaryKind::kWavelet);
+  *vsumm.mutable_wavelet() = WaveletSummary::FromCoefficients(
+      std::move(coeffs), domain_lo, cell_width, grid, 10.0);
+  return vsumm;
+}
+
+ValueSummary OneBucket(int64_t lo, int64_t hi) {
+  ValueSummary vsumm;
+  vsumm.set_type(ValueType::kNumeric);
+  *vsumm.mutable_histogram() = Histogram::FromBuckets({{lo, hi, 10.0}});
+  return vsumm;
+}
+
+std::string EncodeRecord(const ValueSummary& vsumm) {
+  std::string record;
+  StringSink sink(&record);
+  EncodeValueSummary(vsumm, &sink);
+  return record;
+}
+
+Status DecodeRecord(const std::string& record) {
+  StringSource src(record);
+  ValueSummary decoded;
+  return DecodeValueSummary(&src, &decoded);
+}
+
+/// Holds an image whose leaf summary record the codec must reject to the
+/// strict and lenient answers: VerifyXcsfBytes fails with kCorruption,
+/// while the serve path adopts the image (its checksums hold) and answers
+/// a range estimate over the leaf as if it carried no summary — without
+/// reconstructing, indexing or dividing by the bad record.
+void ExpectRejectedBehindValidChecksums(const std::string& image,
+                                        const std::string& name) {
+  const Status verified = storage::VerifyXcsfBytes(image, nullptr);
+  EXPECT_EQ(verified.code(), Status::Code::kCorruption)
+      << name << ": " << verified.ToString();
+  Result<std::shared_ptr<const FlatSynopsis>> flat =
+      storage::AdoptXcsf(std::string(image));
+  ASSERT_TRUE(flat.ok()) << name << ": " << flat.status().ToString();
+  Result<TwigQuery> query = ParseTwig("//A[range(0,3)]");
+  ASSERT_TRUE(query.ok());
+  const FlatEstimator estimator(*flat.value());
+  EXPECT_EQ(estimator.Estimate(CompiledTwig::Compile(query.value(),
+                                                     *flat.value())),
+            0.0)
+      << name;
+  ASSERT_NE(flat.value()->vsumm(1), nullptr) << name;
+  EXPECT_TRUE(flat.value()->vsumm(1)->empty()) << name;
+}
+
+// Numeric records that pass every checksum but would send a range
+// estimate out of bounds: WaveletSummary::Reconstruct writes dense[index]
+// for a coefficient index past the grid and walks a grid that is not a
+// power of two past its end; a zero cell width divides by zero; a bucket
+// as wide as int64 overflows HistogramBucket::width().
+TEST(SerializeCorruptionTest, OutOfRangeNumericRecordsAreRejected) {
+  const struct {
+    const char* name;
+    ValueSummary vsumm;
+  } cases[] = {
+      {"wavelet index past the grid",
+       Wavelet({{0, 2.5}, {100000, 1.0}}, 0, 1, 4)},
+      {"wavelet grid not a power of two",
+       Wavelet({{0, 2.5}, {2, 1.0}}, 0, 1, 3)},
+      {"wavelet grid past the cap",
+       Wavelet({{0, 2.5}}, 0, 1, 2 * kWaveletMaxGrid)},
+      {"wavelet cell width zero", Wavelet({{0, 2.5}}, 0, 0, 4)},
+      {"wavelet cell width negative", Wavelet({{0, 2.5}}, 0, -3, 4)},
+      {"histogram bucket as wide as int64", OneBucket(INT64_MIN, INT64_MAX)},
+      {"histogram bucket wider than int64", OneBucket(-2, INT64_MAX)},
+      {"histogram bucket reversed", OneBucket(5, 3)},
+  };
+  for (const auto& c : cases) {
+    const Status decoded = DecodeRecord(EncodeRecord(c.vsumm));
+    EXPECT_EQ(decoded.code(), Status::Code::kCorruption)
+        << c.name << ": " << decoded.ToString();
+    ExpectRejectedBehindValidChecksums(EncodeImage(NumericLeaf(c.vsumm)),
+                                       c.name);
+  }
+}
+
+// A wavelet whose domain end lo + grid * width passes INT64_MAX (the
+// summary computes its last cell's end as that sum minus one). The record
+// is planted in the image by overwriting domain_lo (the fixed64 after the
+// kind byte) and re-sealing, since FromCoefficients itself computes the
+// end.
+TEST(SerializeCorruptionTest, WaveletDomainOverflowIsRejected) {
+  const ValueSummary vsumm = Wavelet({{0, 2.5}, {1, 1.0}}, 0, 1, 4);
+  const std::string record = EncodeRecord(vsumm);
+  std::string image = EncodeImage(NumericLeaf(vsumm));
+  const size_t at = image.find(record);
+  ASSERT_NE(at, std::string::npos);
+  const int64_t domain_lo = INT64_MAX - 2;
+  std::memcpy(image.data() + at + 1, &domain_lo, sizeof(domain_lo));
+  std::string patched = record;
+  std::memcpy(patched.data() + 1, &domain_lo, sizeof(domain_lo));
+  Reseal(&image);
+
+  const Status decoded = DecodeRecord(patched);
+  EXPECT_EQ(decoded.code(), Status::Code::kCorruption) << decoded.ToString();
+  ExpectRejectedBehindValidChecksums(image, "wavelet domain overflow");
+}
+
+// The edges of the accepted ranges still decode: the full grid, a domain
+// whose exclusive end is INT64_MAX, the empty wavelet, and a bucket
+// exactly INT64_MAX values wide.
+TEST(SerializeCorruptionTest, NumericRecordsAtTheLimitsDecode) {
+  for (const ValueSummary& vsumm :
+       {Wavelet({{0, 2.5}, {kWaveletMaxGrid - 1, 1.0}}, 0, 1, kWaveletMaxGrid),
+        Wavelet({{0, 2.5}}, INT64_MAX - 4, 1, 4), Wavelet({}, 0, 1, 0),
+        OneBucket(INT64_MIN, -2), OneBucket(-7, -7)}) {
+    EXPECT_TRUE(DecodeRecord(EncodeRecord(vsumm)).ok());
+    const std::string image = EncodeImage(NumericLeaf(vsumm));
+    EXPECT_TRUE(storage::VerifyXcsfBytes(image, nullptr).ok());
+  }
 }
 
 TEST(SerializeCorruptionTest, VerifyFailsOnBitFlip) {

@@ -1,5 +1,5 @@
 // XCluster::Save/Load on the XCSF image, and ToGraph as the exact inverse
-// of FlatSynopsis's compile constructor.
+// of XcsfWriter::Encode.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include "data/treebank.h"
 #include "data/xmark.h"
 #include "query/parser.h"
-#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_reader.h"
 #include "storage/xcsf_writer.h"
 #include "synopsis/reference.h"
 
@@ -48,9 +48,17 @@ class SerializeTest : public ::testing::Test {
 TEST_F(SerializeTest, SaveWritesTheServedImage) {
   ASSERT_TRUE(built_->Save(path_).ok());
   std::string image;
-  ASSERT_TRUE(storage::XcsfWriter::Encode(*built_->flat(), &image).ok());
+  ASSERT_TRUE(storage::XcsfWriter::Encode(built_->synopsis(), &image).ok());
   EXPECT_EQ(ReadAll(path_), image);
+  EXPECT_EQ(built_->flat()->image(), image);
   EXPECT_TRUE(storage::VerifyXcsfFile(path_, nullptr).ok());
+}
+
+TEST_F(SerializeTest, LoadKeepsTheImageItRead) {
+  ASSERT_TRUE(built_->Save(path_).ok());
+  Result<XCluster> loaded = XCluster::Load(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().flat()->image(), ReadAll(path_));
 }
 
 TEST_F(SerializeTest, SaveThenLoadPreservesStructure) {
@@ -167,10 +175,10 @@ TEST_F(SerializeTest, DictionaryRestored) {
   }
 }
 
-// ToGraph inverts the compile constructor exactly on builder output: an
-// image mapped back, rebuilt as a graph and recompiled re-encodes to the
-// same bytes, for each data set at three (Bstr, Bval) budgets spanning
-// heavy to light merging and value compression.
+// ToGraph inverts XcsfWriter::Encode exactly on builder output: an image
+// adopted back, rebuilt as a graph and re-encoded is the same bytes, for
+// each data set at three (Bstr, Bval) budgets spanning heavy to light
+// merging and value compression.
 class ToGraphRoundTripTest : public ::testing::TestWithParam<const char*> {};
 
 GeneratedDataset GenerateByName(const std::string& name) {
@@ -206,15 +214,14 @@ TEST_P(ToGraphRoundTripTest, ImageSurvivesToGraphByteForByte) {
         budget.value_fraction * static_cast<double>(reference.ValueBytes()));
     const GraphSynopsis built = XClusterBuild(reference, options, nullptr);
     std::string image;
-    ASSERT_TRUE(storage::XcsfWriter::Encode(FlatSynopsis(built), &image).ok());
+    ASSERT_TRUE(storage::XcsfWriter::Encode(built, &image).ok());
 
-    Result<storage::XcsfMmapView> view =
-        storage::XcsfMmapView::Adopt(std::string(image));
-    ASSERT_TRUE(view.ok()) << view.status().ToString();
-    const GraphSynopsis rebuilt = ToGraph(view.value().flat());
+    Result<std::shared_ptr<const FlatSynopsis>> flat =
+        storage::AdoptXcsf(std::string(image));
+    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+    const GraphSynopsis rebuilt = ToGraph(*flat.value());
     std::string again;
-    ASSERT_TRUE(
-        storage::XcsfWriter::Encode(FlatSynopsis(rebuilt), &again).ok());
+    ASSERT_TRUE(storage::XcsfWriter::Encode(rebuilt, &again).ok());
     EXPECT_EQ(again, image) << GetParam() << " Bstr "
                             << budget.structural_kb << " KB, Bval "
                             << budget.value_fraction;
@@ -226,19 +233,15 @@ INSTANTIATE_TEST_SUITE_P(Datasets, ToGraphRoundTripTest,
                          ::testing::Values("xmark", "imdb", "treebank"));
 
 TEST(ToGraphTest, EmptySynopsisRoundTrips) {
-  const FlatSynopsis empty{GraphSynopsis()};
-  std::string image;
-  ASSERT_TRUE(storage::XcsfWriter::Encode(empty, &image).ok());
-  Result<storage::XcsfMmapView> view =
-      storage::XcsfMmapView::Adopt(std::string(image));
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  const GraphSynopsis rebuilt = ToGraph(view.value().flat());
+  const std::shared_ptr<const FlatSynopsis> empty =
+      storage::CompileXcsf(GraphSynopsis());
+  const GraphSynopsis rebuilt = ToGraph(*empty);
   EXPECT_EQ(rebuilt.NodeCount(), 0u);
   EXPECT_EQ(rebuilt.root(), kNoSynNode);
   ASSERT_NE(rebuilt.term_dictionary(), nullptr);
   std::string again;
-  ASSERT_TRUE(storage::XcsfWriter::Encode(FlatSynopsis(rebuilt), &again).ok());
-  EXPECT_EQ(again, image);
+  ASSERT_TRUE(storage::XcsfWriter::Encode(rebuilt, &again).ok());
+  EXPECT_EQ(again, empty->image());
 }
 
 }  // namespace

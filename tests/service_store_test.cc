@@ -236,14 +236,12 @@ TEST(SynopsisStoreTest, LoadFileAutoDetectsXcsf) {
   auto loaded = store.LoadFile("movies", path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto& snapshot = *loaded.value();
-  EXPECT_TRUE(snapshot.flat().mapped());
   EXPECT_EQ(snapshot.num_clusters(), 2u);
-  EXPECT_GT(snapshot.size_bytes(), 0u);
+  EXPECT_EQ(snapshot.size_bytes(), snapshot.flat().image().size());
   EXPECT_EQ(snapshot.source(), path);
   EXPECT_NEAR(FlatEstimate(snapshot, "/A"), 7.0, 1e-9);
   // The same store also still takes graph installs under other names.
   auto graph = store.Install("graph", MakeSynopsis(3.0));
-  EXPECT_FALSE(graph->flat().mapped());
   EXPECT_NEAR(FlatEstimate(*graph, "/A"), 3.0, 1e-9);
 }
 
@@ -298,15 +296,11 @@ TEST(SynopsisStoreTest, TwoStoresMapTheSameFileConcurrently) {
 
 TEST(SynopsisStoreTest, WireXcsfInstallAdoptsBufferAndRespectsGenerations) {
   std::string image;
-  {
-    GraphSynopsis synopsis = MakeSynopsis(8.0).synopsis();
-    FlatSynopsis flat(synopsis);
-    ASSERT_TRUE(storage::XcsfWriter::Encode(flat, &image).ok());
-  }
+  ASSERT_TRUE(
+      storage::XcsfWriter::Encode(MakeSynopsis(8.0).synopsis(), &image).ok());
   SynopsisStore store;
   auto installed = store.InstallFromWire("c", image, "peer-1", 5);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
-  EXPECT_TRUE(installed.value()->flat().mapped());
   EXPECT_EQ(installed.value()->generation(), 5u);
   EXPECT_EQ(installed.value()->source(), "wire:peer-1");
   EXPECT_NEAR(FlatEstimate(*installed.value(), "/A"), 8.0, 1e-9);
@@ -319,16 +313,12 @@ TEST(SynopsisStoreTest, WireXcsfInstallAdoptsBufferAndRespectsGenerations) {
 
 TEST(SynopsisStoreTest, WireXcsfInstallSpoolsToDisk) {
   std::string image;
-  {
-    GraphSynopsis synopsis = MakeSynopsis(2.0).synopsis();
-    FlatSynopsis flat(synopsis);
-    ASSERT_TRUE(storage::XcsfWriter::Encode(flat, &image).ok());
-  }
+  ASSERT_TRUE(
+      storage::XcsfWriter::Encode(MakeSynopsis(2.0).synopsis(), &image).ok());
   SynopsisStore store;
   store.SetSpoolDir(testing::TempDir());
   auto installed = store.InstallFromWire("c/with:odd chars", image, "peer", 0);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
-  EXPECT_TRUE(installed.value()->flat().mapped());
   // The spooled image is a complete, loadable XCSF file: a restarted
   // replica can cold-start straight from it.
   const std::string spooled =
@@ -341,10 +331,7 @@ TEST(SynopsisStoreTest, WireXcsfInstallSpoolsToDisk) {
 
 /// MakeSynopsis(count) as the XCSF image a wire push carries.
 std::string WireImage(double count) {
-  std::string image;
-  EXPECT_TRUE(
-      storage::XcsfWriter::Encode(*MakeSynopsis(count).flat(), &image).ok());
-  return image;
+  return std::string(MakeSynopsis(count).flat()->image());
 }
 
 /// What a replica restarted on `spooled` would serve for /A.

@@ -1,12 +1,13 @@
-// XCSF round-trip and fault-injection tests. The two hard contracts:
+// XCSF image tests. The hard contracts:
 //
-//  * bit-identity — an image mapped back through XcsfMmapView must return
-//    the *same double* (EXPECT_EQ, not EXPECT_NEAR) as the compiled-in-RAM
-//    FlatSynopsis it was written from, for every query;
+//  * layout — the FlatSynopsis compiled from a graph (encode, then the
+//    validating attach) holds the graph's nodes, children and counts slot
+//    for slot (tests/flat_layout.h), and a saved file maps back to the
+//    same image bytes;
 //  * no SIGBUS — a truncated, bit-flipped, or otherwise mangled image must
-//    fail with a clean Status from Open/Adopt, for corruption in *every*
-//    section and truncation at *every* section boundary.
-#include "storage/xcsf_mmap_view.h"
+//    fail with a clean Status from OpenXcsf/AdoptXcsf, for corruption in
+//    *every* section and truncation at *every* section boundary.
+#include "storage/xcsf_reader.h"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "estimate/compiled_twig.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
+#include "flat_layout.h"
 #include "query/parser.h"
 #include "storage/xcsf_format.h"
 #include "storage/xcsf_writer.h"
@@ -60,8 +62,7 @@ void WriteRaw(const std::string& path, std::string_view bytes) {
 }
 
 /// Built once: an IMDB synopsis exercising numeric, string, and text
-/// summaries plus a populated term dictionary, its compiled FlatSynopsis,
-/// and the encoded XCSF image.
+/// summaries plus a populated term dictionary, and its XCSF image.
 class XcsfTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -73,17 +74,13 @@ class XcsfTest : public ::testing::Test {
     xc_options.build.structural_budget = 4096;
     xc_options.build.value_budget = 24576;
     built_ = new XCluster(XCluster::Build(dataset.doc, xc_options));
-    flat_ = new FlatSynopsis(built_->synopsis());
-    image_ = new std::string;
-    ASSERT_TRUE(XcsfWriter::Encode(*flat_, image_).ok());
+    image_ = new std::string(built_->flat()->image());
   }
 
   static void TearDownTestSuite() {
     delete image_;
-    delete flat_;
     delete built_;
     image_ = nullptr;
-    flat_ = nullptr;
     built_ = nullptr;
   }
 
@@ -92,91 +89,44 @@ class XcsfTest : public ::testing::Test {
   }
 
   static XCluster* built_;
-  static FlatSynopsis* flat_;
   static std::string* image_;
 };
 
 XCluster* XcsfTest::built_ = nullptr;
-FlatSynopsis* XcsfTest::flat_ = nullptr;
 std::string* XcsfTest::image_ = nullptr;
 
 TEST_F(XcsfTest, EncodeIsDeterministic) {
   std::string again;
-  ASSERT_TRUE(XcsfWriter::Encode(*flat_, &again).ok());
+  ASSERT_TRUE(XcsfWriter::Encode(built_->synopsis(), &again).ok());
   EXPECT_EQ(again, *image_);
 }
 
 TEST_F(XcsfTest, OpenRejectsMissingAndEmptyFiles) {
-  EXPECT_EQ(XcsfMmapView::Open("/nonexistent/synopsis.xcsf").status().code(),
+  EXPECT_EQ(OpenXcsf("/nonexistent/synopsis.xcsf").status().code(),
             Status::Code::kIOError);
   const std::string path = TempPath("empty.xcsf");
   WriteRaw(path, "");
-  EXPECT_EQ(XcsfMmapView::Open(path).status().code(),
-            Status::Code::kCorruption);
+  EXPECT_EQ(OpenXcsf(path).status().code(), Status::Code::kCorruption);
 }
 
-TEST_F(XcsfTest, MappedViewMatchesCompiledSlotForSlot) {
-  const std::string path = TempPath("identity.xcsf");
-  ASSERT_TRUE(XcsfWriter::Write(*flat_, path, /*sync=*/false).ok());
-  Result<XcsfMmapView> view = XcsfMmapView::Open(path);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  const FlatSynopsis& mapped = view.value().flat();
-  EXPECT_TRUE(mapped.mapped());
-  EXPECT_TRUE(view.value().file_backed());
-
-  ASSERT_EQ(mapped.num_nodes(), flat_->num_nodes());
-  ASSERT_EQ(mapped.num_edges(), flat_->num_edges());
-  EXPECT_EQ(mapped.root(), flat_->root());
-  for (FlatNodeId n = 0; n < flat_->num_nodes(); ++n) {
-    EXPECT_EQ(mapped.label(n), flat_->label(n));
-    EXPECT_EQ(mapped.type(n), flat_->type(n));
-    EXPECT_EQ(mapped.count(n), flat_->count(n));
-    EXPECT_EQ(mapped.syn_of(n), flat_->syn_of(n));
-    EXPECT_EQ(mapped.edges_begin(n), flat_->edges_begin(n));
-    EXPECT_EQ(mapped.edges_end(n), flat_->edges_end(n));
-    EXPECT_EQ(mapped.vsumm(n) == nullptr, flat_->vsumm(n) == nullptr);
-  }
-  for (size_t e = 0; e < flat_->num_edges(); ++e) {
-    EXPECT_EQ(mapped.edge_target(e), flat_->edge_target(e));
-    EXPECT_EQ(mapped.edge_count(e), flat_->edge_count(e));
-    EXPECT_EQ(mapped.sorted_edge_target(e), flat_->sorted_edge_target(e));
-    EXPECT_EQ(mapped.sorted_edge_count(e), flat_->sorted_edge_count(e));
-  }
+TEST_F(XcsfTest, CompiledLayoutMatchesTheGraph) {
+  ExpectFlatLayoutMatchesGraph(built_->synopsis(), *built_->flat());
 }
 
-TEST_F(XcsfTest, MappedEstimatesAreBitIdentical) {
-  const std::string path = TempPath("estimates.xcsf");
-  ASSERT_TRUE(XcsfWriter::Write(*flat_, path, /*sync=*/false).ok());
-  Result<XcsfMmapView> view = XcsfMmapView::Open(path);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  for (const char* query : kQueries) {
-    EXPECT_EQ(EstimateOn(view.value().flat(), query),
-              EstimateOn(*flat_, query))
-        << query;
-  }
-}
-
-TEST_F(XcsfTest, AdoptedBufferIsBitIdenticalToo) {
-  Result<XcsfMmapView> view = XcsfMmapView::Adopt(std::string(*image_));
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_FALSE(view.value().file_backed());
-  EXPECT_TRUE(view.value().flat().mapped());
-  for (const char* query : kQueries) {
-    EXPECT_EQ(EstimateOn(view.value().flat(), query),
-              EstimateOn(*flat_, query))
-        << query;
-  }
-}
-
-TEST_F(XcsfTest, TwoViewsOfOneFileServeIndependently) {
+TEST_F(XcsfTest, OpenedFileIsTheWrittenImage) {
   const std::string path = TempPath("shared.xcsf");
-  ASSERT_TRUE(XcsfWriter::Write(*flat_, path, /*sync=*/false).ok());
-  Result<XcsfMmapView> a = XcsfMmapView::Open(path);
-  Result<XcsfMmapView> b = XcsfMmapView::Open(path);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(EstimateOn(a.value().flat(), kQueries[0]),
-            EstimateOn(b.value().flat(), kQueries[0]));
+  ASSERT_TRUE(
+      XcsfWriter::WriteGraph(built_->synopsis(), path, /*sync=*/false).ok());
+  Result<std::shared_ptr<const FlatSynopsis>> a = OpenXcsf(path);
+  Result<std::shared_ptr<const FlatSynopsis>> b = OpenXcsf(path);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a.value()->image(), *image_);
+  // Two mappings of one file serve independently.
+  for (const char* query : kQueries) {
+    EXPECT_EQ(EstimateOn(*a.value(), query), EstimateOn(*b.value(), query))
+        << query;
+  }
 }
 
 TEST_F(XcsfTest, SynopsisWithoutTermsOmitsTermPool) {
@@ -186,17 +136,19 @@ TEST_F(XcsfTest, SynopsisWithoutTermsOmitsTermPool) {
   synopsis.AddEdge(r, a, 10.0);
   std::vector<int64_t> values = {0, 1, 2, 3};
   synopsis.node(a).vsumm = ValueSummary::FromNumeric(std::move(values), 8);
-  FlatSynopsis small(synopsis);
-  std::string image;
-  ASSERT_TRUE(XcsfWriter::Encode(small, &image).ok());
-  Result<XcsfMmapView> view = XcsfMmapView::Adopt(std::move(image));
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view.value().header().flags & kXcsfFlagHasTerms, 0u);
-  for (const XcsfSection& section : view.value().sections()) {
+  const std::shared_ptr<const FlatSynopsis> flat = CompileXcsf(synopsis);
+  const std::string_view image = flat->image();
+  XcsfHeader header;
+  ASSERT_TRUE(ParseXcsfHeader(image, image.size(), &header).ok());
+  EXPECT_EQ(header.flags & kXcsfFlagHasTerms, 0u);
+  std::vector<XcsfSection> sections;
+  ASSERT_TRUE(ParseXcsfTable(image, image.size(), header, &sections).ok());
+  for (const XcsfSection& section : sections) {
     EXPECT_NE(section.id, static_cast<uint32_t>(kXcsfTermPool));
   }
-  EXPECT_EQ(view.value().flat().num_nodes(), 2u);
-  EXPECT_NE(view.value().flat().vsumm(1), nullptr);
+  EXPECT_EQ(flat->num_nodes(), 2u);
+  EXPECT_EQ(flat->term_resolver(), nullptr);
+  EXPECT_NE(flat->vsumm(1), nullptr);
 }
 
 TEST_F(XcsfTest, WriteGraphCompilesAndPersists) {
@@ -206,9 +158,24 @@ TEST_F(XcsfTest, WriteGraphCompilesAndPersists) {
   synopsis.AddEdge(r, 1, 5.0);
   const std::string path = TempPath("graph.xcsf");
   ASSERT_TRUE(XcsfWriter::WriteGraph(synopsis, path, /*sync=*/false).ok());
-  Result<XcsfMmapView> view = XcsfMmapView::Open(path);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view.value().flat().num_nodes(), 2u);
+  Result<std::shared_ptr<const FlatSynopsis>> flat = OpenXcsf(path);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  EXPECT_EQ(flat.value()->num_nodes(), 2u);
+  EXPECT_EQ(flat.value()->image(), CompileXcsf(synopsis)->image());
+}
+
+// A graph whose root is not alive compiles to a rootless image: every
+// estimate is 0.0, as for an empty synopsis.
+TEST_F(XcsfTest, DeadRootCompilesToARootlessImage) {
+  GraphSynopsis synopsis;
+  synopsis.AddNode("R", ValueType::kNone, 1.0);
+  synopsis.AddNode("A", ValueType::kNone, 5.0);
+  synopsis.AddEdge(0, 1, 5.0);
+  synopsis.set_root(7);  // past the arena
+  const std::shared_ptr<const FlatSynopsis> flat = CompileXcsf(synopsis);
+  EXPECT_EQ(flat->num_nodes(), 2u);
+  EXPECT_EQ(flat->root(), kNoFlatNode);
+  EXPECT_EQ(EstimateOn(*flat, "//A"), 0.0);
 }
 
 // --- fault injection -----------------------------------------------------
@@ -223,7 +190,8 @@ TEST_F(XcsfTest, BitFlipInEverySectionIsRejected) {
     if (section.length == 0) continue;
     std::string corrupt = *image_;
     corrupt[section.offset + section.length / 2] ^= 0x40;
-    Result<XcsfMmapView> view = XcsfMmapView::Adopt(std::move(corrupt));
+    Result<std::shared_ptr<const FlatSynopsis>> view =
+        AdoptXcsf(std::move(corrupt));
     EXPECT_FALSE(view.ok()) << XcsfSectionName(section.id);
     EXPECT_EQ(view.status().code(), Status::Code::kCorruption)
         << XcsfSectionName(section.id);
@@ -241,7 +209,8 @@ TEST_F(XcsfTest, BitFlipInHeaderTableAndTrailerIsRejected) {
   for (const size_t spot : spots) {
     std::string corrupt = *image_;
     corrupt[spot] ^= 0x01;
-    Result<XcsfMmapView> view = XcsfMmapView::Adopt(std::move(corrupt));
+    Result<std::shared_ptr<const FlatSynopsis>> view =
+        AdoptXcsf(std::move(corrupt));
     EXPECT_FALSE(view.ok()) << "flip at " << spot;
   }
 }
@@ -261,18 +230,19 @@ TEST_F(XcsfTest, TruncationAtEverySectionBoundaryIsRejected) {
   for (const size_t cut : cuts) {
     ASSERT_LT(cut, image_->size());
     // Both ingestion paths must reject the truncation cleanly.
-    Result<XcsfMmapView> adopted =
-        XcsfMmapView::Adopt(image_->substr(0, cut));
+    Result<std::shared_ptr<const FlatSynopsis>> adopted =
+        AdoptXcsf(image_->substr(0, cut));
     EXPECT_FALSE(adopted.ok()) << "adopt cut at " << cut;
     WriteRaw(path, std::string_view(*image_).substr(0, cut));
-    Result<XcsfMmapView> opened = XcsfMmapView::Open(path);
+    Result<std::shared_ptr<const FlatSynopsis>> opened = OpenXcsf(path);
     EXPECT_FALSE(opened.ok()) << "open cut at " << cut;
   }
 }
 
 TEST_F(XcsfTest, OversizedFileIsRejected) {
   std::string padded = *image_ + std::string(16, '\0');
-  Result<XcsfMmapView> view = XcsfMmapView::Adopt(std::move(padded));
+  Result<std::shared_ptr<const FlatSynopsis>> view =
+      AdoptXcsf(std::move(padded));
   EXPECT_FALSE(view.ok());
   EXPECT_EQ(view.status().code(), Status::Code::kCorruption);
 }
@@ -281,7 +251,7 @@ TEST_F(XcsfTest, ForeignBytesFailAsBadMagic) {
   for (const std::string& bytes :
        {std::string("XCSB not this format"), std::string("XC"),
         std::string(), std::string(200, 'x')}) {
-    Result<XcsfMmapView> view = XcsfMmapView::Adopt(bytes);
+    Result<std::shared_ptr<const FlatSynopsis>> view = AdoptXcsf(bytes);
     ASSERT_FALSE(view.ok());
     EXPECT_EQ(view.status().code(), Status::Code::kCorruption);
     EXPECT_NE(view.status().message().find("bad magic"), std::string::npos)
@@ -298,7 +268,7 @@ TEST_F(XcsfTest, NonZeroTrailerPadIsRejected) {
     std::string corrupt = *image_;
     corrupt[corrupt.size() - 4 + bit / 8] ^=
         static_cast<char>(1u << (bit % 8));
-    Result<XcsfMmapView> view = XcsfMmapView::Adopt(corrupt);
+    Result<std::shared_ptr<const FlatSynopsis>> view = AdoptXcsf(corrupt);
     ASSERT_FALSE(view.ok()) << "pad bit " << bit;
     EXPECT_EQ(view.status().code(), Status::Code::kCorruption);
     EXPECT_EQ(VerifyXcsfBytes(corrupt, nullptr).code(),

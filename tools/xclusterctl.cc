@@ -135,7 +135,7 @@
 #include "service/harness.h"
 #include "service/service.h"
 #include "storage/xcsf_format.h"
-#include "storage/xcsf_mmap_view.h"
+#include "storage/xcsf_reader.h"
 #include "synopsis/reference.h"
 #include "synopsis/stats.h"
 #include "workload/generator.h"
