@@ -1,6 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark) for the value-summary
 // substrates: build, estimate, merge, and compress throughput of the
-// histogram / PST / term-histogram structures.
+// histogram / PST / term-histogram structures, and a PST's decode from its
+// pool record and its copy.
 
 #include <benchmark/benchmark.h>
 
@@ -9,9 +10,12 @@
 
 #include "bench_json.h"
 
+#include "common/io/bytes.h"
 #include "common/rng.h"
+#include "core/serialize.h"
 #include "summaries/histogram.h"
 #include "summaries/pst.h"
+#include "summaries/value_summary.h"
 #include "summaries/term_histogram.h"
 #include "text/corpus.h"
 #include "text/dictionary.h"
@@ -108,6 +112,36 @@ void BM_PstMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PstMerge);
+
+// A PST of a few thousand nodes, as the value-summary pool stores it.
+void BM_PstDecode(benchmark::State& state) {
+  const ValueSummary vsumm =
+      ValueSummary::FromStrings(RandomStrings(1000, 7), 5);
+  std::string record;
+  StringSink sink(&record);
+  EncodeValueSummary(vsumm, &sink);
+  for (auto _ : state) {
+    StringSource src(record);
+    ValueSummary decoded;
+    if (!DecodeValueSummary(&src, &decoded).ok()) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.counters["nodes"] = static_cast<double>(vsumm.pst().node_count());
+}
+BENCHMARK(BM_PstDecode);
+
+void BM_PstCopy(benchmark::State& state) {
+  const Pst pst = Pst::Build(RandomStrings(1000, 7), 5);
+  for (auto _ : state) {
+    Pst copy = pst;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["nodes"] = static_cast<double>(pst.node_count());
+}
+BENCHMARK(BM_PstCopy);
 
 void BM_PstPrune(benchmark::State& state) {
   Pst pst = Pst::Build(RandomStrings(500, 10), 5);

@@ -93,20 +93,31 @@ void PutLengthPrefixed(ByteSink* sink, std::string_view data) {
 
 Status GetFixed8(ByteSource* src, uint8_t* v) { return src->Read(v, 1); }
 
+uint32_t DecodeFixed32(const char* p) {
+  const auto* u = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<uint32_t>(u[0]) | (static_cast<uint32_t>(u[1]) << 8) |
+         (static_cast<uint32_t>(u[2]) << 16) |
+         (static_cast<uint32_t>(u[3]) << 24);
+}
+
+uint64_t DecodeFixed64(const char* p) {
+  const auto* u = reinterpret_cast<const unsigned char*>(p);
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(u[i]) << (8 * i);
+  return v;
+}
+
 Status GetFixed32(ByteSource* src, uint32_t* v) {
-  unsigned char buf[4];
+  char buf[4];
   XC_RETURN_IF_ERROR(src->Read(buf, sizeof(buf)));
-  *v = static_cast<uint32_t>(buf[0]) | (static_cast<uint32_t>(buf[1]) << 8) |
-       (static_cast<uint32_t>(buf[2]) << 16) |
-       (static_cast<uint32_t>(buf[3]) << 24);
+  *v = DecodeFixed32(buf);
   return Status::OK();
 }
 
 Status GetFixed64(ByteSource* src, uint64_t* v) {
-  unsigned char buf[8];
+  char buf[8];
   XC_RETURN_IF_ERROR(src->Read(buf, sizeof(buf)));
-  *v = 0;
-  for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(buf[i]) << (8 * i);
+  *v = DecodeFixed64(buf);
   return Status::OK();
 }
 

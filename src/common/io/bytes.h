@@ -111,6 +111,10 @@ void PutVarint64(ByteSink* sink, uint64_t v);
 /// Varint length prefix + raw bytes.
 void PutLengthPrefixed(ByteSink* sink, std::string_view data);
 
+/// The fixed-width decodings of a buffer holding at least 4 (8) bytes.
+uint32_t DecodeFixed32(const char* p);
+uint64_t DecodeFixed64(const char* p);
+
 Status GetFixed8(ByteSource* src, uint8_t* v);
 Status GetFixed32(ByteSource* src, uint32_t* v);
 Status GetFixed64(ByteSource* src, uint64_t* v);

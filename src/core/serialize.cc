@@ -1,7 +1,8 @@
 #include "core/serialize.h"
 
-#include <bitset>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,38 +25,8 @@ enum SummaryKind : uint8_t {
 constexpr size_t kMinBucketRecord = 24;   // lo(8) hi(8) count(8)
 constexpr size_t kMinCoeffRecord = 9;     // index(1) value(8)
 constexpr size_t kMinSampleRecord = 8;    // value(8)
-constexpr size_t kMinPstRecord = 13;      // parent(4) symbol(1) count(8)
+constexpr size_t kMinPstRecord = 13;      // parent(4) symbol(1) count(8); exact
 constexpr size_t kMinIndexedRecord = 9;   // term(1) freq(8)
-
-/// Checks Pst::FromDump's precondition on a decoded PST dump: each entry's
-/// parent precedes it (or is the root, -1), and no two children of one
-/// parent share a symbol. FromDump turns entry i into node i + 1; a
-/// repeated sibling symbol would reuse a node and shift every later id.
-Status CheckPstDump(const std::vector<Pst::DumpNode>& dump) {
-  // Children of each parent as linked lists: first[parent + 1], next[child].
-  std::vector<int32_t> first(dump.size() + 1, -1);
-  std::vector<int32_t> next(dump.size(), -1);
-  for (size_t i = 0; i < dump.size(); ++i) {
-    const int32_t parent = dump[i].parent;
-    if (parent < -1 || parent >= static_cast<int64_t>(i)) {
-      return Status::Corruption("pst dump parent out of order");
-    }
-    next[i] = first[parent + 1];
-    first[parent + 1] = static_cast<int32_t>(i);
-  }
-  for (int32_t head : first) {
-    if (head < 0) continue;
-    std::bitset<256> seen;
-    for (int32_t child = head; child >= 0; child = next[child]) {
-      const auto symbol = static_cast<unsigned char>(dump[child].symbol);
-      if (seen.test(symbol)) {
-        return Status::Corruption("pst dump repeats a sibling symbol");
-      }
-      seen.set(symbol);
-    }
-  }
-  return Status::OK();
-}
 
 /// Checks what WaveletSummary's reconstruction and range estimates index
 /// and compute blindly: a power-of-two grid within kWaveletMaxGrid (or 0,
@@ -187,7 +158,7 @@ Status DecodeValueSummary(ByteSource* src, ValueSummary* vsumm) {
         b.hi = static_cast<int64_t>(hi);
         // Range estimates divide by the bucket width hi - lo + 1, which
         // must be a positive int64.
-        if (b.lo > b.hi || hi - lo >= static_cast<uint64_t>(INT64_MAX)) {
+        if (b.lo > b.hi || !HistogramBucket::Fits(b.lo, b.hi)) {
           return Status::Corruption("histogram bucket width out of range");
         }
       }
@@ -255,21 +226,24 @@ Status DecodeValueSummary(ByteSource* src, ValueSummary* vsumm) {
       XCLUSTER_RETURN_IF_ERROR(GetVarint64(src, &max_depth));
       XCLUSTER_RETURN_IF_ERROR(GetVarint64(src, &n));
       XCLUSTER_RETURN_IF_ERROR(CheckCount(n, kMinPstRecord, *src, "pst node"));
+      // The records are fixed-size: read them in one call, then parse.
+      const size_t bytes = static_cast<size_t>(n) * kMinPstRecord;
+      auto records = std::make_unique_for_overwrite<char[]>(bytes);
+      XCLUSTER_RETURN_IF_ERROR(src->Read(records.get(), bytes));
       std::vector<Pst::DumpNode> dump(static_cast<size_t>(n));
-      for (size_t i = 0; i < dump.size(); ++i) {
-        Pst::DumpNode& node = dump[i];
-        uint32_t parent = 0;
-        uint8_t symbol = 0;
-        XCLUSTER_RETURN_IF_ERROR(GetFixed32(src, &parent));
-        XCLUSTER_RETURN_IF_ERROR(GetFixed8(src, &symbol));
-        XCLUSTER_RETURN_IF_ERROR(GetDouble(src, &node.count));
-        node.parent = static_cast<int32_t>(parent);
-        node.symbol = static_cast<char>(symbol);
+      const char* record = records.get();
+      for (Pst::DumpNode& node : dump) {
+        node.parent = static_cast<int32_t>(DecodeFixed32(record));
+        node.symbol = record[4];
+        node.count = std::bit_cast<double>(DecodeFixed64(record + 5));
+        record += kMinPstRecord;
       }
-      XCLUSTER_RETURN_IF_ERROR(CheckPstDump(dump));
+      // FromDump rejects a parent out of order and a repeated sibling
+      // symbol.
+      XCLUSTER_ASSIGN_OR_RETURN(
+          Pst pst, Pst::FromDump(dump, total, static_cast<size_t>(max_depth)));
       vsumm->set_type(ValueType::kString);
-      *vsumm->mutable_pst() =
-          Pst::FromDump(dump, total, static_cast<size_t>(max_depth));
+      *vsumm->mutable_pst() = std::move(pst);
       return Status::OK();
     }
     case kSummTerms: {

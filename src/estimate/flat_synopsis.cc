@@ -47,6 +47,7 @@ FlatSynopsis::~FlatSynopsis() {
 }
 
 const ValueSummary* FlatSynopsis::DecodeSummary(uint32_t index) const {
+  XCLUSTER_SCOPED_TIMER_NS("estimate.flat.lazy_decode_ns");
   const uint64_t begin = pool_.offsets[index];
   const uint64_t end = pool_.offsets[index + 1];
   StringSource src(pool_.blob.substr(begin, end - begin));

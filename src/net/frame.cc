@@ -15,13 +15,6 @@ bool KnownFrameType(uint8_t type) {
          type <= static_cast<uint8_t>(FrameType::kInstallReply);
 }
 
-uint32_t DecodeFixed32(const char* p) {
-  const unsigned char* u = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint32_t>(u[0]) | (static_cast<uint32_t>(u[1]) << 8) |
-         (static_cast<uint32_t>(u[2]) << 16) |
-         (static_cast<uint32_t>(u[3]) << 24);
-}
-
 }  // namespace
 
 void EncodeFrame(const Frame& frame, std::string* out) {

@@ -7,6 +7,15 @@
 
 namespace xcluster {
 
+namespace {
+
+/// The largest hi for which a bucket [lo, hi] Fits.
+int64_t WidestEnd(int64_t lo) {
+  return lo <= 1 ? lo + (INT64_MAX - 1) : INT64_MAX;
+}
+
+}  // namespace
+
 Histogram::Histogram(std::vector<HistogramBucket> buckets)
     : buckets_(std::move(buckets)) {
   RecomputeTotal();
@@ -46,6 +55,16 @@ Histogram Histogram::Build(std::vector<int64_t> values, size_t max_buckets) {
       // Extend to include all duplicates of the boundary value.
       size_t j = target;
       while (j < n && values[j] == values[target - 1]) ++j;
+      // A bucket too wide for an int64 width ends at the last value that
+      // fits (values[i] alone always does), so it still ends on a value
+      // boundary; the rest goes to the next bucket.
+      if (!HistogramBucket::Fits(values[i], values[j - 1])) {
+        j = static_cast<size_t>(
+            std::upper_bound(values.begin() + static_cast<ptrdiff_t>(i),
+                             values.begin() + static_cast<ptrdiff_t>(j),
+                             WidestEnd(values[i])) -
+            values.begin());
+      }
       buckets.push_back({values[i], values[j - 1],
                          static_cast<double>(j - i)});
       i = j;
@@ -61,18 +80,29 @@ Histogram Histogram::Merge(const Histogram& a, const Histogram& b) {
   // Bucket alignment: collect all boundary edges from both histograms, then
   // accumulate each input bucket's count into the aligned cells it overlaps,
   // proportionally to overlap width (uniformity assumption).
+  int64_t top = INT64_MIN;  // the largest bucket end
+  for (const Histogram* h : {&a, &b}) {
+    for (const HistogramBucket& bucket : h->buckets_) {
+      top = std::max(top, bucket.hi);
+    }
+  }
   std::vector<int64_t> edges;  // cell start points
   for (const Histogram* h : {&a, &b}) {
     for (const HistogramBucket& bucket : h->buckets_) {
       edges.push_back(bucket.lo);
-      edges.push_back(bucket.hi + 1);  // exclusive end as a start point
+      // The exclusive end as a start point; nothing starts past `top`,
+      // which may be INT64_MAX.
+      if (bucket.hi < top) edges.push_back(bucket.hi + 1);
     }
   }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
-  // Cells are [edges[k], edges[k+1] - 1].
-  std::vector<double> cell_counts(edges.size() - 1, 0.0);
+  // Cells are [edges[k], edges[k+1] - 1]; the last one ends at `top`.
+  auto cell_end = [&](size_t k) {
+    return k + 1 < edges.size() ? edges[k + 1] - 1 : top;
+  };
+  std::vector<double> cell_counts(edges.size(), 0.0);
   auto deposit = [&](const Histogram& h) {
     for (const HistogramBucket& bucket : h.buckets_) {
       // Find first cell intersecting the bucket.
@@ -80,9 +110,9 @@ Histogram Histogram::Merge(const Histogram& a, const Histogram& b) {
           std::upper_bound(edges.begin(), edges.end(), bucket.lo) -
           edges.begin());
       if (k > 0) --k;
-      for (; k + 1 < edges.size() && edges[k] <= bucket.hi; ++k) {
+      for (; k < edges.size() && edges[k] <= bucket.hi; ++k) {
         int64_t cell_lo = edges[k];
-        int64_t cell_hi = edges[k + 1] - 1;
+        int64_t cell_hi = cell_end(k);
         int64_t lo = std::max(cell_lo, bucket.lo);
         int64_t hi = std::min(cell_hi, bucket.hi);
         if (lo > hi) continue;
@@ -96,15 +126,16 @@ Histogram Histogram::Merge(const Histogram& a, const Histogram& b) {
   deposit(b);
 
   std::vector<HistogramBucket> merged;
-  for (size_t k = 0; k + 1 < edges.size(); ++k) {
+  for (size_t k = 0; k < edges.size(); ++k) {
     if (cell_counts[k] <= 0.0) continue;
-    merged.push_back({edges[k], edges[k + 1] - 1, cell_counts[k]});
+    merged.push_back({edges[k], cell_end(k), cell_counts[k]});
   }
   // Coalesce adjacent cells with identical frequency (no information loss)
   // so alignment does not inflate bucket counts unboundedly.
   std::vector<HistogramBucket> out;
   for (const HistogramBucket& cell : merged) {
     if (!out.empty() && out.back().hi + 1 == cell.lo &&
+        HistogramBucket::Fits(out.back().lo, cell.hi) &&
         std::abs(out.back().frequency() - cell.frequency()) < 1e-12) {
       out.back().hi = cell.hi;
       out.back().count += cell.count;
@@ -142,7 +173,8 @@ namespace {
 double MergeSse(const HistogramBucket& x, const HistogramBucket& y) {
   const double wx = static_cast<double>(x.width());
   const double wy = static_cast<double>(y.width());
-  const double gap = static_cast<double>(y.lo - x.hi - 1);
+  const double gap = static_cast<double>(static_cast<uint64_t>(y.lo) -
+                                         static_cast<uint64_t>(x.hi) - 1);
   const double w = wx + wy + gap;
   const double f = (x.count + y.count) / w;
   const double fx = x.frequency();
@@ -153,17 +185,32 @@ double MergeSse(const HistogramBucket& x, const HistogramBucket& y) {
 
 }  // namespace
 
+bool Histogram::CanCompress() const {
+  for (size_t i = 0; i + 1 < buckets_.size(); ++i) {
+    if (HistogramBucket::Fits(buckets_[i].lo, buckets_[i + 1].hi)) return true;
+  }
+  return false;
+}
+
 void Histogram::Compress(size_t num_merges) {
+  constexpr size_t kNone = static_cast<size_t>(-1);
   for (size_t step = 0; step < num_merges && buckets_.size() > 1; ++step) {
-    size_t best = 0;
+    // Only pairs whose union Fits one bucket can merge; the first of them
+    // is the fallback when no SSE is below the initial bound.
+    size_t first = kNone;
+    size_t best = kNone;
     double best_sse = std::numeric_limits<double>::max();
     for (size_t i = 0; i + 1 < buckets_.size(); ++i) {
+      if (!HistogramBucket::Fits(buckets_[i].lo, buckets_[i + 1].hi)) continue;
+      if (first == kNone) first = i;
       double sse = MergeSse(buckets_[i], buckets_[i + 1]);
       if (sse < best_sse) {
         best_sse = sse;
         best = i;
       }
     }
+    if (first == kNone) break;
+    if (best == kNone) best = first;
     buckets_[best].hi = buckets_[best + 1].hi;
     buckets_[best].count += buckets_[best + 1].count;
     buckets_.erase(buckets_.begin() + static_cast<ptrdiff_t>(best) + 1);
@@ -190,9 +237,11 @@ Histogram Histogram::VOptimal(size_t num_buckets) const {
   std::vector<double> sq_over_w(n + 1, 0.0);
   std::vector<double> gap_before(n, 0.0);
   for (size_t k = 0; k < n; ++k) {
-    gap_before[k] = (k == 0) ? 0.0
-                             : static_cast<double>(buckets_[k].lo -
-                                                   buckets_[k - 1].hi - 1);
+    gap_before[k] =
+        (k == 0) ? 0.0
+                 : static_cast<double>(static_cast<uint64_t>(buckets_[k].lo) -
+                                       static_cast<uint64_t>(buckets_[k - 1].hi) -
+                                       1);
     // Gaps are charged here and subtracted back for the cell that STARTS a
     // segment: a gap lies inside a bucket only when the bucket spans both
     // neighboring cells.
@@ -220,6 +269,8 @@ Histogram Histogram::VOptimal(size_t num_buckets) const {
     for (size_t j = b; j <= n; ++j) {
       for (size_t i = b - 1; i < j; ++i) {
         if (dp[b - 1][i] >= kInf) continue;
+        // A segment whose range does not Fit one bucket is not a bucket.
+        if (!HistogramBucket::Fits(buckets_[i].lo, buckets_[j - 1].hi)) continue;
         double candidate = dp[b - 1][i] + segment_sse(i, j - 1);
         if (candidate < dp[b][j]) {
           dp[b][j] = candidate;
@@ -228,6 +279,9 @@ Histogram Histogram::VOptimal(size_t num_buckets) const {
       }
     }
   }
+
+  // No partition into num_buckets buckets that each Fit.
+  if (dp[num_buckets][n] >= kInf) return *this;
 
   // Recover the partition.
   std::vector<size_t> starts(num_buckets);

@@ -16,6 +16,14 @@ struct HistogramBucket {
 
   int64_t width() const { return hi - lo + 1; }
   double frequency() const { return count / static_cast<double>(width()); }
+
+  /// True if a bucket over [lo, hi] (lo <= hi) has a width() that is an
+  /// int64. Build, Merge and compression never make a wider bucket, and the
+  /// value-summary decoder rejects one.
+  static bool Fits(int64_t lo, int64_t hi) {
+    return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) <
+           static_cast<uint64_t>(INT64_MAX);
+  }
 };
 
 /// Bucket histogram summarizing a NUMERIC value distribution (Sec. 3).
@@ -52,8 +60,9 @@ class Histogram {
   /// frequency approximation. Implements hist_cmprs(u, b).
   void Compress(size_t num_merges);
 
-  /// True if at least one more adjacent-pair merge is possible.
-  bool CanCompress() const { return buckets_.size() > 1; }
+  /// True if at least one more adjacent-pair merge is possible: some
+  /// adjacent pair spans a range that Fits one bucket.
+  bool CanCompress() const;
 
   /// Returns a copy with `num_merges` compression steps applied (used to
   /// evaluate the Delta metric of a candidate compression).

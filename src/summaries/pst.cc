@@ -1,6 +1,7 @@
 #include "summaries/pst.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -16,23 +17,43 @@ constexpr double kUncached = -1.0;
 }  // namespace
 
 uint32_t Pst::FindChild(uint32_t node, char symbol) const {
-  for (uint32_t child : nodes_[node].children) {
-    if (nodes_[child].alive && nodes_[child].symbol == symbol) return child;
+  if (node == kRoot) {
+    // The root's children are nodes 1, 2, ... in list order: scan them
+    // without following the links.
+    if (nodes_[kRoot].first_child == kRoot) return kRoot;
+    for (uint32_t id = 1;; ++id) {
+      if (nodes_[id].symbol == symbol) return id;
+      if (nodes_[id].next_sibling == kRoot) return kRoot;
+    }
+  }
+  for (uint32_t child = nodes_[node].first_child; child != kRoot;
+       child = nodes_[child].next_sibling) {
+    if (nodes_[child].symbol == symbol) return child;
   }
   return kRoot;  // root is never a child; acts as "not found"
 }
 
-uint32_t Pst::GetOrAddChild(uint32_t node, char symbol) {
-  uint32_t found = FindChild(node, symbol);
-  if (found != kRoot) return found;
+uint32_t Pst::AddChild(uint32_t parent, uint32_t last, char symbol) {
+  const uint32_t id = static_cast<uint32_t>(nodes_.size());
   Node child;
   child.symbol = symbol;
-  child.parent = node;
-  uint32_t id = static_cast<uint32_t>(nodes_.size());
-  nodes_.push_back(std::move(child));
-  nodes_[node].children.push_back(id);
+  child.parent = parent;
+  nodes_.push_back(child);
+  (last == kRoot ? nodes_[parent].first_child : nodes_[last].next_sibling) =
+      id;
   ++live_nodes_;
   return id;
+}
+
+uint32_t Pst::GetOrAddChild(uint32_t node, char symbol) {
+  // FindChild's walk, keeping the last child for the append.
+  uint32_t last = kRoot;
+  for (uint32_t child = nodes_[node].first_child; child != kRoot;
+       child = nodes_[child].next_sibling) {
+    if (nodes_[child].symbol == symbol) return child;
+    last = child;
+  }
+  return AddChild(node, last, symbol);
 }
 
 Pst Pst::Build(const std::vector<std::string>& strings, size_t max_depth) {
@@ -43,15 +64,32 @@ Pst Pst::Build(const std::vector<std::string>& strings, size_t max_depth) {
   pst.total_ = static_cast<double>(strings.size());
   pst.nodes_[kRoot].count = pst.total_;
 
-  uint64_t stamp = 0;
+  // The root's children come first, as nodes 1..k in the order their
+  // symbols first occur: the order the loop below would add them in.
+  std::array<uint32_t, 256> root_child{};
+  if (max_depth > 0) {
+    uint32_t last = kRoot;
+    for (const std::string& s : strings) {
+      for (char symbol : s) {
+        uint32_t& child = root_child[static_cast<unsigned char>(symbol)];
+        if (child == kRoot) last = child = pst.AddChild(kRoot, last, symbol);
+      }
+    }
+  }
+  // stamp[id]: the last string (1-based) counted at node id, so a string
+  // counts once per substring however often it contains it.
+  std::vector<uint64_t> stamp(pst.nodes_.size(), 0);
+  uint64_t string_no = 0;
   for (const std::string& s : strings) {
-    ++stamp;
+    ++string_no;
     for (size_t i = 0; i < s.size(); ++i) {
       uint32_t node = kRoot;
       for (size_t d = 0; d < max_depth && i + d < s.size(); ++d) {
-        node = pst.GetOrAddChild(node, s[i + d]);
-        if (pst.nodes_[node].stamp != stamp) {
-          pst.nodes_[node].stamp = stamp;
+        node = d == 0 ? root_child[static_cast<unsigned char>(s[i])]
+                      : pst.GetOrAddChild(node, s[i + d]);
+        if (node == stamp.size()) stamp.push_back(0);
+        if (stamp[node] != string_no) {
+          stamp[node] = string_no;
           pst.nodes_[node].count += 1.0;
         }
       }
@@ -81,16 +119,18 @@ Pst Pst::Merge(const Pst& a, const Pst& b) {
   };
   std::vector<Frame> stack;
   stack.push_back({kRoot, kRoot, kRoot});
+  std::vector<char> symbols;
   while (!stack.empty()) {
     Frame frame = stack.back();
     stack.pop_back();
 
     // Collect the union of child symbols.
-    std::vector<char> symbols;
+    symbols.clear();
     auto add_symbols = [&](const Pst& src, uint32_t node) {
       if (node == kAbsent) return;
-      for (uint32_t child : src.nodes_[node].children) {
-        if (src.nodes_[child].alive) symbols.push_back(src.nodes_[child].symbol);
+      for (uint32_t child = src.nodes_[node].first_child; child != kRoot;
+           child = src.nodes_[child].next_sibling) {
+        symbols.push_back(src.nodes_[child].symbol);
       }
     };
     add_symbols(a, frame.a_node);
@@ -98,6 +138,9 @@ Pst Pst::Merge(const Pst& a, const Pst& b) {
     std::sort(symbols.begin(), symbols.end());
     symbols.erase(std::unique(symbols.begin(), symbols.end()), symbols.end());
 
+    // The symbols are distinct and the frame's output node has no children
+    // yet, so each child is appended after the previous one.
+    uint32_t last = kRoot;
     for (char symbol : symbols) {
       // FindChild returns kRoot when not found; translate to kAbsent.
       uint32_t a_child = kAbsent;
@@ -113,7 +156,8 @@ Pst Pst::Merge(const Pst& a, const Pst& b) {
       double count = 0.0;
       if (a_child != kAbsent) count += a.nodes_[a_child].count;
       if (b_child != kAbsent) count += b.nodes_[b_child].count;
-      uint32_t out_node = out.GetOrAddChild(frame.out_parent, symbol);
+      const uint32_t out_node = out.AddChild(frame.out_parent, last, symbol);
+      last = out_node;
       out.nodes_[out_node].count = count;
       stack.push_back({a_child, b_child, out_node});
     }
@@ -134,15 +178,6 @@ uint32_t Pst::WalkLongestPrefix(std::string_view s, size_t* matched) const {
   return node;
 }
 
-double Pst::LookupCount(std::string_view s) const {
-  if (nodes_.empty()) return -1.0;
-  if (s.empty()) return total_;
-  size_t matched = 0;
-  uint32_t node = WalkLongestPrefix(s, &matched);
-  if (matched != s.size()) return -1.0;
-  return nodes_[node].count;
-}
-
 double Pst::EstimateCount(std::string_view qs) const {
   if (nodes_.empty() || total_ <= 0.0) return 0.0;
   if (qs.empty()) return total_;
@@ -152,24 +187,46 @@ double Pst::EstimateCount(std::string_view qs) const {
   if (matched == 0) return 0.0;  // first symbol absent from distribution
   double p = nodes_[node].count / total_;
 
-  size_t pos = matched;
-  while (pos < qs.size()) {
-    // Longest context: smallest j such that qs[j..pos] and qs[j..pos+1] are
-    // both stored. j == pos means the empty context (plain symbol
-    // frequency).
+  // Each position pos >= matched takes the longest context: the smallest
+  // j such that qs[j..pos) and qs[j..pos] are both stored. j == pos means
+  // the empty context (plain symbol frequency). Every prefix of a stored
+  // string is stored, so a start whose context or extension is missing
+  // stays missing at later positions: `first` skips the leading run of
+  // such starts. The context of the start that stepped is the node just
+  // stepped to (`known_node`), so it needs no walk at the next position.
+  size_t first = 0;
+  size_t known_j = 0;
+  uint32_t known_node = node;
+  for (size_t pos = matched; pos < qs.size(); ++pos) {
     bool stepped = false;
-    size_t j_lo = (pos + 1 > max_depth_) ? (pos + 1 - max_depth_) : 0;
-    for (size_t j = j_lo; j <= pos; ++j) {
-      double ctx = LookupCount(qs.substr(j, pos - j));
+    // Only contexts of fewer than max_depth symbols are tried.
+    if (pos + 1 > max_depth_) first = std::max(first, pos + 1 - max_depth_);
+    for (size_t j = first; j <= pos; ++j) {
+      uint32_t ctx_node = known_node;
+      if (j != known_j) {
+        size_t ctx_matched = 0;
+        ctx_node = WalkLongestPrefix(qs.substr(j, pos - j), &ctx_matched);
+        if (ctx_matched != pos - j) {  // context not stored
+          if (j == first) ++first;
+          continue;
+        }
+      }
+      const double ctx = ctx_node == kRoot ? total_ : nodes_[ctx_node].count;
       if (ctx <= 0.0) continue;
-      double ext = LookupCount(qs.substr(j, pos - j + 1));
+      const uint32_t ext_node = FindChild(ctx_node, qs[pos]);
+      if (ext_node == kRoot) {  // extension not stored
+        if (j == first) ++first;
+        continue;
+      }
+      const double ext = nodes_[ext_node].count;
       if (ext < 0.0) continue;
       p *= ext / ctx;
+      known_j = j;
+      known_node = ext_node;
       stepped = true;
       break;
     }
     if (!stepped) return 0.0;  // the symbol qs[pos] never occurs
-    ++pos;
   }
   p = std::min(p, 1.0);
   return p * total_;
@@ -189,12 +246,18 @@ std::string Pst::StringOf(uint32_t node) const {
   return out;
 }
 
+uint32_t* Pst::LinkTo(uint32_t node) {
+  uint32_t* link = &nodes_[nodes_[node].parent].first_child;
+  while (*link != node) link = &nodes_[*link].next_sibling;
+  return link;
+}
+
 double Pst::PruningError(uint32_t node) {
-  const double before = nodes_[node].count;
-  nodes_[node].alive = false;
+  uint32_t* link = LinkTo(node);
+  *link = nodes_[node].next_sibling;
   const double after = EstimateCount(StringOf(node));
-  nodes_[node].alive = true;
-  return std::abs(before - after);
+  *link = node;
+  return std::abs(nodes_[node].count - after);
 }
 
 void Pst::MakePruneCache() {
@@ -239,16 +302,14 @@ void Pst::ForgetErrorsContaining(uint32_t node) {
 void Pst::RemoveLeaf(uint32_t node) {
   nodes_[node].alive = false;
   --live_nodes_;
-  auto& siblings = nodes_[nodes_[node].parent].children;
-  siblings.erase(std::remove(siblings.begin(), siblings.end(), node),
-                 siblings.end());
+  *LinkTo(node) = nodes_[node].next_sibling;
   if (!cache_.error.empty()) ForgetErrorsContaining(node);
 }
 
 bool Pst::CanPrune() const {
   for (uint32_t id = 1; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
-    if (node.alive && node.children.empty() && node.parent != kRoot) {
+    if (node.alive && node.first_child == kRoot && node.parent != kRoot) {
       return true;
     }
   }
@@ -271,7 +332,7 @@ void Pst::Prune(size_t num_leaves) {
   auto push_if_prunable = [&](uint32_t id) {
     const Node& node = nodes_[id];
     // Depth-1 nodes are retained to keep one node per symbol.
-    if (node.alive && node.children.empty() && node.parent != kRoot) {
+    if (node.alive && node.first_child == kRoot && node.parent != kRoot) {
       heap.push({error_of(id), id});
     }
   };
@@ -282,7 +343,7 @@ void Pst::Prune(size_t num_leaves) {
     auto [error, id] = heap.top();
     heap.pop();
     const Node& node = nodes_[id];
-    if (!node.alive || !node.children.empty() || node.parent == kRoot) {
+    if (!node.alive || node.first_child != kRoot || node.parent == kRoot) {
       continue;  // stale entry
     }
     // Lazy re-validation: errors drift as neighbors are pruned.
@@ -295,7 +356,7 @@ void Pst::Prune(size_t num_leaves) {
     uint32_t parent = node.parent;
     RemoveLeaf(id);
     ++pruned;
-    if (nodes_[parent].children.empty()) push_if_prunable(parent);
+    if (nodes_[parent].first_child == kRoot) push_if_prunable(parent);
   }
 }
 
@@ -305,7 +366,7 @@ void Pst::PruneByCount(size_t num_leaves) {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
   auto push_if_prunable = [&](uint32_t id) {
     const Node& node = nodes_[id];
-    if (node.alive && node.children.empty() && node.parent != kRoot) {
+    if (node.alive && node.first_child == kRoot && node.parent != kRoot) {
       heap.push({node.count, id});
     }
   };
@@ -315,13 +376,13 @@ void Pst::PruneByCount(size_t num_leaves) {
     auto [count, id] = heap.top();
     heap.pop();
     const Node& node = nodes_[id];
-    if (!node.alive || !node.children.empty() || node.parent == kRoot) {
+    if (!node.alive || node.first_child != kRoot || node.parent == kRoot) {
       continue;
     }
     uint32_t parent = node.parent;
     RemoveLeaf(id);
     ++pruned;
-    if (nodes_[parent].children.empty()) push_if_prunable(parent);
+    if (nodes_[parent].first_child == kRoot) push_if_prunable(parent);
   }
 }
 
@@ -343,8 +404,8 @@ std::vector<std::string> Pst::SampleSubstrings(size_t cap) const {
       auto [node, prefix] = std::move(stack.back());
       stack.pop_back();
       if (node != kRoot) sampled.push_back(prefix);
-      for (uint32_t child : nodes_[node].children) {
-        if (!nodes_[child].alive) continue;
+      for (uint32_t child = nodes_[node].first_child; child != kRoot;
+           child = nodes_[child].next_sibling) {
         stack.push_back({child, prefix + nodes_[child].symbol});
       }
     }
@@ -370,8 +431,9 @@ std::vector<std::string> Pst::SampleSubstrings(size_t cap) const {
           stride * static_cast<double>(sampled.size()));
     }
     const size_t first = order.size();
-    for (uint32_t child : nodes_[node].children) {
-      if (nodes_[child].alive) order.push_back(child);
+    for (uint32_t child = nodes_[node].first_child; child != kRoot;
+         child = nodes_[child].next_sibling) {
+      order.push_back(child);
     }
     std::sort(order.begin() + first, order.end(),
               [this](uint32_t a, uint32_t b) {
@@ -385,39 +447,62 @@ std::vector<std::string> Pst::SampleSubstrings(size_t cap) const {
 std::vector<Pst::DumpNode> Pst::Dump() const {
   std::vector<DumpNode> dump;
   if (nodes_.empty()) return dump;
-  // Preorder DFS assigning dump indices on the fly.
+  dump.reserve(live_nodes_);
+  // Preorder DFS assigning dump indices on the fly: a node comes before
+  // its subtree, and its subtree before its next sibling.
   std::vector<std::pair<uint32_t, int32_t>> stack;  // (node, parent dump idx)
-  for (auto it = nodes_[kRoot].children.rbegin();
-       it != nodes_[kRoot].children.rend(); ++it) {
-    if (nodes_[*it].alive) stack.push_back({*it, -1});
+  if (nodes_[kRoot].first_child != kRoot) {
+    stack.push_back({nodes_[kRoot].first_child, -1});
   }
   while (!stack.empty()) {
     auto [node, parent] = stack.back();
     stack.pop_back();
-    int32_t index = static_cast<int32_t>(dump.size());
-    dump.push_back({parent, nodes_[node].symbol, nodes_[node].count});
-    for (auto it = nodes_[node].children.rbegin();
-         it != nodes_[node].children.rend(); ++it) {
-      if (nodes_[*it].alive) stack.push_back({*it, index});
-    }
+    const Node& n = nodes_[node];
+    if (n.next_sibling != kRoot) stack.push_back({n.next_sibling, parent});
+    const int32_t index = static_cast<int32_t>(dump.size());
+    dump.push_back({parent, n.symbol, n.count});
+    if (n.first_child != kRoot) stack.push_back({n.first_child, index});
   }
   return dump;
 }
 
-Pst Pst::FromDump(const std::vector<DumpNode>& dump, double total,
-                  size_t max_depth) {
+Result<Pst> Pst::FromDump(std::span<const DumpNode> dump, double total,
+                          size_t max_depth) {
   Pst pst;
   pst.max_depth_ = max_depth;
   pst.total_ = total;
-  pst.nodes_.push_back(Node{});
+  pst.nodes_.resize(dump.size() + 1);
   pst.nodes_[kRoot].count = total;
-  pst.live_nodes_ = 0;
-  for (const DumpNode& entry : dump) {
-    uint32_t parent =
-        (entry.parent < 0) ? kRoot
-                           : static_cast<uint32_t>(entry.parent) + 1;
-    uint32_t node = pst.GetOrAddChild(parent, entry.symbol);
-    pst.nodes_[node].count = entry.count;
+  pst.live_nodes_ = dump.size();
+  Node* nodes = pst.nodes_.data();
+  // The root's children take nodes 1..k in dump order, every other entry
+  // the nodes after them in dump order.
+  uint32_t next_root_child = 1;
+  uint32_t next_other = 1;
+  for (const DumpNode& entry : dump) next_other += entry.parent == -1;
+  std::vector<uint32_t> node_of(dump.size());
+  for (size_t i = 0; i < dump.size(); ++i) {
+    const DumpNode& entry = dump[i];
+    if (entry.parent < -1 || entry.parent >= static_cast<int64_t>(i)) {
+      return Status::Corruption("pst dump parent out of order");
+    }
+    const uint32_t parent = entry.parent == -1 ? kRoot : node_of[entry.parent];
+    // Walk the parent's children to the end of the list, where the entry
+    // is appended; a sibling with its symbol would make it a second node
+    // for one substring.
+    uint32_t* link = &nodes[parent].first_child;
+    while (*link != kRoot) {
+      if (nodes[*link].symbol == entry.symbol) {
+        return Status::Corruption("pst dump repeats a sibling symbol");
+      }
+      link = &nodes[*link].next_sibling;
+    }
+    const uint32_t id = parent == kRoot ? next_root_child++ : next_other++;
+    node_of[i] = id;
+    *link = id;
+    nodes[id].parent = parent;
+    nodes[id].symbol = entry.symbol;
+    nodes[id].count = entry.count;
   }
   return pst;
 }

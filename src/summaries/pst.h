@@ -2,9 +2,13 @@
 #define XCLUSTER_SUMMARIES_PST_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "common/status.h"
 
 namespace xcluster {
 
@@ -89,43 +93,67 @@ class Pst {
   /// Preorder dump of the alive nodes (excludes the root).
   std::vector<DumpNode> Dump() const;
 
-  /// Reconstructs a PST from Dump() output plus the string count and depth.
-  /// Precondition: every entry's parent precedes it, and no two entries
-  /// with the same parent share a symbol, so that entry i becomes node
-  /// i + 1. Decoders check it first (CheckPstDump in core/serialize.cc).
-  static Pst FromDump(const std::vector<DumpNode>& dump, double total,
-                      size_t max_depth);
+  /// Reconstructs a PST from Dump() output plus the string count and depth,
+  /// linking the entries in one pass into a node array sized once: the
+  /// root's children become nodes 1..k and the other entries the nodes
+  /// after them, each group in dump order. kCorruption if an entry's
+  /// parent does not precede it or two entries with the same parent share
+  /// a symbol (the value-summary decoder passes untrusted records straight
+  /// through).
+  static Result<Pst> FromDump(std::span<const DumpNode> dump, double total,
+                              size_t max_depth);
 
  private:
   friend class PstOracle;  // tests/oracle/pst_prune.h
 
-  struct Node {
-    char symbol = 0;
-    double count = 0.0;
-    uint32_t parent = 0;
-    uint64_t stamp = 0;  // build-time dedup marker
-    bool alive = true;
-    std::vector<uint32_t> children;  // indices into nodes_
-  };
-
   static constexpr uint32_t kRoot = 0;
 
+  /// One tree node. A node's children form an intrusive list in insertion
+  /// order: `first_child`, then each child's `next_sibling`; kRoot, which
+  /// is never a child, ends the list. A pruned node is unlinked, marked
+  /// dead and keeps its slot, so node ids stay stable and every linked node
+  /// is alive. Nodes own no memory: a tree without a PruneCache (every
+  /// decoded tree) is one array, copied, decoded or freed in one
+  /// allocation. The fields a sibling walk reads come first.
+  ///
+  /// The root's children, which every lookup starts from and pruning never
+  /// removes, are nodes 1..k in list order (Build, Merge and FromDump add
+  /// them first), so FindChild scans them without following links. Every
+  /// other node comes after its parent, in the order it was added.
+  struct Node {
+    uint32_t next_sibling = kRoot;
+    char symbol = 0;
+    bool alive = true;
+    uint32_t first_child = kRoot;
+    uint32_t parent = kRoot;
+    double count = 0.0;
+  };
+  static_assert(std::is_trivially_copyable_v<Node>);
+
   uint32_t FindChild(uint32_t node, char symbol) const;
+  /// Build's lookup below the root: the child of `node` with `symbol`,
+  /// appended at the end of the list when there is none.
   uint32_t GetOrAddChild(uint32_t node, char symbol);
+
+  /// Appends a new child of `parent` after `last` (its last child, or kRoot
+  /// when it has none) and returns the child's id.
+  uint32_t AddChild(uint32_t parent, uint32_t last, char symbol);
 
   /// Walks `s` from the root; returns the node index reached and sets
   /// `matched` to the number of characters matched.
   uint32_t WalkLongestPrefix(std::string_view s, size_t* matched) const;
 
-  /// Count of the exact substring `s`, or -1 if not present in full.
-  double LookupCount(std::string_view s) const;
+  /// The link that points at `node`: its parent's first_child or its
+  /// previous sibling's next_sibling.
+  uint32_t* LinkTo(uint32_t node);
 
   /// String encoded by `node` (root-to-node symbols).
   std::string StringOf(uint32_t node) const;
 
   /// Estimation error introduced by pruning leaf `node`: |count - the
-  /// estimate for its string with the node hidden|. The estimate reads only
-  /// the nodes whose strings are substrings of the leaf's string.
+  /// estimate for its string with the node unlinked for the estimate|. The
+  /// estimate reads only the nodes whose strings are substrings of the
+  /// leaf's string.
   double PruningError(uint32_t node);
 
   /// Builds cache_ for the current tree (first Prune).

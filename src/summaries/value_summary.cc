@@ -225,9 +225,11 @@ std::vector<AtomicPredicate> ValueSummary::AtomicPredicates(size_t cap) const {
           // Prefix points at a uniform grid over the domain.
           const int64_t lo = wavelet_.domain_lo();
           const int64_t hi = wavelet_.domain_hi();
+          const int64_t span = hi - lo;
           const int64_t steps = 16;
           for (int64_t k = 1; k <= steps; ++k) {
-            bounds.push_back(lo + (hi - lo) * k / steps);
+            // lo + span * k / steps, without computing span * k.
+            bounds.push_back(lo + span / steps * k + span % steps * k / steps);
           }
           break;
         }

@@ -47,6 +47,46 @@ double NormalizedMagnitude(uint32_t index, double value, size_t grid) {
   return std::abs(value) * std::sqrt(support);
 }
 
+/// A summary's grid: `cells` cells (a power of two up to kWaveletMaxGrid)
+/// of `cell_width` values each, from `domain_lo`. The extent cells *
+/// cell_width is an int64 and the grid ends at or below INT64_MAX, as the
+/// value-summary decoder requires.
+struct Grid {
+  int64_t domain_lo = 0;
+  int64_t cell_width = 1;
+  size_t cells = 1;
+
+  /// The cell of a value at or above domain_lo; values past the grid's end
+  /// fall in the last cell.
+  size_t CellOf(int64_t v) const {
+    const uint64_t offset =
+        static_cast<uint64_t>(v) - static_cast<uint64_t>(domain_lo);
+    return static_cast<size_t>(std::min<uint64_t>(
+        offset / static_cast<uint64_t>(cell_width), cells - 1));
+  }
+};
+
+/// The grid over [lo, hi] with at most `max_cells` cells. A span whose
+/// extent is not an int64 is clamped: the grid covers what it can from lo
+/// and its last cell takes the rest. A grid that would end past INT64_MAX
+/// moves down to end there.
+Grid LayOutGrid(int64_t lo, int64_t hi, size_t max_cells) {
+  const uint64_t span =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);  // width - 1
+  Grid grid;
+  grid.cells = std::min(
+      kWaveletMaxGrid,
+      NextPowerOfTwo(span < max_cells ? static_cast<size_t>(span) + 1
+                                      : max_cells));
+  // ceil((span + 1) / cells), without computing span + 1.
+  const uint64_t cell_width = std::min<uint64_t>(
+      span / grid.cells + 1, static_cast<uint64_t>(INT64_MAX) / grid.cells);
+  grid.cell_width = static_cast<int64_t>(cell_width);
+  const int64_t last = static_cast<int64_t>(cell_width * grid.cells) - 1;
+  grid.domain_lo = lo > INT64_MAX - last ? INT64_MAX - last : lo;
+  return grid;
+}
+
 }  // namespace
 
 std::vector<double> WaveletSummary::Reconstruct() const {
@@ -115,18 +155,11 @@ WaveletSummary WaveletSummary::Build(const std::vector<int64_t>& values,
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
-  const int64_t width = hi - lo + 1;
-  const size_t cells = std::min(
-      kWaveletMaxGrid, NextPowerOfTwo(static_cast<size_t>(std::min<int64_t>(
-                           static_cast<int64_t>(grid), width))));
-  const int64_t cell_width =
-      (width + static_cast<int64_t>(cells) - 1) / static_cast<int64_t>(cells);
-
-  std::vector<double> counts(cells, 0.0);
-  for (int64_t v : values) {
-    counts[static_cast<size_t>((v - lo) / cell_width)] += 1.0;
-  }
-  return FromCells(counts, lo, cell_width, max_coefficients);
+  const Grid layout = LayOutGrid(lo, hi, grid);
+  std::vector<double> counts(layout.cells, 0.0);
+  for (int64_t v : values) counts[layout.CellOf(v)] += 1.0;
+  return FromCells(counts, layout.domain_lo, layout.cell_width,
+                   max_coefficients);
 }
 
 WaveletSummary WaveletSummary::Merge(const WaveletSummary& a,
@@ -135,15 +168,10 @@ WaveletSummary WaveletSummary::Merge(const WaveletSummary& a,
   if (b.grid_ == 0) return a;
   const int64_t lo = std::min(a.domain_lo_, b.domain_lo_);
   const int64_t hi = std::max(a.domain_hi_, b.domain_hi_);
-  const int64_t width = hi - lo + 1;
   // Resolve the merged grid against the union domain (not the input grids,
   // which may each cover a narrow sub-range).
-  const size_t cells = NextPowerOfTwo(static_cast<size_t>(
-      std::min<int64_t>(kWaveletMaxGrid, width)));
-  const int64_t cell_width =
-      (width + static_cast<int64_t>(cells) - 1) / static_cast<int64_t>(cells);
-
-  std::vector<double> counts(cells, 0.0);
+  const Grid layout = LayOutGrid(lo, hi, kWaveletMaxGrid);
+  std::vector<double> counts(layout.cells, 0.0);
   auto deposit = [&](const WaveletSummary& src) {
     const std::vector<double>& src_cells = src.cells_;
     for (size_t i = 0; i < src_cells.size(); ++i) {
@@ -153,13 +181,20 @@ WaveletSummary WaveletSummary::Merge(const WaveletSummary& a,
       const int64_t src_lo = src.domain_lo_ +
                              static_cast<int64_t>(i) * src.cell_width_;
       const int64_t src_hi = src_lo + src.cell_width_ - 1;
-      for (int64_t pos = src_lo; pos <= src_hi;) {
-        const size_t dest = static_cast<size_t>((pos - lo) / cell_width);
-        const int64_t dest_hi = lo + static_cast<int64_t>(dest + 1) * cell_width - 1;
+      for (int64_t pos = src_lo;;) {
+        const size_t dest = layout.CellOf(pos);
+        // The last cell takes the rest of the source cell, even past the
+        // end of a clamped grid.
+        const int64_t dest_hi =
+            dest + 1 == layout.cells
+                ? src_hi
+                : layout.domain_lo +
+                      static_cast<int64_t>(dest + 1) * layout.cell_width - 1;
         const int64_t step_hi = std::min(src_hi, dest_hi);
         const double fraction = static_cast<double>(step_hi - pos + 1) /
                                 static_cast<double>(src.cell_width_);
         counts[dest] += src_cells[i] * fraction;
+        if (step_hi == src_hi) break;  // src_hi may be INT64_MAX
         pos = step_hi + 1;
       }
     }
@@ -168,7 +203,8 @@ WaveletSummary WaveletSummary::Merge(const WaveletSummary& a,
   deposit(b);
   // Fusion preserves all detail (Sec. 4.1); the value-compression phase is
   // what reduces summary size later.
-  return FromCells(counts, lo, cell_width, /*max_coefficients=*/0);
+  return FromCells(counts, layout.domain_lo, layout.cell_width,
+                   /*max_coefficients=*/0);
 }
 
 double WaveletSummary::EstimateRange(int64_t lo, int64_t hi) const {

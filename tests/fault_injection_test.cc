@@ -78,7 +78,7 @@ ValueSummary MakeSummary(SummaryCase c) {
           {-1, 'a', 10.0}, {0, 'b', 6.0}, {0, 'c', 4.0},
           {1, 'd', 3.0},   {-1, 'x', 2.0},
       };
-      *vsumm.mutable_pst() = Pst::FromDump(dump, 12.0, 3);
+      *vsumm.mutable_pst() = Pst::FromDump(dump, 12.0, 3).value();
       break;
     }
     case SummaryCase::kTerms: {

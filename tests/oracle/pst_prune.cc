@@ -24,9 +24,11 @@ void PstOracle::Prune(Pst* pst, size_t num_leaves) {
       s += nodes[cur].symbol;
     }
     std::reverse(s.begin(), s.end());
-    nodes[id].alive = false;
+    uint32_t* link = &nodes[nodes[id].parent].first_child;
+    while (*link != id) link = &nodes[*link].next_sibling;
+    *link = nodes[id].next_sibling;
     const double after = pst->EstimateCount(s);
-    nodes[id].alive = true;
+    *link = id;
     return std::abs(nodes[id].count - after);
   };
 
@@ -34,7 +36,7 @@ void PstOracle::Prune(Pst* pst, size_t num_leaves) {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
   auto push_if_prunable = [&](uint32_t id) {
     const auto& node = nodes[id];
-    if (node.alive && node.children.empty() && node.parent != kRoot) {
+    if (node.alive && node.first_child == kRoot && node.parent != kRoot) {
       heap.push({pruning_error(id), id});
     }
   };
@@ -45,7 +47,7 @@ void PstOracle::Prune(Pst* pst, size_t num_leaves) {
     auto [error, id] = heap.top();
     heap.pop();
     const auto& node = nodes[id];
-    if (!node.alive || !node.children.empty() || node.parent == kRoot) {
+    if (!node.alive || node.first_child != kRoot || node.parent == kRoot) {
       continue;
     }
     const double current = pruning_error(id);
@@ -57,11 +59,11 @@ void PstOracle::Prune(Pst* pst, size_t num_leaves) {
     const uint32_t parent = node.parent;
     nodes[id].alive = false;
     --pst->live_nodes_;
-    auto& siblings = nodes[parent].children;
-    siblings.erase(std::remove(siblings.begin(), siblings.end(), id),
-                   siblings.end());
+    uint32_t* link = &nodes[parent].first_child;
+    while (*link != id) link = &nodes[*link].next_sibling;
+    *link = nodes[id].next_sibling;
     ++pruned;
-    if (nodes[parent].children.empty()) push_if_prunable(parent);
+    if (nodes[parent].first_child == kRoot) push_if_prunable(parent);
   }
 }
 
@@ -76,8 +78,8 @@ std::vector<std::string> PstOracle::SampleSubstrings(const Pst& pst,
     auto [node, prefix] = std::move(stack.back());
     stack.pop_back();
     if (node != kRoot) all.push_back(prefix);
-    for (uint32_t child : nodes[node].children) {
-      if (!nodes[child].alive) continue;
+    for (uint32_t child = nodes[node].first_child; child != kRoot;
+         child = nodes[child].next_sibling) {
       stack.push_back({child, prefix + nodes[child].symbol});
     }
   }
@@ -95,6 +97,56 @@ std::vector<std::string> PstOracle::SampleSubstrings(const Pst& pst,
         all[static_cast<size_t>(stride * static_cast<double>(k))]);
   }
   return sampled;
+}
+
+double PstOracle::EstimateCount(const Pst& pst, std::string_view qs) {
+  const auto& nodes = pst.nodes_;
+  // Node of the exact substring s (the root for the empty one), or kAbsent.
+  constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
+  auto find = [&](std::string_view s) {
+    uint32_t node = kRoot;
+    for (char symbol : s) {
+      uint32_t child = nodes[node].first_child;
+      while (child != kRoot && nodes[child].symbol != symbol) {
+        child = nodes[child].next_sibling;
+      }
+      if (child == kRoot) return kAbsent;
+      node = child;
+    }
+    return node;
+  };
+  // Count of the exact substring s, or -1 if it is not stored.
+  auto lookup = [&](std::string_view s) {
+    if (s.empty()) return pst.total_;
+    const uint32_t node = find(s);
+    return node == kAbsent ? -1.0 : nodes[node].count;
+  };
+  if (nodes.empty() || pst.total_ <= 0.0) return 0.0;
+  if (qs.empty()) return pst.total_;
+
+  size_t matched = 0;
+  while (matched < qs.size() && find(qs.substr(0, matched + 1)) != kAbsent) {
+    ++matched;
+  }
+  if (matched == 0) return 0.0;
+  double p = nodes[find(qs.substr(0, matched))].count / pst.total_;
+  for (size_t pos = matched; pos < qs.size(); ++pos) {
+    bool stepped = false;
+    const size_t j_lo =
+        (pos + 1 > pst.max_depth_) ? (pos + 1 - pst.max_depth_) : 0;
+    for (size_t j = j_lo; j <= pos; ++j) {
+      const double ctx = lookup(qs.substr(j, pos - j));
+      if (ctx <= 0.0) continue;
+      const double ext = lookup(qs.substr(j, pos - j + 1));
+      if (ext < 0.0) continue;
+      p *= ext / ctx;
+      stepped = true;
+      break;
+    }
+    if (!stepped) return 0.0;
+  }
+  p = std::min(p, 1.0);
+  return p * pst.total_;
 }
 
 }  // namespace xcluster

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <string>
@@ -205,11 +206,138 @@ TEST(PstTest, MaxDepthLimitsSubstrings) {
 
 TEST(PstTest, DumpRoundTrip) {
   Pst pst = Pst::Build({"abc", "abd", "xy"}, 3);
-  Pst rebuilt = Pst::FromDump(pst.Dump(), pst.total(), pst.max_depth());
+  Pst rebuilt =
+      Pst::FromDump(pst.Dump(), pst.total(), pst.max_depth()).value();
   EXPECT_EQ(rebuilt.node_count(), pst.node_count());
   EXPECT_DOUBLE_EQ(rebuilt.EstimateCount("ab"), pst.EstimateCount("ab"));
   EXPECT_DOUBLE_EQ(rebuilt.EstimateCount("abc"), pst.EstimateCount("abc"));
   EXPECT_DOUBLE_EQ(rebuilt.EstimateCount("xy"), pst.EstimateCount("xy"));
+}
+
+// --- Observable order, pinned as literals --------------------------------
+// Dump() order, pruning tie-breaks and the sampled strings follow the order
+// in which children were inserted. These literals pin that order across
+// changes to the node layout.
+
+/// Dump() as "<parent><symbol><count>" entries, space-separated.
+std::string DumpText(const Pst& pst) {
+  std::string out;
+  for (const Pst::DumpNode& node : pst.Dump()) {
+    if (!out.empty()) out += ' ';
+    char entry[64];
+    std::snprintf(entry, sizeof(entry), "%d%c%.17g", node.parent, node.symbol,
+                  node.count);
+    out += entry;
+  }
+  return out;
+}
+
+/// Depth-3 trees over two small string sets, built in insertion order and
+/// merged in symbol order.
+Pst PinnedA() { return Pst::Build({"banana", "bandana", "cabana"}, 3); }
+Pst PinnedB() { return Pst::Build({"canal", "nab", "panama"}, 3); }
+Pst PinnedMerge() { return Pst::Merge(PinnedA(), PinnedB()); }
+
+TEST(PstPinnedTest, BuildAndMergeDumps) {
+  EXPECT_EQ(DumpText(PinnedA()),
+            "-1b3 0a3 1n3 -1a3 3n3 4a3 4d1 3b1 7a1 -1n3 9a3 10n1 9d1 12a1 "
+            "-1d1 14a1 15n1 -1c1 17a1 18b1");
+  EXPECT_EQ(DumpText(PinnedB()),
+            "-1c1 0a1 1n1 -1a3 3n2 4a2 3l1 3b1 3m1 8a1 -1n3 10a3 11l1 11b1 "
+            "11m1 -1l1 -1b1 -1p1 17a1 18n1 -1m1 20a1");
+  EXPECT_EQ(DumpText(PinnedMerge()),
+            "-1a6 0b2 1a1 0l1 0m1 4a1 0n5 6a5 6d1 -1b4 9a3 10n3 -1c2 12a2 "
+            "13b1 13n1 -1d1 16a1 17n1 -1l1 -1m1 20a1 -1n6 22a6 23b1 23l1 "
+            "23m1 23n1 22d1 28a1 -1p1 30a1 31n1");
+}
+
+TEST(PstPinnedTest, PruneDumps) {
+  const std::vector<std::pair<size_t, std::string>> merged = {
+      {1,
+       "-1a6 0b2 1a1 0l1 0m1 4a1 0n5 6a5 6d1 -1b4 9a3 10n3 -1c2 12a2 13b1 "
+       "13n1 -1d1 16a1 17n1 -1l1 -1m1 20a1 -1n6 22a6 23b1 23l1 23m1 23n1 "
+       "22d1 -1p1 29a1 30n1"},
+      {4,
+       "-1a6 0b2 1a1 0l1 0m1 4a1 0n5 6a5 6d1 -1b4 9a3 10n3 -1c2 12a2 13b1 "
+       "13n1 -1d1 16a1 17n1 -1l1 -1m1 20a1 -1n6 22a6 23b1 23n1 -1p1 26a1 "
+       "27n1"},
+      {9,
+       "-1a6 0b2 1a1 0n5 3d1 -1b4 5a3 6n3 -1c2 8a2 9b1 9n1 -1d1 12a1 13n1 "
+       "-1l1 -1m1 -1n6 17a6 18b1 18n1 -1p1 21a1 22n1"},
+      {20, "-1a6 0b2 0n5 -1b4 3a3 -1c2 -1d1 -1l1 -1m1 -1n6 9a6 10n1 -1p1"},
+  };
+  for (const auto& [k, expected] : merged) {
+    Pst pst = PinnedMerge();
+    pst.Prune(k);
+    EXPECT_EQ(DumpText(pst), expected) << "merged, Prune(" << k << ")";
+  }
+  const std::vector<std::pair<size_t, std::string>> built = {
+      {3,
+       "-1b3 -1a3 1n3 2d1 1b1 4a1 -1n3 6a3 7n1 6d1 9a1 -1d1 11a1 12n1 -1c1 "
+       "14a1 15b1"},
+      {8, "-1b3 -1a3 1b1 2a1 -1n3 4a3 5n1 -1d1 7a1 -1c1 9a1 10b1"},
+  };
+  for (const auto& [k, expected] : built) {
+    Pst pst = PinnedA();
+    pst.Prune(k);
+    EXPECT_EQ(DumpText(pst), expected) << "built, Prune(" << k << ")";
+  }
+  EXPECT_EQ(DumpText(PinnedA().Pruned(5)),
+            "-1b3 -1a3 1b1 2a1 -1n3 4a3 5n1 4d1 7a1 -1d1 9a1 10n1 -1c1 12a1 "
+            "13b1");
+}
+
+TEST(PstPinnedTest, PruneByCountDumps) {
+  const std::vector<std::pair<size_t, std::string>> merged = {
+      {1,
+       "-1a6 0b2 1a1 0l1 0m1 4a1 0n5 6a5 6d1 -1b4 9a3 10n3 -1c2 12a2 13b1 "
+       "13n1 -1d1 16a1 17n1 -1l1 -1m1 20a1 -1n6 22a6 23b1 23l1 23m1 23n1 "
+       "22d1 28a1 -1p1 30a1"},
+      {4,
+       "-1a6 0b2 1a1 0l1 0m1 4a1 0n5 6a5 6d1 -1b4 9a3 10n3 -1c2 12a2 13b1 "
+       "13n1 -1d1 16a1 17n1 -1l1 -1m1 20a1 -1n6 22a6 23b1 23l1 23m1 23n1 "
+       "-1p1"},
+      {9,
+       "-1a6 0b2 1a1 0l1 0m1 4a1 0n5 6a5 6d1 -1b4 9a3 10n3 -1c2 12a2 13b1 "
+       "13n1 -1d1 16a1 17n1 -1l1 -1m1 -1n6 21a6 -1p1"},
+      {20, "-1a6 0n5 1a5 -1b4 3a3 4n3 -1c2 -1d1 -1l1 -1m1 -1n6 10a6 -1p1"},
+  };
+  for (const auto& [k, expected] : merged) {
+    Pst pst = PinnedMerge();
+    pst.PruneByCount(k);
+    EXPECT_EQ(DumpText(pst), expected) << "merged, PruneByCount(" << k << ")";
+  }
+  const std::vector<std::pair<size_t, std::string>> built = {
+      {3,
+       "-1b3 0a3 1n3 -1a3 3n3 4a3 3b1 6a1 -1n3 8a3 8d1 -1d1 11a1 12n1 -1c1 "
+       "14a1 15b1"},
+      {8, "-1b3 0a3 1n3 -1a3 3n3 4a3 3b1 6a1 -1n3 8a3 -1d1 -1c1"},
+  };
+  for (const auto& [k, expected] : built) {
+    Pst pst = PinnedA();
+    pst.PruneByCount(k);
+    EXPECT_EQ(DumpText(pst), expected) << "built, PruneByCount(" << k << ")";
+  }
+}
+
+TEST(PstPinnedTest, SampleSubstrings) {
+  using Strings = std::vector<std::string>;
+  // Every string, depth first.
+  EXPECT_EQ(PinnedA().SampleSubstrings(0),
+            (Strings{"c", "ca", "cab", "d", "da", "dan", "n", "nd", "nda",
+                     "na", "nan", "a", "ab", "aba", "an", "and", "ana", "b",
+                     "ba", "ban"}));
+  // Caps below the node count: a stride sample in (length, string) order.
+  EXPECT_EQ(PinnedA().SampleSubstrings(7),
+            (Strings{"a", "c", "ab", "ca", "nd", "and", "dan"}));
+  EXPECT_EQ(PinnedMerge().SampleSubstrings(12),
+            (Strings{"a", "c", "m", "ab", "an", "ca", "na", "aba", "and",
+                     "cab", "nab", "nan"}));
+  Pst pruned = PinnedMerge();
+  pruned.Prune(9);
+  EXPECT_EQ(pruned.SampleSubstrings(10),
+            (Strings{"a", "c", "l", "p", "an", "da", "pa", "and", "can",
+                     "nab"}));
 }
 
 /// Property sweep over random string collections: stored substrings are
@@ -266,7 +394,8 @@ TEST_P(PstPropertyTest, ExactnessAndBounds) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PstPropertyTest,
                          ::testing::Values(7, 11, 19, 23, 31, 43));
 
-// --- Cached pruning errors and sort-free sampling against PstOracle -------
+// --- Cached pruning errors, sort-free sampling and carried Markov contexts
+// against PstOracle ----------------------------------------------------------
 
 /// Dumps agree entry by entry, counts bit for bit.
 ::testing::AssertionResult SameDump(const Pst& actual, const Pst& expected) {
@@ -295,6 +424,47 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PstPropertyTest,
   return ::testing::AssertionSuccess();
 }
 
+/// EstimateCount agrees bit for bit with the oracle's walk-everything
+/// estimate on every stored substring, on 100 random probes over the
+/// tree's symbols plus one it lacks, and on 100 chains of two to four
+/// stored substrings (so most probes take Markov steps through stored
+/// contexts).
+::testing::AssertionResult SameEstimates(const Pst& pst, uint64_t seed) {
+  const std::vector<std::string> stored = pst.SampleSubstrings(0);
+  std::vector<std::string> queries = stored;
+  std::string alphabet = "\x01";
+  for (const std::string& s : stored) {
+    if (s.size() == 1) alphabet += s;
+  }
+  Rng rng(seed);
+  for (int probe = 0; probe < 100; ++probe) {
+    std::string q;
+    const size_t len = 1 + rng.Uniform(pst.max_depth() + 4);
+    for (size_t j = 0; j < len; ++j) {
+      q += alphabet[rng.Uniform(alphabet.size())];
+    }
+    queries.push_back(std::move(q));
+  }
+  for (int probe = 0; probe < 100 && !stored.empty(); ++probe) {
+    std::string q;
+    const size_t parts = 2 + rng.Uniform(3);
+    for (size_t k = 0; k < parts; ++k) {
+      q += stored[rng.Uniform(stored.size())];
+    }
+    queries.push_back(std::move(q));
+  }
+  for (const std::string& q : queries) {
+    const double actual = pst.EstimateCount(q);
+    const double expected = PstOracle::EstimateCount(pst, q);
+    if (std::memcmp(&actual, &expected, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "estimate of \"" << q << "\": " << actual << " vs "
+             << expected;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Prunes `start` down to its depth-1 nodes the way phase 2 compresses a
 /// string summary: every step copies the tree, prunes `step` leaves off the
 /// copy and keeps the copy, so cached errors ride along from step to step.
@@ -302,6 +472,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PstPropertyTest,
 /// must Dump() the same and sample the same after every step.
 void CheckPruneChain(const Pst& start, size_t step, const std::string& name) {
   ASSERT_TRUE(SameSamples(start)) << name;
+  ASSERT_TRUE(SameEstimates(start, step)) << name;
   Pst cached = start;
   Pst oracle = start;
   for (int i = 0; cached.CanPrune(); ++i) {
@@ -313,6 +484,7 @@ void CheckPruneChain(const Pst& start, size_t step, const std::string& name) {
     oracle = oracle_next;
     ASSERT_TRUE(SameDump(cached, oracle)) << name << " step " << i;
     ASSERT_TRUE(SameSamples(cached)) << name << " step " << i;
+    ASSERT_TRUE(SameEstimates(cached, i)) << name << " step " << i;
   }
   EXPECT_FALSE(oracle.CanPrune()) << name;
 }
@@ -338,6 +510,57 @@ void CheckDatasetChains(const GeneratedDataset& dataset) {
     const size_t step = std::max<size_t>(1, psts[i].node_count() / 12);
     CheckPruneChain(psts[i], step, name);
   }
+}
+
+/// FromDump(Dump(x)) estimates exactly what x estimates: on every stored
+/// substring and on 200 random probes over x's symbols plus one it lacks.
+void CheckDumpRoundTrips(const GeneratedDataset& dataset) {
+  std::vector<Pst> psts = DatasetPsts(dataset);
+  ASSERT_FALSE(psts.empty()) << dataset.name;
+  Rng rng(0x9e37);
+  for (size_t i = 0; i < psts.size(); ++i) {
+    const Pst& pst = psts[i];
+    const std::string name = dataset.name + " pst " + std::to_string(i);
+    Result<Pst> rebuilt =
+        Pst::FromDump(pst.Dump(), pst.total(), pst.max_depth());
+    ASSERT_TRUE(rebuilt.ok()) << name << ": " << rebuilt.status().ToString();
+    const Pst& copy = rebuilt.value();
+    ASSERT_TRUE(SameDump(copy, pst)) << name;
+    const std::vector<std::string> stored = pst.SampleSubstrings(0);
+    for (const std::string& s : stored) {
+      EXPECT_EQ(copy.EstimateCount(s), pst.EstimateCount(s)) << name << " " << s;
+    }
+    std::string alphabet = "\x01";
+    for (const std::string& s : stored) {
+      if (s.size() == 1) alphabet += s;
+    }
+    for (int probe = 0; probe < 200; ++probe) {
+      std::string q;
+      const size_t len = 1 + rng.Uniform(pst.max_depth() + 3);
+      for (size_t j = 0; j < len; ++j) {
+        q += alphabet[rng.Uniform(alphabet.size())];
+      }
+      EXPECT_EQ(copy.EstimateCount(q), pst.EstimateCount(q)) << name << " " << q;
+    }
+  }
+}
+
+TEST(PstDumpRoundTripTest, XMark) {
+  XMarkOptions options;
+  options.scale = 0.05;
+  CheckDumpRoundTrips(GenerateXMark(options));
+}
+
+TEST(PstDumpRoundTripTest, Imdb) {
+  ImdbOptions options;
+  options.scale = 0.05;
+  CheckDumpRoundTrips(GenerateImdb(options));
+}
+
+TEST(PstDumpRoundTripTest, Treebank) {
+  TreebankOptions options;
+  options.scale = 0.05;
+  CheckDumpRoundTrips(GenerateTreebank(options));
 }
 
 TEST(PstOracleTest, XMarkChainsMatchOracle) {
@@ -390,6 +613,40 @@ TEST_P(PstRandomOracleTest, ChainsMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PstRandomOracleTest,
                          ::testing::Range<uint64_t>(1, 25));
+
+// Decoded trees need not keep counts monotone or positive: a context or
+// extension may be stored with a count <= 0, or an extension may outcount
+// its context. Pruned trees need not store every suffix of a stored
+// string. The estimate must still match the oracle's.
+TEST(PstOracleTest, EstimatesMatchOracleOnArbitraryCounts) {
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
+    Rng rng(seed);
+    Pst built = Pst::Build(RandomByteStrings(&rng, 40), 3 + seed % 6);
+    if (seed % 2 == 0) built.Prune(built.node_count() / 3);
+    std::vector<Pst::DumpNode> dump = built.Dump();
+    for (Pst::DumpNode& node : dump) {
+      switch (rng.Uniform(6)) {
+        case 0:
+          node.count = 0.0;
+          break;
+        case 1:
+          node.count = -1.0;
+          break;
+        case 2:
+          node.count *= 5.0;
+          break;
+        default:
+          break;
+      }
+    }
+    Result<Pst> pst = Pst::FromDump(dump, built.total(), built.max_depth());
+    ASSERT_TRUE(pst.ok()) << pst.status().ToString();
+    for (uint64_t probes = 0; probes < 4; ++probes) {
+      EXPECT_TRUE(SameEstimates(pst.value(), seed * 4 + probes))
+          << "seed " << seed;
+    }
+  }
+}
 
 // Strings deeper than 8 symbols do not fit the cache's packed keys.
 TEST(PstOracleTest, DeepTreesMatchOracle) {

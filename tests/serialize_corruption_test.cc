@@ -76,7 +76,7 @@ std::vector<std::pair<std::string, GraphSynopsis>> AllKindSynopses() {
     v.set_type(ValueType::kString);
     std::vector<Pst::DumpNode> dump = {
         {-1, 't', 9.0}, {0, 'h', 6.0}, {1, 'e', 4.0}};
-    *v.mutable_pst() = Pst::FromDump(dump, 17.0, 4);
+    *v.mutable_pst() = Pst::FromDump(dump, 17.0, 4).value();
     out.emplace_back("pst", std::move(s));
   }
   {
@@ -222,6 +222,10 @@ TEST(SerializeCorruptionTest, MalformedSummaryBehindValidChecksums) {
       telemetry::MetricsRegistry::Global().GetCounter(
           "estimate.flat.lazy_decode_failures");
   const uint64_t before = failures->value();
+  telemetry::LatencyHistogram* decodes =
+      telemetry::MetricsRegistry::Global().GetHistogram(
+          "estimate.flat.lazy_decode_ns");
+  const uint64_t decodes_before = decodes->count();
 #endif
   const FlatSynopsis& flat = loaded.value()->flat();
   Result<TwigQuery> query = ParseTwig("/leaf[contains(ab)]");
@@ -231,6 +235,8 @@ TEST(SerializeCorruptionTest, MalformedSummaryBehindValidChecksums) {
   EXPECT_GE(estimate, 0.0);
 #if XCLUSTER_TELEMETRY_ENABLED
   EXPECT_EQ(failures->value(), before + 1);
+  // Every decode is timed, the failed one included.
+  EXPECT_GE(decodes->count(), decodes_before + 1);
 #endif
   ASSERT_NE(flat.vsumm(1), nullptr);
   EXPECT_TRUE(flat.vsumm(1)->empty());

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/io/bytes.h"
+#include "core/serialize.h"
+
 namespace xcluster {
 namespace {
 
@@ -185,6 +195,115 @@ TEST(ValueSummaryTest, MergePreservesNumericKind) {
   EXPECT_EQ(merged.numeric_kind(), NumericSummaryKind::kWavelet);
   EXPECT_NEAR(merged.NumericTotal(), 4.0, 1e-6);
 }
+
+// --- Value paths wider than INT64_MAX -------------------------------------
+
+/// The summary's record decodes, consumes every byte, and re-encodes to the
+/// same bytes.
+::testing::AssertionResult RoundTrips(const ValueSummary& vsumm) {
+  std::string bytes;
+  StringSink sink(&bytes);
+  EncodeValueSummary(vsumm, &sink);
+  StringSource src(bytes);
+  ValueSummary decoded;
+  const Status status = DecodeValueSummary(&src, &decoded);
+  if (!status.ok()) {
+    return ::testing::AssertionFailure() << status.ToString();
+  }
+  if (src.Remaining() != 0) {
+    return ::testing::AssertionFailure() << src.Remaining() << " bytes left";
+  }
+  std::string again;
+  StringSink again_sink(&again);
+  EncodeValueSummary(decoded, &again_sink);
+  if (again != bytes) {
+    return ::testing::AssertionFailure() << "re-encoded record differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Range estimates over all of int64 and at every atomic predicate are
+/// finite and non-negative. Histograms and samples also keep their mass
+/// and selectivities within [0, 1]; a wavelet that keeps few coefficients
+/// need not (its negative cells read as zero).
+void ExpectSaneEstimates(const ValueSummary& vsumm, const std::string& what) {
+  const double whole = vsumm.NumericEstimate(INT64_MIN, INT64_MAX);
+  EXPECT_TRUE(std::isfinite(whole)) << what;
+  EXPECT_GE(whole, 0.0) << what;
+  const bool exact = vsumm.numeric_kind() != NumericSummaryKind::kWavelet;
+  if (exact) {
+    const double total = vsumm.NumericTotal();
+    EXPECT_NEAR(whole, total, 1e-9 * total) << what;
+  }
+  for (const AtomicPredicate& pred : vsumm.AtomicPredicates(16)) {
+    const double sel = vsumm.AtomicSelectivity(pred);
+    EXPECT_TRUE(std::isfinite(sel)) << what << " at " << pred.range_hi;
+    EXPECT_GE(sel, 0.0) << what << " at " << pred.range_hi;
+    if (exact) {
+      EXPECT_LE(sel, 1.0 + 1e-9) << what << " at " << pred.range_hi;
+    }
+  }
+}
+
+/// ([lo, hi], kind): the two ends of a value path, and the summary kind.
+using ExtremeDomain =
+    std::tuple<std::pair<int64_t, int64_t>, NumericSummaryKind>;
+
+std::string ExtremeDomainName(
+    const ::testing::TestParamInfo<ExtremeDomain>& info) {
+  const std::string domain =
+      std::get<0>(info.param).first == INT64_MIN ? "Int64" : "Nine";
+  switch (std::get<1>(info.param)) {
+    case NumericSummaryKind::kHistogram:
+      return domain + "Histogram";
+    case NumericSummaryKind::kWavelet:
+      return domain + "Wavelet";
+    case NumericSummaryKind::kSample:
+      return domain + "Sample";
+  }
+  return domain;
+}
+
+class ValueSummaryExtremeDomainTest
+    : public ::testing::TestWithParam<ExtremeDomain> {};
+
+// Build, Merge and Compress over a value path spanning more than
+// INT64_MAX, with every summary on the way round-tripping through the
+// codec.
+TEST_P(ValueSummaryExtremeDomainTest, BuildMergeCompressRoundTrip) {
+  const auto [bounds, kind] = GetParam();
+  const auto [lo, hi] = bounds;
+  const ValueSummary a = ValueSummary::FromNumeric({lo, hi}, 8, kind);
+  ASSERT_TRUE(RoundTrips(a));
+  ExpectSaneEstimates(a, "built");
+
+  // One bucket (or coefficient) for both ends.
+  ASSERT_TRUE(RoundTrips(ValueSummary::FromNumeric({lo, hi}, 1, kind)));
+
+  const ValueSummary b =
+      ValueSummary::FromNumeric({lo, lo / 2, 0, 1, hi / 2, hi, hi}, 8, kind);
+  ASSERT_TRUE(RoundTrips(b));
+  ValueSummary merged = ValueSummary::Merge(a, 2.0, b, 7.0);
+  ASSERT_TRUE(RoundTrips(merged));
+  ExpectSaneEstimates(merged, "merged");
+
+  for (int step = 0; step < 64 && merged.CanCompress(); ++step) {
+    merged.Compress(1);
+    ASSERT_TRUE(RoundTrips(merged)) << "after " << step + 1 << " steps";
+  }
+  ExpectSaneEstimates(merged, "compressed");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Domains, ValueSummaryExtremeDomainTest,
+    ::testing::Combine(
+        ::testing::Values(std::make_pair(INT64_MIN, INT64_MAX),
+                          std::make_pair(int64_t{-9000000000000000000},
+                                         int64_t{9000000000000000000})),
+        ::testing::Values(NumericSummaryKind::kHistogram,
+                          NumericSummaryKind::kWavelet,
+                          NumericSummaryKind::kSample)),
+    ExtremeDomainName);
 
 TEST(ValueSummaryTest, PredicateToString) {
   EXPECT_EQ(ValuePredicate::Range(1, 9).ToString(), "range(1,9)");
