@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "service/service.h"
+
 namespace xcluster {
 namespace cluster {
-
-namespace {
-
-/// Mirrors the (file-local) quantile convention in service.cc so routed
-/// percentiles over one shard's latencies match the direct path exactly.
-uint64_t LatencyQuantile(const std::vector<uint64_t>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const size_t index =
-      std::min(sorted.size() - 1,
-               static_cast<size_t>(q * static_cast<double>(sorted.size())));
-  return sorted[index];
-}
-
-}  // namespace
 
 Result<net::BatchReplyFrame> MergeShardReplies(
     const std::vector<ShardReply>& shards) {

@@ -28,9 +28,9 @@ struct ShardReply {
 ///  - per-slot latency is the max across shards (the slot wasn't done until
 ///    its slowest shard was); explanations are concatenated under
 ///    "# shard <name>" headers;
-///  - aggregate stats are recomputed over the merged slots with the same
-///    quantile convention EstimateBatch uses (sorted latencies,
-///    index = min(n-1, floor(q*n))); wall_ns is the max shard wall time.
+///  - aggregate stats are recomputed over the merged slots with
+///    LatencyQuantile, the quantile EstimateBatch uses; wall_ns is the
+///    max shard wall time.
 ///
 /// Returns InvalidArgument when the shards disagree on the slot count —
 /// a routing bug, never a client-visible partial merge. `trace_id` of the

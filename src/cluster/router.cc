@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include <cctype>
-
 #include "cluster/hash_ring.h"
 #include "cluster/merge.h"
 #include "common/io/file_io.h"
@@ -28,27 +26,6 @@ constexpr char kRouterHelp[] =
 bool Contains(const std::vector<size_t>& haystack, size_t needle) {
   return std::find(haystack.begin(), haystack.end(), needle) !=
          haystack.end();
-}
-
-/// Remainder of `line` after `words` whitespace-separated words (the query
-/// text of "estimate <name> <query...>"; mirrors the harness grammar).
-std::string RestAfterWords(const std::string& line, int words) {
-  size_t pos = 0;
-  for (int word = 0; word < words; ++word) {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-    while (pos < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-  }
-  while (pos < line.size() &&
-         std::isspace(static_cast<unsigned char>(line[pos]))) {
-    ++pos;
-  }
-  return line.substr(pos);
 }
 
 /// "a, b, c" for error messages naming skipped replicas.
@@ -551,7 +528,7 @@ void Router::HandleCommand(uint64_t conn_id, std::string line,
 
 void Router::HandleShardedEstimate(uint64_t conn_id, const ShardSpec& spec,
                                    const std::string& line) {
-  const std::string query = RestAfterWords(line, 2);
+  const std::string query = RestOfLine(line, 2);
   if (query.empty()) {
     Post(conn_id, net::FrameType::kResponse,
          "err estimate needs <name> <query>\n");

@@ -1,11 +1,20 @@
 #include "service/executor.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/telemetry.h"
 
 namespace xcluster {
+
+namespace {
+
+/// EWMA smoothing for the per-task run time behind
+/// EstimatedBacklogWaitNs.
+constexpr double kEwmaAlpha = 0.2;
+
+}  // namespace
 
 Executor::Executor(ExecutorOptions options) : options_(options) {
   threads_.reserve(options_.num_threads);
@@ -16,7 +25,7 @@ Executor::Executor(ExecutorOptions options) : options_(options) {
 
 Executor::~Executor() { Shutdown(true); }
 
-Status Executor::Submit(Task task, uint64_t deadline_ns) {
+Status Executor::Submit(Task task, uint64_t deadline_ns, ExecutorFlow flow) {
   if (threads_.empty()) {
     // Inline mode: the submitting thread is the worker.
     bool inline_accepting;
@@ -40,16 +49,27 @@ Status Executor::Submit(Task task, uint64_t deadline_ns) {
     if (!accepting_) {
       return Status::Unsupported("executor is shut down");
     }
-    if (queue_.size() >= options_.queue_capacity) {
+    if (queued_ >= options_.queue_capacity) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       XCLUSTER_COUNTER_INC("service.executor.rejected");
       return Status::ResourceExhausted(
           "request queue full (" + std::to_string(options_.queue_capacity) +
           " queued)");
     }
-    queue_.push_back(
+    // Few flows have work at once (one per concurrent batch), and a
+    // batch submits its tasks back to back, so its flow is found at or
+    // near the back, where it joined the round.
+    auto queue = std::find_if(
+        flows_.rbegin(), flows_.rend(),
+        [&](const FlowQueue& candidate) { return candidate.id == flow.id; });
+    FlowQueue& target =
+        queue != flows_.rend()
+            ? *queue
+            : flows_.emplace_back(FlowQueue{
+                  flow.id, std::max<uint32_t>(1, flow.weight), 0, {}});
+    target.tasks.push_back(
         QueuedTask{std::move(task), deadline_ns, telemetry::MonotonicNowNs()});
-    depth = queue_.size();
+    depth = ++queued_;
     // Counted inside the critical section that publishes the task: a
     // worker can only bump executed_ for a task whose submitted_
     // increment already happened, so snapshots never see
@@ -62,29 +82,57 @@ Status Executor::Submit(Task task, uint64_t deadline_ns) {
 }
 
 void Executor::WorkerLoop() {
+  // The previous task's completion is recorded under the lock this
+  // worker takes anyway to pop its next task.
+  bool ran = false;
+  uint64_t ran_ns = 0;
   for (;;) {
     QueuedTask queued;
     bool cancelled;
     size_t depth;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(lock,
-                           [this] { return !queue_.empty() || !accepting_; });
-      if (queue_.empty()) {
-        if (!accepting_) return;
-        continue;
+      if (ran) {
+        --running_;
+        const double sample = static_cast<double>(ran_ns);
+        ewma_task_ns_ = ewma_task_ns_ == 0.0
+                            ? sample
+                            : ewma_task_ns_ +
+                                  kEwmaAlpha * (sample - ewma_task_ns_);
       }
-      queued = std::move(queue_.front());
-      queue_.pop_front();
+      work_available_.wait(lock,
+                           [this] { return queued_ != 0 || !accepting_; });
+      if (queued_ == 0) return;  // shut down and drained
+      queued = PopLocked();
+      ++running_;
       cancelled = abandon_;
-      depth = queue_.size();
+      depth = queued_;
     }
     XCLUSTER_GAUGE_SET("service.queue_depth", depth);
-    RunTask(std::move(queued), cancelled);
+    const uint64_t start_ns = RunTask(std::move(queued), cancelled);
+    ran_ns = telemetry::MonotonicNowNs() - start_ns;
+    ran = true;
   }
 }
 
-void Executor::RunTask(QueuedTask&& queued, bool cancelled) {
+Executor::QueuedTask Executor::PopLocked() {
+  // Deficit round robin: the front flow's turn pops up to its weight,
+  // then the flow moves to the back of the round (or leaves it, empty).
+  FlowQueue& flow = flows_.front();
+  if (flow.deficit == 0) flow.deficit = flow.weight;
+  QueuedTask queued = std::move(flow.tasks.front());
+  flow.tasks.pop_front();
+  --flow.deficit;
+  --queued_;
+  if (flow.tasks.empty()) {
+    flows_.pop_front();
+  } else if (flow.deficit == 0) {
+    flows_.splice(flows_.end(), flows_, flows_.begin());
+  }
+  return queued;
+}
+
+uint64_t Executor::RunTask(QueuedTask&& queued, bool cancelled) {
   TaskContext context;
   const uint64_t now = telemetry::MonotonicNowNs();
   context.queue_ns = now > queued.enqueue_ns ? now - queued.enqueue_ns : 0;
@@ -104,6 +152,7 @@ void Executor::RunTask(QueuedTask&& queued, bool cancelled) {
   }
   XCLUSTER_HISTOGRAM_RECORD_NS("service.queue_wait_ns", context.queue_ns);
   queued.task(context);
+  return now;
 }
 
 void Executor::Shutdown(bool drain) {
@@ -120,7 +169,15 @@ void Executor::Shutdown(bool drain) {
 
 size_t Executor::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+  return queued_;
+}
+
+uint64_t Executor::EstimatedBacklogWaitNs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ewma_task_ns_ <= 0.0) return 0;  // no samples yet (or inline)
+  return static_cast<uint64_t>(static_cast<double>(queued_ + running_) *
+                               ewma_task_ns_ /
+                               static_cast<double>(threads_.size()));
 }
 
 Executor::Stats Executor::stats() const {

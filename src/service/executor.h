@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -22,18 +23,35 @@ struct ExecutorOptions {
   /// for the 1-vs-N determinism tests.
   size_t num_threads = 0;
 
-  /// Bounded MPMC request queue capacity. Submissions beyond this return
-  /// ResourceExhausted instead of growing memory without bound; callers
-  /// shed load or retry after completions free a slot.
+  /// Bound on queued tasks, across all flows. Submissions beyond this
+  /// return ResourceExhausted instead of growing memory without bound;
+  /// callers shed load or retry after completions free a slot.
   size_t queue_capacity = 1024;
 };
 
-/// A fixed pool of workers draining a bounded queue.
+/// A scheduling flow of the Executor's queue: `id` names it and `weight`
+/// (at least 1) is how many of its tasks one turn pops. The
+/// default-constructed flow is the default flow.
+struct ExecutorFlow {
+  uint64_t id = 0;
+  uint32_t weight = 1;
+};
+
+/// A fixed pool of workers draining one bounded queue.
+///
+/// Queued tasks belong to flows. Workers pop in deficit-round-robin
+/// order over the flows with queued work: a flow's turn pops up to its
+/// weight in tasks, in submission order, before the next flow's turn. A
+/// flow enters the back of the round when its first task is queued and
+/// leaves when its last is popped, so a flow id only needs to be unique
+/// among flows with work queued at the same time. Every task of the
+/// default flow shares one flow, which makes the queue a plain FIFO for
+/// callers that never name one (the router's forwarding pool).
 ///
 /// Submit never blocks: a full queue is reported as ResourceExhausted so
 /// the caller — not the executor — decides whether to retry, shed, or
 /// fail the request (EstimationService::EstimateBatch retries after
-/// completions; the serve harness surfaces the error to the client).
+/// completions; the router sheds).
 ///
 /// Each task runs with a TaskContext describing what happened between
 /// submission and execution: whether its deadline expired in the queue
@@ -46,7 +64,7 @@ class Executor {
   struct TaskContext {
     bool deadline_expired = false;  ///< deadline passed while queued
     bool cancelled = false;         ///< Shutdown(drain=false) dropped it
-    uint64_t queue_ns = 0;          ///< time spent queued
+    uint64_t queue_ns = 0;          ///< Submit to the start of the task
   };
   using Task = std::function<void(const TaskContext&)>;
 
@@ -72,12 +90,13 @@ class Executor {
   /// Drains and joins (Shutdown(true)).
   ~Executor();
 
-  /// Enqueues `task`. `deadline_ns` is an absolute telemetry::MonotonicNowNs
-  /// timestamp (0 = no deadline); a task still queued past its deadline is
-  /// invoked with deadline_expired set instead of silently dropped.
-  /// Returns ResourceExhausted when the queue is full and Unsupported
-  /// after Shutdown.
-  Status Submit(Task task, uint64_t deadline_ns = 0);
+  /// Queues `task` on `flow`. `deadline_ns` is an absolute
+  /// telemetry::MonotonicNowNs timestamp (0 = no deadline); a task still
+  /// queued past its deadline is invoked with deadline_expired set
+  /// instead of silently dropped. Returns ResourceExhausted when the
+  /// queue is full and Unsupported after Shutdown.
+  Status Submit(Task task, uint64_t deadline_ns = 0,
+                ExecutorFlow flow = ExecutorFlow());
 
   /// Stops accepting work. With `drain` (default) workers finish every
   /// queued task before exiting; without it, queued tasks are invoked
@@ -86,8 +105,14 @@ class Executor {
   void Shutdown(bool drain = true);
 
   size_t num_threads() const { return threads_.size(); }
+  /// Tasks queued and not yet started.
   size_t queue_depth() const;
   Stats stats() const;
+
+  /// Expected wait (ns) of a task submitted now: (queued + running tasks)
+  /// x the EWMA of per-task run time on a worker / workers. 0 until a
+  /// worker has finished a task, and always 0 inline.
+  uint64_t EstimatedBacklogWaitNs() const;
 
  private:
   struct QueuedTask {
@@ -96,14 +121,32 @@ class Executor {
     uint64_t enqueue_ns = 0;
   };
 
+  /// One flow with queued work: its tasks in submission order and the
+  /// pops left in its current deficit-round-robin turn.
+  struct FlowQueue {
+    uint64_t id = 0;
+    uint32_t weight = 1;
+    uint32_t deficit = 0;
+    std::deque<QueuedTask> tasks;
+  };
+
   void WorkerLoop();
-  void RunTask(QueuedTask&& queued, bool cancelled);
+  /// Pops the next task in deficit-round-robin order. Requires mu_ held
+  /// and queued_ > 0.
+  QueuedTask PopLocked();
+  /// Invokes the task; returns the MonotonicNowNs time it started.
+  uint64_t RunTask(QueuedTask&& queued, bool cancelled);
 
   ExecutorOptions options_;
 
   mutable std::mutex mu_;
   std::condition_variable work_available_;
-  std::deque<QueuedTask> queue_;
+  /// Flows with queued work; the front flow's turn is in progress.
+  std::list<FlowQueue> flows_;
+  size_t queued_ = 0;
+  size_t running_ = 0;
+  /// EWMA of per-task run time on a worker, in ns. 0 = no samples yet.
+  double ewma_task_ns_ = 0.0;
   bool accepting_ = true;
   bool abandon_ = false;  // Shutdown(drain=false): cancel queued tasks
 

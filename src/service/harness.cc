@@ -21,26 +21,6 @@ constexpr char kHelp[] =
     "| quota <name> <rate_qps> <burst>|off | stats | flight [n] | help | "
     "quit";
 
-/// Remainder of `line` after `prefix_words` whitespace-separated words.
-std::string RestOfLine(const std::string& line, int prefix_words) {
-  size_t pos = 0;
-  for (int word = 0; word < prefix_words; ++word) {
-    while (pos < line.size() && std::isspace(
-                                    static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-    while (pos < line.size() && !std::isspace(
-                                    static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-  }
-  while (pos < line.size() &&
-         std::isspace(static_cast<unsigned char>(line[pos]))) {
-    ++pos;
-  }
-  return line.substr(pos);
-}
-
 void WriteItem(std::ostream& out, size_t index, const QueryResult& result,
                bool explain) {
   if (result.status.ok()) {
@@ -57,6 +37,25 @@ void WriteItem(std::ostream& out, size_t index, const QueryResult& result,
 }
 
 }  // namespace
+
+std::string RestOfLine(const std::string& line, int prefix_words) {
+  size_t pos = 0;
+  for (int word = 0; word < prefix_words; ++word) {
+    while (pos < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[pos]))) {
+      ++pos;
+    }
+    while (pos < line.size() &&
+           !std::isspace(static_cast<unsigned char>(line[pos]))) {
+      ++pos;
+    }
+  }
+  while (pos < line.size() &&
+         std::isspace(static_cast<unsigned char>(line[pos]))) {
+    ++pos;
+  }
+  return line.substr(pos);
+}
 
 std::string FormatEstimate(double value) {
   char buffer[64];
@@ -305,7 +304,7 @@ std::string ServiceHarness::ExecuteLine(const std::string& line, bool* quit,
         << " admitted=" << admission.admitted
         << " shed_quota=" << admission.shed_quota
         << " shed_deadline=" << admission.shed_deadline
-        << " admission_pending=" << service_->admission().pending();
+        << " admission_pending=" << service_->executor().queue_depth();
     // Per-lane tail latency: the QoS contract is that bulk load must not
     // move interactive percentiles, so both lanes are always shown.
     for (size_t i = 0; i < kNumLanes; ++i) {

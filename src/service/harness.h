@@ -15,6 +15,11 @@ namespace xcluster {
 /// so the determinism gate can compare their outputs byte for byte.
 std::string FormatEstimate(double value);
 
+/// Remainder of `line` after `prefix_words` whitespace-separated words,
+/// leading whitespace dropped: the query text of "estimate <name>
+/// <query...>", which the harness and the router both parse.
+std::string RestOfLine(const std::string& line, int prefix_words);
+
 /// Outcome of one bounded line read (ReadBoundedLine below).
 enum class LineStatus {
   kOk,         ///< a complete '\n'-terminated line within the budget

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <utility>
 
@@ -60,19 +61,12 @@ void FailGroup(const BatchPlan::Group& group, const Status& status,
   }
 }
 
-uint64_t LatencyQuantile(std::vector<uint64_t>& sorted_latencies, double q) {
-  if (sorted_latencies.empty()) return 0;
-  const size_t index = std::min(
-      sorted_latencies.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(sorted_latencies.size())));
-  return sorted_latencies[index];
-}
-
 #if XCLUSTER_TELEMETRY_ENABLED
 /// Synthesizes the queue-wait span for a task that just left the executor
-/// queue: the wait already happened (the span cannot bracket it live), so
-/// the event is back-dated by the measured queue time. Suppressed exactly
-/// like TraceSpan when the context is unsampled.
+/// queue, the one queue between the batch and the workers: the wait
+/// already happened (the span cannot bracket it live), so the event is
+/// back-dated by the measured queue time. Suppressed exactly like
+/// TraceSpan when the context is unsampled.
 void EmitQueueWaitEvent(uint64_t queue_ns) {
   if (queue_ns == 0) return;
   telemetry::TraceRecorder* recorder = telemetry::GlobalTraceRecorder();
@@ -108,12 +102,22 @@ FlightStatus ClassifyShed(const Status& admission) {
 
 }  // namespace
 
+uint64_t LatencyQuantile(const std::vector<uint64_t>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const size_t index =
+      std::min(sorted.size() - 1,
+               static_cast<size_t>(q * static_cast<double>(sorted.size())));
+  return sorted[index];
+}
+
 EstimationService::EstimationService(ServiceOptions options)
     : options_(options),
       store_(SynopsisStore::kDefaultShards, options.estimator),
       plan_cache_(PlanCache::Options{options.plan_cache_capacity,
                                      PlanCache::Options().shards}),
-      flight_(options.flight_recorder_capacity) {
+      flight_(options.flight_recorder_capacity),
+      executor_(options.executor),
+      admission_(&executor_, options.admission) {
   if (!options_.xcsf_spool_dir.empty()) {
     store_.SetSpoolDir(options_.xcsf_spool_dir);
   }
@@ -122,18 +126,13 @@ EstimationService::EstimationService(ServiceOptions options)
         std::string("service.lane.") + LaneName(static_cast<Lane>(i)) +
         ".latency_ns");
   }
-  executor_ = std::make_unique<Executor>(options_.executor);
-  admission_ = std::make_unique<AdmissionController>(executor_.get(),
-                                                     options_.admission);
 }
 
 EstimationService::~EstimationService() { Shutdown(); }
 
 void EstimationService::Shutdown() {
-  // Cancel everything still queued in the admission layer first, then
-  // drain what already reached the executor.
-  admission_->Shutdown();
-  executor_->Shutdown(true);
+  admission_.Shutdown();
+  executor_.Shutdown(/*drain=*/false);
 }
 
 QueryResult EstimationService::EstimateOne(const std::string& collection,
@@ -279,9 +278,9 @@ BatchResult EstimationService::EstimateBatch(
   Status admitted;
   {
     XCLUSTER_TRACE_SPAN("admission.admit");
-    admitted = admission_->AdmitBatch(collection, options.lane,
-                                      queries.size(), deadline_ns,
-                                      &retry_after_ms);
+    admitted = admission_.AdmitBatch(collection, options.lane,
+                                     queries.size(), deadline_ns,
+                                     &retry_after_ms);
   }
   if (!admitted.ok()) {
     for (QueryResult& result : batch.results) {
@@ -294,7 +293,7 @@ BatchResult EstimationService::EstimateBatch(
     RecordFlight(collection, options, batch);
     return batch;
   }
-  const uint64_t batch_id = admission_->BeginBatch(options.lane);
+  const ExecutorFlow flow = admission_.NewFlow(options.lane);
 
   telemetry::LatencyHistogram* lane_latency =
       lane_latency_[static_cast<size_t>(options.lane)];
@@ -344,8 +343,7 @@ BatchResult EstimationService::EstimateBatch(
       if (ctx.cancelled) {
         FailGroup(group, Status::Unsupported("executor shut down mid-batch"),
                   ctx.queue_ns, &batch.results);
-      } else if (ctx.deadline_expired ||
-                 (deadline_ns != 0 && task_start_ns > deadline_ns)) {
+      } else if (ctx.deadline_expired) {
         FailGroup(group, Status::DeadlineExceeded("batch deadline expired"),
                   ctx.queue_ns, &batch.results);
         XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded",
@@ -401,15 +399,18 @@ BatchResult EstimationService::EstimateBatch(
   // Flow-control submit: when the bounded executor queue is full, wait for
   // one of our own completions to free a slot, then resubmit. The wait is
   // bounded — the queue may be full of a *different* batch's tasks while
-  // none of ours are in flight, in which case only retrying can make
+  // none of ours are queued, in which case only retrying can make
   // progress. Raw Executor::Submit callers keep the hard
   // ResourceExhausted; only the batch API absorbs it. Returns OK or the
   // shutdown status (the task never ran).
-  auto submit_with_flow_control = [&](Executor::Task task) {
+  auto submit_with_flow_control = [&](const Executor::Task& task) {
     for (;;) {
-      Status submitted = admission_->Submit(batch_id, task, deadline_ns);
-      if (submitted.ok() ||
-          submitted.code() != Status::Code::kResourceExhausted) {
+      Status submitted = executor_.Submit(task, deadline_ns, flow);
+      if (submitted.ok()) {
+        XCLUSTER_COUNTER_INC("service.admission.dispatched");
+        return submitted;
+      }
+      if (submitted.code() != Status::Code::kResourceExhausted) {
         return submitted;
       }
       std::unique_lock<std::mutex> lock(mu);
@@ -450,7 +451,6 @@ BatchResult EstimationService::EstimateBatch(
     std::unique_lock<std::mutex> lock(mu);
     all_done.wait(lock, [&] { return done == queries.size(); });
   }
-  admission_->EndBatch(batch_id);
 
   std::vector<uint64_t> latencies;
   latencies.reserve(batch.results.size());

@@ -2,7 +2,7 @@
 #define XCLUSTER_SERVICE_SERVICE_H_
 
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,8 +32,8 @@ struct ServiceOptions {
   /// 0 disables plan caching: every query re-parses and re-compiles.
   size_t plan_cache_capacity = 4096;
 
-  /// Admission-control and QoS knobs (lanes, quotas, deadline shedding);
-  /// see AdmissionOptions and docs/SERVING.md "QoS and overload behavior".
+  /// Lane weights of the executor's deficit round robin; see
+  /// AdmissionOptions and docs/SERVING.md "QoS and overload behavior".
   AdmissionOptions admission;
 
   /// Capacity of the per-batch flight-recorder ring (one completion record
@@ -68,8 +68,8 @@ struct BatchOptions {
   /// FlatEstimator::Explain.
   bool explain = false;
 
-  /// Priority lane for the fair-queueing scheduler. Interactive (the
-  /// default) gets the high WFQ weight; large offline batches should tag
+  /// Priority lane for the executor's deficit round robin. Interactive
+  /// (the default) gets the high weight; large offline batches should tag
   /// themselves bulk so they never starve point queries.
   Lane lane = Lane::kInteractive;
 
@@ -90,7 +90,7 @@ struct QueryResult {
   /// time of the slot's lane-group task divided by the group's slot count
   /// (an attribution, not a measured per-query duration).
   uint64_t latency_ns = 0;
-  uint64_t queue_ns = 0;      ///< time spent in the executor queue
+  uint64_t queue_ns = 0;      ///< the group task's Submit to its start
   std::string explanation;    ///< filled when BatchOptions::explain
 };
 
@@ -151,12 +151,12 @@ class EstimationService {
 
   SynopsisStore& store() { return store_; }
   const SynopsisStore& store() const { return store_; }
-  const Executor& executor() const { return *executor_; }
+  const Executor& executor() const { return executor_; }
 
-  /// The admission/QoS layer (mutable so embedders and the harness can
+  /// The admission layer (mutable so embedders and the harness can
   /// install per-collection quotas at runtime).
-  AdmissionController& admission() { return *admission_; }
-  const AdmissionController& admission() const { return *admission_; }
+  AdmissionController& admission() { return admission_; }
+  const AdmissionController& admission() const { return admission_; }
 
   /// The shared compiled-plan cache (hit/miss/eviction counters work even
   /// with telemetry compiled out).
@@ -181,16 +181,20 @@ class EstimationService {
                           bool explain = false) const;
 
   /// Estimates `queries` as lane groups across the worker pool against the
-  /// current snapshot of `collection`. Applies flow control on top of the
-  /// executor's backpressure: when the bounded queue is full, submission
-  /// waits for completions rather than failing the remainder of the batch
-  /// (raw Executor::Submit users still get ResourceExhausted). An unknown
-  /// collection fails every query with NotFound.
+  /// current snapshot of `collection`. The groups queue on the executor
+  /// under one flow per batch, weighted by lane. Applies flow control on
+  /// top of the executor's backpressure: when the bounded queue is full,
+  /// submission waits for completions rather than failing the remainder
+  /// of the batch (raw Executor::Submit users still get
+  /// ResourceExhausted). An unknown collection fails every query with
+  /// NotFound.
   BatchResult EstimateBatch(const std::string& collection,
                             const std::vector<std::string>& queries,
                             const BatchOptions& options = BatchOptions());
 
-  /// Stops accepting batches and drains the executor. Idempotent.
+  /// Stops admitting batches and shuts the executor down: a running task
+  /// finishes, every queued one is invoked with `cancelled` set.
+  /// Idempotent.
   void Shutdown();
 
  private:
@@ -203,12 +207,15 @@ class EstimationService {
   FlightRecorder flight_;
   telemetry::LatencyHistogram* lane_latency_[kNumLanes];
   std::mutex slow_log_mu_;
-  // Declared before executor_ so it is destroyed after: tasks the
-  // executor drains during shutdown re-enter the admission controller on
-  // completion.
-  std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<Executor> executor_;
+  Executor executor_;
+  AdmissionController admission_;
 };
+
+/// The q-quantile of ascending `sorted` latencies: the element at
+/// min(n-1, floor(q*n)), 0 when empty. BatchStats' percentiles use it, and
+/// the router's merge recomputes them with it so routed and direct
+/// percentiles agree.
+uint64_t LatencyQuantile(const std::vector<uint64_t>& sorted, double q);
 
 }  // namespace xcluster
 

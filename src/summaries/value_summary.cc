@@ -194,9 +194,21 @@ double ValueSummary::AtomicSelectivity(const AtomicPredicate& pred) const {
   switch (pred.type) {
     case ValueType::kNumeric: {
       if (type_ != ValueType::kNumeric) return 0.0;
-      const int64_t lo = numeric_kind_ == NumericSummaryKind::kWavelet
-                             ? wavelet_.domain_lo()
-                             : histogram_.domain_lo();
+      // The prefix [domain_lo, h] starts at the summary's own smallest
+      // value; a sample summary keeps no histogram, so its bound is the
+      // smallest sampled value.
+      int64_t lo = 0;
+      switch (numeric_kind_) {
+        case NumericSummaryKind::kHistogram:
+          lo = histogram_.domain_lo();
+          break;
+        case NumericSummaryKind::kWavelet:
+          lo = wavelet_.domain_lo();
+          break;
+        case NumericSummaryKind::kSample:
+          if (!sample_.sample().empty()) lo = sample_.sample().front();
+          break;
+      }
       return NumericSelectivity(std::min(lo, pred.range_hi), pred.range_hi);
     }
     case ValueType::kString:

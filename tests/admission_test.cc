@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -13,6 +13,7 @@
 #include "common/telemetry/metrics.h"
 #include "net/client.h"
 #include "service/executor.h"
+#include "worker_pin.h"
 
 namespace xcluster {
 namespace {
@@ -103,8 +104,7 @@ TEST(BackoffTest, JitterStaysWithinHalfToFull) {
 
 TEST(AdmissionTest, QuotaShedsWholeBatchWithRetryAfter) {
   Executor executor;  // inline; quotas apply regardless of pool mode
-  AdmissionOptions options;
-  AdmissionController admission(&executor, options);
+  AdmissionController admission(&executor, AdmissionOptions{});
   admission.SetQuota("books", 1000.0, 8.0);
 
   uint64_t retry_after_ms = 0;
@@ -115,7 +115,7 @@ TEST(AdmissionTest, QuotaShedsWholeBatchWithRetryAfter) {
   Status shed = admission.AdmitBatch("books", Lane::kInteractive, 8, 0,
                                      &retry_after_ms);
   EXPECT_EQ(shed.code(), Status::Code::kUnavailable);
-  EXPECT_GE(retry_after_ms, options.min_retry_after_ms);
+  EXPECT_GE(retry_after_ms, kMinRetryAfterMs);
 
   // Collections without a quota are never quota-shed.
   EXPECT_TRUE(admission
@@ -139,143 +139,103 @@ TEST(AdmissionTest, QuotaShedsWholeBatchWithRetryAfter) {
                   .ok());
 }
 
-// Weighted fair queueing: with one worker pinned, a freshly arrived
-// interactive batch must overtake a bulk batch's deep backlog instead of
-// queueing behind all of it.
+// Deficit round robin by lane: with the one worker pinned, a freshly
+// arrived interactive batch (weight 8) overtakes a bulk batch's deep
+// backlog (weight 1) at pop time. The bulk flow's turn comes first (it
+// joined the round first) and pops one task; the interactive flow's turn
+// then pops all eight of its tasks.
 TEST(AdmissionTest, InteractiveOvertakesBulkBacklog) {
   ExecutorOptions executor_options;
   executor_options.num_threads = 1;
   executor_options.queue_capacity = 1024;
   Executor executor(executor_options);
-  AdmissionOptions options;  // weights 8:1, window 2x1 worker
-  AdmissionController admission(&executor, options);
-
-  // Pin the worker (raw executor submit, outside the admission layer).
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool worker_busy = false;
-  ASSERT_TRUE(executor
-                  .Submit([&](const Executor::TaskContext&) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    worker_busy = true;
-                    cv.notify_all();
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return worker_busy; });
-  }
+  AdmissionController admission(&executor, AdmissionOptions{});  // 8:1
+  WorkerPin pin(&executor);
 
   constexpr int kBulk = 32;
   constexpr int kInteractive = 8;
   std::mutex order_mu;
   std::vector<std::string> completion_order;
-  std::atomic<int> done{0};
   auto record = [&](const char* label) {
     return [&, label](const Executor::TaskContext&) {
-      {
-        std::lock_guard<std::mutex> lock(order_mu);
-        completion_order.push_back(label);
-      }
-      ++done;
+      std::lock_guard<std::mutex> lock(order_mu);
+      completion_order.push_back(label);
     };
   };
 
-  const uint64_t bulk_id = admission.BeginBatch(Lane::kBulk);
+  const ExecutorFlow bulk = admission.NewFlow(Lane::kBulk);
+  const ExecutorFlow interactive = admission.NewFlow(Lane::kInteractive);
+  EXPECT_NE(bulk.id, interactive.id);
+  EXPECT_EQ(bulk.weight, 1u);
+  EXPECT_EQ(interactive.weight, 8u);
   for (int i = 0; i < kBulk; ++i) {
-    ASSERT_TRUE(admission.Submit(bulk_id, record("bulk"), 0).ok());
+    ASSERT_TRUE(executor.Submit(record("bulk"), 0, bulk).ok());
   }
-  const uint64_t interactive_id = admission.BeginBatch(Lane::kInteractive);
   for (int i = 0; i < kInteractive; ++i) {
-    ASSERT_TRUE(
-        admission.Submit(interactive_id, record("interactive"), 0).ok());
+    ASSERT_TRUE(executor.Submit(record("interactive"), 0, interactive).ok());
   }
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  while (done.load() < kBulk + kInteractive) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  admission.EndBatch(bulk_id);
-  admission.EndBatch(interactive_id);
+  pin.Release();
   executor.Shutdown(true);
 
-  // Only the small inflight window's worth of bulk work (plus one DRR
-  // round) may finish ahead of the interactive batch.
+  ASSERT_EQ(completion_order.size(), static_cast<size_t>(kBulk + kInteractive));
   size_t last_interactive = 0;
   for (size_t i = 0; i < completion_order.size(); ++i) {
     if (completion_order[i] == "interactive") last_interactive = i;
   }
-  EXPECT_LT(last_interactive, 16u)
+  size_t bulk_before = 0;
+  for (size_t i = 0; i < last_interactive; ++i) {
+    if (completion_order[i] == "bulk") ++bulk_before;
+  }
+  EXPECT_LE(bulk_before, 1u)
       << "interactive batch queued behind the bulk backlog";
-  EXPECT_EQ(admission.stats().dispatched,
-            static_cast<uint64_t>(kBulk + kInteractive));
 }
 
-// Deadline-slack shedding: once the EWMA has seen slow queries and a
-// backlog exists, a batch whose deadline is already unreachable is shed at
-// admission instead of expiring query by query in the queue.
+// Deadline-slack shedding: once the executor has timed a slow task and a
+// backlog exists, a batch whose deadline is already unreachable is shed
+// at admission instead of expiring query by query in the queue.
 TEST(AdmissionTest, UnreachableDeadlineIsShedAfterWarmup) {
   ExecutorOptions executor_options;
   executor_options.num_threads = 1;
   Executor executor(executor_options);
-  AdmissionOptions options;
-  AdmissionController admission(&executor, options);
+  AdmissionController admission(&executor, AdmissionOptions{});
 
-  // Cold controller: no samples, never sheds on slack.
+  // Cold executor: no samples, never sheds on slack.
   uint64_t retry_after_ms = 0;
-  EXPECT_EQ(admission.EstimatedBacklogWaitNs(), 0u);
+  EXPECT_EQ(executor.EstimatedBacklogWaitNs(), 0u);
   EXPECT_TRUE(admission
                   .AdmitBatch("c", Lane::kInteractive, 1,
                               MonotonicNowNs() + 1, &retry_after_ms)
                   .ok());
 
-  // Warm the EWMA with one deliberately slow query.
+  // Warm the EWMA with one deliberately slow task.
   std::atomic<int> done{0};
-  const uint64_t warm_id = admission.BeginBatch(Lane::kInteractive);
-  ASSERT_TRUE(admission
-                  .Submit(warm_id,
-                          [&](const Executor::TaskContext&) {
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(50));
-                            ++done;
-                          },
-                          0)
+  ASSERT_TRUE(executor
+                  .Submit([&](const Executor::TaskContext&) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(50));
+                    ++done;
+                  })
                   .ok());
   while (done.load() < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  admission.EndBatch(warm_id);
 
   // Pin the worker and build a backlog so the slack estimate is real.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ASSERT_TRUE(executor
-                  .Submit([&](const Executor::TaskContext&) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  const uint64_t backlog_id = admission.BeginBatch(Lane::kBulk);
+  WorkerPin pin(&executor);
+  const ExecutorFlow backlog = admission.NewFlow(Lane::kBulk);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(admission
-                    .Submit(backlog_id,
-                            [&](const Executor::TaskContext&) { ++done; }, 0)
+    ASSERT_TRUE(executor
+                    .Submit([&](const Executor::TaskContext&) { ++done; }, 0,
+                            backlog)
                     .ok());
   }
-  EXPECT_GT(admission.EstimatedBacklogWaitNs(), 0u);
+  EXPECT_GT(executor.EstimatedBacklogWaitNs(), 0u);
 
-  // ~50ms EWMA x 5 backlogged queries: a 1ns-slack deadline cannot be met.
+  // ~50ms EWMA x 5 backlogged tasks: a 1ns-slack deadline cannot be met.
   Status shed = admission.AdmitBatch("c", Lane::kInteractive, 4,
                                      MonotonicNowNs() + 1, &retry_after_ms);
   EXPECT_EQ(shed.code(), Status::Code::kUnavailable);
-  EXPECT_GE(retry_after_ms, options.min_retry_after_ms);
+  EXPECT_GE(retry_after_ms, kMinRetryAfterMs);
   EXPECT_EQ(admission.stats().shed_deadline, 1u);
 
   // A deadline-free batch is never slack-shed, whatever the backlog.
@@ -287,136 +247,85 @@ TEST(AdmissionTest, UnreachableDeadlineIsShedAfterWarmup) {
                               MonotonicNowNs() + 60 * kSec, &retry_after_ms)
                   .ok());
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  while (done.load() < 5) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  admission.EndBatch(backlog_id);
+  pin.Release();
   executor.Shutdown(true);
+  EXPECT_EQ(done.load(), 5);
 }
 
-// Shutdown with work still queued in the fair queue: every submitted task
-// is invoked exactly once, with `cancelled` set, so completion-counting
-// callers never hang.
+// Shutdown with work still queued: the controller stops admitting, and
+// the executor invokes every queued task of every flow exactly once, with
+// `cancelled` set, so completion-counting callers never hang.
 TEST(AdmissionTest, ShutdownCancelsQueuedTasksExactlyOnce) {
   ExecutorOptions executor_options;
   executor_options.num_threads = 1;
   Executor executor(executor_options);
   AdmissionController admission(&executor, AdmissionOptions{});
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool worker_busy = false;
-  ASSERT_TRUE(executor
-                  .Submit([&](const Executor::TaskContext&) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    worker_busy = true;
-                    cv.notify_all();
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return worker_busy; });
-  }
+  WorkerPin pin(&executor);
 
   std::atomic<int> invoked{0};
   std::atomic<int> cancelled{0};
-  const uint64_t id = admission.BeginBatch(Lane::kBulk);
+  const ExecutorFlow flows[] = {admission.NewFlow(Lane::kBulk),
+                                  admission.NewFlow(Lane::kInteractive)};
   constexpr int kTasks = 64;
   for (int i = 0; i < kTasks; ++i) {
-    ASSERT_TRUE(admission
-                    .Submit(id,
-                            [&](const Executor::TaskContext& ctx) {
-                              ++invoked;
-                              if (ctx.cancelled) ++cancelled;
-                            },
-                            0)
+    ASSERT_TRUE(executor
+                    .Submit(
+                        [&](const Executor::TaskContext& ctx) {
+                          ++invoked;
+                          if (ctx.cancelled) ++cancelled;
+                        },
+                        0, flows[i % 2])
                     .ok());
   }
-  EXPECT_GT(admission.pending(), 0u);
+  EXPECT_EQ(executor.queue_depth(), static_cast<size_t>(kTasks));
   admission.Shutdown();
-  EXPECT_EQ(admission.pending(), 0u);
 
   // Post-shutdown traffic is refused, not queued.
   uint64_t retry_after_ms = 0;
   EXPECT_EQ(admission.AdmitBatch("c", Lane::kBulk, 1, 0, &retry_after_ms)
                 .code(),
             Status::Code::kUnsupported);
-  EXPECT_EQ(admission
-                .Submit(id, [](const Executor::TaskContext&) {}, 0)
+
+  std::thread releaser([&] { pin.ReleaseAfterShutdown(&executor); });
+  executor.Shutdown(/*drain=*/false);
+  releaser.join();
+  EXPECT_EQ(executor.queue_depth(), 0u);
+  EXPECT_EQ(executor
+                .Submit([](const Executor::TaskContext&) {}, 0, flows[0])
                 .code(),
             Status::Code::kUnsupported);
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  executor.Shutdown(true);
-
-  // The inflight window's tasks ran normally; everything still queued in
-  // the controller was invoked with `cancelled` set. Exactly once each.
   EXPECT_EQ(invoked.load(), kTasks);
-  EXPECT_GT(cancelled.load(), 0);
+  EXPECT_EQ(cancelled.load(), kTasks);
 }
 
-// max_pending caps the fair queue the same way queue_capacity caps the
-// executor: ResourceExhausted, caller flow-controls.
-TEST(AdmissionTest, PendingCapReturnsResourceExhausted) {
+// One cap bounds the queue across every flow: once queue_capacity tasks
+// of any flows are queued, a submission on a new flow gets
+// ResourceExhausted, the signal EstimateBatch's flow control absorbs.
+TEST(AdmissionTest, QueueCapacityBoundsAllFlowsTogether) {
   ExecutorOptions executor_options;
   executor_options.num_threads = 1;
+  executor_options.queue_capacity = 4;
   Executor executor(executor_options);
-  AdmissionOptions options;
-  options.max_pending = 4;
-  AdmissionController admission(&executor, options);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool worker_busy = false;
-  ASSERT_TRUE(executor
-                  .Submit([&](const Executor::TaskContext&) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    worker_busy = true;
-                    cv.notify_all();
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return worker_busy; });
-  }
+  AdmissionController admission(&executor, AdmissionOptions{});
+  WorkerPin pin(&executor);
 
   std::atomic<int> done{0};
   auto task = [&](const Executor::TaskContext&) { ++done; };
-  const uint64_t id = admission.BeginBatch(Lane::kBulk);
-  // Window (2) drains into the executor; 4 more fill max_pending.
-  int accepted = 0;
-  Status status = Status::OK();
-  while (status.ok()) {
-    status = admission.Submit(id, task, 0);
-    if (status.ok()) ++accepted;
+  const ExecutorFlow bulk = admission.NewFlow(Lane::kBulk);
+  const ExecutorFlow interactive = admission.NewFlow(Lane::kInteractive);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(executor.Submit(task, 0, i < 3 ? bulk : interactive).ok());
   }
-  EXPECT_EQ(status.code(), Status::Code::kResourceExhausted);
-  EXPECT_EQ(admission.pending(), options.max_pending);
+  EXPECT_EQ(executor.Submit(task, 0, interactive).code(),
+            Status::Code::kResourceExhausted);
+  EXPECT_EQ(executor.Submit(task, 0, admission.NewFlow(Lane::kBulk)).code(),
+            Status::Code::kResourceExhausted);
+  EXPECT_EQ(executor.queue_depth(), 4u);
+  EXPECT_EQ(executor.stats().rejected, 2u);
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  while (done.load() < accepted) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  admission.EndBatch(id);
+  pin.Release();
   executor.Shutdown(true);
-  EXPECT_EQ(done.load(), accepted);
+  EXPECT_EQ(done.load(), 4);
 }
 
 }  // namespace

@@ -4,12 +4,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/telemetry/metrics.h"
+#include "worker_pin.h"
 
 namespace xcluster {
 namespace {
@@ -29,6 +30,7 @@ TEST(ExecutorTest, InlineModeRunsOnSubmittingThread) {
   });
   EXPECT_TRUE(status.ok());
   EXPECT_TRUE(ran);  // inline: completed before Submit returned
+  EXPECT_EQ(executor.EstimatedBacklogWaitNs(), 0u);  // nothing ever queues
 }
 
 TEST(ExecutorTest, PooledTasksAllExecute) {
@@ -56,22 +58,7 @@ TEST(ExecutorTest, QueueFullReturnsResourceExhausted) {
   Executor executor(options);
 
   // Block the single worker so the queue backs up deterministically.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool worker_busy = false;
-  ASSERT_TRUE(executor
-                  .Submit([&](const Executor::TaskContext&) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    worker_busy = true;
-                    cv.notify_all();
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return worker_busy; });
-  }
+  WorkerPin pin(&executor);
 
   // Fill the two queue slots, then overflow.
   ASSERT_TRUE(executor.Submit([](const Executor::TaskContext&) {}).ok());
@@ -80,11 +67,7 @@ TEST(ExecutorTest, QueueFullReturnsResourceExhausted) {
   EXPECT_EQ(overflow.code(), Status::Code::kResourceExhausted);
   EXPECT_EQ(executor.stats().rejected, 1u);
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  pin.Release();
   executor.Shutdown(true);
   // The rejected task never ran; everything accepted did.
   EXPECT_EQ(executor.stats().executed, 3u);
@@ -95,15 +78,7 @@ TEST(ExecutorTest, ExpiredDeadlineIsReportedNotDropped) {
   options.num_threads = 1;
   Executor executor(options);
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ASSERT_TRUE(executor
-                  .Submit([&](const Executor::TaskContext&) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
+  WorkerPin pin(&executor);
 
   // Queued behind the blocker with an already-elapsed deadline.
   std::atomic<bool> expired{false};
@@ -114,11 +89,7 @@ TEST(ExecutorTest, ExpiredDeadlineIsReportedNotDropped) {
                       },
                       MonotonicNowNs() - 1)
                   .ok());
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  pin.Release();
   executor.Shutdown(true);
   EXPECT_TRUE(expired.load());
   EXPECT_EQ(executor.stats().expired, 1u);
@@ -161,22 +132,7 @@ TEST(ExecutorTest, ShutdownWithoutDrainCancelsButStillInvokes) {
   options.queue_capacity = 4096;
   Executor executor(options);
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool worker_busy = false;
-  ASSERT_TRUE(executor
-                  .Submit([&](const Executor::TaskContext&) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    worker_busy = true;
-                    cv.notify_all();
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return worker_busy; });
-  }
+  WorkerPin pin(&executor);
 
   std::atomic<int> invoked{0};
   std::atomic<int> cancelled{0};
@@ -188,12 +144,7 @@ TEST(ExecutorTest, ShutdownWithoutDrainCancelsButStillInvokes) {
                     })
                     .ok());
   }
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-    cv.notify_all();
-  });
+  std::thread releaser([&] { pin.ReleaseAfterShutdown(&executor); });
   executor.Shutdown(false);
   releaser.join();
   // Every queued task was invoked exactly once, flagged as cancelled —
@@ -212,6 +163,86 @@ TEST(ExecutorTest, SubmitAfterShutdownIsRejected) {
   inline_executor.Shutdown(true);
   EXPECT_EQ(inline_executor.Submit([](const Executor::TaskContext&) {}).code(),
             Status::Code::kUnsupported);
+}
+
+// Tasks that name no flow share the default one: a plain FIFO, the
+// order the router's forwarding pool relies on.
+TEST(ExecutorTest, DefaultFlowIsFifo) {
+  Executor executor(ExecutorOptions{.num_threads = 1, .queue_capacity = 64});
+  WorkerPin pin(&executor);
+  std::mutex mu;
+  std::vector<int> order;
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(executor
+                    .Submit([&, i](const Executor::TaskContext&) {
+                      std::lock_guard<std::mutex> lock(mu);
+                      order.push_back(i);
+                    })
+                    .ok());
+  }
+  pin.Release();
+  executor.Shutdown(true);
+  ASSERT_EQ(order.size(), 32u);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(order[i], i);
+}
+
+// Deficit round robin: flows take turns in the order they joined, each
+// turn popping up to the flow's weight; a drained flow leaves the round.
+TEST(ExecutorTest, FlowsTakeTurnsByWeight) {
+  Executor executor(ExecutorOptions{.num_threads = 1, .queue_capacity = 64});
+  WorkerPin pin(&executor);
+  std::mutex mu;
+  std::string order;
+  auto submit = [&](char label, ExecutorFlow flow) {
+    ASSERT_TRUE(executor
+                    .Submit(
+                        [&, label](const Executor::TaskContext&) {
+                          std::lock_guard<std::mutex> lock(mu);
+                          order += label;
+                        },
+                        0, flow)
+                    .ok());
+  };
+  for (int i = 0; i < 4; ++i) submit('a', ExecutorFlow{7, 2});
+  for (int i = 0; i < 3; ++i) submit('b', ExecutorFlow{8, 1});
+  for (int i = 0; i < 3; ++i) submit('c', ExecutorFlow{9, 3});
+  pin.Release();
+  executor.Shutdown(true);
+  EXPECT_EQ(order, "aabcccaabb");
+}
+
+// TaskContext::queue_ns is the whole wait in the one queue: a task queued
+// behind a worker pinned for 20 ms, and behind the 2 ms tasks that start
+// before it, reports at least all of that, whichever flow it is on.
+TEST(ExecutorTest, QueueWaitCoversTheWholeWait) {
+  constexpr uint64_t kMs = 1'000'000;
+  Executor executor(ExecutorOptions{.num_threads = 1, .queue_capacity = 64});
+  WorkerPin pin(&executor);
+  std::mutex mu;
+  std::vector<uint64_t> waits;  // in start order
+  constexpr int kTasks = 16;
+  for (int i = 0; i < kTasks; ++i) {
+    const ExecutorFlow flow{i % 2 == 0 ? 1u : 2u, i % 2 == 0 ? 8u : 1u};
+    ASSERT_TRUE(executor
+                    .Submit(
+                        [&](const Executor::TaskContext& ctx) {
+                          {
+                            std::lock_guard<std::mutex> lock(mu);
+                            waits.push_back(ctx.queue_ns);
+                          }
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(2));
+                        },
+                        0, flow)
+                    .ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  pin.Release();
+  executor.Shutdown(true);
+  ASSERT_EQ(waits.size(), static_cast<size_t>(kTasks));
+  for (size_t k = 0; k < waits.size(); ++k) {
+    EXPECT_GE(waits[k], 20 * kMs + k * 2 * kMs) << "task started " << k;
+  }
 }
 
 // Many producers racing many workers over a small queue: accepted +

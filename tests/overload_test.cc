@@ -172,7 +172,7 @@ TEST(OverloadTest, ExpiredBatchFailsFastWithoutDispatch) {
   EstimationService service(options);
   service.store().Install("books", MakeFixture());
 
-  const uint64_t dispatched_before = service.admission().stats().dispatched;
+  const uint64_t submitted_before = service.executor().stats().submitted;
   BatchOptions expired;
   expired.deadline_ns = 1;  // relative: expires 1ns after the batch starts
   const std::vector<std::string> queries(64, "/A");
@@ -183,8 +183,8 @@ TEST(OverloadTest, ExpiredBatchFailsFastWithoutDispatch) {
   for (const QueryResult& result : batch.results) {
     EXPECT_EQ(result.status.code(), Status::Code::kDeadlineExceeded);
   }
-  // The fail-fast path must not have fed the scheduler at all.
-  EXPECT_EQ(service.admission().stats().dispatched, dispatched_before);
+  // The fail-fast path must not have fed the executor at all.
+  EXPECT_EQ(service.executor().stats().submitted, submitted_before);
 }
 
 // Client retry contract over a live socket: a client whose batch is shed

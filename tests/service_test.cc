@@ -164,16 +164,41 @@ TEST(EstimationServiceTest, WorkerCountDeterminismOnXMark) {
   }
 }
 
-// A batch much larger than the queue exercises the flow-control path:
-// every query completes, none is lost to backpressure.
+// A batch with many more lane groups than queue slots exercises the
+// flow-control path: 64 distinct skeletons (/A, /A/Q, /A/Q/Q, ...) make
+// 64 groups for one worker and two queue slots, so submissions hit the
+// cap and retry. Every query completes, none is lost to backpressure, and
+// each equals EstimateOne bit for bit. Whether a submit finds the queue
+// full depends on scheduling (a descheduled submitter lets the worker
+// drain it), so batches repeat until one has met a full queue.
 TEST(EstimationServiceTest, BatchLargerThanQueueCompletes) {
-  auto service = MakeService(4, /*queue_capacity=*/8);
+  auto service = MakeService(1, /*queue_capacity=*/2);
   std::vector<std::string> queries;
-  for (int i = 0; i < 400; ++i) queries.push_back(kQueries[i % 8]);
-  BatchResult batch = service->EstimateBatch("fig7", queries);
-  ASSERT_EQ(batch.results.size(), queries.size());
-  EXPECT_EQ(batch.stats.ok, queries.size());
-  EXPECT_EQ(batch.stats.failed, 0u);
+  std::vector<double> expected;
+  std::string query = "/A";
+  for (int k = 0; k < 64; ++k) {
+    const QueryResult one = service->EstimateOne("fig7", query);
+    ASSERT_TRUE(one.status.ok()) << one.status.ToString();
+    queries.push_back(query);
+    expected.push_back(one.estimate);
+    query += "/Q";
+  }
+  for (int attempt = 0;
+       attempt < 20 && service->executor().stats().rejected == 0;
+       ++attempt) {
+    BatchResult batch = service->EstimateBatch("fig7", queries);
+    ASSERT_EQ(batch.results.size(), queries.size());
+    EXPECT_EQ(batch.stats.batch_groups, queries.size());
+    EXPECT_EQ(batch.stats.ok, queries.size());
+    EXPECT_EQ(batch.stats.failed, 0u);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(batch.results[i].status.ok())
+          << batch.results[i].status.ToString();
+      EXPECT_EQ(batch.results[i].estimate, expected[i]) << queries[i];
+    }
+  }
+  EXPECT_GT(service->executor().stats().rejected, 0u)
+      << "no batch reached flow control";
 }
 
 // An already-expired deadline fails queries with DeadlineExceeded instead

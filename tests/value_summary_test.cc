@@ -186,6 +186,22 @@ TEST(ValueSummaryTest, SampleNumericKind) {
   EXPECT_NEAR(summary.NumericTotal(), 5.0, 1e-9);
 }
 
+// The prefix predicate [domain_lo, h] starts at each kind's smallest
+// value, so all three kinds agree on a domain below zero.
+TEST(ValueSummaryTest, AtomicPrefixStartsAtSmallestValueForEveryKind) {
+  for (const NumericSummaryKind kind :
+       {NumericSummaryKind::kHistogram, NumericSummaryKind::kWavelet,
+        NumericSummaryKind::kSample}) {
+    const ValueSummary summary =
+        ValueSummary::FromNumeric({-10, -5, -1}, 16, kind);
+    AtomicPredicate prefix;
+    prefix.type = ValueType::kNumeric;
+    prefix.range_hi = -5;
+    EXPECT_NEAR(summary.AtomicSelectivity(prefix), 2.0 / 3.0, 1e-9)
+        << "kind " << static_cast<int>(kind);
+  }
+}
+
 TEST(ValueSummaryTest, MergePreservesNumericKind) {
   ValueSummary a = ValueSummary::FromNumeric({1, 2}, 8,
                                              NumericSummaryKind::kWavelet);

@@ -27,7 +27,8 @@
 //       Runs the in-process estimation service on a line-oriented
 //       stdin/stdout protocol (see docs/SERVING.md for the grammar).
 //       --quota installs per-collection admission token buckets;
-//       --lane-weights tunes the interactive:bulk fair-queueing shares.
+//       --lane-weights tunes the interactive:bulk deficit-round-robin
+//       weights of the executor's queue.
 //
 //   xclusterctl serve --listen host:port [--stdin] [--max-connections N]
 //               [--deadline-us N] [--drain-ms N] [--max-install-bytes N]
@@ -523,8 +524,8 @@ int Serve(const Args& args) {
   // --xcsf-spool DIR — persist replicated XCSF images there (atomic
   // write + mmap) so a restarted replica cold-starts from disk.
   options.xcsf_spool_dir = args.Get("xcsf-spool");
-  // --lane-weights I:B — weighted-fair-queueing shares for the interactive
-  // and bulk admission lanes (default 8:1).
+  // --lane-weights I:B — deficit-round-robin weights of interactive and
+  // bulk batches in the executor's queue (default 8:1).
   const std::string lane_weights = args.Get("lane-weights");
   if (!lane_weights.empty()) {
     const size_t colon = lane_weights.find(':');
