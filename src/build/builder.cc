@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdint>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "build/pool.h"
@@ -14,32 +14,26 @@ namespace xcluster {
 
 namespace {
 
-struct CandidateOrder {
-  bool operator()(const MergeCandidate& a, const MergeCandidate& b) const {
-    if (a.ratio() != b.ratio()) return a.ratio() > b.ratio();  // min-heap
-    if (a.u != b.u) return a.u > b.u;
-    return a.v > b.v;
-  }
-};
-
-using CandidateHeap =
-    std::priority_queue<MergeCandidate, std::vector<MergeCandidate>,
-                        CandidateOrder>;
-
 /// Phase 1 under the localized-delta (or count-only) policy: a marginal-loss
-/// min-heap with per-node version staleness checks and level-scheduled pool
-/// rebuilds.
+/// queue of sorted runs with per-node version staleness checks and
+/// level-scheduled pool rebuilds.
 void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
                       const DeltaOptions& delta_options, BuildStats* stats) {
+  MergeScorer scorer(delta_options);
   // Alive node ids by (label, type), each group ascending. Kept current
   // across merges, so a merged node's compatible peers are read off its
   // group instead of a scan of the arena.
   std::map<std::pair<SymbolId, ValueType>, std::vector<SynNodeId>>
       peer_groups;
+  // Alive flag per arena id, kept current across merges: most popped
+  // candidates are dead, and this tells so without reading their nodes.
+  std::vector<uint8_t> alive(synopsis->arena_size(), 0);
   for (SynNodeId id : synopsis->AliveNodes()) {
     const SynNode& node = synopsis->node(id);
     peer_groups[{node.label, node.type}].push_back(id);
+    alive[id] = 1;
   }
+  RunPool queue;
   uint32_t level_cap = 0;
   while (synopsis->StructuralBytes() > options.structural_budget) {
     std::vector<MergeCandidate> pool;
@@ -48,8 +42,8 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       // candidate pair is scored here or in the staleness re-evaluations
       // below.
       XCLUSTER_SCOPED_TIMER_NS("build.pool_rebuild_ns");
-      pool = BuildPool(*synopsis, options.pool_max, level_cap, delta_options,
-                       options.pair_sample_cap);
+      pool = BuildPool(*synopsis, options.pool_max, level_cap,
+                       options.pair_sample_cap, &scorer);
     }
     XCLUSTER_COUNTER_INC("build.pool_rebuilds");
     XCLUSTER_COUNTER_ADD("build.candidates_evaluated", pool.size());
@@ -70,30 +64,34 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       continue;
     }
 
-    CandidateHeap heap(CandidateOrder(), std::move(pool));
+    queue.Clear();
+    for (const MergeCandidate& candidate : pool) queue.Add(candidate);
+    queue.CloseRun();
     // Low-water mark: rebuild once the pool drains below Hl (halved for
     // pools that start small so tiny synopses don't rebuild per merge).
-    const size_t low_water = std::min(options.pool_min, heap.size() / 2);
+    // The queue's size counts dead candidates until they are popped, so
+    // which merge a rebuild follows, and so the image, depends on them.
+    const size_t low_water = std::min(options.pool_min, queue.size() / 2);
     size_t merges_this_stage = 0;
-    while (!heap.empty() &&
+    while (!queue.empty() &&
            synopsis->StructuralBytes() > options.structural_budget) {
-      MergeCandidate candidate = heap.top();
-      heap.pop();
-      if (!synopsis->node(candidate.u).alive ||
-          !synopsis->node(candidate.v).alive) {
-        continue;
-      }
+      const RunPool::Entry candidate = queue.Pop();
+      if (!alive[candidate.u] || !alive[candidate.v]) continue;
       if (candidate.version_u != synopsis->node(candidate.u).version ||
           candidate.version_v != synopsis->node(candidate.v).version) {
         // Stale: the neighborhood changed since scoring; re-evaluate lazily.
-        heap.push(EvaluateCandidate(*synopsis, candidate.u, candidate.v,
-                                    delta_options));
+        queue.Add(
+            EvaluateCandidate(*synopsis, candidate.u, candidate.v, &scorer));
+        queue.CloseRun();
         XCLUSTER_COUNTER_INC("build.candidates_evaluated");
         XCLUSTER_COUNTER_INC("build.candidates_rescored");
         if (stats != nullptr) ++stats->candidates_evaluated;
         continue;
       }
       SynNodeId w = synopsis->MergeNodes(candidate.u, candidate.v);
+      alive[candidate.u] = 0;
+      alive[candidate.v] = 0;
+      alive.push_back(1);  // w is the newest arena id
       ++merges_this_stage;
       XCLUSTER_COUNTER_INC("build.merges_applied");
       if (stats != nullptr) ++stats->merges_applied;
@@ -107,11 +105,12 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       }
       XCLUSTER_COUNTER_ADD("build.candidates_evaluated", peers.size());
       for (SynNodeId peer : peers) {
-        heap.push(EvaluateCandidate(*synopsis, peer, w, delta_options));
+        queue.Add(EvaluateCandidate(*synopsis, peer, w, &scorer));
         if (stats != nullptr) ++stats->candidates_evaluated;
       }
+      queue.CloseRun();
       peers.push_back(w);  // the newest arena id: the group stays ascending
-      if (heap.size() < low_water) break;  // replenish the pool
+      if (queue.size() < low_water) break;  // replenish the pool
     }
     if (synopsis->StructuralBytes() <= options.structural_budget) return;
     // A productive stage rebuilds at the same level; a barren one widens

@@ -1,6 +1,7 @@
 #include "build/delta.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "synopsis/size_model.h"
@@ -8,47 +9,6 @@
 namespace xcluster {
 
 namespace {
-
-/// One child target of the merge inputs, with u/v folded onto the future
-/// merged node (represented by u), and each input's count to it.
-struct FoldedTarget {
-  SynNodeId target = kNoSynNode;
-  double from_u = 0.0;
-  double from_v = 0.0;
-};
-
-/// The distinct folded child targets of u and v in ascending target id.
-/// A target's counts are summed over u's edges in edge order, then v's:
-/// the summation order MergeDelta's doubles are defined by, which the
-/// merge order and so the built synopsis depend on bit for bit.
-std::vector<FoldedTarget> FoldTargets(const SynNode& nu, const SynNode& nv,
-                                      SynNodeId u, SynNodeId v) {
-  std::vector<FoldedTarget> targets;
-  targets.reserve(nu.children.size() + nv.children.size() + 1);  // + self
-  auto fold = [&](SynNodeId t) { return (t == u || t == v) ? u : t; };
-  for (const SynEdge& edge : nu.children) {
-    targets.push_back({fold(edge.target), edge.avg_count, 0.0});
-  }
-  for (const SynEdge& edge : nv.children) {
-    targets.push_back({fold(edge.target), 0.0, edge.avg_count});
-  }
-  std::stable_sort(targets.begin(), targets.end(),
-                   [](const FoldedTarget& a, const FoldedTarget& b) {
-                     return a.target < b.target;
-                   });
-  size_t distinct = 0;
-  for (const FoldedTarget& entry : targets) {
-    if (distinct > 0 && targets[distinct - 1].target == entry.target) {
-      // Adding the other side's +0.0 leaves a sum unchanged.
-      targets[distinct - 1].from_u += entry.from_u;
-      targets[distinct - 1].from_v += entry.from_v;
-    } else {
-      targets[distinct++] = entry;
-    }
-  }
-  targets.resize(distinct);
-  return targets;
-}
 
 /// Enumerates the pair's atomic predicates after the trivial one: up to
 /// `cap` predicates drawn from both summaries.
@@ -94,22 +54,74 @@ size_t PairSavings(const SynNode& nu, const SynNode& nv, SynNodeId u,
 
 double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
                   const DeltaOptions& options) {
-  return ScoreMerge(synopsis, u, v, options).delta;
+  return MergeScorer(options).Score(synopsis, u, v).delta;
 }
 
 size_t MergeSavings(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v) {
-  const SynNode& nu = synopsis.node(u);
-  const SynNode& nv = synopsis.node(v);
-  return PairSavings(nu, nv, u, v, FoldTargets(nu, nv, u, v).size());
+  DeltaOptions structure_only;
+  structure_only.use_value_summaries = false;
+  return MergeScorer(structure_only).Score(synopsis, u, v).savings;
 }
 
-MergeScore ScoreMerge(const GraphSynopsis& synopsis, SynNodeId u,
-                      SynNodeId v, const DeltaOptions& options) {
+void MergeScorer::Fold(const GraphSynopsis& synopsis, SynNodeId u,
+                       SynNodeId v) {
+  const size_t arena = synopsis.arena_size();
+  if (counts_.size() < arena) {
+    counts_.resize(arena);
+    marked_.resize((arena + 63) / 64);
+    marked_words_.resize((marked_.size() + 63) / 64);
+  }
+  // Word range of marked_words_ this fold touches; the walk below clears
+  // every bit it reads, so the bitmaps are all zero between folds.
+  size_t lo = marked_words_.size();
+  size_t hi = 0;
+  auto counts_of = [&](SynNodeId target) -> TargetCounts& {
+    if (target == v) target = u;  // u stands for the merged node
+    uint64_t& word = marked_[target >> 6];
+    const uint64_t bit = uint64_t{1} << (target & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
+      const size_t summary = target >> 12;
+      marked_words_[summary] |= uint64_t{1} << ((target >> 6) & 63);
+      lo = std::min(lo, summary);
+      hi = std::max(hi, summary);
+      counts_[target] = TargetCounts();
+    }
+    return counts_[target];
+  };
+  // A target's counts are summed over u's edges in edge order, then v's:
+  // the summation order the deltas are defined by, which the merge order
+  // and so the built synopsis depend on bit for bit.
+  for (const SynEdge& edge : synopsis.node(u).children) {
+    counts_of(edge.target).from_u += edge.avg_count;
+  }
+  for (const SynEdge& edge : synopsis.node(v).children) {
+    counts_of(edge.target).from_v += edge.avg_count;
+  }
+  targets_.clear();
+  for (size_t summary = lo; summary <= hi; ++summary) {
+    uint64_t words = marked_words_[summary];
+    marked_words_[summary] = 0;
+    while (words != 0) {
+      const size_t word = summary * 64 + std::countr_zero(words);
+      words &= words - 1;
+      uint64_t bits = marked_[word];
+      marked_[word] = 0;
+      while (bits != 0) {
+        targets_.push_back(counts_[word * 64 + std::countr_zero(bits)]);
+        bits &= bits - 1;
+      }
+    }
+  }
+}
+
+MergeScore MergeScorer::Score(const GraphSynopsis& synopsis, SynNodeId u,
+                              SynNodeId v) {
   const SynNode& nu = synopsis.node(u);
   const SynNode& nv = synopsis.node(v);
-  std::vector<FoldedTarget> targets = FoldTargets(nu, nv, u, v);
+  Fold(synopsis, u, v);
   MergeScore score;
-  score.savings = PairSavings(nu, nv, u, v, targets.size());
+  score.savings = PairSavings(nu, nv, u, v, targets_.size());
 
   const double cu = nu.count;
   const double cv = nv.count;
@@ -117,11 +129,11 @@ MergeScore ScoreMerge(const GraphSynopsis& synopsis, SynNodeId u,
   if (cw <= 0.0) return score;
   // Implicit self target: one "element" per extent member, charging value
   // divergence even for leaves.
-  targets.push_back({kNoSynNode, 1.0, 1.0});
+  targets_.push_back({1.0, 1.0});
 
   // Charges one predicate with selectivities su, sv and sw (merged).
   auto charge = [&](double su, double sv, double sw) {
-    for (const FoldedTarget& counts : targets) {
+    for (const TargetCounts& counts : targets_) {
       const double aw = (cu * counts.from_u + cv * counts.from_v) / cw;
       const double du = su * counts.from_u - sw * aw;
       const double dv = sv * counts.from_v - sw * aw;
@@ -131,11 +143,12 @@ MergeScore ScoreMerge(const GraphSynopsis& synopsis, SynNodeId u,
   charge(1.0, 1.0, 1.0);  // the trivial predicate
   // Value-less pairs have no other predicate, so only value-laden pairs
   // build the merged summary.
-  if (!options.use_value_summaries || (nu.vsumm.empty() && nv.vsumm.empty())) {
+  if (!options_.use_value_summaries ||
+      (nu.vsumm.empty() && nv.vsumm.empty())) {
     return score;
   }
   const std::vector<AtomicPredicate> preds =
-      PairPredicates(nu.vsumm, nv.vsumm, options);
+      PairPredicates(nu.vsumm, nv.vsumm, options_);
   if (preds.empty()) return score;
   const ValueSummary merged = ValueSummary::Merge(nu.vsumm, cu, nv.vsumm, cv);
   for (const AtomicPredicate& p : preds) {

@@ -2,6 +2,8 @@
 #define XCLUSTER_BUILD_DELTA_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "summaries/value_summary.h"
 #include "synopsis/graph.h"
@@ -26,7 +28,8 @@ struct DeltaOptions {
 /// e(x, p, c) = sigma_p(x) * count(x, c) between the original nodes and the
 /// merged node, over the enumerated atomic predicates p and the mapped child
 /// targets c (plus an implicit count-1 self target so leaf value drift is
-/// charged).
+/// charged). MergeDelta and MergeSavings score with a scorer of their own;
+/// code scoring many pairs keeps one MergeScorer.
 double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
                   const DeltaOptions& options);
 
@@ -41,8 +44,36 @@ struct MergeScore {
   double delta = 0.0;
   size_t savings = 0;
 };
-MergeScore ScoreMerge(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
-                      const DeltaOptions& options);
+
+/// Scores phase-1 merge pairs. A pair's child edges are folded into a dense
+/// accumulator indexed by target id, and the touched ids are read back in
+/// ascending order off a two-level bitmap. The scratch lives as long as the
+/// scorer, so once it has grown to the synopsis' arena, scoring a pair
+/// neither sorts nor allocates (a value-laden pair still builds its merged
+/// summary). XClusterBuild holds one scorer for phase 1.
+class MergeScorer {
+ public:
+  explicit MergeScorer(const DeltaOptions& options) : options_(options) {}
+
+  /// MergeDelta and MergeSavings of the pair (u, v), from one fold.
+  MergeScore Score(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v);
+
+ private:
+  /// One folded child target's summed counts from u and from v.
+  struct TargetCounts {
+    double from_u = 0.0;
+    double from_v = 0.0;
+  };
+
+  /// Fills targets_ with the pair's distinct folded child targets.
+  void Fold(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v);
+
+  DeltaOptions options_;
+  std::vector<TargetCounts> counts_;  ///< by target id; valid where marked
+  std::vector<uint64_t> marked_;      ///< one bit per target id
+  std::vector<uint64_t> marked_words_;  ///< one bit per word of marked_
+  std::vector<TargetCounts> targets_;   ///< the last fold, ascending id
+};
 
 /// Marginal error of replacing u's value summary with `compressed` (phase-2
 /// candidate scoring): same formula with the node's own extent and targets.

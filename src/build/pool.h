@@ -28,7 +28,7 @@ struct MergeCandidate {
 /// Scores the pair (u, v) against the current synopsis state, recording the
 /// nodes' version counters for later staleness checks.
 MergeCandidate EvaluateCandidate(const GraphSynopsis& synopsis, SynNodeId u,
-                                 SynNodeId v, const DeltaOptions& options);
+                                 SynNodeId v, MergeScorer* scorer);
 
 /// Enumerates label/type-compatible pairs among alive nodes whose level
 /// (shortest path to a leaf) is <= `level_cap`, scores each, and returns the
@@ -37,8 +37,62 @@ MergeCandidate EvaluateCandidate(const GraphSynopsis& synopsis, SynNodeId u,
 /// stride-sampled deterministically to bound the quadratic blowup.
 std::vector<MergeCandidate> BuildPool(const GraphSynopsis& synopsis,
                                       size_t pool_max, uint32_t level_cap,
-                                      const DeltaOptions& options,
-                                      size_t pair_sample_cap = 0);
+                                      size_t pair_sample_cap,
+                                      MergeScorer* scorer);
+
+/// Phase 1's candidate queue: candidates arrive in runs (a rebuilt pool,
+/// one merge's peer scores, one re-score), each run is sorted once, and a
+/// binary heap of the runs' heads, each carrying its key inline, pops them
+/// in ascending (ratio, u, v) order. No two queued candidates share a key,
+/// so the pops are those of one heap holding every candidate.
+class RunPool {
+ public:
+  /// What the queue keeps of a candidate: its key, with the ratio
+  /// precomputed, and the versions it was scored at.
+  struct Entry {
+    double ratio = 0.0;
+    SynNodeId u = kNoSynNode;
+    SynNodeId v = kNoSynNode;
+    uint32_t version_u = 0;
+    uint32_t version_v = 0;
+  };
+
+  /// Appends `candidate` to the open run.
+  void Add(const MergeCandidate& candidate);
+
+  /// Sorts the open run and queues it.
+  void CloseRun();
+
+  bool empty() const { return heads_.empty(); }
+
+  /// Queued candidates not yet popped, dead ones included. The open run
+  /// does not count until it is closed.
+  size_t size() const { return size_; }
+
+  /// Removes and returns the queued candidate with the smallest key.
+  /// Requires !empty().
+  Entry Pop();
+
+  /// Drops every candidate, the open run's too.
+  void Clear();
+
+ private:
+  /// A queued run: its next entry's key, then where it is.
+  struct Head {
+    double ratio;
+    SynNodeId u;
+    SynNodeId v;
+    size_t next;  ///< index of the run's next entry in entries_
+    size_t end;   ///< one past the run's last entry
+  };
+
+  void SiftDown();
+
+  std::vector<Entry> entries_;  ///< every run back to back
+  size_t open_begin_ = 0;       ///< first entry of the open run
+  std::vector<Head> heads_;     ///< min-heap of the unexhausted runs
+  size_t size_ = 0;
+};
 
 }  // namespace xcluster
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <set>
+#include <string>
 
 #include "data/imdb.h"
+#include "data/treebank.h"
+#include "data/xmark.h"
+#include "oracle/merge_loop.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/reference.h"
 
 namespace xcluster {
@@ -157,6 +163,82 @@ TEST_F(BuilderTest, PreservesTermDictionary) {
   GraphSynopsis synopsis = XClusterBuild(reference_, options, nullptr);
   EXPECT_EQ(synopsis.term_dictionary().get(),
             reference_.term_dictionary().get());
+}
+
+std::string Image(const GraphSynopsis& synopsis) {
+  std::string image;
+  EXPECT_TRUE(storage::XcsfWriter::Encode(synopsis, &image).ok());
+  return image;
+}
+
+/// XClusterBuild of `reference` writes the image the priority-queue phase 1
+/// in tests/oracle/merge_loop.cc writes, byte for byte, at Bstr 2, 8 and
+/// 20 KB under `policies`. Bval is unbounded, so the image is phase 1's
+/// result: phase 2 is the same code on both sides and a function of that
+/// result.
+void ExpectImagesMatchOracle(const GeneratedDataset& dataset,
+                             NumericSummaryKind numeric_summary,
+                             std::initializer_list<MergePolicy> policies = {
+                                 MergePolicy::kLocalizedDelta,
+                                 MergePolicy::kCountOnly}) {
+  ReferenceOptions ref_options;
+  ref_options.value_paths = dataset.value_paths;
+  ref_options.numeric_summary = numeric_summary;
+  const GraphSynopsis reference =
+      BuildReferenceSynopsis(dataset.doc, ref_options);
+  for (const MergePolicy policy : policies) {
+    for (const size_t bstr_kb : {2, 8, 20}) {
+      BuildOptions options;
+      options.structural_budget = bstr_kb * 1024;
+      options.value_budget = reference.ValueBytes();
+      options.policy = policy;
+      BuildStats stats;
+      const std::string built =
+          Image(XClusterBuild(reference, options, &stats));
+      const std::string oracle = Image(OracleXClusterBuild(reference, options));
+      EXPECT_GT(stats.merges_applied, 0u) << "Bstr " << bstr_kb << " KB";
+      EXPECT_TRUE(built == oracle)
+          << "Bstr " << bstr_kb << " KB, policy "
+          << static_cast<int>(policy) << ": image of " << built.size()
+          << " bytes, oracle's " << oracle.size();
+    }
+  }
+}
+
+TEST(BuilderOracleTest, XMarkImagesMatchOracle) {
+  XMarkOptions options;
+  options.scale = 0.1;
+  ExpectImagesMatchOracle(GenerateXMark(options),
+                          NumericSummaryKind::kHistogram);
+}
+
+TEST(BuilderOracleTest, ImdbImagesMatchOracle) {
+  ImdbOptions options;
+  options.scale = 0.2;
+  ExpectImagesMatchOracle(GenerateImdb(options),
+                          NumericSummaryKind::kHistogram);
+}
+
+TEST(BuilderOracleTest, ImdbWaveletImagesMatchOracle) {
+  ImdbOptions options;
+  options.scale = 0.2;
+  // Count-only scoring reads no summary, so it merges as with histograms.
+  ExpectImagesMatchOracle(GenerateImdb(options), NumericSummaryKind::kWavelet,
+                          {MergePolicy::kLocalizedDelta});
+}
+
+TEST(BuilderOracleTest, ImdbSampleImagesMatchOracle) {
+  ImdbOptions options;
+  options.scale = 0.2;
+  ExpectImagesMatchOracle(GenerateImdb(options), NumericSummaryKind::kSample,
+                          {MergePolicy::kLocalizedDelta});
+}
+
+TEST(BuilderOracleTest, TreebankImagesMatchOracle) {
+  TreebankOptions options;
+  options.scale = 0.12;
+  ExpectImagesMatchOracle(GenerateTreebank(options),
+                          NumericSummaryKind::kHistogram);
 }
 
 }  // namespace

@@ -4,15 +4,28 @@
 
 #include <algorithm>
 #include <limits>
+#include <queue>
+#include <vector>
 
+#include "common/rng.h"
 #include "data/imdb.h"
 #include "data/treebank.h"
 #include "data/xmark.h"
+#include "oracle/merge_loop.h"
 #include "oracle/merge_score.h"
 #include "synopsis/reference.h"
 
 namespace xcluster {
 namespace {
+
+/// BuildPool with a scorer of its own.
+std::vector<MergeCandidate> Pool(const GraphSynopsis& synopsis,
+                                 size_t pool_max, uint32_t level_cap,
+                                 const DeltaOptions& options = DeltaOptions(),
+                                 size_t pair_sample_cap = 0) {
+  MergeScorer scorer(options);
+  return BuildPool(synopsis, pool_max, level_cap, pair_sample_cap, &scorer);
+}
 
 /// Root with several leaf children in two label groups.
 GraphSynopsis MakeSynopsis() {
@@ -31,8 +44,7 @@ GraphSynopsis MakeSynopsis() {
 
 TEST(PoolTest, EnumeratesCompatiblePairsOnly) {
   GraphSynopsis synopsis = MakeSynopsis();
-  std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+  std::vector<MergeCandidate> pool = Pool(synopsis, 100, 0);
   // A-pairs: C(4,2)=6; B-pairs: C(3,2)=3. The root (level 1) is excluded.
   EXPECT_EQ(pool.size(), 9u);
   for (const MergeCandidate& candidate : pool) {
@@ -49,10 +61,8 @@ TEST(PoolTest, LevelFilterExcludesHighNodes) {
   SynNodeId leaf = synopsis.AddNode("L", ValueType::kNone, 1.0);
   synopsis.AddEdge(root, mid, 1.0);
   synopsis.AddEdge(mid, leaf, 1.0);
-  std::vector<MergeCandidate> level0 =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
-  std::vector<MergeCandidate> level1 =
-      BuildPool(synopsis, 100, 1, DeltaOptions());
+  std::vector<MergeCandidate> level0 = Pool(synopsis, 100, 0);
+  std::vector<MergeCandidate> level1 = Pool(synopsis, 100, 1);
   // At level 1 the extra A (level 1) pairs with the four leaf As.
   EXPECT_EQ(level0.size(), 9u);
   EXPECT_EQ(level1.size(), 13u);
@@ -60,10 +70,8 @@ TEST(PoolTest, LevelFilterExcludesHighNodes) {
 
 TEST(PoolTest, PoolMaxKeepsBestCandidates) {
   GraphSynopsis synopsis = MakeSynopsis();
-  std::vector<MergeCandidate> full =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
-  std::vector<MergeCandidate> capped =
-      BuildPool(synopsis, 3, 0, DeltaOptions());
+  std::vector<MergeCandidate> full = Pool(synopsis, 100, 0);
+  std::vector<MergeCandidate> capped = Pool(synopsis, 3, 0);
   EXPECT_EQ(capped.size(), 3u);
   // Every retained candidate is at least as good as the worst overall.
   double worst_full = 0.0;
@@ -82,17 +90,15 @@ TEST(PoolTest, TypeMismatchExcluded) {
   SynNodeId a2 = synopsis.AddNode("A", ValueType::kString, 1.0);
   synopsis.AddEdge(root, a1, 1.0);
   synopsis.AddEdge(root, a2, 1.0);
-  EXPECT_TRUE(BuildPool(synopsis, 100, 0, DeltaOptions()).empty());
+  EXPECT_TRUE(Pool(synopsis, 100, 0).empty());
 }
 
 TEST(PoolTest, DeadNodesExcluded) {
   GraphSynopsis synopsis = MakeSynopsis();
   // Merge two As; the pool must not reference the dead originals.
-  std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+  std::vector<MergeCandidate> pool = Pool(synopsis, 100, 0);
   synopsis.MergeNodes(pool[0].u, pool[0].v);
-  std::vector<MergeCandidate> after =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+  std::vector<MergeCandidate> after = Pool(synopsis, 100, 0);
   for (const MergeCandidate& candidate : after) {
     EXPECT_TRUE(synopsis.node(candidate.u).alive);
     EXPECT_TRUE(synopsis.node(candidate.v).alive);
@@ -110,17 +116,17 @@ TEST(PoolTest, PairSamplingCapBoundsEvaluations) {
   }
   // 780 possible pairs, sampled down to ~100.
   std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 10000, 0, DeltaOptions(), 100);
+      Pool(synopsis, 10000, 0, DeltaOptions(), 100);
   EXPECT_LE(pool.size(), 150u);
   EXPECT_GE(pool.size(), 50u);
 }
 
 TEST(PoolTest, EvaluateCandidateRecordsVersions) {
   GraphSynopsis synopsis = MakeSynopsis();
-  std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+  std::vector<MergeCandidate> pool = Pool(synopsis, 100, 0);
+  MergeScorer scorer{DeltaOptions()};
   MergeCandidate refreshed =
-      EvaluateCandidate(synopsis, pool[0].u, pool[0].v, DeltaOptions());
+      EvaluateCandidate(synopsis, pool[0].u, pool[0].v, &scorer);
   EXPECT_EQ(refreshed.version_u, synopsis.node(pool[0].u).version);
   EXPECT_EQ(refreshed.version_v, synopsis.node(pool[0].v).version);
   EXPECT_GT(refreshed.savings, 0u);
@@ -140,8 +146,7 @@ TEST(PoolTest, IdenticalNodesRankFirst) {
   synopsis.AddEdge(a1, c, 2.0);
   synopsis.AddEdge(a2, c, 2.0);
   synopsis.AddEdge(a3, c, 6.0);
-  std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 100, 1, DeltaOptions());
+  std::vector<MergeCandidate> pool = Pool(synopsis, 100, 1);
   ASSERT_EQ(pool.size(), 3u);
   auto best = std::min_element(
       pool.begin(), pool.end(),
@@ -167,8 +172,8 @@ void ExpectPoolMatchesOracle(const GraphSynopsis& reference) {
     options.use_value_summaries = use_values;
     for (uint32_t level_cap = 0; level_cap <= max_level; ++level_cap) {
       std::vector<MergeCandidate> pool =
-          BuildPool(reference, std::numeric_limits<size_t>::max(), level_cap,
-                    options, /*pair_sample_cap=*/20000);
+          Pool(reference, std::numeric_limits<size_t>::max(), level_cap,
+               options, /*pair_sample_cap=*/20000);
       for (const MergeCandidate& candidate : pool) {
         ASSERT_EQ(candidate.delta, OracleMergeDelta(reference, candidate.u,
                                                     candidate.v, options))
@@ -205,6 +210,70 @@ TEST(PoolTest, TreebankScoresMatchOracle) {
   TreebankOptions options;
   options.scale = 0.05;
   ExpectPoolMatchesOracle(ReferenceOf(GenerateTreebank(options)));
+}
+
+/// The run queue pops what one std::priority_queue holding every candidate
+/// pops, and counts the same unpopped candidates, over seeded interleavings
+/// of runs of 0-200 candidates and bursts of pops. Ratios come from a few
+/// values, so most ties fall to u and then v; v is unique, as a queued
+/// pair's key is in the builder.
+TEST(PoolTest, RunPoolPopsInHeapOrder) {
+  for (const uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8}) {
+    Rng rng(seed);
+    RunPool runs;
+    std::priority_queue<MergeCandidate, std::vector<MergeCandidate>,
+                        CandidateOrder>
+        heap;
+    SynNodeId next_v = 0;
+    size_t pops = 0;
+    auto pop_both = [&] {
+      const RunPool::Entry got = runs.Pop();
+      const MergeCandidate want = heap.top();
+      heap.pop();
+      ++pops;
+      ASSERT_EQ(got.ratio, want.ratio()) << "seed " << seed << " pop " << pops;
+      ASSERT_EQ(got.u, want.u) << "seed " << seed << " pop " << pops;
+      ASSERT_EQ(got.v, want.v) << "seed " << seed << " pop " << pops;
+      ASSERT_EQ(got.version_u, want.version_u);
+      ASSERT_EQ(got.version_v, want.version_v);
+    };
+    for (int op = 0; op < 400; ++op) {
+      const uint64_t roll = rng.Uniform(100);
+      if (roll < 2) {
+        runs.Clear();
+        heap = {};
+      } else if (roll < 45) {
+        const size_t n = rng.Uniform(201);
+        for (size_t i = 0; i < n; ++i) {
+          MergeCandidate candidate;
+          candidate.u = static_cast<SynNodeId>(rng.Uniform(40));
+          candidate.v = next_v++;
+          candidate.delta = static_cast<double>(rng.Uniform(4));
+          candidate.savings = 16 * rng.Uniform(4);  // 0 reads as 1
+          candidate.version_u = static_cast<uint32_t>(rng.Uniform(3));
+          candidate.version_v = static_cast<uint32_t>(rng.Uniform(3));
+          runs.Add(candidate);
+          heap.push(candidate);
+        }
+        runs.CloseRun();
+      } else {
+        const size_t burst = 1 + rng.Uniform(150);
+        for (size_t i = 0; i < burst && !heap.empty(); ++i) {
+          ASSERT_FALSE(runs.empty());
+          ASSERT_NO_FATAL_FAILURE(pop_both());
+          ASSERT_EQ(runs.size(), heap.size());
+        }
+      }
+      ASSERT_EQ(runs.size(), heap.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(runs.empty(), heap.empty()) << "seed " << seed << " op " << op;
+    }
+    while (!heap.empty()) {
+      ASSERT_NO_FATAL_FAILURE(pop_both());
+      ASSERT_EQ(runs.size(), heap.size());
+    }
+    EXPECT_TRUE(runs.empty());
+    EXPECT_GT(pops, 10000u) << "seed " << seed;
+  }
 }
 
 }  // namespace
