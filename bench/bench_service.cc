@@ -154,10 +154,6 @@ JsonValue PoolEntry(const PoolRun& run, size_t mismatches) {
   entry.members()["wall_ms"] =
       JsonValue::Number(static_cast<double>(run.stats.wall_ns) / 1e6);
   entry.members()["qps"] = JsonValue::Number(run.qps);
-  entry.members()["p50_latency_us"] = JsonValue::Number(
-      static_cast<double>(run.stats.p50_latency_ns) / 1e3);
-  entry.members()["p95_latency_us"] = JsonValue::Number(
-      static_cast<double>(run.stats.p95_latency_ns) / 1e3);
   entry.members()["batch_groups"] =
       JsonValue::Number(static_cast<double>(run.stats.batch_groups));
   entry.members()["lanes_per_group"] = JsonValue::Number(
@@ -257,13 +253,10 @@ int Main(int argc, char** argv) {
     const size_t mismatches = CountMismatches(batch.estimates, expected);
     std::fprintf(stderr,
                  "  batch qps=%.0f groups=%zu lanes=%zu ok=%zu failed=%zu "
-                 "p95_us=%llu mismatches=%zu\n",
+                 "mismatches=%zu\n",
                  batch.qps, batch.stats.batch_groups,
                  batch.stats.vector_lanes, batch.stats.ok,
-                 batch.stats.failed,
-                 static_cast<unsigned long long>(
-                     batch.stats.p95_latency_ns / 1000),
-                 mismatches);
+                 batch.stats.failed, mismatches);
     if (mismatches > 0 || batch.stats.failed > 0) {
       std::fprintf(stderr,
                    "bench_service: BIT-IDENTITY FAIL workers=%zu: %zu slots "

@@ -160,8 +160,8 @@ done
 [ "$SHEDS_AFTER" -gt "$SHEDS_BEFORE" ] \
   || fail "flood produced no quota sheds ($SHEDS_BEFORE -> $SHEDS_AFTER)"
 [ "$(stats_field shed_deadline)" -ge 0 ] || fail "stats lost shed_deadline"
-[ "$(stats_field admission_pending)" -eq 0 ] \
-  || fail "admission queue not drained after the flood"
+[ "$(stats_field queue_depth)" -eq 0 ] \
+  || fail "executor queue not drained after the flood"
 
 # 4. Protocol garbage during recovery: the daemon must shrug it off.
 exec 9<>/dev/tcp/127.0.0.1/"$PORT" || fail "raw connection"

@@ -37,8 +37,12 @@ fail() {
 
 [ -x "$XCLUSTERCTL" ] || fail "$XCLUSTERCTL not built"
 
+# Drops the two durations a batch or estimate answer carries, the batch
+# header's wall time and `ok estimate`'s call time; any other duration
+# (say, on an item line) is left in place to fail the diff.
 strip_latency() {
-  sed 's/ us=[0-9]*//g; s/ p50_us=[0-9]*//; s/ p95_us=[0-9]*//'
+  sed -E -e 's/^(ok batch .*) us=[0-9]+$/\1/' \
+    -e 's/^(ok estimate [^ ]+) us=[0-9]+$/\1/'
 }
 
 # Starts a daemon ("serve" or "route") with the given flags; sets
@@ -107,7 +111,7 @@ grep -Eq '^ok stats role=router replicas=2 healthy=2' "$WORKDIR/rstats.txt" \
 $(cat "$WORKDIR/rstats.txt")"
 
 # 4. Determinism gate: routed batch vs direct-to-replica batch, both
-# worker widths. Latency fields differ; everything else must not.
+# worker widths. The header's wall time differs; everything else must not.
 printf '//book\n//book[/price]\n][broken\n//book\n' > "$WORKDIR/queries.txt"
 "$XCLUSTERCTL" remote batch --connect 127.0.0.1:"$RT_PORT" \
   --name books --queries "$WORKDIR/queries.txt" 2>/dev/null \

@@ -3,7 +3,7 @@
 # `serve --listen` daemon on an ephemeral loopback port, drives it with
 # `xclusterctl remote` (estimate, batch, load, stats), checks the
 # determinism gate (remote batch output is line-identical to the same
-# batch over `serve --stdin`, latency fields stripped, for 1 and 8
+# batch over `serve --stdin`, the header's wall time stripped, for 1 and 8
 # workers), pokes it with protocol garbage, and verifies a clean SIGTERM
 # drain with no connections left behind.
 #
@@ -27,8 +27,12 @@ fail() {
 
 [ -x "$XCLUSTERCTL" ] || fail "$XCLUSTERCTL not built"
 
+# Drops the two durations a batch or estimate answer carries, the batch
+# header's wall time and `ok estimate`'s call time; any other duration
+# (say, on an item line) is left in place to fail the diff.
 strip_latency() {
-  sed 's/ us=[0-9]*//g; s/ p50_us=[0-9]*//; s/ p95_us=[0-9]*//'
+  sed -E -e 's/^(ok batch .*) us=[0-9]+$/\1/' \
+    -e 's/^(ok estimate [^ ]+) us=[0-9]+$/\1/'
 }
 
 # Starts a daemon with the given extra flags; sets DAEMON_PID and PORT.

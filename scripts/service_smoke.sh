@@ -68,21 +68,21 @@ expect_line 1 '^ok help'
 expect_line 2 '^ok load books gen=[0-9]+ clusters=[0-9]+'
 expect_line 3 '^ok list 1$'
 expect_line 4 '^synopsis books '
-expect_line 5 '^ok estimate [0-9.eE+-]+ us=[0-9]+'
+expect_line 5 '^ok estimate [0-9.eE+-]+ us=[0-9]+$'
 expect_line 6 '^err InvalidArgument'
 expect_line 7 '^err NotFound'
-expect_line 8 '^ok batch n=3 ok=2 err=1 us=[0-9]+'
-expect_line 9 '^0 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 10 '^1 ok [0-9.eE+-]+ us=[0-9]+'
+expect_line 8 '^ok batch n=3 ok=2 err=1 us=[0-9]+$'
+expect_line 9 '^0 ok [0-9.eE+-]+$'
+expect_line 10 '^1 ok [0-9.eE+-]+$'
 expect_line 11 '^2 err InvalidArgument'
-expect_line 12 '^ok estimate [0-9.eE+-]+ us=[0-9]+'
-expect_line 13 '^ok batch n=2 ok=2 err=0 us=[0-9]+'
-expect_line 14 '^0 ok [0-9.eE+-]+ us=[0-9]+'
+expect_line 12 '^ok estimate [0-9.eE+-]+ us=[0-9]+$'
+expect_line 13 '^ok batch n=2 ok=2 err=0 us=[0-9]+$'
+expect_line 14 '^0 ok [0-9.eE+-]+$'
 expect_line 15 '^# estimate: [0-9.eE+-]+$'
 expect_line 16 '^#   var +expected +sigma$'
 expect_line 17 '^#   q0 \(root\) '
 expect_line 18 '^#   q1 //book '
-expect_line 19 '^1 ok [0-9.eE+-]+ us=[0-9]+'
+expect_line 19 '^1 ok [0-9.eE+-]+$'
 expect_line 20 '^# estimate: [0-9.eE+-]+$'
 expect_line 23 '^#   q1 //book '
 expect_line 24 '^#   q2 /year '
@@ -115,8 +115,10 @@ echo "--- multi-query estimate ---"
 cat "$WORKDIR/multi.txt"
 [ "$(grep -c '//book' "$WORKDIR/multi.txt")" -eq 2 ] \
   || fail "expected 2 per-query result lines"
-grep -q '^# 2 queries: ok=2 ' "$WORKDIR/multi.txt" \
-  || fail "missing latency summary line"
+grep -q ' us=' "$WORKDIR/multi.txt" \
+  && fail "a per-query line carries a duration"
+grep -Eq '^# 2 queries: ok=2 err=0 wall_us=[0-9]+$' "$WORKDIR/multi.txt" \
+  || fail "missing batch summary line"
 
 # 4. The built image verifies, and a single-query estimate and explain
 # take the same load path as the batch.

@@ -1,9 +1,6 @@
 #include "cluster/merge.h"
 
 #include <algorithm>
-#include <cstdint>
-
-#include "service/service.h"
 
 namespace xcluster {
 namespace cluster {
@@ -30,7 +27,6 @@ Result<net::BatchReplyFrame> MergeShardReplies(
     out.ok = true;
     for (const ShardReply& shard : shards) {
       const net::BatchReplyItem& item = shard.reply.items[i];
-      out.latency_ns = std::max(out.latency_ns, item.latency_ns);
       if (!item.ok) {
         if (out.ok) {  // first failing shard names the error
           out.ok = false;
@@ -48,20 +44,13 @@ Result<net::BatchReplyFrame> MergeShardReplies(
     }
   }
 
-  std::vector<uint64_t> latencies;
-  latencies.reserve(slots);
   for (const net::BatchReplyItem& item : merged.items) {
     if (item.ok) {
       ++merged.stats.ok;
-      latencies.push_back(item.latency_ns);
     } else {
       ++merged.stats.failed;
     }
   }
-  std::sort(latencies.begin(), latencies.end());
-  merged.stats.p50_latency_ns = LatencyQuantile(latencies, 0.50);
-  merged.stats.p95_latency_ns = LatencyQuantile(latencies, 0.95);
-  merged.stats.max_latency_ns = latencies.empty() ? 0 : latencies.back();
   for (const ShardReply& shard : shards) {
     merged.stats.wall_ns =
         std::max(merged.stats.wall_ns, shard.reply.stats.wall_ns);

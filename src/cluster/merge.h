@@ -25,11 +25,8 @@ struct ShardReply {
 ///    merge is deterministic and independent of gather completion order;
 ///  - a failed slot carries the first failing shard's error, prefixed with
 ///    that shard's name;
-///  - per-slot latency is the max across shards (the slot wasn't done until
-///    its slowest shard was); explanations are concatenated under
-///    "# shard <name>" headers;
-///  - aggregate stats are recomputed over the merged slots with
-///    LatencyQuantile, the quantile EstimateBatch uses; wall_ns is the
+///  - explanations are concatenated under "# shard <name>" headers;
+///  - ok and failed are recounted over the merged slots; wall_ns is the
 ///    max shard wall time.
 ///
 /// Returns InvalidArgument when the shards disagree on the slot count —

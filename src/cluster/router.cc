@@ -537,6 +537,7 @@ void Router::HandleShardedEstimate(uint64_t conn_id, const ShardSpec& spec,
   // One logical estimate becomes a one-query batch per shard, merged with
   // the same machinery (and the same summed-estimate semantics) as a
   // routed kBatch against the sharded name.
+  const uint64_t start_ns = telemetry::MonotonicNowNs();
   net::BatchRequestFrame request;
   request.collection = spec.base + "@" + std::to_string(spec.shard_count);
   request.queries.push_back(query);
@@ -569,8 +570,8 @@ void Router::HandleShardedEstimate(uint64_t conn_id, const ShardSpec& spec,
   const net::BatchReplyItem& item = merged.value().items[0];
   if (item.ok) {
     std::ostringstream out;
-    out << "ok estimate " << FormatEstimate(item.estimate)
-        << " us=" << item.latency_ns / 1000 << "\n";
+    WriteEstimateLine(out, item.estimate,
+                      telemetry::MonotonicNowNs() - start_ns);
     Post(conn_id, net::FrameType::kResponse, out.str());
     XCLUSTER_COUNTER_INC("cluster.estimates.scatter");
   } else {

@@ -163,27 +163,22 @@ Result<ShedFrame> DecodeShed(const std::string& payload) {
 
 std::string EncodeBatchReply(const BatchResult& batch, bool explain,
                              uint64_t trace_id) {
-  std::string payload;
-  StringSink sink(&payload);
-  PutVarint64(&sink, batch.results.size());
-  for (const QueryResult& result : batch.results) {
-    PutFixed8(&sink, result.status.ok() ? 1 : 0);
-    if (result.status.ok()) {
-      PutDouble(&sink, result.estimate);
-      PutFixed64(&sink, result.latency_ns);
-      PutLengthPrefixed(&sink, explain ? result.explanation : "");
+  BatchReplyFrame reply;
+  reply.items.resize(batch.results.size());
+  for (size_t i = 0; i < batch.results.size(); ++i) {
+    const QueryResult& result = batch.results[i];
+    BatchReplyItem& item = reply.items[i];
+    item.ok = result.status.ok();
+    if (item.ok) {
+      item.estimate = result.estimate;
+      if (explain) item.explanation = result.explanation;
     } else {
-      PutLengthPrefixed(&sink, result.status.ToString());
+      item.error = result.status.ToString();
     }
   }
-  PutFixed64(&sink, batch.stats.wall_ns);
-  PutVarint64(&sink, batch.stats.ok);
-  PutVarint64(&sink, batch.stats.failed);
-  PutFixed64(&sink, batch.stats.p50_latency_ns);
-  PutFixed64(&sink, batch.stats.p95_latency_ns);
-  PutFixed64(&sink, batch.stats.max_latency_ns);
-  PutFixed64(&sink, trace_id);
-  return payload;
+  reply.stats = batch.stats;
+  reply.trace_id = trace_id;
+  return EncodeBatchReplyFrame(reply);
 }
 
 Result<BatchReplyFrame> DecodeBatchReply(const std::string& payload) {
@@ -200,7 +195,6 @@ Result<BatchReplyFrame> DecodeBatchReply(const std::string& payload) {
     item.ok = ok != 0;
     if (item.ok) {
       XC_RETURN_IF_ERROR(GetDouble(&source, &item.estimate));
-      XC_RETURN_IF_ERROR(GetFixed64(&source, &item.latency_ns));
       XC_RETURN_IF_ERROR(GetLengthPrefixed(&source, &item.explanation));
     } else {
       XC_RETURN_IF_ERROR(GetLengthPrefixed(&source, &item.error));
@@ -213,9 +207,6 @@ Result<BatchReplyFrame> DecodeBatchReply(const std::string& payload) {
   XC_RETURN_IF_ERROR(GetVarint64(&source, &failed_count));
   reply.stats.ok = static_cast<size_t>(ok_count);
   reply.stats.failed = static_cast<size_t>(failed_count);
-  XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.stats.p50_latency_ns));
-  XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.stats.p95_latency_ns));
-  XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.stats.max_latency_ns));
   XC_RETURN_IF_ERROR(GetFixed64(&source, &reply.trace_id));
   XC_RETURN_IF_ERROR(ExpectFullyConsumed(source, "batch reply"));
   return reply;
@@ -377,7 +368,6 @@ std::string EncodeBatchReplyFrame(const BatchReplyFrame& reply) {
     PutFixed8(&sink, item.ok ? 1 : 0);
     if (item.ok) {
       PutDouble(&sink, item.estimate);
-      PutFixed64(&sink, item.latency_ns);
       PutLengthPrefixed(&sink, item.explanation);
     } else {
       PutLengthPrefixed(&sink, item.error);
@@ -386,9 +376,6 @@ std::string EncodeBatchReplyFrame(const BatchReplyFrame& reply) {
   PutFixed64(&sink, reply.stats.wall_ns);
   PutVarint64(&sink, reply.stats.ok);
   PutVarint64(&sink, reply.stats.failed);
-  PutFixed64(&sink, reply.stats.p50_latency_ns);
-  PutFixed64(&sink, reply.stats.p95_latency_ns);
-  PutFixed64(&sink, reply.stats.max_latency_ns);
   PutFixed64(&sink, reply.trace_id);
   return payload;
 }
@@ -439,24 +426,11 @@ Result<uint32_t> DecodeFlightRequest(const std::string& payload) {
 
 std::string FormatBatchReply(const BatchReplyFrame& reply, bool explain) {
   std::ostringstream out;
-  out << "ok batch n=" << reply.items.size()
-      << " ok=" << reply.stats.ok << " err=" << reply.stats.failed
-      << " us=" << reply.stats.wall_ns / 1000
-      << " p50_us=" << reply.stats.p50_latency_ns / 1000
-      << " p95_us=" << reply.stats.p95_latency_ns / 1000 << "\n";
+  WriteBatchHeader(out, reply.items.size(), reply.stats);
   for (size_t i = 0; i < reply.items.size(); ++i) {
     const BatchReplyItem& item = reply.items[i];
-    if (item.ok) {
-      out << i << " ok " << FormatEstimate(item.estimate)
-          << " us=" << item.latency_ns / 1000 << "\n";
-      if (explain && !item.explanation.empty()) {
-        std::istringstream lines(item.explanation);
-        std::string line;
-        while (std::getline(lines, line)) out << "# " << line << "\n";
-      }
-    } else {
-      out << i << " err " << item.error << "\n";
-    }
+    WriteBatchItem(out, i, item.ok, item.estimate,
+                   explain ? item.explanation : std::string(), item.error);
   }
   return out.str();
 }

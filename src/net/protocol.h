@@ -17,7 +17,7 @@ namespace net {
 /// carries a [min, max] range, and a range that does not contain this
 /// version is refused with an error frame before any other payload is
 /// exchanged.
-inline constexpr uint32_t kProtocolVersion = 4;
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// Leading magic of a kHello payload; rejects non-protocol peers (e.g. an
 /// HTTP client probing the port) before any further decoding.
@@ -75,25 +75,27 @@ struct ShedFrame {
 std::string EncodeShed(const ShedFrame& shed);
 Result<ShedFrame> DecodeShed(const std::string& payload);
 
-/// kBatchReply payload: per-query outcomes in slot order plus the batch
-/// aggregate stats. Estimates travel as IEEE-754 bit patterns (PutDouble),
-/// so a remote batch is bit-identical to the same batch run in-process.
+/// kBatchReply payload: per-query outcomes in slot order plus the batch's
+/// wall time and ok/failed counts. Estimates travel as IEEE-754 bit
+/// patterns (PutDouble), so a remote batch is bit-identical to the same
+/// batch run in-process.
 struct BatchReplyItem {
   bool ok = false;
   double estimate = 0.0;
-  uint64_t latency_ns = 0;
   std::string explanation;  ///< only when the request asked for explain
   std::string error;        ///< Status::ToString() when !ok
 };
 
 struct BatchReplyFrame {
   std::vector<BatchReplyItem> items;
-  BatchStats stats;
+  BatchStats stats;  ///< wall_ns, ok and failed cross the wire
   /// Trace id echo: the id under which the server filed the batch in its
   /// flight ring, minted by the server when the request carried none.
   uint64_t trace_id = 0;
 };
 
+/// The daemon's reply to a batch: `batch` as a BatchReplyFrame (the
+/// explanations only when `explain`), written by EncodeBatchReplyFrame.
 /// `trace_id` is the echo field that ends every reply.
 std::string EncodeBatchReply(const BatchResult& batch, bool explain,
                              uint64_t trace_id = 0);
@@ -180,10 +182,12 @@ class InstallAssembler {
   std::string buffer_;
 };
 
-/// Re-encodes an already-decoded reply byte-for-byte compatibly with
-/// EncodeBatchReply — estimates keep their exact IEEE-754 bit patterns —
-/// so a router can merge or forward replica replies without an estimate
-/// ever passing through text.
+/// The one writer of the kBatchReply layout: a varint slot count; per slot
+/// an ok byte, then the estimate's bits and the length-prefixed
+/// explanation, or the length-prefixed error; the fixed64 wall time,
+/// varint ok and failed counts and the fixed64 trace id. The router
+/// forwards or merges replica replies through it, so an estimate never
+/// passes through text.
 std::string EncodeBatchReplyFrame(const BatchReplyFrame& reply);
 
 /// kStats payload: which rendering of the metrics snapshot to return
@@ -210,7 +214,7 @@ Result<uint32_t> DecodeFlightRequest(const std::string& payload);
 
 /// Renders a decoded reply in the exact text format the stdio harness
 /// prints for `batch`, so remote output can be diffed line-for-line
-/// against `serve --stdin` (only the us= latency fields differ per run).
+/// against `serve --stdin` (only the header's us= differs per run).
 std::string FormatBatchReply(const BatchReplyFrame& reply, bool explain);
 
 }  // namespace net

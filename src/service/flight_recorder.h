@@ -18,7 +18,7 @@ enum class FlightStatus : uint8_t {
   kNotFound = 2,      // unknown collection
   kShedQuota = 3,     // admission: per-collection quota exhausted
   kShedDeadline = 4,  // admission: EWMA backlog made the deadline hopeless
-  kShedOther = 5,     // admission: queue full / other shed
+  kShedOther = 5,     // router: shed by every replica, or none healthy
   kShutdown = 6,      // service shutting down
 };
 
@@ -35,7 +35,7 @@ struct FlightRecord {
   uint64_t end_ns = 0;         // MonotonicNowNs at completion
   uint64_t wall_ns = 0;        // batch wall time inside the service
   uint64_t queue_ns = 0;       // max per-query executor queue wait
-  uint64_t service_ns = 0;     // summed per-query estimation time
+  uint64_t service_ns = 0;     // summed time of the batch's lane-group tasks
   uint64_t bytes = 0;          // request wire payload bytes (0 off-network)
   FlightStatus status = FlightStatus::kOk;
   uint32_t retry_after_ms = 0; // shed hint, when shed

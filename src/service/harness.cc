@@ -1,6 +1,8 @@
 #include "service/harness.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
@@ -8,6 +10,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "common/telemetry/metrics.h"
 
 namespace xcluster {
 
@@ -20,21 +24,6 @@ constexpr char kHelp[] =
     "[explain] "
     "| quota <name> <rate_qps> <burst>|off | stats | flight [n] | help | "
     "quit";
-
-void WriteItem(std::ostream& out, size_t index, const QueryResult& result,
-               bool explain) {
-  if (result.status.ok()) {
-    out << index << " ok " << FormatEstimate(result.estimate)
-        << " us=" << result.latency_ns / 1000 << "\n";
-    if (explain && !result.explanation.empty()) {
-      std::istringstream lines(result.explanation);
-      std::string line;
-      while (std::getline(lines, line)) out << "# " << line << "\n";
-    }
-  } else {
-    out << index << " err " << result.status.ToString() << "\n";
-  }
-}
 
 }  // namespace
 
@@ -61,6 +50,31 @@ std::string FormatEstimate(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.6g", value);
   return buffer;
+}
+
+void WriteBatchHeader(std::ostream& out, size_t slots,
+                      const BatchStats& stats) {
+  out << "ok batch n=" << slots << " ok=" << stats.ok
+      << " err=" << stats.failed << " us=" << stats.wall_ns / 1000 << "\n";
+}
+
+void WriteBatchItem(std::ostream& out, size_t index, bool ok, double estimate,
+                    const std::string& explanation, const std::string& error) {
+  if (!ok) {
+    out << index << " err " << error << "\n";
+    return;
+  }
+  out << index << " ok " << FormatEstimate(estimate) << "\n";
+  if (explanation.empty()) return;
+  std::istringstream lines(explanation);
+  std::string line;
+  while (std::getline(lines, line)) out << "# " << line << "\n";
+}
+
+void WriteEstimateLine(std::ostream& out, double estimate,
+                       uint64_t elapsed_ns) {
+  out << "ok estimate " << FormatEstimate(estimate)
+      << " us=" << elapsed_ns / 1000 << "\n";
 }
 
 LineStatus ReadBoundedLine(std::istream& in, std::string* line,
@@ -126,8 +140,9 @@ int ServiceHarness::Run(std::istream& in, std::ostream& out) {
         out.flush();
         continue;
       }
+      // No reserve: the count is client-declared, so the vector grows only
+      // with query lines actually received.
       std::vector<std::string> queries;
-      queries.reserve(count);
       bool aborted = false;
       std::string query_line;
       for (size_t i = 0; i < count && !aborted; ++i) {
@@ -247,10 +262,11 @@ std::string ServiceHarness::ExecuteLine(const std::string& line, bool* quit,
     if (name.empty() || query.empty()) {
       return "err estimate needs <name> <query>\n";
     }
+    const uint64_t start_ns = telemetry::MonotonicNowNs();
     QueryResult result = service_->EstimateOne(name, query);
     if (result.status.ok()) {
-      out << "ok estimate " << FormatEstimate(result.estimate)
-          << " us=" << result.latency_ns / 1000 << "\n";
+      WriteEstimateLine(out, result.estimate,
+                        telemetry::MonotonicNowNs() - start_ns);
     } else {
       out << "err " << result.status.ToString() << "\n";
     }
@@ -303,8 +319,7 @@ std::string ServiceHarness::ExecuteLine(const std::string& line, bool* quit,
         << " plan_misses=" << service_->plan_cache().misses()
         << " admitted=" << admission.admitted
         << " shed_quota=" << admission.shed_quota
-        << " shed_deadline=" << admission.shed_deadline
-        << " admission_pending=" << service_->executor().queue_depth();
+        << " shed_deadline=" << admission.shed_deadline;
     // Per-lane tail latency: the QoS contract is that bulk load must not
     // move interactive percentiles, so both lanes are always shown.
     for (size_t i = 0; i < kNumLanes; ++i) {
@@ -341,13 +356,13 @@ std::string ServiceHarness::ExecuteBatch(
     const BatchOptions& options) {
   BatchResult batch = service_->EstimateBatch(collection, queries, options);
   std::ostringstream out;
-  out << "ok batch n=" << batch.results.size()
-      << " ok=" << batch.stats.ok << " err=" << batch.stats.failed
-      << " us=" << batch.stats.wall_ns / 1000
-      << " p50_us=" << batch.stats.p50_latency_ns / 1000
-      << " p95_us=" << batch.stats.p95_latency_ns / 1000 << "\n";
+  WriteBatchHeader(out, batch.results.size(), batch.stats);
   for (size_t i = 0; i < batch.results.size(); ++i) {
-    WriteItem(out, i, batch.results[i], options.explain);
+    const QueryResult& result = batch.results[i];
+    WriteBatchItem(out, i, result.status.ok(), result.estimate,
+                   result.explanation,
+                   result.status.ok() ? std::string()
+                                      : result.status.ToString());
   }
   return out.str();
 }
@@ -368,8 +383,17 @@ std::string ServiceHarness::ParseBatchHeader(const std::string& line,
     if (extra == "explain") {
       options->explain = true;
     } else if (extra.rfind("deadline_us=", 0) == 0) {
-      options->deadline_ns =
-          std::strtoull(extra.c_str() + 12, nullptr, 10) * 1000;
+      const std::string value = extra.substr(12);
+      const char* last = value.data() + value.size();
+      uint64_t deadline_us = 0;
+      const std::from_chars_result parsed =
+          std::from_chars(value.data(), last, deadline_us);
+      if (parsed.ec != std::errc() || parsed.ptr != last ||
+          deadline_us > UINT64_MAX / 1000) {
+        return "err bad deadline_us '" + value +
+               "' (microseconds, 0 = unbounded)\n";
+      }
+      options->deadline_ns = deadline_us * 1000;
     } else if (extra.rfind("priority=", 0) == 0) {
       if (!ParseLane(extra.substr(9), &options->lane)) {
         return "err bad priority '" + extra.substr(9) +

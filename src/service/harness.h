@@ -15,6 +15,23 @@ namespace xcluster {
 /// so the determinism gate can compare their outputs byte for byte.
 std::string FormatEstimate(double value);
 
+/// The three answer lines every protocol surface prints (the harness, the
+/// socket client through net::FormatBatchReply, and the router), written
+/// in one place so their outputs stay byte for byte comparable.
+///
+/// The header of a batch answer: `ok batch n=<k> ok=<o> err=<e> us=<wall>`.
+void WriteBatchHeader(std::ostream& out, size_t slots, const BatchStats& stats);
+
+/// One batch item: `<i> ok <estimate>` followed by a `# <line>` per line of
+/// `explanation` (empty for none), or `<i> err <error>` when `!ok`.
+void WriteBatchItem(std::ostream& out, size_t index, bool ok, double estimate,
+                    const std::string& explanation, const std::string& error);
+
+/// The answer to `estimate`: `ok estimate <value> us=<elapsed>`, where
+/// `elapsed_ns` is the writer's own measurement of the call it answers.
+void WriteEstimateLine(std::ostream& out, double estimate,
+                       uint64_t elapsed_ns);
+
 /// Remainder of `line` after `prefix_words` whitespace-separated words,
 /// leading whitespace dropped: the query text of "estimate <name>
 /// <query...>", which the harness and the router both parse.

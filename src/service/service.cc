@@ -94,21 +94,10 @@ FlightStatus ClassifyShed(const Status& admission) {
   if (message.find("deadline unreachable") != std::string::npos) {
     return FlightStatus::kShedDeadline;
   }
-  if (admission.code() == Status::Code::kUnavailable) {
-    return FlightStatus::kShedOther;
-  }
   return FlightStatus::kShutdown;
 }
 
 }  // namespace
-
-uint64_t LatencyQuantile(const std::vector<uint64_t>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const size_t index =
-      std::min(sorted.size() - 1,
-               static_cast<size_t>(q * static_cast<double>(sorted.size())));
-  return sorted[index];
-}
 
 EstimationService::EstimationService(ServiceOptions options)
     : options_(options),
@@ -159,18 +148,17 @@ QueryResult EstimationService::EstimateOne(const std::string& collection,
     result.estimate = estimator.Estimate(*plan);
   }
   result.status = Status::OK();
-  result.latency_ns = telemetry::MonotonicNowNs() - start_ns;
-  lane_latency_[static_cast<size_t>(Lane::kInteractive)]->Record(
-      result.latency_ns);
+  const uint64_t elapsed_ns = telemetry::MonotonicNowNs() - start_ns;
+  lane_latency_[static_cast<size_t>(Lane::kInteractive)]->Record(elapsed_ns);
   XCLUSTER_COUNTER_INC("service.requests.ok");
-  XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
-                               result.latency_ns);
+  XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns", elapsed_ns);
   return result;
 }
 
 void EstimationService::RecordFlight(const std::string& collection,
                                      const BatchOptions& options,
-                                     const BatchResult& batch) {
+                                     const BatchResult& batch,
+                                     uint64_t service_ns) {
   FlightRecord record;
   record.trace_id = options.trace.trace_id;
   record.collection = collection;
@@ -181,9 +169,9 @@ void EstimationService::RecordFlight(const std::string& collection,
   record.wall_ns = batch.stats.wall_ns;
   record.bytes = options.wire_bytes;
   record.retry_after_ms = static_cast<uint32_t>(batch.retry_after_ms);
+  record.service_ns = service_ns;
   for (const QueryResult& result : batch.results) {
     record.queue_ns = std::max(record.queue_ns, result.queue_ns);
-    record.service_ns += result.latency_ns;
   }
   if (!batch.admission.ok()) {
     record.status = ClassifyShed(batch.admission);
@@ -217,21 +205,6 @@ void EstimationService::RecordFlight(const std::string& collection,
       JsonValue::Number(static_cast<double>(record.queue_ns) / 1e3);
   line.members()["service_us"] =
       JsonValue::Number(static_cast<double>(record.service_ns) / 1e3);
-  line.members()["p95_us"] =
-      JsonValue::Number(static_cast<double>(batch.stats.p95_latency_ns) / 1e3);
-  // The slowest query, truncated: usually the culprit, never unbounded.
-  size_t slowest = 0;
-  for (size_t i = 1; i < batch.results.size(); ++i) {
-    if (batch.results[i].latency_ns > batch.results[slowest].latency_ns) {
-      slowest = i;
-    }
-  }
-  if (!batch.results.empty()) {
-    line.members()["slowest_us"] = JsonValue::Number(
-        static_cast<double>(batch.results[slowest].latency_ns) / 1e3);
-    line.members()["slowest_index"] =
-        JsonValue::Number(static_cast<double>(slowest));
-  }
   std::string text = line.Dump(-1);
   text += '\n';
   std::lock_guard<std::mutex> lock(slow_log_mu_);
@@ -264,12 +237,16 @@ BatchResult EstimationService::EstimateBatch(
     }
     batch.stats.failed = batch.results.size();
     batch.stats.wall_ns = telemetry::MonotonicNowNs() - start_ns;
-    RecordFlight(collection, options, batch);
+    RecordFlight(collection, options, batch, /*service_ns=*/0);
     return batch;
   }
 
+  // A budget past the end of the clock saturates: the sum must not wrap
+  // into the past and expire every query at once.
   const uint64_t deadline_ns =
-      options.deadline_ns == 0 ? 0 : start_ns + options.deadline_ns;
+      options.deadline_ns == 0
+          ? 0
+          : start_ns + std::min(options.deadline_ns, UINT64_MAX - start_ns);
 
   // Admission: quota charge + deadline-slack check before any work is
   // queued. A shed batch fails as a unit with Unavailable and a
@@ -290,21 +267,19 @@ BatchResult EstimationService::EstimateBatch(
     batch.retry_after_ms = retry_after_ms;
     batch.stats.failed = batch.results.size();
     batch.stats.wall_ns = telemetry::MonotonicNowNs() - start_ns;
-    RecordFlight(collection, options, batch);
+    RecordFlight(collection, options, batch, /*service_ns=*/0);
     return batch;
   }
   const ExecutorFlow flow = admission_.NewFlow(options.lane);
 
-  telemetry::LatencyHistogram* lane_latency =
-      lane_latency_[static_cast<size_t>(options.lane)];
-
   // Slot-level completion tracking: each task covers one lane group,
   // writes only that group's slots, and advances `done` by the group's
-  // slot count under the lock; the batch is finished when every *slot*
-  // is accounted for.
+  // slot count (and `service_ns` by its estimation time) under the lock;
+  // the batch is finished when every *slot* is accounted for.
   std::mutex mu;
   std::condition_variable all_done;
   size_t done = 0;
+  uint64_t service_ns = 0;
 
   // Resolve every query to a plan on the calling thread and partition the
   // plans into lane groups. Parse failures complete here (no task has
@@ -340,6 +315,7 @@ BatchResult EstimationService::EstimateBatch(
       EmitQueueWaitEvent(ctx.queue_ns);
 #endif
       const uint64_t task_start_ns = telemetry::MonotonicNowNs();
+      uint64_t group_ns = 0;
       if (ctx.cancelled) {
         FailGroup(group, Status::Unsupported("executor shut down mid-batch"),
                   ctx.queue_ns, &batch.results);
@@ -369,10 +345,7 @@ BatchResult EstimationService::EstimateBatch(
           lane_estimates.resize(group.num_lanes());
           estimator.EstimateLanes(group.plans, lane_estimates.data());
         }
-        // The group runs as one unit, so each slot is charged the group
-        // wall time divided by the group's slot count.
-        const uint64_t slot_ns =
-            (telemetry::MonotonicNowNs() - task_start_ns) / num_slots;
+        group_ns = telemetry::MonotonicNowNs() - task_start_ns;
         for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
           for (const uint32_t slot : group.lane_slots[lane]) {
             QueryResult& result = batch.results[slot];
@@ -381,17 +354,14 @@ BatchResult EstimationService::EstimateBatch(
             if (options.explain) {
               result.explanation = lane_explanations[lane];
             }
-            result.latency_ns = slot_ns;
             result.queue_ns = ctx.queue_ns;
-            lane_latency->Record(slot_ns);
-            XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
-                                         slot_ns);
           }
         }
         XCLUSTER_COUNTER_ADD("service.requests.ok", num_slots);
       }
       std::lock_guard<std::mutex> lock(mu);
       done += num_slots;
+      service_ns += group_ns;
       all_done.notify_all();
     };
   };
@@ -452,22 +422,19 @@ BatchResult EstimationService::EstimateBatch(
     all_done.wait(lock, [&] { return done == queries.size(); });
   }
 
-  std::vector<uint64_t> latencies;
-  latencies.reserve(batch.results.size());
   for (const QueryResult& result : batch.results) {
     if (result.status.ok()) {
       ++batch.stats.ok;
-      latencies.push_back(result.latency_ns);
     } else {
       ++batch.stats.failed;
     }
   }
-  std::sort(latencies.begin(), latencies.end());
-  batch.stats.p50_latency_ns = LatencyQuantile(latencies, 0.50);
-  batch.stats.p95_latency_ns = LatencyQuantile(latencies, 0.95);
-  batch.stats.max_latency_ns = latencies.empty() ? 0 : latencies.back();
   batch.stats.wall_ns = telemetry::MonotonicNowNs() - start_ns;
-  RecordFlight(collection, options, batch);
+  lane_latency_[static_cast<size_t>(options.lane)]->Record(
+      batch.stats.wall_ns);
+  XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
+                               batch.stats.wall_ns);
+  RecordFlight(collection, options, batch, service_ns);
   return batch;
 }
 

@@ -41,7 +41,7 @@ struct ServiceOptions {
   size_t flight_recorder_capacity = 4096;
 
   /// Slow-query threshold: a batch whose wall time exceeds this writes one
-  /// JSON line (trace id, lane, per-stage breakdown, slowest queries) to
+  /// JSON line (trace id, lane, wall/queue/service breakdown) to
   /// `slow_query_log_path`. 0 disables the log.
   uint64_t slow_query_ns = 0;
 
@@ -83,13 +83,10 @@ struct BatchOptions {
 };
 
 /// Outcome of one query within a batch (slot order matches the request).
+/// A slot has no duration of its own: its lane group runs as one pass.
 struct QueryResult {
   Status status;              ///< parse/validate/deadline/estimate outcome
   double estimate = 0.0;      ///< valid when status.ok()
-  /// EstimateOne: measured parse+estimate time. EstimateBatch: the wall
-  /// time of the slot's lane-group task divided by the group's slot count
-  /// (an attribution, not a measured per-query duration).
-  uint64_t latency_ns = 0;
   uint64_t queue_ns = 0;      ///< the group task's Submit to its start
   std::string explanation;    ///< filled when BatchOptions::explain
 };
@@ -99,9 +96,6 @@ struct BatchStats {
   uint64_t wall_ns = 0;   ///< submission to last completion
   size_t ok = 0;          ///< queries that produced an estimate
   size_t failed = 0;      ///< everything else (parse errors, deadline, ...)
-  uint64_t p50_latency_ns = 0;  ///< percentiles of QueryResult::latency_ns
-  uint64_t p95_latency_ns = 0;
-  uint64_t max_latency_ns = 0;
 
   /// Partition shape: lane groups the batch ran as (one executor task
   /// each) and distinct lanes evaluated (duplicate queries share a lane).
@@ -128,7 +122,7 @@ struct BatchResult {
 /// compiled plan on the calling thread, partitions the plans into lane
 /// groups (BatchPlan), and runs one executor task per group
 /// (FlatEstimator::EstimateLanes), returning per-query results in request
-/// order plus aggregate latency stats.
+/// order plus the batch's wall time and counts.
 ///
 /// Determinism: a batch estimated with 0, 1, or N worker threads produces
 /// bit-identical estimates and identical explanations, slot for slot
@@ -166,9 +160,10 @@ class EstimationService {
   /// out — flight records are product behavior, not instrumentation).
   const FlightRecorder& flight() const { return flight_; }
 
-  /// Per-lane request-latency histograms (indexed by Lane), recorded for
-  /// every query that executes. Registered in the global metrics registry
-  /// as service.lane.{interactive,bulk}.latency_ns.
+  /// Per-lane request-latency histograms (indexed by Lane): one sample per
+  /// EstimateOne call (interactive) and one per admitted batch, its wall
+  /// time. Registered in the global metrics registry as
+  /// service.lane.{interactive,bulk}.latency_ns.
   const telemetry::LatencyHistogram& lane_latency(Lane lane) const {
     return *lane_latency_[static_cast<size_t>(lane)];
   }
@@ -198,8 +193,10 @@ class EstimationService {
   void Shutdown();
 
  private:
+  /// Files the batch in the flight ring; `service_ns` is the summed time
+  /// of its lane-group tasks.
   void RecordFlight(const std::string& collection, const BatchOptions& options,
-                    const BatchResult& batch);
+                    const BatchResult& batch, uint64_t service_ns);
 
   ServiceOptions options_;
   SynopsisStore store_;
@@ -210,12 +207,6 @@ class EstimationService {
   Executor executor_;
   AdmissionController admission_;
 };
-
-/// The q-quantile of ascending `sorted` latencies: the element at
-/// min(n-1, floor(q*n)), 0 when empty. BatchStats' percentiles use it, and
-/// the router's merge recomputes them with it so routed and direct
-/// percentiles agree.
-uint64_t LatencyQuantile(const std::vector<uint64_t>& sorted, double q);
 
 }  // namespace xcluster
 

@@ -156,11 +156,10 @@ net::BatchReplyFrame MakeReply(std::vector<net::BatchReplyItem> items) {
   return reply;
 }
 
-net::BatchReplyItem OkItem(double estimate, uint64_t latency_ns = 1000) {
+net::BatchReplyItem OkItem(double estimate) {
   net::BatchReplyItem item;
   item.ok = true;
   item.estimate = estimate;
-  item.latency_ns = latency_ns;
   return item;
 }
 
@@ -171,13 +170,13 @@ net::BatchReplyItem ErrItem(const std::string& error) {
   return item;
 }
 
-TEST(Merge, SumsEstimatesInShardOrderAndMaxesLatency) {
+TEST(Merge, SumsEstimatesInShardOrderAndMaxesWallTime) {
   std::vector<ShardReply> shards(2);
   shards[0].shard = "books@0";
-  shards[0].reply = MakeReply({OkItem(1.5, 2000), OkItem(10.0, 500)});
+  shards[0].reply = MakeReply({OkItem(1.5), OkItem(10.0)});
   shards[0].reply.stats.wall_ns = 9000;
   shards[1].shard = "books@1";
-  shards[1].reply = MakeReply({OkItem(2.25, 1000), OkItem(30.0, 800)});
+  shards[1].reply = MakeReply({OkItem(2.25), OkItem(30.0)});
   shards[1].reply.stats.wall_ns = 4000;
 
   Result<net::BatchReplyFrame> merged = MergeShardReplies(shards);
@@ -185,8 +184,6 @@ TEST(Merge, SumsEstimatesInShardOrderAndMaxesLatency) {
   ASSERT_EQ(merged.value().items.size(), 2u);
   EXPECT_EQ(merged.value().items[0].estimate, 3.75);  // exact in binary
   EXPECT_EQ(merged.value().items[1].estimate, 40.0);
-  EXPECT_EQ(merged.value().items[0].latency_ns, 2000u);
-  EXPECT_EQ(merged.value().items[1].latency_ns, 800u);
   EXPECT_EQ(merged.value().stats.ok, 2u);
   EXPECT_EQ(merged.value().stats.failed, 0u);
   EXPECT_EQ(merged.value().stats.wall_ns, 9000u);
@@ -663,7 +660,8 @@ TEST(ClusterE2E, RouterRefusesAHelloWithoutTheProtocolVersion) {
   Result<net::RawPeer> peer = net::RawPeer::Connect(router->port());
   ASSERT_TRUE(peer.ok()) << peer.status().ToString();
   net::Frame answer;
-  ASSERT_TRUE(peer.value().Hello(1, 3, &answer).ok());
+  ASSERT_TRUE(
+      peer.value().Hello(1, net::kProtocolVersion - 1, &answer).ok());
   EXPECT_EQ(answer.type, net::FrameType::kError);
   EXPECT_NE(answer.payload.find("no common protocol version"),
             std::string::npos)
@@ -697,7 +695,9 @@ TEST(ClusterE2E, RouterErrorsABrokenInstallSequenceAndRepliesToABadCrc) {
     Result<net::RawPeer> peer = net::RawPeer::Connect(router->port());
     ASSERT_TRUE(peer.ok()) << peer.status().ToString();
     net::Frame frame;
-    ASSERT_TRUE(peer.value().Hello(4, 4, &frame).ok());
+    ASSERT_TRUE(peer.value()
+                    .Hello(net::kProtocolVersion, net::kProtocolVersion, &frame)
+                    .ok());
     ASSERT_EQ(frame.type, net::FrameType::kHelloAck);
     ASSERT_TRUE(peer.value().Send(net::FrameType::kInstall, chunk(1)).ok());
     ASSERT_TRUE(peer.value().Read(&frame).ok());
@@ -709,7 +709,9 @@ TEST(ClusterE2E, RouterErrorsABrokenInstallSequenceAndRepliesToABadCrc) {
   Result<net::RawPeer> peer = net::RawPeer::Connect(router->port());
   ASSERT_TRUE(peer.ok()) << peer.status().ToString();
   net::Frame frame;
-  ASSERT_TRUE(peer.value().Hello(4, 4, &frame).ok());
+  ASSERT_TRUE(peer.value()
+                  .Hello(net::kProtocolVersion, net::kProtocolVersion, &frame)
+                  .ok());
   ASSERT_TRUE(peer.value().Send(net::FrameType::kInstall, chunk(0)).ok());
   ASSERT_TRUE(peer.value().Send(net::FrameType::kInstall, chunk(1)).ok());
   ASSERT_TRUE(peer.value().Read(&frame).ok());

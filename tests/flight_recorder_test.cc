@@ -187,6 +187,12 @@ TEST(ServiceFlightTest, SlowQueryLogAppendsJsonLines) {
     ASSERT_TRUE(parsed.ok()) << line;
     EXPECT_NE(parsed.value().Find("trace_id"), nullptr);
     EXPECT_NE(parsed.value().Find("wall_us"), nullptr);
+    EXPECT_NE(parsed.value().Find("queue_us"), nullptr);
+    EXPECT_NE(parsed.value().Find("service_us"), nullptr);
+    // No per-query durations: a query inside a lane group has none.
+    EXPECT_EQ(parsed.value().Find("p95_us"), nullptr);
+    EXPECT_EQ(parsed.value().Find("slowest_us"), nullptr);
+    EXPECT_EQ(parsed.value().Find("slowest_index"), nullptr);
     EXPECT_EQ(parsed.value().Find("collection")->as_string(), "books");
     if (lines == 0) {
       EXPECT_EQ(parsed.value().Find("trace_id")->as_string(),

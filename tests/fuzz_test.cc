@@ -188,17 +188,12 @@ bool Equal(const net::BatchReplyFrame& a, const net::BatchReplyFrame& b) {
     const net::BatchReplyItem& x = a.items[i];
     const net::BatchReplyItem& y = b.items[i];
     if (x.ok != y.ok || !SameBits(x.estimate, y.estimate) ||
-        x.latency_ns != y.latency_ns || x.explanation != y.explanation ||
-        x.error != y.error) {
+        x.explanation != y.explanation || x.error != y.error) {
       return false;
     }
   }
   return a.stats.wall_ns == b.stats.wall_ns && a.stats.ok == b.stats.ok &&
-         a.stats.failed == b.stats.failed &&
-         a.stats.p50_latency_ns == b.stats.p50_latency_ns &&
-         a.stats.p95_latency_ns == b.stats.p95_latency_ns &&
-         a.stats.max_latency_ns == b.stats.max_latency_ns &&
-         a.trace_id == b.trace_id;
+         a.stats.failed == b.stats.failed && a.trace_id == b.trace_id;
 }
 
 bool Equal(const net::ShedFrame& a, const net::ShedFrame& b) {

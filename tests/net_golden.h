@@ -26,19 +26,18 @@ inline constexpr char kBatchRequest[] =
     "22f41112f2f415b72616e676528312c39295d2f42";
 
 /// batch_reply with explain: an ok slot with an explanation, a failed
-/// slot, an ok slot without one; trace id 0xfeedfacecafebeef.
+/// slot, an ok slot without one; wall time 777 ns, 2 ok, 1 failed; trace
+/// id 0xfeedfacecafebeef.
 inline constexpr char kBatchReplyExplain[] =
-    "0301343333333333d33f3930000000000000116c696e65206f6e650a6c696e65"
-    "2074776f001a496e76616c6964417267756d656e743a20626164207175657279"
-    "010000000000c0624010a400000000000000090300000000000002010a000000"
-    "0000000014000000000000001e00000000000000efbefecacefaedfe";
+    "0301343333333333d33f116c696e65206f6e650a6c696e652074776f001a496e"
+    "76616c6964417267756d656e743a20626164207175657279010000000000c062"
+    "400009030000000000000201efbefecacefaedfe";
 
 /// The same batch without explain; trace id 0x0102030405060708.
 inline constexpr char kBatchReply[] =
-    "0301343333333333d33f393000000000000000001a496e76616c696441726775"
-    "6d656e743a20626164207175657279010000000000c0624010a4000000000000"
-    "00090300000000000002010a0000000000000014000000000000001e00000000"
-    "0000000807060504030201";
+    "0301343333333333d33f00001a496e76616c6964417267756d656e743a206261"
+    "64207175657279010000000000c0624000090300000000000002010807060504"
+    "030201";
 
 /// shed: retry after 250 ms.
 inline constexpr char kShed[] =

@@ -21,21 +21,16 @@ BatchResult FixedBatch() {
   QueryResult explained;
   explained.status = Status::OK();
   explained.estimate = 0.1 + 0.2;
-  explained.latency_ns = 12345;
   explained.explanation = "line one\nline two";
   QueryResult failed;
   failed.status = Status::InvalidArgument("bad query");
   QueryResult plain;
   plain.status = Status::OK();
   plain.estimate = 150.0;
-  plain.latency_ns = 42000;
   batch.results = {explained, failed, plain};
   batch.stats.wall_ns = 777;
   batch.stats.ok = 2;
   batch.stats.failed = 1;
-  batch.stats.p50_latency_ns = 10;
-  batch.stats.p95_latency_ns = 20;
-  batch.stats.max_latency_ns = 30;
   return batch;
 }
 

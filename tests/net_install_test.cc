@@ -190,7 +190,9 @@ TEST(InstallOverSocketTest, DaemonErrorsABrokenSequenceAndRepliesToABadCrc) {
     Result<RawPeer> peer = RawPeer::Connect(server.port());
     ASSERT_TRUE(peer.ok()) << peer.status().ToString();
     Frame frame;
-    ASSERT_TRUE(peer.value().Hello(4, 4, &frame).ok());
+    ASSERT_TRUE(peer.value()
+                    .Hello(kProtocolVersion, kProtocolVersion, &frame)
+                    .ok());
     ASSERT_EQ(frame.type, FrameType::kHelloAck);
     InstallFrame chunk = Chunk(image, 1, 2, piece);
     chunk.name = "books";
@@ -206,7 +208,9 @@ TEST(InstallOverSocketTest, DaemonErrorsABrokenSequenceAndRepliesToABadCrc) {
   Result<RawPeer> peer = RawPeer::Connect(server.port());
   ASSERT_TRUE(peer.ok()) << peer.status().ToString();
   Frame frame;
-  ASSERT_TRUE(peer.value().Hello(4, 4, &frame).ok());
+  ASSERT_TRUE(peer.value()
+                  .Hello(kProtocolVersion, kProtocolVersion, &frame)
+                  .ok());
   for (uint32_t index = 0; index < 2; ++index) {
     InstallFrame chunk = Chunk(image, index, 2, piece);
     chunk.name = "books";

@@ -236,7 +236,9 @@ TEST_F(NetServerTest, HelloWithoutTheProtocolVersionIsRefused) {
   Result<RawPeer> peer = RawPeer::Connect(server_->port());
   ASSERT_TRUE(peer.ok()) << peer.status().ToString();
   Frame answer;
-  ASSERT_TRUE(peer.value().Hello(1, 3, &answer).ok());
+  // Version 4 alone: the batch_reply layout that carried per-slot
+  // latencies.
+  ASSERT_TRUE(peer.value().Hello(4, 4, &answer).ok());
   EXPECT_EQ(answer.type, FrameType::kError);
   EXPECT_NE(answer.payload.find("no common protocol version"),
             std::string::npos)

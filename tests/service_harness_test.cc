@@ -80,11 +80,15 @@ TEST(ServiceHarnessTest, BatchEmitsHeaderAndExactlyKItems) {
       "/A/B\n"
       "quit\n");
   ASSERT_EQ(lines.size(), 5u);
-  EXPECT_TRUE(StartsWith(lines[0], "ok batch n=3 ok=2 err=1 us="))
+  // The header's wall time is the batch's one duration; items carry none.
+  const std::string header = "ok batch n=3 ok=2 err=1 us=";
+  ASSERT_TRUE(StartsWith(lines[0], header)) << lines[0];
+  EXPECT_EQ(lines[0].find_first_not_of("0123456789", header.size()),
+            std::string::npos)
       << lines[0];
-  EXPECT_TRUE(StartsWith(lines[1], "0 ok 10 us=")) << lines[1];
+  EXPECT_EQ(lines[1], "0 ok 10");
   EXPECT_TRUE(StartsWith(lines[2], "1 err InvalidArgument")) << lines[2];
-  EXPECT_TRUE(StartsWith(lines[3], "2 ok 100 us=")) << lines[3];
+  EXPECT_EQ(lines[3], "2 ok 100");
 }
 
 TEST(ServiceHarnessTest, BatchExplainAttachesCommentLines) {
@@ -97,7 +101,7 @@ TEST(ServiceHarnessTest, BatchExplainAttachesCommentLines) {
                                              "quit\n");
   ASSERT_GE(lines.size(), 3u);
   EXPECT_TRUE(StartsWith(lines[0], "ok batch n=1 ok=1 err=0")) << lines[0];
-  EXPECT_TRUE(StartsWith(lines[1], "0 ok 10 us=")) << lines[1];
+  EXPECT_EQ(lines[1], "0 ok 10");
   // At least one explanation line, all `#`-prefixed, before `ok bye`.
   size_t comments = 0;
   for (size_t i = 2; i + 1 < lines.size(); ++i) {
@@ -140,6 +144,18 @@ TEST(ServiceHarnessTest, TruncatedBatchReportsShortfall) {
                                              "/A\n");
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], "err batch truncated: got 1 of 3 queries");
+}
+
+// The declared count is the client's word: nothing is allocated for it
+// before the query lines arrive.
+TEST(ServiceHarnessTest, HugeDeclaredBatchCountAllocatesNothingUpFront) {
+  EstimationService service;
+  service.store().Install("books", MakeFixture());
+  std::vector<std::string> lines = RunScript(&service,
+                                             "batch books 99999999999\n"
+                                             "/A\n");
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "err batch truncated: got 1 of 99999999999 queries");
 }
 
 TEST(ServiceHarnessTest, OversizedLineIsAProtocolErrorNotATruncatedCommand) {
@@ -262,6 +278,30 @@ TEST(ServiceHarnessTest, DeadlineOptionParsesAndApplies) {
                                              "quit\n");
   ASSERT_EQ(lines.size(), 4u);
   EXPECT_TRUE(StartsWith(lines[0], "ok batch n=2 ok=2 err=0")) << lines[0];
+
+  // The largest budget that fits in nanoseconds runs past the end of the
+  // clock: unbounded in effect, not expired.
+  lines = RunScript(&service,
+                    "batch books 2 deadline_us=18446744073709551\n"
+                    "/A\n"
+                    "/A/B\n"
+                    "quit\n");
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_TRUE(StartsWith(lines[0], "ok batch n=2 ok=2 err=0")) << lines[0];
+}
+
+TEST(ServiceHarnessTest, MalformedDeadlineIsAnError) {
+  EstimationService service;
+  service.store().Install("books", MakeFixture());
+  for (const std::string value :
+       {"abc", "-1", "18446744073709552", "99999999999999999999999", "",
+        "5x"}) {
+    std::vector<std::string> lines = RunScript(
+        &service, "batch books 1 deadline_us=" + value + "\nquit\n");
+    ASSERT_EQ(lines.size(), 2u) << value;
+    EXPECT_EQ(lines[0], "err bad deadline_us '" + value +
+                            "' (microseconds, 0 = unbounded)");
+  }
 }
 
 TEST(ServiceHarnessTest, QuotaCommandInstallsAndClearsBuckets) {
@@ -300,7 +340,9 @@ TEST(ServiceHarnessTest, QuotaCommandInstallsAndClearsBuckets) {
       << lines[12];
   EXPECT_TRUE(lines[12].find(" shed_deadline=0") != std::string::npos)
       << lines[12];
-  EXPECT_TRUE(lines[12].find(" admission_pending=0") != std::string::npos)
+  EXPECT_TRUE(lines[12].find(" queue_depth=0") != std::string::npos)
+      << lines[12];
+  EXPECT_EQ(lines[12].find("admission_pending"), std::string::npos)
       << lines[12];
 }
 
@@ -392,9 +434,9 @@ TEST(ServiceHarnessTest, StatsReportsPerLaneLatencyFields) {
 
   std::vector<std::string> lines = RunScript(&service, "stats\nquit\n");
   ASSERT_EQ(lines.size(), 2u);
-  // Two more interactive queries, one more bulk; every lane always
+  // One more sample per lane, each a batch's wall time; every lane always
   // exports count + p50/p95 fields.
-  EXPECT_EQ(StatsField(lines[0], " lane_interactive_n="), interactive0 + 2)
+  EXPECT_EQ(StatsField(lines[0], " lane_interactive_n="), interactive0 + 1)
       << lines[0];
   EXPECT_EQ(StatsField(lines[0], " lane_bulk_n="), bulk0 + 1) << lines[0];
   EXPECT_NE(lines[0].find(" lane_interactive_p50_us="), std::string::npos)

@@ -17,7 +17,7 @@
 //       the estimated selectivity of a twig query (see query/parser.h for
 //       the syntax); --explain prints the per-variable breakdown instead.
 //       With --queries, every line of the file is estimated as one batch
-//       against the shared snapshot, reporting per-query latency;
+//       against the shared snapshot, reporting the batch's wall time;
 //       --workers N fans the batch across a thread pool.
 //
 //   xclusterctl serve --stdin [--workers N] [--queue N]
@@ -336,9 +336,7 @@ int EstimateFile(const std::string& synopsis_path,
   for (size_t i = 0; i < batch.results.size(); ++i) {
     const QueryResult& result = batch.results[i];
     if (result.status.ok()) {
-      std::printf("%-12.6g us=%-8llu %s\n", result.estimate,
-                  static_cast<unsigned long long>(result.latency_ns / 1000),
-                  queries[i].c_str());
+      std::printf("%-12.6g %s\n", result.estimate, queries[i].c_str());
       if (explain && !result.explanation.empty()) {
         std::printf("%s", result.explanation.c_str());
       }
@@ -348,21 +346,11 @@ int EstimateFile(const std::string& synopsis_path,
       rc = 1;
     }
   }
-  // Per-query latency summary straight from the telemetry histogram the
-  // service records every batch slot into (the estimator's own
-  // estimate.latency_ns only counts FlatEstimator::Estimate runs).
-  telemetry::MetricsSnapshot snapshot =
-      telemetry::MetricsRegistry::Global().Snapshot();
-  for (const auto& histogram : snapshot.histograms) {
-    if (histogram.name != "service.request_latency_ns") continue;
-    std::printf(
-        "# %zu queries: ok=%zu err=%zu wall_us=%llu "
-        "estimate_p50_us=%.1f p95_us=%.1f p99_us=%.1f\n",
-        queries.size(), batch.stats.ok, batch.stats.failed,
-        static_cast<unsigned long long>(batch.stats.wall_ns / 1000),
-        histogram.p50_ns / 1000.0, histogram.p95_ns / 1000.0,
-        histogram.p99_ns / 1000.0);
-  }
+  // The queries ran as one batch, so its wall time is the one measured
+  // duration there is to report.
+  std::printf("# %zu queries: ok=%zu err=%zu wall_us=%llu\n", queries.size(),
+              batch.stats.ok, batch.stats.failed,
+              static_cast<unsigned long long>(batch.stats.wall_ns / 1000));
   return rc;
 }
 
