@@ -13,7 +13,9 @@
 #      batches; killing both must turn into a clean non-zero shed, with
 #      the router still answering stats;
 #   5. graceful drain   — SIGTERM exits 0; the exported metrics snapshot
-#      must carry non-zero cluster.* counters (wildcard schema check).
+#      must carry non-zero cluster.* counters (wildcard schema check) and
+#      net.install.chunks: the router's own NetServer reassembles the
+#      replication push before the router fans it out.
 #
 # Usage: scripts/cluster_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -202,6 +204,7 @@ python3 scripts/check_metrics_schema.py "$WORKDIR/metrics.json" \
   --require-counter 'cluster.*' \
   --require-counter cluster.batches.routed \
   --require-counter cluster.installs.ok \
+  --require-counter net.install.chunks \
   --require-counter cluster.batches.scatter \
   --require-counter cluster.failovers \
   --require-counter cluster.probes.ok \

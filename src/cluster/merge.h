@@ -12,8 +12,7 @@ namespace cluster {
 
 /// One shard's contribution to a scatter-gathered batch.
 struct ShardReply {
-  std::string shard;          ///< shard collection name ("books@2")
-  uint64_t generation = 0;    ///< replica-reported synopsis generation, 0 unknown
+  std::string shard;  ///< shard collection name ("books@2")
   net::BatchReplyFrame reply;
 };
 

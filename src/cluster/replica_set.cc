@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +12,13 @@
 
 namespace xcluster {
 namespace cluster {
+
+namespace {
+
+/// Idle data-path connections kept per replica for Call to reuse.
+constexpr size_t kPoolPerReplica = 4;
+
+}  // namespace
 
 std::vector<std::pair<std::string, uint64_t>> ParseListGenerations(
     const std::string& response) {
@@ -116,10 +124,8 @@ ReplicaStatus ReplicaSet::StatusOf(size_t index) const {
   status.address = replica.address;
   status.healthy = replica.healthy;
   status.role = replica.role;
-  status.server = replica.server;
   status.probes = replica.probes;
   status.probe_failures = replica.probe_failures;
-  status.last_probe_ns = replica.last_probe_ns;
   status.max_generation = replica.max_generation;
   status.generations = replica.generations;
   return status;
@@ -181,7 +187,6 @@ void ReplicaSet::ProbeOne(size_t index) {
   std::lock_guard<std::mutex> lock(mu_);
   Replica& replica = replicas_[index];
   ++replica.probes;
-  replica.last_probe_ns = telemetry::MonotonicNowNs();
   if (!listed.ok()) {
     ++replica.probe_failures;
     replica.healthy = false;
@@ -190,7 +195,6 @@ void ReplicaSet::ProbeOne(size_t index) {
   } else {
     replica.healthy = true;
     replica.role = client.value().server_role();
-    replica.server = client.value().server_description();
     replica.generations = ParseListGenerations(listed.value());
     replica.max_generation = 0;
     for (const auto& [name, generation] : replica.generations) {
@@ -221,37 +225,44 @@ void ReplicaSet::ProbeLoop() {
   }
 }
 
-Result<net::NetClient> ReplicaSet::Acquire(size_t index) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Replica& replica = replicas_[index];
-    if (!replica.pool.empty()) {
-      net::NetClient client = std::move(replica.pool.back());
-      replica.pool.pop_back();
-      if (client.connected()) return client;
-      // fell through: the pooled connection died while idle; dial fresh
-    }
-  }
+Status ReplicaSet::Call(
+    size_t index, const std::function<Status(net::NetClient&)>& round_trip) {
+  std::optional<net::NetClient> client;
   std::string host;
   uint16_t port = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    host = replicas_[index].host;
-    port = replicas_[index].port;
+    Replica& replica = replicas_[index];
+    if (!replica.pool.empty()) {
+      // One that died while idle is dropped for a fresh dial.
+      if (replica.pool.back().connected()) {
+        client.emplace(std::move(replica.pool.back()));
+      }
+      replica.pool.pop_back();
+    }
+    host = replica.host;
+    port = replica.port;
   }
-  Result<net::NetClient> client =
-      net::NetClient::Connect(host, port, options_.client);
-  if (!client.ok()) MarkUnhealthy(index);
-  return client;
-}
-
-void ReplicaSet::Release(size_t index, net::NetClient client, bool reusable) {
-  if (!reusable || !client.connected()) return;  // destructor closes it
+  if (!client.has_value()) {
+    Result<net::NetClient> dialed =
+        net::NetClient::Connect(host, port, options_.client);
+    if (!dialed.ok()) {
+      MarkUnhealthy(index);
+      return dialed.status();
+    }
+    client.emplace(std::move(dialed).value());
+  }
+  Status status = round_trip(*client);
+  if (!status.ok() && status.code() != Status::Code::kUnavailable) {
+    MarkUnhealthy(index);  // the connection is dropped with `client`
+    return status;
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  Replica& replica = replicas_[index];
-  if (replica.pool.size() < options_.pool_per_replica) {
-    replica.pool.push_back(std::move(client));
+  std::vector<net::NetClient>& pool = replicas_[index].pool;
+  if (client->connected() && pool.size() < kPoolPerReplica) {
+    pool.push_back(std::move(*client));
   }
+  return status;
 }
 
 }  // namespace cluster

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -24,10 +25,6 @@ struct ReplicaSetOptions {
   /// Client settings for probes and pooled data-path connections (recv
   /// timeout, connect timeout, shed-retry policy).
   net::NetClientOptions client;
-
-  /// Idle data-path connections kept per replica. Acquire() dips into the
-  /// pool before dialing; Release(reusable=true) returns the connection.
-  size_t pool_per_replica = 4;
 };
 
 /// Parses a harness `list` response ("ok list N" + "synopsis <name>
@@ -41,10 +38,8 @@ struct ReplicaStatus {
   std::string address;       ///< "host:port" as configured
   bool healthy = false;
   std::string role;          ///< hello-ack role ("replica" | "router")
-  std::string server;        ///< hello-ack server description
   uint64_t probes = 0;
   uint64_t probe_failures = 0;
-  uint64_t last_probe_ns = 0;
   uint64_t max_generation = 0;  ///< newest synopsis generation it reported
   /// (collection, generation) pairs from the last successful `list` probe,
   /// sorted by collection — the staleness metadata behind `stats` and the
@@ -57,9 +52,9 @@ struct ReplicaStatus {
 /// pool of data-path connections per replica.
 ///
 /// Health has two inputs: the prober (periodic hello + `list`, which both
-/// detects recovery and refreshes generations) and the data path
-/// (MarkUnhealthy on a transport failure, so routing stops preferring a
-/// dead replica immediately instead of waiting out a probe period).
+/// detects recovery and refreshes generations) and the data path (Call's
+/// verdict on a transport failure, so routing stops preferring a dead
+/// replica immediately instead of waiting out a probe period).
 /// All methods are thread-safe.
 class ReplicaSet {
  public:
@@ -96,21 +91,19 @@ class ReplicaSet {
   /// the floor for assigning the next fleet-wide replication generation.
   uint64_t MaxKnownGeneration() const;
 
-  /// Data-path verdict: a transport failure talking to `index`. Routing
-  /// deprioritizes it until a probe succeeds again.
-  void MarkUnhealthy(size_t index);
-
   /// One synchronous probe round over all replicas (Start() runs one;
   /// tests use it to observe recovery without waiting out the interval).
   void ProbeNow();
 
-  /// A connected client for `index`: pooled if available, else a fresh
-  /// dial. Failures mark the replica unhealthy.
-  Result<net::NetClient> Acquire(size_t index);
-
-  /// Returns a client taken with Acquire. `reusable` false (transport
-  /// error, poisoned stream) discards it instead of pooling.
-  void Release(size_t index, net::NetClient client, bool reusable);
+  /// One round trip to replica `index`: `round_trip` runs on a pooled
+  /// connection, or on a fresh dial when none is idle (a failed dial
+  /// marks the replica unhealthy and is returned as is). Its status is
+  /// the data-path verdict: a non-OK status other than a shed
+  /// (Unavailable) marks the replica unhealthy, so routing deprioritizes
+  /// it until a probe succeeds again, and drops the connection; anything
+  /// else returns the connection to the pool.
+  Status Call(size_t index,
+              const std::function<Status(net::NetClient&)>& round_trip);
 
  private:
   struct Replica {
@@ -119,10 +112,8 @@ class ReplicaSet {
     uint16_t port = 0;
     bool healthy = false;
     std::string role;
-    std::string server;
     uint64_t probes = 0;
     uint64_t probe_failures = 0;
-    uint64_t last_probe_ns = 0;
     uint64_t max_generation = 0;
     std::vector<std::pair<std::string, uint64_t>> generations;
     std::vector<net::NetClient> pool;
@@ -130,6 +121,7 @@ class ReplicaSet {
 
   void ProbeOne(size_t index);
   void ProbeLoop();
+  void MarkUnhealthy(size_t index);
   void UpdateHealthyGauge();  // callers hold mu_
 
   const ReplicaSetOptions options_;

@@ -1,6 +1,7 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -44,9 +45,7 @@ Router::Router(RouterOptions options)
     : options_(std::move(options)),
       replicas_(options_.peers, options_.replicas),
       flight_(std::max<size_t>(1, options_.flight_capacity)) {
-  net::NetServerOptions server_options = options_.server;
-  server_options.role = "router";
-  server_ = std::make_unique<net::NetServer>(nullptr, server_options);
+  server_ = std::make_unique<net::NetServer>(nullptr, options_.server);
   server_->set_frame_handler(this);
 }
 
@@ -98,72 +97,44 @@ void Router::PostShed(uint64_t conn_id, uint64_t retry_after_ms,
   Post(conn_id, net::FrameType::kShed, net::EncodeShed(shed));
 }
 
-void Router::OnFrame(uint64_t conn_id, const std::string& peer,
-                     net::Frame frame) {
-  switch (frame.type) {
-    case net::FrameType::kInstall:
-      // Reassembly is ordering-sensitive, so it stays on the loop thread;
-      // only the completed snapshot's fan-out runs on the pool.
-      HandleInstallChunk(conn_id, std::move(frame));
-      return;
-    case net::FrameType::kCommand: {
-      Status submitted = pool_->Submit(
-          [this, conn_id, line = std::move(frame.payload),
-           peer](const Executor::TaskContext& context) {
-            if (context.cancelled) return;
-            HandleCommand(conn_id, line, peer);
-          });
-      if (!submitted.ok()) {
-        PostError(conn_id, "router overloaded: " + submitted.message());
-      }
-      return;
-    }
-    case net::FrameType::kBatch: {
-      Status submitted = pool_->Submit(
-          [this, conn_id, payload = std::move(frame.payload)](
-              const Executor::TaskContext& context) {
-            if (context.cancelled) return;
-            HandleBatch(conn_id, payload);
-          });
-      if (!submitted.ok()) {
-        // Queue full is load, not corruption: shed with a hint.
-        PostShed(conn_id, 50,
-                 "router forwarding queue full: " + submitted.message());
-      }
-      return;
-    }
-    case net::FrameType::kStats: {
-      Status submitted = pool_->Submit(
-          [this, conn_id, payload = std::move(frame.payload)](
-              const Executor::TaskContext& context) {
-            if (context.cancelled) return;
-            HandleStats(conn_id, payload);
-          });
-      if (!submitted.ok()) {
-        PostError(conn_id, "router overloaded: " + submitted.message());
-      }
-      return;
-    }
-    case net::FrameType::kFlight: {
-      Status submitted = pool_->Submit(
-          [this, conn_id, payload = std::move(frame.payload)](
-              const Executor::TaskContext& context) {
-            if (context.cancelled) return;
-            HandleFlight(conn_id, payload);
-          });
-      if (!submitted.ok()) {
-        PostError(conn_id, "router overloaded: " + submitted.message());
-      }
-      return;
-    }
-    default:
-      PostError(conn_id, "unexpected frame type " +
-                             std::to_string(static_cast<int>(frame.type)));
-      return;
+void Router::Submit(uint64_t conn_id, bool shed_when_full,
+                    std::function<void()> work) {
+  Status submitted = pool_->Submit(
+      [work = std::move(work)](const Executor::TaskContext& context) {
+        if (!context.cancelled) work();
+      });
+  if (submitted.ok()) return;
+  if (shed_when_full) {
+    // Queue full is load, not corruption: shed with a hint.
+    PostShed(conn_id, 50,
+             "router forwarding queue full: " + submitted.message());
+  } else {
+    PostError(conn_id, "router overloaded: " + submitted.message());
   }
 }
 
-void Router::OnDisconnect(uint64_t conn_id) { installs_.erase(conn_id); }
+void Router::OnFrame(uint64_t conn_id, const std::string& peer,
+                     net::Frame frame) {
+  const bool batch = frame.type == net::FrameType::kBatch;
+  Submit(conn_id, batch, [this, conn_id, peer, frame = std::move(frame)] {
+    if (frame.type == net::FrameType::kCommand) {
+      HandleCommand(conn_id, frame.payload, peer);
+    } else if (frame.type == net::FrameType::kBatch) {
+      HandleBatch(conn_id, frame.payload);
+    } else {
+      HandleFlight(conn_id, frame.payload);
+    }
+  });
+}
+
+void Router::OnInstall(uint64_t conn_id, net::InstallSnapshot snapshot) {
+  Submit(conn_id, /*shed_when_full=*/false,
+         [this, conn_id, snapshot = std::move(snapshot)] {
+           Post(conn_id, net::FrameType::kInstallReply,
+                net::EncodeInstallReply(ReplicateBytes(
+                    snapshot.name, snapshot.bytes, snapshot.generation)));
+         });
+}
 
 uint64_t Router::NextGeneration(uint64_t floor) {
   std::lock_guard<std::mutex> lock(generation_mu_);
@@ -173,14 +144,14 @@ uint64_t Router::NextGeneration(uint64_t floor) {
   return generation_counter_;
 }
 
-Result<std::string> Router::ForwardCommand(const std::string& key,
-                                           const std::string& line) {
+Status Router::Walk(
+    const std::string& key,
+    const std::function<Status(net::NetClient&)>& round_trip) {
   const std::vector<size_t> healthy = replicas_.HealthyIndices();
-  const std::vector<size_t> order =
-      RankReplicas(CollectionHash(key), replicas_.seeds());
   Status last = Status::Unavailable("no healthy replica for " + key);
   bool preferred = true;
-  for (const size_t index : order) {
+  for (const size_t index :
+       RankReplicas(CollectionHash(key), replicas_.seeds())) {
     if (!Contains(healthy, index)) {
       // Skipping a ranked-out replica is a failover even though no request
       // ever reached it: the prober can demote a dead replica before the
@@ -191,56 +162,56 @@ Result<std::string> Router::ForwardCommand(const std::string& key,
     }
     if (!preferred) XCLUSTER_COUNTER_INC("cluster.failovers");
     preferred = false;
-    Result<net::NetClient> client = replicas_.Acquire(index);
-    if (!client.ok()) {
-      last = client.status();
-      continue;  // Acquire already marked it unhealthy
-    }
-    net::NetClient connection = std::move(client).value();
-    Result<std::string> response = connection.Command(line);
-    if (response.ok()) {
-      replicas_.Release(index, std::move(connection), /*reusable=*/true);
-      return response;
-    }
-    // Any command failure is a transport/protocol fault (a replica's
-    // "err ..." answer arrives as a *successful* response string).
-    last = Status::WithContext(response.status(),
-                               "replica " + replicas_.address(index));
-    replicas_.MarkUnhealthy(index);
-    replicas_.Release(index, std::move(connection), /*reusable=*/false);
+    Status status = replicas_.Call(index, round_trip);
+    if (status.ok()) return status;
+    last = Status::WithContext(status, "replica " + replicas_.address(index));
   }
   return last;
 }
 
-std::vector<std::pair<std::string, std::string>> Router::ForwardToAll(
-    const std::string& line, std::vector<std::string>* skipped_unhealthy) {
-  std::vector<std::pair<std::string, std::string>> outcomes;
+std::vector<std::pair<size_t, Status>> Router::FanOut(
+    const std::function<Status(size_t, net::NetClient&)>& round_trip,
+    std::vector<std::string>* skipped) {
   const std::vector<size_t> healthy = replicas_.HealthyIndices();
-  if (skipped_unhealthy != nullptr) {
-    for (size_t index = 0; index < replicas_.size(); ++index) {
-      if (!Contains(healthy, index)) {
-        skipped_unhealthy->push_back(replicas_.address(index));
-      }
-    }
-  }
-  for (const size_t index : healthy) {
-    Result<net::NetClient> client = replicas_.Acquire(index);
-    if (!client.ok()) {
-      outcomes.emplace_back(replicas_.address(index),
-                            "err " + client.status().ToString() + "\n");
+  std::vector<std::pair<size_t, Status>> outcomes;
+  for (size_t index = 0; index < replicas_.size(); ++index) {
+    if (!Contains(healthy, index)) {
+      skipped->push_back(replicas_.address(index));
       continue;
     }
-    net::NetClient connection = std::move(client).value();
-    Result<std::string> response = connection.Command(line);
-    if (response.ok()) {
-      replicas_.Release(index, std::move(connection), /*reusable=*/true);
-      outcomes.emplace_back(replicas_.address(index), response.value());
-    } else {
-      replicas_.MarkUnhealthy(index);
-      replicas_.Release(index, std::move(connection), /*reusable=*/false);
-      outcomes.emplace_back(replicas_.address(index),
-                            "err " + response.status().ToString() + "\n");
-    }
+    outcomes.emplace_back(
+        index, replicas_.Call(index, [&](net::NetClient& client) {
+          return round_trip(index, client);
+        }));
+  }
+  return outcomes;
+}
+
+Result<std::string> Router::ForwardCommand(const std::string& key,
+                                           const std::string& line) {
+  // A replica's "err ..." answer is a successful round trip, so only a
+  // transport or protocol fault fails over.
+  std::string response;
+  XC_RETURN_IF_ERROR(Walk(key, [&](net::NetClient& client) {
+    XCLUSTER_ASSIGN_OR_RETURN(response, client.Command(line));
+    return Status::OK();
+  }));
+  return response;
+}
+
+std::vector<std::pair<std::string, std::string>> Router::ForwardToAll(
+    const std::string& line, std::vector<std::string>* skipped) {
+  std::vector<std::string> responses(replicas_.size());
+  std::vector<std::pair<std::string, std::string>> outcomes;
+  for (const auto& [index, status] : FanOut(
+           [&](size_t index, net::NetClient& client) {
+             XCLUSTER_ASSIGN_OR_RETURN(responses[index], client.Command(line));
+             return Status::OK();
+           },
+           skipped)) {
+    outcomes.emplace_back(replicas_.address(index),
+                          status.ok() ? responses[index]
+                                      : "err " + status.ToString() + "\n");
   }
   return outcomes;
 }
@@ -269,7 +240,8 @@ std::string Router::AggregatedListText() {
   // already see it.
   std::vector<std::pair<std::string, uint64_t>> merged;  // name -> max gen
   std::vector<std::pair<std::string, size_t>> counts;
-  for (const auto& [address, response] : ForwardToAll("list")) {
+  std::vector<std::string> skipped;
+  for (const auto& [address, response] : ForwardToAll("list", &skipped)) {
     (void)address;
     if (response.rfind("ok list", 0) != 0) continue;
     for (const auto& [name, generation] : ParseListGenerations(response)) {
@@ -302,57 +274,50 @@ std::string Router::AggregatedListText() {
 net::InstallReplyFrame Router::ReplicateBytes(const std::string& name,
                                               const std::string& bytes,
                                               uint64_t pinned) {
-  net::InstallReplyFrame aggregate;
-  const std::vector<size_t> healthy = replicas_.HealthyIndices();
+  // The generation is taken at the first healthy replica, so a push that
+  // reaches none assigns none.
+  uint64_t generation = pinned;
+  // A replica that refuses the snapshot still answered: its reply is a
+  // successful round trip, and it stays healthy.
+  std::vector<net::InstallReplyFrame> replies(replicas_.size());
   std::vector<std::string> skipped;
-  for (size_t index = 0; index < replicas_.size(); ++index) {
-    if (!Contains(healthy, index)) skipped.push_back(replicas_.address(index));
-  }
-  if (healthy.empty()) {
+  const std::vector<std::pair<size_t, Status>> outcomes = FanOut(
+      [&](size_t index, net::NetClient& client) {
+        if (generation == 0) generation = NextGeneration(0);
+        XCLUSTER_ASSIGN_OR_RETURN(replies[index],
+                                  client.Install(name, bytes, generation));
+        return Status::OK();
+      },
+      &skipped);
+  net::InstallReplyFrame aggregate;
+  if (outcomes.empty()) {
     aggregate.message = "no healthy replicas to install " + name +
                         " (unhealthy: " + JoinAddresses(skipped) + ")";
     XCLUSTER_COUNTER_INC("cluster.installs.failed");
     return aggregate;
   }
-  const uint64_t generation = pinned != 0 ? pinned : NextGeneration(0);
   size_t installed = 0;
   std::string first_error;
-  for (const size_t index : healthy) {
-    Result<net::NetClient> client = replicas_.Acquire(index);
-    std::string error;
-    if (!client.ok()) {
-      error = client.status().ToString();
-    } else {
-      net::NetClient connection = std::move(client).value();
-      Result<net::InstallReplyFrame> reply =
-          connection.Install(name, bytes, generation);
-      if (reply.ok() && reply.value().ok) {
-        ++installed;
-        replicas_.Release(index, std::move(connection), /*reusable=*/true);
-        XCLUSTER_COUNTER_INC("cluster.installs.ok");
-        continue;
-      }
-      if (reply.ok()) {
-        error = reply.value().message;
-        replicas_.Release(index, std::move(connection), /*reusable=*/true);
-      } else {
-        error = reply.status().ToString();
-        replicas_.MarkUnhealthy(index);
-        replicas_.Release(index, std::move(connection), /*reusable=*/false);
-      }
+  for (const auto& [index, status] : outcomes) {
+    if (status.ok() && replies[index].ok) {
+      ++installed;
+      XCLUSTER_COUNTER_INC("cluster.installs.ok");
+      continue;
     }
     XCLUSTER_COUNTER_INC("cluster.installs.failed");
     if (first_error.empty()) {
-      first_error = "replica " + replicas_.address(index) + ": " + error;
+      first_error = "replica " + replicas_.address(index) + ": " +
+                    (status.ok() ? replies[index].message : status.ToString());
     }
   }
+  const size_t healthy = outcomes.size();
   aggregate.generation = generation;
-  if (installed == healthy.size() && skipped.empty()) {
+  if (installed == healthy && skipped.empty()) {
     aggregate.ok = true;
     aggregate.message = "installed " + name + " gen=" +
                         std::to_string(generation) + " on " +
                         std::to_string(installed) + " replicas";
-  } else if (installed == healthy.size()) {
+  } else if (installed == healthy) {
     // Every healthy replica landed it, but an unhealthy one missed the
     // push and will serve the old generation once a probe re-admits it —
     // not lockstep, so the fan-out as a whole did not succeed.
@@ -364,8 +329,8 @@ net::InstallReplyFrame Router::ReplicateBytes(const std::string& name,
                         JoinAddresses(skipped) +
                         "); re-replicate once they recover";
   } else {
-    aggregate.message = std::to_string(healthy.size() - installed) + " of " +
-                        std::to_string(healthy.size()) +
+    aggregate.message = std::to_string(healthy - installed) + " of " +
+                        std::to_string(healthy) +
                         " replicas failed; first: " + first_error;
     if (!skipped.empty()) {
       aggregate.message += "; also skipped " +
@@ -376,8 +341,8 @@ net::InstallReplyFrame Router::ReplicateBytes(const std::string& name,
   return aggregate;
 }
 
-void Router::HandleCommand(uint64_t conn_id, std::string line,
-                           std::string peer) {
+void Router::HandleCommand(uint64_t conn_id, const std::string& line,
+                           const std::string& peer) {
   std::istringstream tokens(line);
   std::string command;
   tokens >> command;
@@ -538,25 +503,9 @@ void Router::HandleShardedEstimate(uint64_t conn_id, const ShardSpec& spec,
   // the same machinery (and the same summed-estimate semantics) as a
   // routed kBatch against the sharded name.
   const uint64_t start_ns = telemetry::MonotonicNowNs();
-  net::BatchRequestFrame request;
-  request.collection = spec.base + "@" + std::to_string(spec.shard_count);
-  request.queries.push_back(query);
   uint64_t retry_after_ms = 0;
-  std::vector<ShardReply> replies;
-  for (const std::string& shard : ShardNames(spec)) {
-    Result<net::BatchReplyFrame> reply =
-        RouteShard(shard, request, &retry_after_ms);
-    if (!reply.ok()) {
-      Post(conn_id, net::FrameType::kResponse,
-           "err " + reply.status().ToString() + "\n");
-      return;
-    }
-    ShardReply shard_reply;
-    shard_reply.shard = shard;
-    shard_reply.reply = std::move(reply).value();
-    replies.push_back(std::move(shard_reply));
-  }
-  Result<net::BatchReplyFrame> merged = MergeShardReplies(replies);
+  Result<net::BatchReplyFrame> merged =
+      Scatter(spec, {query}, BatchOptions(), &retry_after_ms);
   if (!merged.ok() || merged.value().items.size() != 1) {
     Post(conn_id, net::FrameType::kResponse,
          "err " +
@@ -579,60 +528,43 @@ void Router::HandleShardedEstimate(uint64_t conn_id, const ShardSpec& spec,
   }
 }
 
-Result<net::BatchReplyFrame> Router::RouteShard(
-    const std::string& shard, const net::BatchRequestFrame& request,
-    uint64_t* retry_after_ms) {
-  const std::vector<size_t> healthy = replicas_.HealthyIndices();
-  const std::vector<size_t> order =
-      RankReplicas(CollectionHash(shard), replicas_.seeds());
-  Status last = Status::Unavailable("no healthy replica for " + shard);
-  bool preferred = true;
-  for (const size_t index : order) {
-    if (!Contains(healthy, index)) {
-      // See ForwardCommand: a prober-demoted preferred replica still means
-      // this shard's traffic failed over to a lower-ranked one.
-      preferred = false;
-      continue;
-    }
-    if (!preferred) XCLUSTER_COUNTER_INC("cluster.failovers");
-    preferred = false;
-    Result<net::NetClient> client = replicas_.Acquire(index);
-    if (!client.ok()) {
-      last = client.status();
-      continue;
-    }
-    net::NetClient connection = std::move(client).value();
-    // The round trip is socket transit plus replica time; its own span
-    // keeps it out of cluster.route's self time.
-    Result<net::BatchReplyFrame> reply = [&] {
-      XCLUSTER_TRACE_SPAN("cluster.forward");
-      return connection.Batch(shard, request.queries, request.options);
-    }();
-    if (connection.last_attempts() > 1) {
-      XCLUSTER_COUNTER_ADD("cluster.retries",
-                           connection.last_attempts() - 1);
-    }
-    if (reply.ok()) {
-      replicas_.Release(index, std::move(connection), /*reusable=*/true);
-      return reply;
-    }
-    last = Status::WithContext(reply.status(),
-                               "replica " + replicas_.address(index));
-    if (reply.status().code() == Status::Code::kUnavailable) {
-      // Shed even after the client-side retry budget: the connection is
-      // healthy, the replica is just loaded. Fail over with the hint.
-      *retry_after_ms =
-          std::max(*retry_after_ms, connection.last_retry_after_ms());
-      replicas_.Release(index, std::move(connection), /*reusable=*/true);
-    } else {
-      replicas_.MarkUnhealthy(index);
-      replicas_.Release(index, std::move(connection), /*reusable=*/false);
-    }
+Result<net::BatchReplyFrame> Router::Scatter(
+    const ShardSpec& spec, const std::vector<std::string>& queries,
+    const BatchOptions& options, uint64_t* retry_after_ms) {
+  const std::vector<std::string> shards = ShardNames(spec);
+  std::vector<ShardReply> replies(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    replies[i].shard = shards[i];
+    XC_RETURN_IF_ERROR(Walk(shards[i], [&](net::NetClient& client) {
+      // The round trip is socket transit plus replica time; its own span
+      // keeps it out of cluster.route's self time.
+      Result<net::BatchReplyFrame> reply = [&] {
+        XCLUSTER_TRACE_SPAN("cluster.forward");
+        return client.Batch(shards[i], queries, options);
+      }();
+      if (client.last_attempts() > 1) {
+        XCLUSTER_COUNTER_ADD("cluster.retries", client.last_attempts() - 1);
+      }
+      if (!reply.ok()) {
+        // A shed outlasting the client's retry budget means the replica is
+        // loaded, not broken: fail over with the hint.
+        if (reply.status().code() == Status::Code::kUnavailable) {
+          *retry_after_ms =
+              std::max(*retry_after_ms, client.last_retry_after_ms());
+        }
+        return reply.status();
+      }
+      replies[i].reply = std::move(reply).value();
+      return Status::OK();
+    }));
   }
-  return last;
+  // A lone shard's reply passes through field for field, estimates
+  // keeping their exact bit patterns.
+  if (replies.size() == 1) return std::move(replies[0].reply);
+  return MergeShardReplies(replies);
 }
 
-void Router::HandleBatch(uint64_t conn_id, std::string payload) {
+void Router::HandleBatch(uint64_t conn_id, const std::string& payload) {
   const uint64_t start_ns = telemetry::MonotonicNowNs();
   Result<net::BatchRequestFrame> decoded = net::DecodeBatchRequest(payload);
   if (!decoded.ok()) {
@@ -640,53 +572,18 @@ void Router::HandleBatch(uint64_t conn_id, std::string payload) {
     return;
   }
   net::BatchRequestFrame request = std::move(decoded).value();
-  // One trace id spans router -> replica: mint when the client sent none,
-  // forward either way.
-  if (request.options.trace.trace_id == 0) {
-    request.options.trace.trace_id = telemetry::GenerateTraceId();
-  }
-  request.options.trace.sampled =
-      request.options.trace.sampled ||
-      telemetry::SampleTrace(request.options.trace.trace_id,
-                             options_.trace_sample);
-  request.options.wire_bytes = payload.size();
+  // One trace id spans router -> replica: minted here when the client
+  // sent none, forwarded either way.
+  net::StampBatchTrace(payload.size(), options_.trace_sample,
+                       &request.options);
   telemetry::ScopedTraceContext trace_scope(request.options.trace);
   XCLUSTER_TRACE_SPAN("cluster.route");
 
   const ShardSpec spec = ParseShardSpec(request.collection,
                                         options_.max_shards);
-  const std::vector<std::string> shards = ShardNames(spec);
   uint64_t retry_after_ms = 0;
-  std::vector<ShardReply> replies;
-  replies.reserve(shards.size());
-  Status failure = Status::OK();
-  for (const std::string& shard : shards) {
-    Result<net::BatchReplyFrame> reply =
-        RouteShard(shard, request, &retry_after_ms);
-    if (!reply.ok()) {
-      failure = reply.status();
-      break;
-    }
-    ShardReply shard_reply;
-    shard_reply.shard = shard;
-    shard_reply.reply = std::move(reply).value();
-    replies.push_back(std::move(shard_reply));
-  }
-
-  net::BatchReplyFrame merged;
-  if (failure.ok() && !spec.sharded()) {
-    // Single-collection pass-through: the replica's reply is re-encoded
-    // field for field, estimates keeping their exact bit patterns.
-    merged = std::move(replies[0].reply);
-  } else if (failure.ok()) {
-    Result<net::BatchReplyFrame> gathered = MergeShardReplies(replies);
-    if (gathered.ok()) {
-      merged = std::move(gathered).value();
-      XCLUSTER_COUNTER_INC("cluster.batches.scatter");
-    } else {
-      failure = gathered.status();
-    }
-  }
+  Result<net::BatchReplyFrame> gathered =
+      Scatter(spec, request.queries, request.options, &retry_after_ms);
 
   FlightRecord record;
   record.trace_id = request.options.trace.trace_id;
@@ -694,15 +591,17 @@ void Router::HandleBatch(uint64_t conn_id, std::string payload) {
   record.lane = request.options.lane;
   record.queries = static_cast<uint32_t>(request.queries.size());
   record.bytes = payload.size();
-  if (failure.code() == Status::Code::kUnavailable) {
+  if (gathered.status().code() == Status::Code::kUnavailable) {
     record.status = FlightStatus::kShedOther;
     record.retry_after_ms =
         static_cast<uint32_t>(std::min<uint64_t>(retry_after_ms, ~0u));
-    PostShed(conn_id, retry_after_ms, failure.message());
-  } else if (!failure.ok()) {
+    PostShed(conn_id, retry_after_ms, gathered.status().message());
+  } else if (!gathered.ok()) {
     record.status = FlightStatus::kPartialError;
-    PostError(conn_id, failure.ToString());
+    PostError(conn_id, gathered.status().ToString());
   } else {
+    net::BatchReplyFrame& merged = gathered.value();
+    if (spec.sharded()) XCLUSTER_COUNTER_INC("cluster.batches.scatter");
     merged.trace_id = request.options.trace.trace_id;
     Post(conn_id, net::FrameType::kBatchReply,
          net::EncodeBatchReplyFrame(merged));
@@ -717,16 +616,7 @@ void Router::HandleBatch(uint64_t conn_id, std::string payload) {
   XCLUSTER_HISTOGRAM_RECORD_NS("cluster.route_latency_ns", record.wall_ns);
 }
 
-void Router::HandleStats(uint64_t conn_id, std::string payload) {
-  Result<std::string> text = net::RenderStatsReply(payload);
-  if (!text.ok()) {
-    PostError(conn_id, text.status().ToString());
-    return;
-  }
-  Post(conn_id, net::FrameType::kStatsReply, std::move(text).value());
-}
-
-void Router::HandleFlight(uint64_t conn_id, std::string payload) {
+void Router::HandleFlight(uint64_t conn_id, const std::string& payload) {
   Result<uint32_t> max_records = net::DecodeFlightRequest(payload);
   if (!max_records.ok()) {
     PostError(conn_id, max_records.status().ToString());
@@ -734,42 +624,6 @@ void Router::HandleFlight(uint64_t conn_id, std::string payload) {
   }
   Post(conn_id, net::FrameType::kFlightReply,
        flight_.ToJson(max_records.value()));
-}
-
-void Router::HandleInstallChunk(uint64_t conn_id, net::Frame frame) {
-  net::InstallAssembler& assembler =
-      installs_
-          .try_emplace(conn_id, options_.server.max_frame_bytes,
-                       options_.server.max_install_bytes)
-          .first->second;
-  bool complete = false;
-  Status added = assembler.Add(frame.payload, &complete);
-  if (!added.ok()) {
-    PostError(conn_id, added.ToString());
-    return;
-  }
-  if (!complete) return;
-  Result<net::InstallSnapshot> snapshot = assembler.Take();
-  if (!snapshot.ok()) {
-    XCLUSTER_COUNTER_INC("cluster.installs.failed");
-    net::InstallReplyFrame reply;
-    reply.message = snapshot.status().ToString();
-    Post(conn_id, net::FrameType::kInstallReply,
-         net::EncodeInstallReply(reply));
-    return;
-  }
-  Status submitted = pool_->Submit(
-      [this, conn_id, snapshot = std::move(snapshot).value()](
-          const Executor::TaskContext& context) {
-        if (context.cancelled) return;
-        net::InstallReplyFrame outcome =
-            ReplicateBytes(snapshot.name, snapshot.bytes, snapshot.generation);
-        Post(conn_id, net::FrameType::kInstallReply,
-             net::EncodeInstallReply(outcome));
-      });
-  if (!submitted.ok()) {
-    PostError(conn_id, "router overloaded: " + submitted.message());
-  }
 }
 
 }  // namespace cluster

@@ -3,10 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/hash_ring.h"
@@ -21,8 +22,7 @@ namespace xcluster {
 namespace cluster {
 
 struct RouterOptions {
-  /// Listener settings for the router's own XNET endpoint. `role` is
-  /// forced to "router" so the hello ack identifies it.
+  /// Listener settings for the router's own XNET endpoint.
   net::NetServerOptions server;
 
   /// Replica addresses ("host:port"), one per --peer flag. At least one.
@@ -50,22 +50,26 @@ struct RouterOptions {
 };
 
 /// The cluster router: an XNET endpoint that speaks the same protocol on
-/// both sides. It reuses NetServer's poll machinery via FrameHandler,
-/// forwards work through a bounded pool, and replies asynchronously with
-/// NetServer::PostFrames.
+/// both sides. It reuses NetServer's poll machinery via FrameHandler
+/// (NetServer itself answers the hello, `stats` frames and reassembles
+/// kInstall pushes), forwards work through a bounded pool, and replies
+/// asynchronously with NetServer::PostFrames.
 ///
-/// Routing: each collection name is rendezvous-hashed (HRW) over the
-/// replica seeds; the preference order doubles as the failover order. A
-/// shed (kShed) from a replica is retried there per the client retry
+/// Every replica round trip goes through ReplicaSet::Call, whose verdict
+/// rule is the router's health input from the data path. Three loops use
+/// it: Walk (one key's HRW preference order, which doubles as the
+/// failover order), FanOut (every healthy replica) and Scatter (a batch
+/// over the shards of a `base@N` name, each shard walked on its own, the
+/// replies merged by cluster/merge.h).
+///
+/// A shed (kShed) from a replica is retried there per the client retry
 /// policy, then failed over; a transport failure marks the replica
-/// unhealthy and fails over immediately. `base@N` names scatter one batch
-/// across the per-shard collections base@0..base@N-1 and gather-merge the
-/// replies (cluster/merge.h).
+/// unhealthy and fails over immediately.
 ///
-/// Replication: kInstall pushes arriving at the router are reassembled and
-/// fanned out to every healthy replica under one router-assigned
-/// generation, so the fleet lands in lockstep; the `replicate <name>
-/// <path>` command does the same from a router-local .xcsf image.
+/// Replication: a complete kInstall snapshot is fanned out to every
+/// healthy replica under one router-assigned generation, so the fleet
+/// lands in lockstep; the `replicate <name> <path>` command does the same
+/// from a router-local .xcsf image.
 class Router : public net::FrameHandler {
  public:
   explicit Router(RouterOptions options);
@@ -92,7 +96,7 @@ class Router : public net::FrameHandler {
   // net::FrameHandler (event-loop thread):
   void OnFrame(uint64_t conn_id, const std::string& peer,
                net::Frame frame) override;
-  void OnDisconnect(uint64_t conn_id) override;
+  void OnInstall(uint64_t conn_id, net::InstallSnapshot snapshot) override;
 
  private:
   void Post(uint64_t conn_id, net::FrameType type, std::string payload,
@@ -101,19 +105,55 @@ class Router : public net::FrameHandler {
   void PostShed(uint64_t conn_id, uint64_t retry_after_ms,
                 const std::string& message);
 
+  /// Runs `work` on the forwarding pool. A full queue is answered with a
+  /// shed when `shed_when_full` (batches), else with an error frame.
+  void Submit(uint64_t conn_id, bool shed_when_full,
+              std::function<void()> work);
+
   /// Pool-thread handlers.
-  void HandleCommand(uint64_t conn_id, std::string line, std::string peer);
-  /// Text `estimate base@N <query>`: one-query batch per shard, merged
-  /// like a routed kBatch, rendered back in the harness text format.
+  void HandleCommand(uint64_t conn_id, const std::string& line,
+                     const std::string& peer);
+  /// Text `estimate base@N <query>`: a one-query Scatter, rendered back in
+  /// the harness text format.
   void HandleShardedEstimate(uint64_t conn_id, const ShardSpec& spec,
                              const std::string& line);
-  void HandleBatch(uint64_t conn_id, std::string payload);
-  void HandleStats(uint64_t conn_id, std::string payload);
-  void HandleFlight(uint64_t conn_id, std::string payload);
+  void HandleBatch(uint64_t conn_id, const std::string& payload);
+  void HandleFlight(uint64_t conn_id, const std::string& payload);
 
-  /// Event-loop-thread install reassembly; the final chunk hands the
-  /// buffer to the pool for fan-out.
-  void HandleInstallChunk(uint64_t conn_id, net::Frame frame);
+  /// Runs `round_trip` along `key`'s HRW order over the healthy replicas
+  /// until one succeeds, failing over on each failure. Returns the last
+  /// failure, naming its replica, when none succeeds.
+  Status Walk(const std::string& key,
+              const std::function<Status(net::NetClient&)>& round_trip);
+
+  /// Runs `round_trip` once on every healthy replica, in index order, and
+  /// returns each one's (index, status). The addresses of the unhealthy
+  /// replicas it passed over are appended to `skipped`: mutations use them
+  /// to refuse reporting an unqualified ok when part of the fleet missed
+  /// the change.
+  std::vector<std::pair<size_t, Status>> FanOut(
+      const std::function<Status(size_t, net::NetClient&)>& round_trip,
+      std::vector<std::string>* skipped);
+
+  /// Routes `queries` to each shard of `spec` (the collection itself when
+  /// it is not a `base@N` name) along the shard's HRW order, with
+  /// shed-retry and failover. A lone shard's reply passes through; several
+  /// merge with MergeShardReplies. Accumulates the largest retry-after
+  /// hint of a shed in `retry_after_ms`.
+  Result<net::BatchReplyFrame> Scatter(const ShardSpec& spec,
+                                       const std::vector<std::string>& queries,
+                                       const BatchOptions& options,
+                                       uint64_t* retry_after_ms);
+
+  /// Forwards one command line along `key`'s HRW order (transport
+  /// failures fail over; a replica's "err ..." text is a final answer).
+  Result<std::string> ForwardCommand(const std::string& key,
+                                     const std::string& line);
+
+  /// Forwards `line` to every healthy replica; returns per-replica
+  /// (address, response-or-error) pairs (FanOut fills `skipped`).
+  std::vector<std::pair<std::string, std::string>> ForwardToAll(
+      const std::string& line, std::vector<std::string>* skipped);
 
   /// Fans an XCSF image to every healthy replica under one generation
   /// (`pinned` 0 assigns the next fleet generation). Returns the
@@ -124,26 +164,6 @@ class Router : public net::FrameHandler {
   net::InstallReplyFrame ReplicateBytes(const std::string& name,
                                         const std::string& bytes,
                                         uint64_t pinned);
-
-  /// Routes one shard batch along its HRW preference order with
-  /// shed-retry + failover. Accumulates the largest retry-after hint.
-  Result<net::BatchReplyFrame> RouteShard(
-      const std::string& shard, const net::BatchRequestFrame& request,
-      uint64_t* retry_after_ms);
-
-  /// Forwards one command line along `key`'s HRW order (transport
-  /// failures fail over; a replica's "err ..." text is a final answer).
-  Result<std::string> ForwardCommand(const std::string& key,
-                                     const std::string& line);
-
-  /// Forwards `line` to every healthy replica; returns per-replica
-  /// (address, response-or-error) pairs. When `skipped_unhealthy` is
-  /// non-null it receives the addresses of replicas the fan-out skipped
-  /// because they were unhealthy — mutations use it to refuse reporting
-  /// an unqualified ok when part of the fleet missed the change.
-  std::vector<std::pair<std::string, std::string>> ForwardToAll(
-      const std::string& line,
-      std::vector<std::string>* skipped_unhealthy = nullptr);
 
   std::string RouterStatsText() const;
   std::string AggregatedListText();
@@ -158,10 +178,6 @@ class Router : public net::FrameHandler {
 
   std::mutex generation_mu_;
   uint64_t generation_counter_ = 0;
-
-  // Per-connection kInstall reassembly, dropped on disconnect (event-loop
-  // thread only).
-  std::unordered_map<uint64_t, net::InstallAssembler> installs_;
 };
 
 }  // namespace cluster

@@ -6,7 +6,6 @@
 
 #include "common/io/bytes.h"
 #include "common/io/crc32c.h"
-#include "common/telemetry/metrics.h"
 #include "service/harness.h"
 
 namespace xcluster {
@@ -397,16 +396,6 @@ Result<StatsFormat> DecodeStatsRequest(const std::string& payload) {
                               std::to_string(format));
   }
   return static_cast<StatsFormat>(format);
-}
-
-Result<std::string> RenderStatsReply(const std::string& payload) {
-  XCLUSTER_ASSIGN_OR_RETURN(const StatsFormat format,
-                            DecodeStatsRequest(payload));
-  const telemetry::MetricsSnapshot snapshot =
-      telemetry::MetricsRegistry::Global().Snapshot();
-  if (format == StatsFormat::kPrometheus) return snapshot.ToPrometheus();
-  if (format == StatsFormat::kJson) return snapshot.ToJson();
-  return snapshot.ToText();
 }
 
 std::string EncodeFlightRequest(uint32_t max_records) {

@@ -201,11 +201,6 @@ enum class StatsFormat : uint8_t {
 std::string EncodeStatsRequest(StatsFormat format);
 Result<StatsFormat> DecodeStatsRequest(const std::string& payload);
 
-/// Answers a kStats request for the daemon and the router alike: decodes
-/// the payload and renders the process metrics registry in the requested
-/// format, as the kStatsReply payload.
-Result<std::string> RenderStatsReply(const std::string& payload);
-
 /// kFlight payload: at most `max_records` newest flight records
 /// (0 = the whole retained ring). The kFlightReply payload is the
 /// FlightRecorder::ToJson rendering.

@@ -153,6 +153,17 @@ void NetServer::SendError(Connection* conn, const std::string& message) {
   conn->closing = true;
 }
 
+void StampBatchTrace(size_t wire_bytes, double trace_sample,
+                     BatchOptions* options) {
+  if (options->trace.trace_id == 0) {
+    options->trace.trace_id = telemetry::GenerateTraceId();
+  }
+  options->trace.sampled =
+      options->trace.sampled ||
+      telemetry::SampleTrace(options->trace.trace_id, trace_sample);
+  options->wire_bytes = wire_bytes;
+}
+
 void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
   if (!conn->hello_done) {
     if (frame.type != FrameType::kHello) {
@@ -171,24 +182,24 @@ void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
     }
     conn->hello_done = true;
     HelloAckFrame ack;
-    ack.role = options_.role;
-    ack.server = options_.server_description;
+    ack.role = handler_ != nullptr ? "router" : "replica";
+    ack.server = "xclusterd";
     SendFrame(conn, FrameType::kHelloAck, EncodeHelloAck(ack));
     return;
   }
 
-  // Router mode: a FrameHandler takes over all content frames, replying
-  // asynchronously via PostFrames. Handshake/lifecycle frames (handled
-  // below) never reach it.
+  // Router mode: a FrameHandler takes the request frames, replying
+  // asynchronously via PostFrames. The frames both modes answer alike
+  // (handled below: hello, goodbye, stats, install reassembly) never
+  // reach it.
   if (handler_ != nullptr &&
       (frame.type == FrameType::kCommand || frame.type == FrameType::kBatch ||
-       frame.type == FrameType::kStats || frame.type == FrameType::kFlight ||
-       frame.type == FrameType::kInstall)) {
+       frame.type == FrameType::kFlight)) {
     handler_->OnFrame(conn->id, conn->peer, std::move(frame));
     return;
   }
-  if (service_ == nullptr && frame.type != FrameType::kGoodbye &&
-      frame.type != FrameType::kHello) {
+  if (service_ == nullptr && handler_ == nullptr &&
+      frame.type != FrameType::kGoodbye && frame.type != FrameType::kHello) {
     SendError(conn, "server has no estimation service");
     return;
   }
@@ -224,17 +235,7 @@ void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
       if (options.deadline_ns == 0) {
         options.deadline_ns = options_.default_deadline_ns;
       }
-      // Every batch flies under a trace id (server-generated when the
-      // client sent none) so its flight record is addressable; the
-      // sampling decision decides span recording only.
-      if (options.trace.trace_id == 0) {
-        options.trace.trace_id = telemetry::GenerateTraceId();
-      }
-      options.trace.sampled =
-          options.trace.sampled ||
-          telemetry::SampleTrace(options.trace.trace_id,
-                                 options_.trace_sample);
-      options.wire_bytes = frame.payload.size();
+      StampBatchTrace(frame.payload.size(), options_.trace_sample, &options);
       XCLUSTER_COUNTER_INC("net.batches");
       telemetry::ScopedTraceContext trace_scope(options.trace);
       XCLUSTER_TRACE_SPAN("net.batch");
@@ -262,12 +263,19 @@ void NetServer::DispatchFrame(Connection* conn, Frame&& frame) {
       return;
     }
     case FrameType::kStats: {
-      Result<std::string> text = RenderStatsReply(frame.payload);
-      if (!text.ok()) {
-        SendError(conn, text.status().ToString());
+      // The process's metrics registry, in either mode.
+      Result<StatsFormat> format = DecodeStatsRequest(frame.payload);
+      if (!format.ok()) {
+        SendError(conn, format.status().ToString());
         return;
       }
-      SendFrame(conn, FrameType::kStatsReply, std::move(text).value());
+      const telemetry::MetricsSnapshot snapshot =
+          telemetry::MetricsRegistry::Global().Snapshot();
+      SendFrame(conn, FrameType::kStatsReply,
+                format.value() == StatsFormat::kPrometheus
+                    ? snapshot.ToPrometheus()
+                : format.value() == StatsFormat::kJson ? snapshot.ToJson()
+                                                       : snapshot.ToText());
       return;
     }
     case FrameType::kFlight: {
@@ -311,6 +319,9 @@ void NetServer::HandleInstall(Connection* conn, Frame&& frame) {
   Result<InstallSnapshot> snapshot = conn->install.Take();
   if (!snapshot.ok()) {
     reply.message = snapshot.status().ToString();
+  } else if (handler_ != nullptr) {
+    handler_->OnInstall(conn->id, std::move(snapshot).value());
+    return;
   } else {
     Result<std::shared_ptr<const StoredSynopsis>> installed =
         service_->store().InstallFromWire(snapshot.value().name,
@@ -343,12 +354,6 @@ void NetServer::DrainPostedReplies() {
       if (posted.close) conn.closing = true;
       break;  // ids are unique; replies to dead connections drop silently
     }
-  }
-}
-
-void NetServer::NotifyDisconnect(const Connection& conn) {
-  if (handler_ != nullptr && conn.hello_done) {
-    handler_->OnDisconnect(conn.id);
   }
 }
 
@@ -440,12 +445,9 @@ void NetServer::AcceptPending(int listen_fd) {
     if (connections_.size() >= options_.max_connections) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       XCLUSTER_COUNTER_INC("net.connections.rejected");
-      Frame frame;
-      frame.type = FrameType::kError;
-      frame.payload = "server at connection capacity (" +
-                      std::to_string(options_.max_connections) + ")";
-      EncodeFrame(frame, &conn.outbuf);
-      frames_tx_.fetch_add(1, std::memory_order_relaxed);
+      SendFrame(&conn, FrameType::kError,
+                "server at connection capacity (" +
+                    std::to_string(options_.max_connections) + ")");
       conn.closing = true;  // flush the error, then close
     } else {
       accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -547,7 +549,6 @@ void NetServer::Loop() {
       }
       if (alive && (revents & POLLHUP) && !(revents & POLLIN)) alive = false;
       if (!alive) {
-        NotifyDisconnect(*it);
         connections_.erase(it);
         SetConnectionGauge();
       }
@@ -556,7 +557,6 @@ void NetServer::Loop() {
     if (draining_ &&
         telemetry::MonotonicNowNs() >= drain_deadline_ns_) {
       // Stragglers kept the drain past its budget; force-close them.
-      for (const Connection& conn : connections_) NotifyDisconnect(conn);
       connections_.clear();
       SetConnectionGauge();
     }

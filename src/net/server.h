@@ -61,33 +61,36 @@ struct NetServerOptions {
   /// identifiable; this rate only governs span recording. A client that
   /// sent sampled=1 is honored regardless.
   double trace_sample = 0.0;
-
-  /// Self-description carried in the hello ack so peers can tell what
-  /// they connected to: a replica daemon or a cluster router.
-  std::string role = "replica";
-  std::string server_description = "xclusterd";
 };
 
-/// Hook that takes over post-hello content frames (kCommand, kBatch,
-/// kStats, kFlight, kInstall) — the cluster router implements this to
-/// reuse NetServer's poll machinery while supplying its own dispatch.
-/// Handshake and lifecycle frames (kHello, kGoodbye) stay in NetServer.
+/// Gives a decoded batch the trace context it flies under, for the daemon
+/// and the router alike: a minted trace id when the client sent none (so
+/// every flight record is addressable), the client's sampling decision or
+/// else `trace_sample`'s, and the request's wire size.
+void StampBatchTrace(size_t wire_bytes, double trace_sample,
+                     BatchOptions* options);
+
+/// Router-mode dispatch: the cluster router implements this to reuse
+/// NetServer's poll machinery. NetServer keeps everything both modes do
+/// alike (the hello, whose ack names the role "router", goodbye, `stats`
+/// frames and kInstall reassembly) and hands over the rest.
 ///
-/// OnFrame runs on the event-loop thread: implementations must not block
-/// (hand work to their own pool) and reply asynchronously through
-/// NetServer::PostFrames, which is safe from any thread.
+/// Both calls run on the event-loop thread: implementations must not
+/// block (hand work to their own pool) and reply asynchronously through
+/// NetServer::PostFrames, which is safe from any thread. Replies posted
+/// for a connection that has gone are dropped silently.
 class FrameHandler {
  public:
   virtual ~FrameHandler() = default;
 
-  /// One decoded content frame from connection `conn_id` (`peer` is its
-  /// remote address).
+  /// One decoded kCommand, kBatch or kFlight frame from connection
+  /// `conn_id` (`peer` is its remote address).
   virtual void OnFrame(uint64_t conn_id, const std::string& peer,
                        Frame frame) = 0;
 
-  /// The connection is gone (orderly or not); pending PostFrames for it
-  /// will be dropped silently.
-  virtual void OnDisconnect(uint64_t conn_id) { (void)conn_id; }
+  /// A complete kInstall snapshot, reassembled and CRC-checked; the
+  /// handler owes the connection its kInstallReply.
+  virtual void OnInstall(uint64_t conn_id, InstallSnapshot snapshot) = 0;
 };
 
 /// Socket front end for an EstimationService: a single-threaded poll event
@@ -120,13 +123,13 @@ class NetServer {
     uint64_t sheds = 0;               ///< batches refused by admission
   };
 
-  /// `service` may be nullptr when a FrameHandler supplies all dispatch
+  /// `service` may be nullptr when a FrameHandler supplies the dispatch
   /// (router mode); with a null service and no handler every content
   /// frame is answered with an error.
   NetServer(EstimationService* service, NetServerOptions options);
 
-  /// Installs the router-mode dispatch hook. Must be called before
-  /// Start().
+  /// Installs the router-mode dispatch hook, which also makes the hello
+  /// ack's role "router". Must be called before Start().
   void set_frame_handler(FrameHandler* handler) { handler_ = handler; }
 
   /// Queues `frames` for connection `conn_id` and wakes the event loop to
@@ -205,7 +208,6 @@ class NetServer {
   void SendError(Connection* conn, const std::string& message);
   void BeginDrain();
   void DrainPostedReplies();
-  void NotifyDisconnect(const Connection& conn);
   void SetConnectionGauge();
 
   EstimationService* service_;

@@ -133,9 +133,23 @@ int ServiceHarness::Run(std::istream& in, std::ostream& out) {
       std::string collection;
       size_t count = 0;
       BatchOptions options;
+      std::string query_line;
+      // Consumes the rest of a batch's promised query lines (up to EOF,
+      // keeping none), so that a failed batch leaves the session parseable
+      // and none of its query lines runs as a command.
+      auto skip_lines = [&](size_t lines) {
+        for (size_t i = 0; i < lines; ++i) {
+          if (ReadBoundedLine(in, &query_line, max_line_bytes_) !=
+                  LineStatus::kOk &&
+              in.eof()) {
+            break;
+          }
+        }
+      };
       std::string error =
           ParseBatchHeader(line, &collection, &count, &options);
       if (!error.empty()) {
+        skip_lines(count);
         out << error;
         out.flush();
         continue;
@@ -144,23 +158,15 @@ int ServiceHarness::Run(std::istream& in, std::ostream& out) {
       // with query lines actually received.
       std::vector<std::string> queries;
       bool aborted = false;
-      std::string query_line;
       for (size_t i = 0; i < count && !aborted; ++i) {
         switch (ReadBoundedLine(in, &query_line, max_line_bytes_)) {
           case LineStatus::kOk:
             queries.push_back(query_line);
             break;
           case LineStatus::kTooLong:
-            // Consume the rest of the promised lines so the session stays
-            // parseable, then fail the whole batch: a truncated query
-            // must not silently estimate as something else.
-            for (size_t j = i + 1; j < count; ++j) {
-              if (ReadBoundedLine(in, &query_line, max_line_bytes_) !=
-                      LineStatus::kOk &&
-                  in.eof()) {
-                break;
-              }
-            }
+            // Fail the whole batch: a truncated query must not silently
+            // estimate as something else.
+            skip_lines(count - i - 1);
             out << "err batch aborted: query " << i << " exceeds "
                 << max_line_bytes_ << " bytes\n";
             aborted = true;
@@ -378,6 +384,8 @@ std::string ServiceHarness::ParseBatchHeader(const std::string& line,
   if (name.empty() || parsed_count < 0) {
     return "err batch needs <name> <count>\n";
   }
+  *collection = name;
+  *count = static_cast<size_t>(parsed_count);
   std::string extra;
   while (tokens >> extra) {
     if (extra == "explain") {
@@ -403,8 +411,6 @@ std::string ServiceHarness::ParseBatchHeader(const std::string& line,
       return "err unknown batch option '" + extra + "'\n";
     }
   }
-  *collection = name;
-  *count = static_cast<size_t>(parsed_count);
   return "";
 }
 

@@ -120,7 +120,9 @@ class ServiceHarness {
   /// Parses a "batch <name> <k> [deadline_us=N] [priority=interactive|bulk]
   /// [explain]" header line.
   /// Returns "" and fills the outputs on success, or the `err ...`
-  /// response text on failure.
+  /// response text on failure. `collection` and `count` are filled as soon
+  /// as they parse, so a header whose options fail still says how many
+  /// query lines it promised.
   static std::string ParseBatchHeader(const std::string& line,
                                       std::string* collection, size_t* count,
                                       BatchOptions* options);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -16,12 +17,18 @@
 #include "common/io/crc32c.h"
 #include "common/telemetry/telemetry.h"
 #include "common/telemetry/trace.h"
+#include "common/rng.h"
 #include "core/xcluster.h"
+#include "eval/evaluator.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "query/parser.h"
+#include "random_twigs.h"
 #include "raw_peer.h"
 #include "service/service.h"
+#include "storage/xcsf_writer.h"
+#include "synopsis/reference.h"
 
 namespace xcluster {
 namespace cluster {
@@ -740,6 +747,60 @@ TEST(ClusterE2E, RouterTraceIdSpansRouterAndReplica) {
   // The router echoes the client's id, and files the batch under it in its
   // own flight ring; the replica leg carried the same id.
   EXPECT_EQ(reply.value().trace_id, options.trace.trace_id);
+}
+
+// Routed answers hold to the exact answer, not only to a replica's: a
+// random document's reference synopsis estimates structural twigs exactly,
+// so a batch and an `estimate` routed to either of two replicas must both
+// reproduce ExactEvaluator.
+TEST(ClusterE2E, RoutedEstimatesMatchTheExactAnswer) {
+  Rng rng(2718);
+  const XmlDocument doc = RandomDocument(&rng, 150);
+  const GraphSynopsis reference =
+      BuildReferenceSynopsis(doc, ReferenceOptions());
+  const ExactEvaluator evaluator(doc, reference.term_dictionary().get());
+  // Twigs travel as text, so only those whose text parses back to the same
+  // twig are asked.
+  std::vector<std::string> queries;
+  std::vector<double> truth;
+  for (int i = 0; i < 40; ++i) {
+    const TwigQuery query = RandomStructuralQuery(&rng);
+    const std::string text = query.ToString();
+    const Result<TwigQuery> parsed = ParseTwig(text);
+    if (!parsed.ok() || parsed.value().ToString() != text) continue;
+    queries.push_back(text);
+    truth.push_back(evaluator.Selectivity(query));
+  }
+  ASSERT_GE(queries.size(), 20u);
+  std::string image;
+  ASSERT_TRUE(storage::XcsfWriter::Encode(reference, &image).ok());
+
+  Replica first = StartReplica();
+  Replica second = StartReplica();
+  std::unique_ptr<Router> router =
+      StartRouter({first.address(), second.address()});
+  net::NetClient client = ConnectOrDie(router->port());
+  Result<net::InstallReplyFrame> installed = client.Install("random", image);
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  ASSERT_TRUE(installed.value().ok) << installed.value().message;
+
+  Result<net::BatchReplyFrame> batch = client.Batch("random", queries, {});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch.value().items.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const double tolerance = 1e-6 * (1.0 + truth[i]);
+    const net::BatchReplyItem& item = batch.value().items[i];
+    ASSERT_TRUE(item.ok) << queries[i] << ": " << item.error;
+    EXPECT_NEAR(item.estimate, truth[i], tolerance) << queries[i];
+
+    Result<std::string> line = client.Command("estimate random " + queries[i]);
+    ASSERT_TRUE(line.ok()) << line.status().ToString();
+    ASSERT_EQ(line.value().rfind("ok estimate ", 0), 0u) << line.value();
+    // %.6g prints these integer counts exactly.
+    EXPECT_NEAR(std::strtod(line.value().c_str() + 12, nullptr), truth[i],
+                tolerance)
+        << queries[i];
+  }
 }
 
 #if XCLUSTER_TELEMETRY_ENABLED

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "build/builder.h"
+#include "common/io/bytes.h"
 #include "common/io/crc32c.h"
 #include "common/rng.h"
 #include "data/imdb.h"
@@ -400,6 +401,186 @@ TEST_P(ProtocolFuzzTest, MutatedInstallSequencesReassembleOrFailCleanly) {
       }
     }
   }
+}
+
+// --- Structure-aware edits of the counts and lengths the decoders trust ---
+
+/// One integer field of a payload: its byte span and the value it holds.
+struct PayloadField {
+  size_t at = 0;
+  size_t end = 0;
+  uint64_t value = 0;
+};
+
+PayloadField ReadVarintField(StringSource* source) {
+  PayloadField field;
+  field.at = source->Position();
+  EXPECT_TRUE(GetVarint64(source, &field.value).ok());
+  field.end = source->Position();
+  return field;
+}
+
+/// A kBatch payload's query count and the length prefix of query `slot`
+/// (modulo the count).
+std::vector<PayloadField> BatchRequestFields(const std::string& payload,
+                                             size_t slot) {
+  StringSource source(payload);
+  std::string text;
+  uint64_t fixed64 = 0;
+  uint8_t flags = 0;
+  EXPECT_TRUE(GetLengthPrefixed(&source, &text).ok());  // collection
+  EXPECT_TRUE(GetFixed64(&source, &fixed64).ok());       // deadline
+  EXPECT_TRUE(GetFixed8(&source, &flags).ok());
+  if ((flags & 4) != 0) {  // trace id and sampled byte
+    EXPECT_TRUE(source.Skip(9).ok());
+  }
+  const PayloadField count = ReadVarintField(&source);
+  for (uint64_t i = 0; i < slot % count.value; ++i) {
+    EXPECT_TRUE(GetLengthPrefixed(&source, &text).ok());
+  }
+  return {count, ReadVarintField(&source)};
+}
+
+/// A kBatchReply payload's item count and the explanation or error length
+/// prefix of item `slot` (modulo the count).
+std::vector<PayloadField> BatchReplyFields(const std::string& payload,
+                                           size_t slot) {
+  StringSource source(payload);
+  const PayloadField count = ReadVarintField(&source);
+  std::string text;
+  for (uint64_t i = 0;; ++i) {
+    uint8_t ok = 0;
+    EXPECT_TRUE(GetFixed8(&source, &ok).ok());
+    if (ok != 0) {
+      EXPECT_TRUE(source.Skip(8).ok());  // the estimate
+    }
+    if (i == slot % count.value) return {count, ReadVarintField(&source)};
+    EXPECT_TRUE(GetLengthPrefixed(&source, &text).ok());
+  }
+}
+
+/// An install payload's total_bytes, chunk_index and chunk_count fields.
+std::vector<PayloadField> InstallHeaderFields(const std::string& payload) {
+  StringSource source(payload);
+  std::string name;
+  EXPECT_TRUE(GetLengthPrefixed(&source, &name).ok());
+  EXPECT_TRUE(source.Skip(8).ok());  // the generation
+  std::vector<PayloadField> fields;
+  for (const size_t width : {8, 4, 4}) {
+    PayloadField field;
+    field.at = source.Position();
+    field.end = field.at + width;
+    uint32_t narrow = 0;
+    EXPECT_TRUE((width == 8 ? GetFixed64(&source, &field.value)
+                            : GetFixed32(&source, &narrow))
+                    .ok());
+    if (width == 4) field.value = narrow;
+    fields.push_back(field);
+  }
+  return fields;
+}
+
+/// The values an edit gives a count or length: 0, the true value and its
+/// neighbours, the byte count after the field, and every power of two.
+std::vector<uint64_t> EdgeValues(const PayloadField& field,
+                                 const std::string& payload) {
+  std::vector<uint64_t> values = {0, field.value - 1, field.value,
+                                  field.value + 1, payload.size() - field.end};
+  for (int k = 0; k < 64; ++k) values.push_back(uint64_t{1} << k);
+  return values;
+}
+
+TEST_P(ProtocolFuzzTest, EdgeCountsAndLengthsDecodeCleanly) {
+  Rng rng(GetParam() ^ 0xed9e5);
+  namespace golden = net::golden;
+  const std::vector<GoldenPayload> seeds = {
+      {net::FrameType::kBatch, golden::FromHex(golden::kBatchRequest)},
+      {net::FrameType::kBatchReply, golden::FromHex(golden::kBatchReply)},
+      {net::FrameType::kBatchReply,
+       golden::FromHex(golden::kBatchReplyExplain)},
+  };
+  size_t decoded = 0;
+  size_t rejected = 0;
+  for (int round = 0; round < 40; ++round) {
+    const GoldenPayload& seed = seeds[rng.Uniform(seeds.size())];
+    const size_t slot = rng.Uniform(8);
+    const std::vector<PayloadField> fields =
+        seed.type == net::FrameType::kBatch
+            ? BatchRequestFields(seed.bytes, slot)
+            : BatchReplyFields(seed.bytes, slot);
+    const PayloadField& field = fields[rng.Uniform(fields.size())];
+    for (const uint64_t value : EdgeValues(field, seed.bytes)) {
+      std::string edited = seed.bytes.substr(0, field.at);
+      StringSink sink(&edited);
+      PutVarint64(&sink, value);
+      edited += seed.bytes.substr(field.end);
+      const bool ok = DecodePayload(seed.type, edited);
+      if (value == field.value) {
+        EXPECT_TRUE(ok) << "field at " << field.at;
+      }
+      ++(ok ? decoded : rejected);
+    }
+  }
+  EXPECT_GT(decoded, 40u);
+  EXPECT_GT(rejected, 40u);
+}
+
+TEST_P(ProtocolFuzzTest, EdgeInstallHeadersReassembleOrFailCleanly) {
+  Rng rng(GetParam() ^ 0x1257ed9e);
+  const std::string snapshot = "an XCSF image stands in here: 0123456789";
+  std::vector<std::string> chunks;
+  net::InstallFrame frame =
+      net::DecodeInstall(net::golden::FromHex(net::golden::kInstall)).value();
+  frame.total_bytes = snapshot.size();
+  frame.chunk_count = 4;
+  frame.snapshot_crc =
+      crc32c::Mask(crc32c::Value(snapshot.data(), snapshot.size()));
+  for (uint32_t index = 0; index < frame.chunk_count; ++index) {
+    frame.chunk_index = index;
+    frame.chunk = snapshot.substr(index * 10, 10);
+    chunks.push_back(net::EncodeInstall(frame));
+  }
+  size_t completed = 0;
+  size_t refused = 0;
+  net::InstallAssembler assembler(/*max_frame_bytes=*/64,
+                                  /*max_install_bytes=*/256);
+  for (int round = 0; round < 300; ++round) {
+    // One or two header fields rewritten in place, anywhere in the
+    // sequence; the assembler carries over from round to round.
+    std::vector<std::string> sequence = chunks;
+    for (size_t edit = 1 + rng.Uniform(2); edit > 0; --edit) {
+      std::string& payload = sequence[rng.Uniform(sequence.size())];
+      const std::vector<PayloadField> fields = InstallHeaderFields(payload);
+      const PayloadField& field = fields[rng.Uniform(fields.size())];
+      const std::vector<uint64_t> values = EdgeValues(field, payload);
+      uint64_t value = values[rng.Uniform(values.size())];
+      for (size_t at = field.at; at < field.end; ++at, value >>= 8) {
+        payload[at] = static_cast<char>(value & 0xff);
+      }
+    }
+    for (const std::string& payload : sequence) {
+      DecodePayload(net::FrameType::kInstall, payload);
+      bool complete = false;
+      Status added = assembler.Add(payload, &complete);
+      if (!added.ok()) {
+        EXPECT_FALSE(added.ToString().empty());
+        ++refused;
+        continue;
+      }
+      if (!complete) continue;
+      Result<net::InstallSnapshot> taken = assembler.Take();
+      if (!taken.ok()) {
+        EXPECT_FALSE(taken.status().ToString().empty());
+        continue;
+      }
+      // The whole-snapshot CRC admits only the snapshot that was sent.
+      EXPECT_EQ(taken.value().bytes, snapshot);
+      EXPECT_EQ(taken.value().name, frame.name);
+      ++completed;
+    }
+  }
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(refused, 100u);
 }
 
 // --- XCSF images, seeded with small generator builds ---------------------

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/telemetry/telemetry.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/protocol.h"
@@ -254,6 +255,12 @@ TEST_F(NetServerTest, ConnectionCapShedsWithCapacityError) {
   NetClient first = ConnectOrDie();
   NetClient second = ConnectOrDie();
   ASSERT_TRUE(WaitFor([&] { return server_->active_connections() == 2; }));
+#if XCLUSTER_TELEMETRY_ENABLED
+  const telemetry::Counter* frames_tx =
+      telemetry::MetricsRegistry::Global().GetCounter("net.frames.tx");
+  const uint64_t counted_before = frames_tx->value();
+  const uint64_t sent_before = server_->stats().frames_tx;
+#endif
 
   Result<NetClient> third = NetClient::Connect("127.0.0.1", server_->port());
   EXPECT_FALSE(third.ok());
@@ -261,6 +268,14 @@ TEST_F(NetServerTest, ConnectionCapShedsWithCapacityError) {
             std::string::npos)
       << third.status().ToString();
   EXPECT_TRUE(WaitFor([&] { return server_->stats().rejected == 1; }));
+#if XCLUSTER_TELEMETRY_ENABLED
+  // The refusal is a frame like any other: the exported counter sees it.
+  EXPECT_TRUE(WaitFor([&] {
+    const uint64_t sent = server_->stats().frames_tx - sent_before;
+    return sent >= 1 && frames_tx->value() - counted_before == sent;
+  })) << "net.frames.tx grew by " << frames_tx->value() - counted_before
+      << ", stats().frames_tx by " << server_->stats().frames_tx - sent_before;
+#endif
 
   // The admitted connections keep working while the cap sheds the third.
   Result<std::string> reply = first.Command("estimate books /A");

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,70 +12,19 @@
 #include "build/delta.h"
 #include "common/rng.h"
 #include "core/xcluster.h"
+#include "estimate/batch_estimator.h"
+#include "estimate/compiled_twig.h"
+#include "estimate/flat_estimator.h"
 #include "eval/evaluator.h"
 #include "oracle/merge_score.h"
 #include "oracle/xcluster_estimator.h"
+#include "random_twigs.h"
+#include "storage/xcsf_writer.h"
 #include "synopsis/reference.h"
 #include "xml/document.h"
 
 namespace xcluster {
 namespace {
-
-/// Builds a random document: random branching, labels from a small pool,
-/// values of all three types sprinkled on leaves.
-XmlDocument RandomDocument(Rng* rng, size_t target_nodes) {
-  const char* labels[] = {"a", "b", "c", "d", "e"};
-  XmlDocument doc;
-  NodeId root = doc.CreateRoot("root");
-  std::vector<NodeId> frontier = {root};
-  while (doc.size() < target_nodes && !frontier.empty()) {
-    NodeId parent = frontier[rng->Uniform(frontier.size())];
-    NodeId child = doc.AddChild(parent, labels[rng->Uniform(5)]);
-    switch (rng->Uniform(5)) {
-      case 0:
-        doc.SetNumeric(child, static_cast<int64_t>(rng->Uniform(50)));
-        break;
-      case 1:
-        doc.SetString(child, std::string(1 + rng->Uniform(4), 'x') +
-                                 static_cast<char>('a' + rng->Uniform(4)));
-        break;
-      case 2:
-        doc.SetText(child, rng->Bernoulli(0.5) ? "red fox" : "blue fox");
-        break;
-      default:
-        frontier.push_back(child);  // interior node; can get children
-        break;
-    }
-  }
-  return doc;
-}
-
-/// A random structural twig query over the label pool.
-TwigQuery RandomStructuralQuery(Rng* rng) {
-  const char* labels[] = {"a", "b", "c", "d", "e"};
-  TwigQuery query;
-  QueryVarId current = 0;
-  size_t steps = 1 + rng->Uniform(3);
-  for (size_t i = 0; i < steps; ++i) {
-    TwigStep step;
-    step.axis = rng->Bernoulli(0.5) ? TwigStep::Axis::kChild
-                                    : TwigStep::Axis::kDescendant;
-    if (rng->Bernoulli(0.15)) {
-      step.wildcard = true;
-    } else {
-      step.label = labels[rng->Uniform(5)];
-    }
-    QueryVarId next = query.AddVar(current, step);
-    if (rng->Bernoulli(0.3) && i + 1 < steps) {
-      // Branch: attach one extra child var and keep extending the spine.
-      TwigStep branch;
-      branch.label = labels[rng->Uniform(5)];
-      query.AddVar(current, branch);
-    }
-    current = next;
-  }
-  return query;
-}
 
 class RandomizedTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -90,6 +40,50 @@ TEST_P(RandomizedTest, ReferenceEstimatesStructuralQueriesExactly) {
     double estimate = estimator.Estimate(query);
     EXPECT_NEAR(estimate, truth, 1e-6 * (1.0 + truth)) << query.ToString();
   }
+}
+
+// The serving engine, not only the oracle, answers a reference synopsis
+// exactly: FlatEstimator over the compiled image, one plan at a time and
+// as the lanes of the batch partition a served batch runs.
+TEST_P(RandomizedTest, ServingEngineEstimatesStructuralQueriesExactly) {
+  Rng rng(GetParam());
+  XmlDocument doc = RandomDocument(&rng, 150);
+  GraphSynopsis reference = BuildReferenceSynopsis(doc, ReferenceOptions());
+  ExactEvaluator evaluator(doc, reference.term_dictionary().get());
+  const std::shared_ptr<const FlatSynopsis> flat =
+      storage::CompileXcsf(reference);
+  ASSERT_NE(flat, nullptr);
+  const FlatEstimator estimator(*flat);
+  std::vector<TwigQuery> queries;
+  std::vector<CompiledTwig> plans;
+  for (int i = 0; i < 40; ++i) {
+    queries.push_back(RandomStructuralQuery(&rng));
+    plans.push_back(CompiledTwig::Compile(queries.back(), *flat));
+  }
+  std::vector<double> truth;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    truth.push_back(evaluator.Selectivity(queries[i]));
+    EXPECT_NEAR(estimator.Estimate(plans[i]), truth[i],
+                1e-6 * (1.0 + truth[i]))
+        << queries[i].ToString();
+  }
+
+  std::vector<const CompiledTwig*> slots;
+  for (const CompiledTwig& plan : plans) slots.push_back(&plan);
+  const BatchPlan batch = BatchPlan::Build(slots);
+  size_t answered = 0;
+  for (const BatchPlan::Group& group : batch.groups()) {
+    std::vector<double> lanes(group.num_lanes());
+    estimator.EstimateLanes(group.plans, lanes.data());
+    for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
+      for (const uint32_t slot : group.lane_slots[lane]) {
+        EXPECT_NEAR(lanes[lane], truth[slot], 1e-6 * (1.0 + truth[slot]))
+            << queries[slot].ToString();
+        ++answered;
+      }
+    }
+  }
+  EXPECT_EQ(answered, queries.size());
 }
 
 TEST_P(RandomizedTest, MergeSequencePreservesInvariants) {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/service.h"
@@ -124,6 +125,8 @@ TEST(ServiceHarnessTest, MalformedRequestsGetErrNotCrash) {
       "estimate\n"
       "batch books -1\n"
       "batch books 2 frobnicate\n"
+      "/A\n"
+      "/A\n"
       "quit\n");
   ASSERT_EQ(lines.size(), 7u);
   EXPECT_TRUE(StartsWith(lines[0], "err unknown command 'bogus'"));
@@ -156,6 +159,39 @@ TEST(ServiceHarnessTest, HugeDeclaredBatchCountAllocatesNothingUpFront) {
                                              "/A\n");
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], "err batch truncated: got 1 of 99999999999 queries");
+}
+
+// A header whose options fail still promised its query lines: they are
+// read and dropped with it, so a query line that spells a command never
+// runs as one.
+TEST(ServiceHarnessTest, RejectedBatchHeaderConsumesItsQueryLines) {
+  EstimationService service;
+  service.store().Install("books", MakeFixture());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"batch books 2 deadline_us=abc", "err bad deadline_us 'abc'"},
+      {"batch books 2 frobnicate", "err unknown batch option 'frobnicate'"},
+      {"batch books 2 priority=nope", "err bad priority 'nope'"},
+  };
+  for (const auto& [header, error] : cases) {
+    std::vector<std::string> lines =
+        RunScript(&service, header + "\n//book\nlist\n");
+    ASSERT_EQ(lines.size(), 1u) << header;
+    EXPECT_TRUE(StartsWith(lines[0], error)) << lines[0];
+  }
+  // The session goes on after the promised lines.
+  std::vector<std::string> lines = RunScript(
+      &service, "batch books 1 frobnicate\nlist\nestimate books /A\n");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_TRUE(StartsWith(lines[1], "ok estimate 10")) << lines[1];
+}
+
+// Dropping a rejected batch's lines stops at EOF and keeps none of them.
+TEST(ServiceHarnessTest, HugeCountOnARejectedHeaderAllocatesNothing) {
+  EstimationService service;
+  std::vector<std::string> lines =
+      RunScript(&service, "batch books 99999999999 bogus\n/A\n");
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "err unknown batch option 'bogus'");
 }
 
 TEST(ServiceHarnessTest, OversizedLineIsAProtocolErrorNotATruncatedCommand) {
@@ -297,7 +333,7 @@ TEST(ServiceHarnessTest, MalformedDeadlineIsAnError) {
        {"abc", "-1", "18446744073709552", "99999999999999999999999", "",
         "5x"}) {
     std::vector<std::string> lines = RunScript(
-        &service, "batch books 1 deadline_us=" + value + "\nquit\n");
+        &service, "batch books 1 deadline_us=" + value + "\n/A\nquit\n");
     ASSERT_EQ(lines.size(), 2u) << value;
     EXPECT_EQ(lines[0], "err bad deadline_us '" + value +
                             "' (microseconds, 0 = unbounded)");
@@ -354,6 +390,7 @@ TEST(ServiceHarnessTest, BatchPriorityOptionParses) {
                                              "batch books 1 priority=bulk\n"
                                              "/A\n"
                                              "batch books 1 priority=nope\n"
+                                             "/A\n"
                                              "quit\n");
   ASSERT_EQ(lines.size(), 4u);
   EXPECT_TRUE(StartsWith(lines[0], "ok batch n=1 ok=1 err=0")) << lines[0];
