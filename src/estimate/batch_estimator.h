@@ -38,7 +38,10 @@ class BatchPlan {
   /// nullptr for slots that have no plan (parse failures, empty lines):
   /// those slots simply appear in no group. Groups preserve first-seen
   /// order; lanes within a group preserve slot order, so the partition is
-  /// deterministic for a given batch.
+  /// deterministic for a given batch. Allocates per batch, not per plan:
+  /// two flat probe tables of at least twice the batch's size (plan
+  /// object to lane, group key to group; SameStructure settles a key
+  /// collision), the group array, and each group's and lane's vectors.
   static BatchPlan Build(const std::vector<const CompiledTwig*>& plans);
 
   const std::vector<Group>& groups() const { return groups_; }

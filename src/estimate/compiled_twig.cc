@@ -1,6 +1,6 @@
 #include "estimate/compiled_twig.h"
 
-#include <optional>
+#include <utility>
 
 namespace xcluster {
 
@@ -20,21 +20,18 @@ uint64_t HashCombine(uint64_t seed, uint64_t value) {
 
 CompiledTwig CompiledTwig::Compile(const TwigQuery& query,
                                    const FlatSynopsis& synopsis) {
-  std::optional<TwigQuery> storage;
-  const TwigQuery* resolved = &query;
-  if (query.has_term_predicates() && !query.terms_resolved() &&
-      synopsis.term_resolver() != nullptr) {
-    storage.emplace(query);
-    storage->ResolveTerms(*synopsis.term_resolver());
-    resolved = &storage.value();
-  }
-
+  // Unresolved full-text terms are resolved on the plan's own copies of
+  // the predicates, so the query is read, never copied.
+  const TermResolver* resolver =
+      query.has_term_predicates() && !query.terms_resolved()
+          ? synopsis.term_resolver()
+          : nullptr;
   CompiledTwig plan;
-  plan.has_unknown_terms_ = resolved->has_unknown_terms();
-  plan.vars_.reserve(resolved->size());
-  uint64_t key = HashCombine(0, resolved->size());
-  for (QueryVarId id = 0; id < resolved->size(); ++id) {
-    const QueryVar& var = resolved->var(id);
+  plan.has_unknown_terms_ = resolver == nullptr && query.has_unknown_terms();
+  plan.vars_.reserve(query.size());
+  uint64_t key = HashCombine(0, query.size());
+  for (QueryVarId id = 0; id < query.size(); ++id) {
+    const QueryVar& var = query.var(id);
     CompiledVar compiled;
     compiled.axis = var.step.axis;
     compiled.wildcard = var.step.wildcard;
@@ -42,6 +39,13 @@ CompiledTwig CompiledTwig::Compile(const TwigQuery& query,
       compiled.label = synopsis.LookupLabel(var.step.label);
     }
     compiled.predicates = var.predicates;
+    if (resolver != nullptr) {
+      for (ValuePredicate& pred : compiled.predicates) {
+        if (ResolvePredicateTerms(*resolver, &pred)) {
+          plan.has_unknown_terms_ = true;
+        }
+      }
+    }
     compiled.children.assign(var.children.begin(), var.children.end());
     if (id != 0) compiled.step_string = var.step.ToString();
     key = HashCombine(key, static_cast<uint64_t>(compiled.axis));

@@ -39,8 +39,8 @@ struct CompiledVar {
 class CompiledTwig {
  public:
   /// Compiles `query` against `synopsis`. Unresolved full-text terms are
-  /// resolved against the synopsis dictionary (the query itself is left
-  /// untouched).
+  /// resolved against the synopsis dictionary on the plan's copies of the
+  /// predicates (the query itself is neither copied nor touched).
   static CompiledTwig Compile(const TwigQuery& query,
                               const FlatSynopsis& synopsis);
 

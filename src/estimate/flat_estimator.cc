@@ -14,28 +14,47 @@ FlatEstimator::FlatEstimator(const FlatSynopsis& synopsis,
       reach_cache_(ReachCache::Options{options.reach_cache_capacity,
                                        options.reach_cache_shards}) {}
 
-template <typename Visit>
-void FlatEstimator::ForEachTarget(FlatNodeId source, const CompiledVar& step,
-                                  Visit&& visit) const {
+FlatEstimator::TargetWalk FlatEstimator::Walk(FlatNodeId source,
+                                              const CompiledVar& step,
+                                              ReachPins* pins) const {
+  TargetWalk walk;
   if (step.axis == TwigStep::Axis::kChild) {
+    size_t begin = 0, end = 0;
     if (step.wildcard) {
-      const size_t end = synopsis_.edges_end(source);
-      for (size_t e = synopsis_.edges_begin(source); e < end; ++e) {
-        visit(synopsis_.edge_target(e), synopsis_.edge_count(e));
-      }
+      begin = synopsis_.edges_begin(source);
+      end = synopsis_.edges_end(source);
     } else {
-      size_t begin = 0, end = 0;
       synopsis_.LabelRun(source, step.label, &begin, &end);
-      for (size_t e = begin; e < end; ++e) {
-        visit(synopsis_.sorted_edge_target(e), synopsis_.sorted_edge_count(e));
-      }
     }
-    return;
+    walk.begin = static_cast<uint32_t>(begin);
+    walk.end = static_cast<uint32_t>(end);
+    return walk;
   }
-  const std::shared_ptr<const ReachCache::Value> reach =
+  std::shared_ptr<const ReachCache::Value> reach =
       DescendantReach(source, step);
-  if (reach == nullptr) return;
-  for (const auto& [target, count] : *reach) visit(target, count);
+  if (reach == nullptr || reach->empty()) return walk;
+  walk.begin = static_cast<uint32_t>(pins->size());
+  walk.end = walk.begin + 1;
+  pins->push_back(std::move(reach));
+  return walk;
+}
+
+template <typename Visit>
+void FlatEstimator::Replay(const TargetWalk& walk, const CompiledVar& step,
+                           const ReachPins& pins, Visit&& visit) const {
+  if (step.axis == TwigStep::Axis::kDescendant) {
+    for (uint32_t pin = walk.begin; pin < walk.end; ++pin) {
+      for (const auto& [target, count] : *pins[pin]) visit(target, count);
+    }
+  } else if (step.wildcard) {
+    for (size_t e = walk.begin; e < walk.end; ++e) {
+      visit(synopsis_.edge_target(e), synopsis_.edge_count(e));
+    }
+  } else {
+    for (size_t e = walk.begin; e < walk.end; ++e) {
+      visit(synopsis_.sorted_edge_target(e), synopsis_.sorted_edge_count(e));
+    }
+  }
 }
 
 std::shared_ptr<const ReachCache::Value> FlatEstimator::DescendantReach(
@@ -52,21 +71,65 @@ std::shared_ptr<const ReachCache::Value> FlatEstimator::DescendantReach(
                                       ComputeDescendantReach(source, var)));
 }
 
+namespace {
+
+/// The reach DP's per-thread buffers. Between calls every mass is 0.0 and
+/// every flag 0 (a call resets exactly the entries it touched), so a call
+/// over a synopsis of n nodes only grows the arrays to n.
+struct ReachScratch {
+  std::vector<double> frontier_mass;
+  std::vector<double> next_mass;
+  std::vector<double> reached_mass;
+  std::vector<uint8_t> in_next;
+  std::vector<uint8_t> in_reached;
+  std::vector<uint32_t> frontier_ids;
+  std::vector<uint32_t> next_ids;
+  std::vector<uint32_t> reached_ids;
+  /// False while a call is running: a call that did not finish (an
+  /// exception) leaves it false, and the next call clears everything.
+  bool clean = true;
+
+  void Prepare(uint32_t n) {
+    if (!clean) {
+      frontier_mass.assign(frontier_mass.size(), 0.0);
+      next_mass.assign(next_mass.size(), 0.0);
+      reached_mass.assign(reached_mass.size(), 0.0);
+      in_next.assign(in_next.size(), 0);
+      in_reached.assign(in_reached.size(), 0);
+    }
+    clean = false;
+    if (frontier_mass.size() < n) {
+      frontier_mass.resize(n, 0.0);
+      next_mass.resize(n, 0.0);
+      reached_mass.resize(n, 0.0);
+      in_next.resize(n, 0);
+      in_reached.resize(n, 0);
+    }
+    frontier_ids.clear();
+    next_ids.clear();
+    reached_ids.clear();
+  }
+};
+
+}  // namespace
+
 ReachCache::Value FlatEstimator::ComputeDescendantReach(
     FlatNodeId source, const CompiledVar& var) const {
   // Bounded-hop dense DP over the CSR adjacency. Sources are drained in
   // ascending flat id and children in stored order — the same summation
   // order as an ordered-map DP over the source graph, which keeps every
   // accumulated double bit-identical to the reference estimator.
-  const uint32_t n = synopsis_.num_nodes();
-  std::vector<double> frontier_mass(n, 0.0);
-  std::vector<double> next_mass(n, 0.0);
-  std::vector<double> reached_mass(n, 0.0);
-  std::vector<uint8_t> in_next(n, 0);
-  std::vector<uint8_t> in_reached(n, 0);
-  std::vector<uint32_t> frontier_ids{source};
-  std::vector<uint32_t> next_ids;
-  std::vector<uint32_t> reached_ids;
+  thread_local ReachScratch scratch;
+  scratch.Prepare(synopsis_.num_nodes());
+  double* frontier_mass = scratch.frontier_mass.data();
+  double* next_mass = scratch.next_mass.data();
+  double* reached_mass = scratch.reached_mass.data();
+  uint8_t* in_next = scratch.in_next.data();
+  uint8_t* in_reached = scratch.in_reached.data();
+  std::vector<uint32_t>& frontier_ids = scratch.frontier_ids;
+  std::vector<uint32_t>& next_ids = scratch.next_ids;
+  std::vector<uint32_t>& reached_ids = scratch.reached_ids;
+  frontier_ids.push_back(source);
   frontier_mass[source] = 1.0;
 
   for (size_t hop = 0; hop < options_.max_descendant_hops; ++hop) {
@@ -98,7 +161,7 @@ ReachCache::Value FlatEstimator::ComputeDescendantReach(
     // Retire the drained frontier buffer, promote next, reset its flags.
     for (const uint32_t node : frontier_ids) frontier_mass[node] = 0.0;
     frontier_ids.swap(next_ids);
-    frontier_mass.swap(next_mass);
+    std::swap(frontier_mass, next_mass);
     for (const uint32_t node : frontier_ids) in_next[node] = 0;
   }
 
@@ -107,7 +170,12 @@ ReachCache::Value FlatEstimator::ComputeDescendantReach(
   result.reserve(reached_ids.size());
   for (const uint32_t node : reached_ids) {
     result.push_back({node, reached_mass[node]});
+    reached_mass[node] = 0.0;
+    in_reached[node] = 0;
   }
+  // The last frontier's masses are all that is left set.
+  for (const uint32_t node : frontier_ids) frontier_mass[node] = 0.0;
+  scratch.clean = true;
   return result;
 }
 
@@ -138,6 +206,29 @@ double FlatEstimator::Estimate(const CompiledTwig& plan) const {
   return estimate;
 }
 
+/// EstimateLanes' per-thread buffers. Everything a call reads it wrote
+/// first, so nothing is cleared between calls, and the arrays only grow.
+struct FlatEstimator::LaneScratch {
+  /// Active nodes of every variable, one range per variable: v's range is
+  /// [var_begin[v], var_begin[v] + var_size[v]), ascending after the
+  /// structure pass reaches v.
+  std::vector<FlatNodeId> nodes;
+  std::vector<uint32_t> var_begin;
+  std::vector<uint32_t> var_size;
+  /// The structure pass's walks: the walk of v's k-th child from v's i-th
+  /// node is walks[walk_base[v] + k * var_size[v] + i].
+  std::vector<TargetWalk> walks;
+  std::vector<uint32_t> walk_base;
+  /// Reach vectors the walks read, held until the call ends.
+  ReachPins pins;
+  /// slot[node]: the row of `node` in the table of the child being summed.
+  std::vector<uint32_t> slot;
+  /// The lane tables: v's rows start at rows[row_base[v]], L doubles each.
+  std::vector<double> rows;
+  std::vector<size_t> row_base;
+  std::vector<double> sums;
+};
+
 void FlatEstimator::EstimateLanes(std::span<const CompiledTwig* const> lanes,
                                   double* estimates) const {
   const size_t L = lanes.size();
@@ -151,81 +242,117 @@ void FlatEstimator::EstimateLanes(std::span<const CompiledTwig* const> lanes,
 
   const uint32_t num_vars = static_cast<uint32_t>(skeleton.size());
   const uint32_t n = synopsis_.num_nodes();
+  thread_local LaneScratch scratch;
+  std::vector<FlatNodeId>& nodes = scratch.nodes;
+  std::vector<TargetWalk>& walks = scratch.walks;
+  ReachPins& pins = scratch.pins;
+  nodes.clear();
+  walks.clear();
+  pins.clear();
+  if (scratch.var_begin.size() < num_vars) {
+    scratch.var_begin.resize(num_vars);
+    scratch.var_size.resize(num_vars);
+    scratch.walk_base.resize(num_vars);
+    scratch.row_base.resize(num_vars);
+  }
+  uint32_t* var_begin = scratch.var_begin.data();
+  uint32_t* var_size = scratch.var_size.data();
+  uint32_t* walk_base = scratch.walk_base.data();
 
   // --- Structure pass (lane-independent) -------------------------------
-  // active[v]: ascending node ids the embedding DP can bind to variable v,
-  // determined entirely by the shared skeleton.
-  std::vector<std::vector<FlatNodeId>> active(num_vars);
-  // slot_of[v * n + node]: dense row index of `node` in v's memo table.
-  std::vector<uint32_t> slot_of(static_cast<size_t>(num_vars) * n, 0);
-  active[0].push_back(root);
+  // Variable v's active nodes are the ascending, distinct targets of its
+  // parent's walks: the node ids the embedding DP can bind to v,
+  // determined entirely by the shared skeleton. Children have larger
+  // variable ids than their parent (tree construction order), so v's
+  // targets are all collected before the pass reaches v.
+  nodes.push_back(root);
+  var_begin[0] = 0;
+  var_size[0] = 1;
   for (uint32_t v = 0; v < num_vars; ++v) {
-    std::vector<FlatNodeId>& nodes = active[v];
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    uint32_t* slots = slot_of.data() + static_cast<size_t>(v) * n;
-    for (uint32_t i = 0; i < nodes.size(); ++i) slots[nodes[i]] = i;
+    FlatNodeId* first = nodes.data() + var_begin[v];
+    std::sort(first, first + var_size[v]);
+    const uint32_t size =
+        static_cast<uint32_t>(std::unique(first, first + var_size[v]) - first);
+    var_size[v] = size;
+    walk_base[v] = static_cast<uint32_t>(walks.size());
     for (const uint32_t child : skeleton.var(v).children) {
-      std::vector<FlatNodeId>& targets = active[child];
-      for (const FlatNodeId node : nodes) {
-        ForEachTarget(node, skeleton.var(child),
-                      [&](FlatNodeId target, double) {
-                        targets.push_back(target);
-                      });
+      const CompiledVar& step = skeleton.var(child);
+      var_begin[child] = static_cast<uint32_t>(nodes.size());
+      for (uint32_t i = 0; i < size; ++i) {
+        const TargetWalk walk = Walk(nodes[var_begin[v] + i], step, &pins);
+        walks.push_back(walk);
+        Replay(walk, step, pins,
+               [&](FlatNodeId target, double) { nodes.push_back(target); });
       }
+      var_size[child] =
+          static_cast<uint32_t>(nodes.size()) - var_begin[child];
     }
   }
 
   // --- Lane pass (bottom-up, structure-of-arrays) ----------------------
-  // tables[v] holds active[v].size() rows of L contiguous lane doubles:
-  // the expected binding tuples of v's sub-twig per element of the node,
-  // for every lane at once. Children have larger variable ids than their
-  // parent (tree construction order), so descending v sees every child
-  // table complete.
-  std::vector<std::vector<double>> tables(num_vars);
-  std::vector<double> sums(L);
+  // v's table holds var_size[v] rows of L contiguous lane doubles: the
+  // expected binding tuples of v's sub-twig per element of the node, for
+  // every lane at once. Descending v sees every child table complete.
+  size_t* row_base = scratch.row_base.data();
+  size_t total_rows = 0;
+  for (uint32_t v = 0; v < num_vars; ++v) {
+    row_base[v] = total_rows * L;
+    total_rows += var_size[v];
+  }
+  if (scratch.rows.size() < total_rows * L) scratch.rows.resize(total_rows * L);
+  if (scratch.sums.size() < L) scratch.sums.resize(L);
+  if (scratch.slot.size() < n) scratch.slot.resize(n);
+  double* const sums = scratch.sums.data();
+  uint32_t* const slot = scratch.slot.data();
   for (uint32_t v = num_vars; v-- > 0;) {
     const CompiledVar& var = skeleton.var(v);
-    const std::vector<FlatNodeId>& nodes = active[v];
-    std::vector<double>& table = tables[v];
-    table.assign(nodes.size() * L, 0.0);
-    for (uint32_t i = 0; i < nodes.size(); ++i) {
-      const FlatNodeId node = nodes[i];
-      double* result = table.data() + static_cast<size_t>(i) * L;
-      // Per-lane predicate selectivity: the only per-lane scalar work.
+    const FlatNodeId* var_nodes = nodes.data() + var_begin[v];
+    const uint32_t size = var_size[v];
+    double* const table = scratch.rows.data() + row_base[v];
+    // Per-lane predicate selectivity: the only per-lane scalar work.
+    for (uint32_t i = 0; i < size; ++i) {
+      double* result = table + static_cast<size_t>(i) * L;
       for (size_t l = 0; l < L; ++l) {
-        result[l] = PredicateSelectivity(*lanes[l], v, node);
+        result[l] = PredicateSelectivity(*lanes[l], v, var_nodes[i]);
       }
-      for (const uint32_t child : var.children) {
-        const double* child_table = tables[child].data();
-        const uint32_t* child_slots =
-            slot_of.data() + static_cast<size_t>(child) * n;
-        std::fill(sums.begin(), sums.end(), 0.0);
-        // The lane kernel: one shared target walk; per target, a flat
+    }
+    // Each row multiplies in its children's sums in skeleton order.
+    for (size_t k = 0; k < var.children.size(); ++k) {
+      const uint32_t child = var.children[k];
+      const CompiledVar& step = skeleton.var(child);
+      const FlatNodeId* child_nodes = nodes.data() + var_begin[child];
+      for (uint32_t j = 0; j < var_size[child]; ++j) slot[child_nodes[j]] = j;
+      const double* child_table = scratch.rows.data() + row_base[child];
+      const TargetWalk* child_walks =
+          walks.data() + walk_base[v] + k * size;
+      for (uint32_t i = 0; i < size; ++i) {
+        std::fill(sums, sums + L, 0.0);
+        // The lane kernel: one recorded target walk; per target, a flat
         // multiply-accumulate over contiguous lanes — no gather, no
         // branches.
-        ForEachTarget(node, skeleton.var(child),
-                      [&](FlatNodeId target, double count) {
-                        const double* child_row =
-                            child_table +
-                            static_cast<size_t>(child_slots[target]) * L;
-                        for (size_t l = 0; l < L; ++l) {
-                          sums[l] += count * child_row[l];
-                        }
-                      });
+        Replay(child_walks[i], step, pins,
+               [&](FlatNodeId target, double count) {
+                 const double* child_row =
+                     child_table + static_cast<size_t>(slot[target]) * L;
+                 for (size_t l = 0; l < L; ++l) {
+                   sums[l] += count * child_row[l];
+                 }
+               });
         // A lane whose result is already 0.0 stays exactly 0.0 through
         // the remaining finite non-negative sums, so the kernel needs no
         // short-circuit branch.
+        double* result = table + static_cast<size_t>(i) * L;
         for (size_t l = 0; l < L; ++l) {
           result[l] *= sums[l];
         }
       }
     }
   }
+  pins.clear();
 
+  // Variable 0 binds only the root: its table is one row.
   const double root_count = synopsis_.count(root);
-  const double* root_row =
-      tables[0].data() + static_cast<size_t>(slot_of[root]) * L;
+  const double* root_row = scratch.rows.data() + row_base[0];
   for (size_t l = 0; l < L; ++l) {
     // A plan naming a term absent from the dictionary estimates 0.0.
     estimates[l] =
@@ -246,6 +373,7 @@ EstimateExplanation FlatEstimator::Explain(const CompiledTwig& plan) const {
   const uint32_t n = synopsis_.num_nodes();
   std::vector<double> mass(plan.size() * n, 0.0);
   std::vector<std::vector<uint32_t>> touched(plan.size());
+  ReachPins pins;
   mass[root] = synopsis_.count(root);
   touched[0].push_back(root);
 
@@ -276,11 +404,12 @@ EstimateExplanation FlatEstimator::Explain(const CompiledTwig& plan) const {
         const double sigma = PredicateSelectivity(plan, var, node);
         const double amount = row[node] * sigma;
         if (amount <= 0.0) continue;
-        ForEachTarget(node, plan.var(child),
-                      [&](FlatNodeId target, double count) {
-                        child_row[target] += amount * count;
-                        touched[child].push_back(target);
-                      });
+        const CompiledVar& step = plan.var(child);
+        Replay(Walk(node, step, &pins), step, pins,
+               [&](FlatNodeId target, double count) {
+                 child_row[target] += amount * count;
+                 touched[child].push_back(target);
+               });
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "estimate/compiled_twig.h"
 #include "estimate/estimator.h"
@@ -29,12 +30,28 @@ namespace xcluster {
 ///  1. Structure pass (lane-independent): starting from (var 0, root),
 ///     expand each variable's targets through the shared skeleton to find
 ///     the active node set per variable.
+///     Each (node, child step) is walked once, here: the label-run search
+///     or the ReachCache read happens once, and the walk is recorded (an
+///     edge range, or the reach vector, pinned for the call).
 ///  2. Lane pass (bottom-up over variables): for each active (var, node),
-///     per-lane predicate selectivities, then for each skeleton child one
-///     target walk accumulating `sum[l] += count * child_row[l]` across
-///     all lanes, and `result[l] *= sum[l]`.
+///     per-lane predicate selectivities, then for each skeleton child a
+///     replay of the recorded walk accumulating
+///     `sum[l] += count * child_row[l]` across all lanes, and
+///     `result[l] *= sum[l]`.
 /// Estimate is the kernel on one lane. Descendant reach vectors live in a
-/// shared bounded LRU (ReachCache) that every lane group reads in place.
+/// shared bounded LRU (ReachCache) that every lane group reads in place,
+/// once per (node, descendant step).
+///
+/// Scratch: the kernel's buffers and the reach DP's are per thread (a
+/// thread_local in flat_estimator.cc), live as long as the thread and
+/// serve every estimator the thread calls. They are reused across calls,
+/// so a warm call allocates nothing; a reach-cache miss allocates only
+/// the vector it publishes. Capacity is never released and never summed
+/// across calls: a thread keeps what the largest call it ran needed. For
+/// a synopsis of n nodes, a call with V variables, L lanes, A active
+/// (variable, node) pairs, W walks and T walked targets needs
+/// 4n + 20V + 8W + 4T + 8L(A + 1) bytes plus 16 per pinned reach vector,
+/// and a reach DP 26n bytes plus its three id lists.
 ///
 /// Bit-identity: every sum accumulates in a fixed order (flat ids preserve
 /// arena order; the per-label child index is stable-sorted; the
@@ -84,13 +101,34 @@ class FlatEstimator {
   double PredicateSelectivity(const CompiledTwig& plan, uint32_t var,
                               FlatNodeId node) const;
 
-  /// Calls `visit(target, count)` for each synopsis node `step` reaches
-  /// from `source`, with the expected count per source element: child
+  using ReachPins = std::vector<std::shared_ptr<const ReachCache::Value>>;
+
+  /// The targets one step reaches from one source, recorded once so the
+  /// lane pass can replay them without searching again: [begin, end)
+  /// indexes the edge columns for a child step (CSR order for a wildcard,
+  /// the label run otherwise) and the caller's ReachPins for a descendant
+  /// step (one pinned reach vector, or none when the reach is empty).
+  struct TargetWalk {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  /// EstimateLanes' per-thread buffers (flat_estimator.cc).
+  struct LaneScratch;
+
+  /// Walks `step` from `source` once: one LabelRun search for a labeled
+  /// child step, one ReachCache read for a descendant step (its vector is
+  /// appended to `pins`, which keeps it alive until the caller clears it).
+  TargetWalk Walk(FlatNodeId source, const CompiledVar& step,
+                  ReachPins* pins) const;
+
+  /// Calls `visit(target, count)` for each target of `walk` (recorded by
+  /// Walk for `step`), with the expected count per source element: child
   /// edges in stored order (wildcard) or label-run order, descendant
   /// reach in ascending target order.
   template <typename Visit>
-  void ForEachTarget(FlatNodeId source, const CompiledVar& step,
-                     Visit&& visit) const;
+  void Replay(const TargetWalk& walk, const CompiledVar& step,
+              const ReachPins& pins, Visit&& visit) const;
 
   /// Descendant-axis reach of `var` from `source`, shared through the
   /// ReachCache (computed and published on a miss). nullptr means the

@@ -34,32 +34,36 @@ void TwigQuery::AddPredicate(QueryVarId var, ValuePredicate pred) {
   vars_[var].predicates.push_back(std::move(pred));
 }
 
+bool ResolvePredicateTerms(const TermResolver& dict, ValuePredicate* pred) {
+  if (pred->kind != ValuePredicate::Kind::kFtContains &&
+      pred->kind != ValuePredicate::Kind::kFtAny &&
+      pred->kind != ValuePredicate::Kind::kFtSimilar) {
+    return false;
+  }
+  bool unknown = false;
+  pred->term_ids.clear();
+  for (const std::string& term : pred->terms) {
+    TermId id = dict.Lookup(term);
+    if (id == kInvalidSymbol) {
+      if (pred->kind == ValuePredicate::Kind::kFtContains) unknown = true;
+    } else {
+      pred->term_ids.push_back(id);
+    }
+  }
+  // Evaluation and estimation expect a sorted, duplicate-free TermSet.
+  std::sort(pred->term_ids.begin(), pred->term_ids.end());
+  pred->term_ids.erase(
+      std::unique(pred->term_ids.begin(), pred->term_ids.end()),
+      pred->term_ids.end());
+  return unknown;
+}
+
 void TwigQuery::ResolveTerms(const TermResolver& dict) {
   has_unknown_terms_ = false;
   terms_resolved_ = true;
   for (QueryVar& var : vars_) {
     for (ValuePredicate& pred : var.predicates) {
-      if (pred.kind != ValuePredicate::Kind::kFtContains &&
-          pred.kind != ValuePredicate::Kind::kFtAny &&
-          pred.kind != ValuePredicate::Kind::kFtSimilar) {
-        continue;
-      }
-      pred.term_ids.clear();
-      for (const std::string& term : pred.terms) {
-        TermId id = dict.Lookup(term);
-        if (id == kInvalidSymbol) {
-          if (pred.kind == ValuePredicate::Kind::kFtContains) {
-            has_unknown_terms_ = true;
-          }
-        } else {
-          pred.term_ids.push_back(id);
-        }
-      }
-      // Evaluation and estimation expect a sorted, duplicate-free TermSet.
-      std::sort(pred.term_ids.begin(), pred.term_ids.end());
-      pred.term_ids.erase(
-          std::unique(pred.term_ids.begin(), pred.term_ids.end()),
-          pred.term_ids.end());
+      if (ResolvePredicateTerms(dict, &pred)) has_unknown_terms_ = true;
     }
   }
 }

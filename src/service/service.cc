@@ -61,6 +61,42 @@ void FailGroup(const BatchPlan::Group& group, const Status& status,
   }
 }
 
+/// What one EstimateBatch shares with its lane-group tasks. A task
+/// captures a pointer to it and its group index, which fits
+/// std::function's inline storage, so a submitted task allocates nothing;
+/// every group writes its lanes into the one per-batch `estimates` array.
+struct BatchRun {
+  const BatchOptions* options = nullptr;
+  const BatchPlan* partition = nullptr;
+  const FlatEstimator* estimator = nullptr;
+  std::vector<QueryResult>* results = nullptr;
+  /// Lane estimates (and, for explain batches, explanations) of every
+  /// group: group g's lanes start at lane_base[g].
+  std::vector<double> estimates;
+  std::vector<std::string> explanations;
+  std::vector<size_t> lane_base;
+
+  /// Slot-level completion tracking: each task writes only its group's
+  /// slots and advances `done` by the group's slot count (and
+  /// `service_ns` by its estimation time) under the lock; the batch is
+  /// finished when every *slot* is accounted for.
+  std::mutex mu;
+  std::condition_variable all_done;
+  size_t done = 0;
+  uint64_t service_ns = 0;
+
+  /// Runs (or fails, when expired or cancelled) lane group `g`.
+  void RunGroup(size_t g, const Executor::TaskContext& ctx);
+
+  /// Counts `slots` as finished.
+  void Finish(size_t slots, uint64_t group_ns) {
+    std::lock_guard<std::mutex> lock(mu);
+    done += slots;
+    service_ns += group_ns;
+    all_done.notify_all();
+  }
+};
+
 #if XCLUSTER_TELEMETRY_ENABLED
 /// Synthesizes the queue-wait span for a task that just left the executor
 /// queue, the one queue between the batch and the workers: the wait
@@ -85,6 +121,58 @@ void EmitQueueWaitEvent(uint64_t queue_ns) {
   recorder->Add(event);
 }
 #endif  // XCLUSTER_TELEMETRY_ENABLED
+
+void BatchRun::RunGroup(size_t g, const Executor::TaskContext& ctx) {
+  // Worker threads carry no context of their own; adopt the request's
+  // for the duration of this task so spans attribute correctly.
+  telemetry::ScopedTraceContext task_scope(options->trace);
+  const BatchPlan::Group& group = partition->groups()[g];
+  const size_t num_slots = group.num_slots();
+#if XCLUSTER_TELEMETRY_ENABLED
+  EmitQueueWaitEvent(ctx.queue_ns);
+#endif
+  const uint64_t task_start_ns = telemetry::MonotonicNowNs();
+  uint64_t group_ns = 0;
+  if (ctx.cancelled) {
+    FailGroup(group, Status::Unsupported("executor shut down mid-batch"),
+              ctx.queue_ns, results);
+  } else if (ctx.deadline_expired) {
+    FailGroup(group, Status::DeadlineExceeded("batch deadline expired"),
+              ctx.queue_ns, results);
+    XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", num_slots);
+  } else {
+    XCLUSTER_TRACE_SPAN("executor.task");
+    double* lane_estimates = estimates.data() + lane_base[g];
+    std::string* lane_explanations =
+        options->explain ? explanations.data() + lane_base[g] : nullptr;
+    if (options->explain) {
+      // EXPLAIN's forward pass is per query: each lane is filled from
+      // FlatEstimator::Explain, exactly as EstimateOne does.
+      for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
+        const EstimateExplanation explanation =
+            estimator->Explain(*group.plans[lane]);
+        lane_estimates[lane] = explanation.selectivity;
+        lane_explanations[lane] = explanation.ToString();
+      }
+    } else {
+      XCLUSTER_TRACE_SPAN("estimate.batch_group");
+      XCLUSTER_SCOPED_TIMER_NS("estimate.batch_group_ns");
+      estimator->EstimateLanes(group.plans, lane_estimates);
+    }
+    group_ns = telemetry::MonotonicNowNs() - task_start_ns;
+    for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
+      for (const uint32_t slot : group.lane_slots[lane]) {
+        QueryResult& result = (*results)[slot];
+        result.status = Status::OK();
+        result.estimate = lane_estimates[lane];
+        if (options->explain) result.explanation = lane_explanations[lane];
+        result.queue_ns = ctx.queue_ns;
+      }
+    }
+    XCLUSTER_COUNTER_ADD("service.requests.ok", num_slots);
+  }
+  Finish(num_slots, group_ns);
+}
 
 FlightStatus ClassifyShed(const Status& admission) {
   const std::string& message = admission.message();
@@ -272,14 +360,9 @@ BatchResult EstimationService::EstimateBatch(
   }
   const ExecutorFlow flow = admission_.NewFlow(options.lane);
 
-  // Slot-level completion tracking: each task covers one lane group,
-  // writes only that group's slots, and advances `done` by the group's
-  // slot count (and `service_ns` by its estimation time) under the lock;
-  // the batch is finished when every *slot* is accounted for.
-  std::mutex mu;
-  std::condition_variable all_done;
-  size_t done = 0;
-  uint64_t service_ns = 0;
+  BatchRun run;
+  run.options = &options;
+  run.results = &batch.results;
 
   // Resolve every query to a plan on the calling thread and partition the
   // plans into lane groups. Parse failures complete here (no task has
@@ -293,7 +376,7 @@ BatchResult EstimationService::EstimateBatch(
       plans[i] = ResolvePlan(*snapshot, plan_cache_, queries[i],
                              &batch.results[i].status);
       if (plans[i] == nullptr) {
-        ++done;
+        ++run.done;
       } else {
         raw_plans[i] = plans[i].get();
       }
@@ -302,80 +385,31 @@ BatchResult EstimationService::EstimateBatch(
     batch.stats.batch_groups = partition.num_groups();
     batch.stats.vector_lanes = partition.num_lanes();
   }
-  const FlatEstimator& estimator = snapshot->flat_estimator();
-
-  auto make_group_task = [&](size_t group_index) {
-    return [&, group_index](const Executor::TaskContext& ctx) {
-      // Worker threads carry no context of their own; adopt the request's
-      // for the duration of this task so spans attribute correctly.
-      telemetry::ScopedTraceContext task_scope(options.trace);
-      const BatchPlan::Group& group = partition.groups()[group_index];
-      const size_t num_slots = group.num_slots();
-#if XCLUSTER_TELEMETRY_ENABLED
-      EmitQueueWaitEvent(ctx.queue_ns);
-#endif
-      const uint64_t task_start_ns = telemetry::MonotonicNowNs();
-      uint64_t group_ns = 0;
-      if (ctx.cancelled) {
-        FailGroup(group, Status::Unsupported("executor shut down mid-batch"),
-                  ctx.queue_ns, &batch.results);
-      } else if (ctx.deadline_expired) {
-        FailGroup(group, Status::DeadlineExceeded("batch deadline expired"),
-                  ctx.queue_ns, &batch.results);
-        XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded",
-                             num_slots);
-      } else {
-        XCLUSTER_TRACE_SPAN("executor.task");
-        std::vector<double> lane_estimates;
-        std::vector<std::string> lane_explanations;
-        if (options.explain) {
-          // EXPLAIN's forward pass is per query: each lane is filled from
-          // FlatEstimator::Explain, exactly as EstimateOne does.
-          lane_estimates.resize(group.num_lanes());
-          lane_explanations.resize(group.num_lanes());
-          for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
-            const EstimateExplanation explanation =
-                estimator.Explain(*group.plans[lane]);
-            lane_estimates[lane] = explanation.selectivity;
-            lane_explanations[lane] = explanation.ToString();
-          }
-        } else {
-          XCLUSTER_TRACE_SPAN("estimate.batch_group");
-          XCLUSTER_SCOPED_TIMER_NS("estimate.batch_group_ns");
-          lane_estimates.resize(group.num_lanes());
-          estimator.EstimateLanes(group.plans, lane_estimates.data());
-        }
-        group_ns = telemetry::MonotonicNowNs() - task_start_ns;
-        for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
-          for (const uint32_t slot : group.lane_slots[lane]) {
-            QueryResult& result = batch.results[slot];
-            result.status = Status::OK();
-            result.estimate = lane_estimates[lane];
-            if (options.explain) {
-              result.explanation = lane_explanations[lane];
-            }
-            result.queue_ns = ctx.queue_ns;
-          }
-        }
-        XCLUSTER_COUNTER_ADD("service.requests.ok", num_slots);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      done += num_slots;
-      service_ns += group_ns;
-      all_done.notify_all();
-    };
-  };
+  run.partition = &partition;
+  run.estimator = &snapshot->flat_estimator();
+  run.estimates.resize(partition.num_lanes());
+  if (options.explain) run.explanations.resize(partition.num_lanes());
+  run.lane_base.resize(partition.num_groups());
+  for (size_t g = 0, lanes = 0; g < partition.num_groups(); ++g) {
+    run.lane_base[g] = lanes;
+    lanes += partition.groups()[g].num_lanes();
+  }
 
   // Flow-control submit: when the bounded executor queue is full, wait for
   // one of our own completions to free a slot, then resubmit. The wait is
   // bounded — the queue may be full of a *different* batch's tasks while
   // none of ours are queued, in which case only retrying can make
   // progress. Raw Executor::Submit callers keep the hard
-  // ResourceExhausted; only the batch API absorbs it. Returns OK or the
+  // ResourceExhausted; only the batch API absorbs it. Each attempt builds
+  // the two-word task in place (no copy, no allocation). Returns OK or the
   // shutdown status (the task never ran).
-  auto submit_with_flow_control = [&](const Executor::Task& task) {
+  auto submit_with_flow_control = [&](size_t g) {
     for (;;) {
-      Status submitted = executor_.Submit(task, deadline_ns, flow);
+      Status submitted = executor_.Submit(
+          [batch_run = &run, g](const Executor::TaskContext& ctx) {
+            batch_run->RunGroup(g, ctx);
+          },
+          deadline_ns, flow);
       if (submitted.ok()) {
         XCLUSTER_COUNTER_INC("service.admission.dispatched");
         return submitted;
@@ -383,10 +417,10 @@ BatchResult EstimationService::EstimateBatch(
       if (submitted.code() != Status::Code::kResourceExhausted) {
         return submitted;
       }
-      std::unique_lock<std::mutex> lock(mu);
-      const size_t seen = done;
-      all_done.wait_for(lock, std::chrono::milliseconds(1),
-                        [&] { return done > seen; });
+      std::unique_lock<std::mutex> lock(run.mu);
+      const size_t seen = run.done;
+      run.all_done.wait_for(lock, std::chrono::milliseconds(1),
+                            [&] { return run.done > seen; });
     }
   };
 
@@ -403,23 +437,21 @@ BatchResult EstimationService::EstimateBatch(
         expired += partition.groups()[j].num_slots();
       }
       XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", expired);
-      std::lock_guard<std::mutex> lock(mu);
-      done += expired;
+      run.Finish(expired, /*group_ns=*/0);
       break;
     }
-    Status submitted = submit_with_flow_control(make_group_task(g));
+    Status submitted = submit_with_flow_control(g);
     if (!submitted.ok()) {
       // Shut down: fail the group's slots ourselves; the task never ran.
       FailGroup(partition.groups()[g], submitted, /*queue_ns=*/0,
                 &batch.results);
-      std::lock_guard<std::mutex> lock(mu);
-      done += partition.groups()[g].num_slots();
+      run.Finish(partition.groups()[g].num_slots(), /*group_ns=*/0);
     }
   }
 
   {
-    std::unique_lock<std::mutex> lock(mu);
-    all_done.wait(lock, [&] { return done == queries.size(); });
+    std::unique_lock<std::mutex> lock(run.mu);
+    run.all_done.wait(lock, [&] { return run.done == queries.size(); });
   }
 
   for (const QueryResult& result : batch.results) {
@@ -434,7 +466,7 @@ BatchResult EstimationService::EstimateBatch(
       batch.stats.wall_ns);
   XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
                                batch.stats.wall_ns);
-  RecordFlight(collection, options, batch, service_ns);
+  RecordFlight(collection, options, batch, run.service_ns);
   return batch;
 }
 

@@ -124,6 +124,14 @@ struct BatchResult {
 /// (FlatEstimator::EstimateLanes), returning per-query results in request
 /// order plus the batch's wall time and counts.
 ///
+/// Memory per batch: EstimateBatch's frame owns the batch's state for the
+/// batch's lifetime (its tasks all finish before it returns): the plans,
+/// the BatchPlan, one estimate double per lane (plus one explanation
+/// string per lane for explain batches) and one lane offset per group. A
+/// group task is a pointer to that state plus its group index, small
+/// enough for std::function's inline storage, so queuing it allocates
+/// nothing. The estimator's own scratch is per thread (flat_estimator.h).
+///
 /// Determinism: a batch estimated with 0, 1, or N worker threads produces
 /// bit-identical estimates and identical explanations, slot for slot
 /// equal to EstimateOne — groups share only the snapshot's estimator,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <sstream>
 
 #include "synopsis/size_model.h"
@@ -64,14 +63,40 @@ SynNodeId GraphSynopsis::MergeNodes(SynNodeId u, SynNodeId v) {
   auto mapped = [&](SynNodeId id) { return (id == u || id == v) ? w : id; };
 
   // --- Children of w: count(w, c) = (|u| count(u,c) + |v| count(v,c)) / |w|.
-  std::map<SynNodeId, double> child_mass;  // target -> |u|*count(u,c)+...
+  // Each target's mass |u|*count(u,c) + |v|*count(v,c) is summed from 0.0
+  // in the order its contributions arise (u's edges, then v's), and w's
+  // edges come out in ascending target order: contributions sorted by
+  // (target, arrival) and summed run by run, the doubles an ordered map
+  // accumulating the same terms gives.
+  struct Contribution {
+    SynNodeId target;
+    uint32_t arrival;
+    double mass;
+  };
+  std::vector<Contribution> contributions;
+  contributions.reserve(nodes_[u].children.size() +
+                        nodes_[v].children.size());
   for (SynNodeId src : {u, v}) {
     const double weight = nodes_[src].count;
     for (const SynEdge& edge : nodes_[src].children) {
-      child_mass[mapped(edge.target)] += weight * edge.avg_count;
+      contributions.push_back(
+          {mapped(edge.target), static_cast<uint32_t>(contributions.size()),
+           weight * edge.avg_count});
     }
   }
-  for (const auto& [target, mass] : child_mass) {
+  std::sort(contributions.begin(), contributions.end(),
+            [](const Contribution& a, const Contribution& b) {
+              return a.target != b.target ? a.target < b.target
+                                          : a.arrival < b.arrival;
+            });
+  size_t children_added = 0;
+  for (size_t i = 0; i < contributions.size(); ++children_added) {
+    const SynNodeId target = contributions[i].target;
+    double mass = 0.0;
+    for (; i < contributions.size() && contributions[i].target == target;
+         ++i) {
+      mass += contributions[i].mass;
+    }
     // Old parent links from u/v are removed below; AddEdge records w.
     nodes_[w].children.push_back({target, mass / total});
     auto& parents = nodes_[target].parents;
@@ -93,17 +118,20 @@ SynNodeId GraphSynopsis::MergeNodes(SynNodeId u, SynNodeId v) {
   }
   size_t edges_removed = 0;
   for (SynNodeId p : parent_ids) {
+    // One pass: sum p's edges to u and v in stored order and close the
+    // gaps they leave, keeping the other edges' order.
     double sum = 0.0;
     auto& edges = nodes_[p].children;
-    for (auto it = edges.begin(); it != edges.end();) {
-      if (it->target == u || it->target == v) {
-        sum += it->avg_count;
-        it = edges.erase(it);
-        ++edges_removed;
+    size_t kept = 0;
+    for (const SynEdge& edge : edges) {
+      if (edge.target == u || edge.target == v) {
+        sum += edge.avg_count;
       } else {
-        ++it;
+        edges[kept++] = edge;
       }
     }
+    edges_removed += edges.size() - kept;
+    edges.resize(kept);
     edges.push_back({w, sum});
     nodes_[w].parents.push_back(p);
   }
@@ -124,7 +152,7 @@ SynNodeId GraphSynopsis::MergeNodes(SynNodeId u, SynNodeId v) {
   if (u == root_ || v == root_) root_ = w;
   // w replaces u and v; its edges (out and in) replace theirs.
   --live_nodes_;
-  live_edges_ = live_edges_ + child_mass.size() + parent_ids.size() -
+  live_edges_ = live_edges_ + children_added + parent_ids.size() -
                 edges_removed;
 
   // Invalidate stale pool candidates around the merge site.

@@ -212,11 +212,12 @@ TEST(BatchEstimatorTest, EmptySynopsisLanesAreZero) {
 }
 
 TEST(BatchEstimatorTest, DescendantReachSharedWithinBatch) {
-  // Three skeletons, three groups. Every group reads each descendant
-  // reach twice (structure pass, then lane pass), and the third group
-  // re-reads the (root, parlist) reach the second group computed. Each
-  // distinct (source, label) is computed once across the batch: the
-  // reach cache misses once per distinct key and serves every re-read.
+  // Three skeletons, three groups. A group reads each descendant reach
+  // once per (node, step): its structure pass records the walk and its
+  // lane pass replays it without a second cache read. The first two
+  // groups compute (root, text) and (root, parlist); the third reads
+  // (root, parlist) back, its one hit, and computes (parlist, text).
+  // Each distinct (source, label) is computed once across the batch.
   GraphSynopsis synopsis = MakeCyclic();
   const std::shared_ptr<const FlatSynopsis> compiled =
       storage::CompileXcsf(synopsis);
@@ -235,7 +236,7 @@ TEST(BatchEstimatorTest, DescendantReachSharedWithinBatch) {
   // Distinct keys: (root, text), (root, parlist), (parlist, text).
   EXPECT_EQ(estimator.reach_cache().misses(), 3u);
   EXPECT_EQ(estimator.reach_cache().size(), 3u);
-  EXPECT_GE(estimator.reach_cache().hits(), 2u);
+  EXPECT_EQ(estimator.reach_cache().hits(), 1u);
 }
 
 // ---------------------------------------------------------------------------
