@@ -19,6 +19,20 @@ TEST(QueryParserTest, SimpleChildPath) {
   EXPECT_EQ(query.var(3).step.label, "person");
 }
 
+TEST(QueryParserTest, PathLongerThanTheReservation) {
+  // The parser reserves at most 16 variables up front, counting slashes
+  // (the quoted ones too); a 40-step path grows the array past that.
+  std::string path;
+  for (int i = 0; i < 40; ++i) path += (i % 2 == 0 ? "/a" : "//b");
+  TwigQuery query = MustParse(path + "[contains(\"" +
+                              std::string(64, '/') + "\")]");
+  ASSERT_EQ(query.size(), 41u);
+  EXPECT_EQ(query.var(40).step.label, "b");
+  EXPECT_EQ(query.var(40).step.axis, TwigStep::Axis::kDescendant);
+  EXPECT_EQ(query.var(40).parent, 39u);
+  EXPECT_EQ(query.var(40).predicates.size(), 1u);
+}
+
 TEST(QueryParserTest, DescendantAxis) {
   TwigQuery query = MustParse("//item/name");
   EXPECT_EQ(query.var(1).step.axis, TwigStep::Axis::kDescendant);
